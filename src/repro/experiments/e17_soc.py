@@ -53,9 +53,7 @@ from repro.soc import (
     FleetWorkloadGenerator,
     ReferenceCorrelationEngine,
     SecurityOperationsCenter,
-    StringInterner,
     k_for_fleet_size,
-    build_batch,
     make_event,
     recover_soc_state,
     seeded_campaigns,
@@ -82,8 +80,7 @@ K = 3
 #: CAPACITY_EPS per worker), shard-local correlators behind the global
 #: campaign merger, batched sink delivery, and the numpy-vectorized
 #: workload generator.  Cells below it keep the single-pipeline,
-#: single-correlator configuration (batched delivery is on everywhere --
-#: it is differential-tested byte-identical to per-event).
+#: single-correlator configuration (batched delivery everywhere).
 SHARDED_FLEET = 1_000_000
 NUM_SHARDS = 8
 #: The 10^7 cell widens the worker pool again: twice the shards, twice
@@ -91,18 +88,14 @@ NUM_SHARDS = 8
 MEGA_FLEET = 10_000_000
 MEGA_SHARDS = 16
 #: The 10^8 cell (opt-in: :func:`giga_cell`, the EXPERIMENTS.md XL row --
-#: not in DEFAULT_GRID) doubles the pool once more and is where the
-#: columnar correlate path is mandatory: per-event Python observes at
-#: this drain rate dominate the sweep wall clock.
+#: not in DEFAULT_GRID) doubles the pool once more.
 GIGA_FLEET = 100_000_000
 GIGA_SHARDS = 32
 
 
 def _cell_config(n_vehicles: int, capacity_eps: float) -> Dict[str, object]:
     """Scale knobs for one cell: sharded + vectorized at/above
-    :data:`SHARDED_FLEET` (columnar correlate delivery -- differential-
-    tested byte-identical to batched/per-event, so it is purely a wall
-    clock knob), the seed-identical scalar setup below it.
+    :data:`SHARDED_FLEET`, the seed-identical scalar setup below it.
 
     ``k`` scales with the fleet (:func:`~repro.soc.correlate.\
 k_for_fleet_size`): a fixed k=3 tuned at 10^6 vehicles is crossed by
@@ -114,11 +107,11 @@ k_for_fleet_size`): a fixed k=3 tuned at 10^6 vehicles is crossed by
     if n_vehicles >= GIGA_FLEET:
         return {"num_shards": GIGA_SHARDS,
                 "capacity_eps": capacity_eps * GIGA_SHARDS,
-                "vectorized": True, "columnar": True, "k": k}
+                "vectorized": True, "k": k}
     if n_vehicles >= MEGA_FLEET:
         return {"num_shards": MEGA_SHARDS,
                 "capacity_eps": capacity_eps * MEGA_SHARDS,
-                "vectorized": True, "columnar": True, "k": k}
+                "vectorized": True, "k": k}
     if n_vehicles >= SHARDED_FLEET:
         return {"num_shards": NUM_SHARDS,
                 "capacity_eps": capacity_eps * NUM_SHARDS,
@@ -136,7 +129,6 @@ def _scene(
     capacity_eps: float = CAPACITY_EPS,
     num_shards: int = 1,
     vectorized: bool = False,
-    columnar: bool = False,
     k: int = K,
 ) -> Dict[str, float]:
     """One fleet, one SOC configuration; returns the flat metrics dict."""
@@ -146,7 +138,7 @@ def _scene(
     fleet = FleetModel(n_vehicles, campaigns)
     soc = SecurityOperationsCenter(
         sim, fleet, capacity_eps=capacity_eps, k=k, respond=respond,
-        num_shards=num_shards, columnar=columnar,
+        num_shards=num_shards,
     )
     generator = FleetWorkloadGenerator(sim, rng, fleet, soc.pipeline,
                                        vectorized=vectorized)
@@ -239,11 +231,11 @@ def giga_cell(
     capacity_eps: float = CAPACITY_EPS,
 ) -> Dict[str, float]:
     """The 10^8-vehicle XL cell: 32 shards, vectorized generator,
-    columnar correlate delivery end-to-end.  Opt-in (too heavy for the
-    default grid / the CI sweep); the EXPERIMENTS.md E17 XL row records
-    one measured run.  Returns the scene metrics plus wall-clock
-    throughput (``ingest_correlate_eps``: dispatched events per second
-    of real time, the figure the columnar hot path exists to raise)."""
+    batched correlate delivery.  Opt-in (too heavy for the default grid
+    / the CI sweep); the EXPERIMENTS.md E17 XL row records one measured
+    run.  Returns the scene metrics plus wall-clock throughput
+    (``ingest_correlate_eps``: dispatched events per second of real
+    time)."""
     config = _cell_config(n_vehicles, capacity_eps)
     t0 = time.perf_counter()
     metrics = _scene(n_vehicles, prevalence, seed, respond=True,
@@ -281,27 +273,18 @@ def correlate_microbench(
     window_s: float = 4.0,
     per_sig_window: int = 256,
     batch_size: int = 64,
-    columnar_batch: int = 4096,
     reps: int = 1,
 ) -> Dict[str, float]:
-    """Time the four correlate paths on one identical stream:
+    """Time the three correlate paths on one identical stream:
 
     - ``reference_eps``: the pre-optimization per-event engine
       (:class:`ReferenceCorrelationEngine`, O(window) per event) -- the
       same-run baseline the speedups are measured against;
     - ``per_event_eps``: the incremental engine fed one event per call;
     - ``batched_eps``: the incremental engine fed ``batch_size``-event
-      batches via :meth:`~CorrelationEngine.observe_batch`;
-    - ``columnar_eps``: the incremental engine fed
-      ``columnar_batch``-event :class:`~repro.soc.columnar.ColumnarBatch`
-      arrays via :meth:`~CorrelationEngine.observe_columnar`, with the
-      drain-time array build timed separately (``columnar_build_eps``;
-      ``columnar_e2e_eps`` combines both, which is what the live
-      dispatch path pays).
+      batches via :meth:`~CorrelationEngine.observe_batch` (the live
+      dispatch path).
 
-    ``columnar_batch`` defaults wider than ``batch_size``: the columnar
-    path's per-batch numpy/dict setup amortizes across the batch, and
-    the 10^7+-vehicle cells drain thousands of events per pump anyway.
     ``k`` is set unreachably high so no campaign fires and every event
     pays the full window-maintenance cost; lateness is unbounded and
     dedup disabled so nothing short-circuits.
@@ -311,8 +294,8 @@ def correlate_microbench(
     single run measures scheduler luck as much as the code, and the CI
     speedup gates want the ratio of capabilities, not of noise draws.
 
-    Beyond timing, the run asserts all four engines finished with equal
-    counters/watermark and that the columnar engine's ``snapshot()`` is
+    Beyond timing, the run asserts all three engines finished with equal
+    counters/watermark and that the batched engine's ``snapshot()`` is
     byte-identical to the per-event engine's -- every bench run is also
     a differential check.
     """
@@ -343,27 +326,12 @@ def correlate_microbench(
             batched.observe_batch(events[start:start + batch_size])
         batched_s = min(batched_s, time.perf_counter() - t0)
 
-    build_s = columnar_s = float("inf")
-    for _ in range(reps):
-        interner = StringInterner()
-        t0 = time.perf_counter()
-        cbatches = [build_batch(events[start:start + columnar_batch],
-                                interner)
-                    for start in range(0, n_events, columnar_batch)]
-        build_s = min(build_s, time.perf_counter() - t0)
-        columnar = CorrelationEngine(**kwargs)
-        t0 = time.perf_counter()
-        for cb in cbatches:
-            columnar.observe_columnar(cb)
-        columnar_s = min(columnar_s, time.perf_counter() - t0)
-
-    # The four paths must have done the same correlation work, and the
-    # columnar engine must land in byte-identical state.
+    # The three paths must have done the same correlation work, and the
+    # batched engine must land in byte-identical state.
     assert (reference.metrics() == per_event.metrics()
-            == batched.metrics() == columnar.metrics())
-    assert (reference.watermark == per_event.watermark
-            == batched.watermark == columnar.watermark)
-    assert (json.dumps(columnar.snapshot(), sort_keys=True)
+            == batched.metrics())
+    assert reference.watermark == per_event.watermark == batched.watermark
+    assert (json.dumps(batched.snapshot(), sort_keys=True)
             == json.dumps(per_event.snapshot(), sort_keys=True))
 
     return {
@@ -371,18 +339,9 @@ def correlate_microbench(
         "reference_eps": n_events / reference_s,
         "per_event_eps": n_events / per_event_s,
         "batched_eps": n_events / batched_s,
-        "columnar_eps": n_events / columnar_s,
-        "columnar_build_eps": n_events / build_s,
-        "columnar_e2e_eps": n_events / (build_s + columnar_s),
-        "columnar_batch": float(columnar_batch),
-        "columnar_fallbacks": float(columnar.columnar_fallbacks),
         "speedup_batched_vs_reference": reference_s / batched_s,
         "speedup_batched_vs_per_event": per_event_s / batched_s,
         "speedup_per_event_vs_reference": reference_s / per_event_s,
-        "speedup_columnar_vs_per_event": per_event_s / columnar_s,
-        "speedup_columnar_vs_reference": reference_s / columnar_s,
-        "speedup_columnar_e2e_vs_per_event":
-            per_event_s / (build_s + columnar_s),
     }
 
 
@@ -570,7 +529,7 @@ def write_bench_json(
 ) -> Dict[str, object]:
     """Write the machine-readable E17 perf record (``BENCH_E17.json``)."""
     payload = {
-        "schema": "bench-e17/v1",
+        "schema": "bench-e17/v2",
         "duration_s": DURATION_S,
         "cells": cells,
         "correlate": correlate,

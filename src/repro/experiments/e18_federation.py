@@ -198,16 +198,10 @@ def build_federated_scene(
     outages: Optional[Dict[str, Sequence[Tuple[float, float]]]] = None,
     root=None,
     max_batch_records: int = 256,
-    columnar: bool = False,
     consistency: str = "strict",
     staleness_budget_s: float = 2.0,
 ) -> FederatedScene:
     """Wire M regional SOCs, their shipping legs, and the hub.
-
-    ``columnar`` switches every regional center *and* the hub's replay
-    apply onto the columnar batch path; log bytes, shipments, and the
-    hub's final state are byte-identical either way (the federation
-    columnar tests pin it), so it is purely a throughput knob.
 
     Every region gets its own derived RNG universe, a disjoint
     vehicle-id space (``id_base``), a :class:`DurableStore` under
@@ -236,7 +230,7 @@ def build_federated_scene(
         store = DurableStore(base / name)
         center = SecurityOperationsCenter(
             sim, fleet, k=K, respond=False, num_shards=num_shards,
-            store=store, columnar=columnar,
+            store=store,
         )
         generator = FleetWorkloadGenerator(sim, region_rng, fleet,
                                            center.pipeline)
@@ -254,7 +248,6 @@ def build_federated_scene(
             profile = center.federation_profile()
 
     hub = FederationHub.from_profile(list(region_names), profile,
-                                     columnar=columnar,
                                      consistency=consistency,
                                      staleness_budget_s=staleness_budget_s)
     return FederatedScene(sim=sim, hub=hub, regions=regions,

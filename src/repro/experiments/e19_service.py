@@ -1,6 +1,6 @@
 """E19 -- Network ingest service: throughput scaling past the GIL (§7).
 
-E17/E18 made the *analytics* fast (columnar correlate at millions of
+E17/E18 made the *analytics* fast (batched correlate at about a million
 events per second in-engine) but every event still entered the VSOC
 through single-process Python calls.  E19 measures the front door the
 paper's §7 centralized-policy direction actually requires: the

@@ -18,13 +18,9 @@ out.  This package is that backend:
   shed/backpressure accounting per shard and globally after every pump.
 - :mod:`repro.soc.correlate` -- sliding-window cross-vehicle
   correlation: per-vehicle dedup, duplicate/late-event hygiene, and
-  k-vehicles-in-window campaign detection.
-- :mod:`repro.soc.columnar` -- the columnar hot path: drained batches
-  rebuilt once as numpy arrays (:class:`~repro.soc.columnar.ColumnarBatch`)
-  at dispatch time and correlated by
-  :meth:`~repro.soc.correlate.CorrelationEngine.observe_columnar` in a
-  handful of C-level operations -- byte-identical analytic state to the
-  per-event path (differential/Hypothesis-tested), >10x the throughput.
+  k-vehicles-in-window campaign detection.  Every drained batch reaches
+  it by one route, a batch sink into
+  :meth:`~repro.soc.correlate.CorrelationEngine.observe_batch`.
 - :mod:`repro.soc.incident` -- the incident lifecycle state machine with
   ASIL-based severity scoring.
 - :mod:`repro.soc.respond` -- closed-loop remediation: authenticated
@@ -110,14 +106,9 @@ from repro.soc.shard import (
     region_shard_key,
     signature_shard_key,
 )
-from repro.soc.columnar import (
-    ColumnarBatch,
-    StringInterner,
-    build_batch,
-)
+from repro.soc.batch_arrays import StringInterner, build_batch
 from repro.soc.correlate import (
     CampaignDetection,
-    ColumnarResult,
     CorrelationEngine,
     GlobalCampaignMerger,
     ReferenceCorrelationEngine,
@@ -211,8 +202,6 @@ __all__ = [
     "ShardKeyFn",
     "region_shard_key",
     "signature_shard_key",
-    "ColumnarBatch",
-    "ColumnarResult",
     "StringInterner",
     "build_batch",
     "CampaignDetection",

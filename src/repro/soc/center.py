@@ -8,26 +8,29 @@ dict (the shape E17 publishes and the determinism tests pin).
 Correlation topology scales with the ingest topology:
 
 - ``num_shards == 1``: one :class:`~repro.soc.correlate.CorrelationEngine`
-  fed straight off the pipeline (batched by default -- one Python call
-  per drained batch via ``add_batch_sink`` / ``observe_batch`` -- with
-  ``batched=False`` keeping the one-call-per-event path the differential
-  tests compare against);
+  fed straight off the pipeline, one Python call per drained batch
+  (``add_batch_sink`` -> ``observe_batch``);
 - ``num_shards > 1``: one **shard-local** engine per ingest shard plus a
   :class:`~repro.soc.correlate.GlobalCampaignMerger` that stitches the
   local verdicts (and, under region sharding, sub-threshold cross-shard
   windows) into fleet-wide campaigns after every pump.  Merged campaigns
   are adopted back into every engine so spread attribution stays exact
   and one event is never correlated twice.
+
+Incident attribution has one routine per topology --
+:func:`observe_and_attribute` (a drained batch on an unsharded engine)
+and :func:`merge_and_attribute` (one merge at a pump boundary) -- shared
+by the live sinks, crash recovery (:func:`recover_soc_state`) and the
+federation hub's replay, so replayed attribution cannot drift from live.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.safety import Asil
 from repro.sim import Simulator
-from repro.soc.columnar import ColumnarBatch
 from repro.soc.correlate import (
     CampaignDetection,
     CorrelationEngine,
@@ -46,6 +49,75 @@ from repro.soc.shard import ConservationAudit, ShardedIngestPipeline, ShardKeyFn
 from repro.soc.store import DurableStore
 
 
+#: Opens (or finds) the incident for a verdict at a base severity.  The
+#: live centre also pages its responder; replay paths open on the
+#: tracker directly.
+OpenIncident = Callable[[CampaignDetection, Asil], object]
+
+
+def base_severity(detection: CampaignDetection) -> Asil:
+    """Merged detections carry no triggering event; recover the source
+    family from the signature namespace (same defaulting as a batch
+    verdict's triggering event)."""
+    source = source_for_signature(detection.signature)
+    if source is None:
+        return Asil.A
+    return DEFAULT_SOURCE_SEVERITY.get(source, Asil.A)
+
+
+def observe_and_attribute(engine: CorrelationEngine,
+                          events: List[SecurityEvent],
+                          tracker: IncidentTracker,
+                          open_incident: OpenIncident) -> None:
+    """Observe one drained batch on an unsharded engine and attribute
+    it: a verdict opens an incident at its triggering event's source
+    severity; an event of an already-flagged signature attaches its
+    vehicle to that incident."""
+    attach = tracker.attach_vehicle
+    is_flagged = engine.is_flagged
+    for event, detection in zip(events, engine.observe_batch(events)):
+        if detection is not None:
+            open_incident(detection,
+                          DEFAULT_SOURCE_SEVERITY.get(event.source, Asil.A))
+        elif is_flagged(event.signature):
+            attach(event.signature, event.vehicle_id)
+
+
+def merge_and_attribute(merger: GlobalCampaignMerger,
+                        engines: Sequence[CorrelationEngine],
+                        tracker: IncidentTracker,
+                        open_incident: OpenIncident
+                        ) -> List[CampaignDetection]:
+    """One pump-boundary merge: stitch the engines, adopt each new
+    fleet-wide verdict back into every engine (so they track spread
+    exactly from here on and never re-fire), open its incident, then
+    attach newly attributed vehicles in sorted order.  Returns the new
+    verdicts."""
+    new_detections, new_vehicles = merger.merge(engines)
+    for detection in new_detections:
+        for engine in engines:
+            engine.adopt_campaign(detection)
+        open_incident(detection, base_severity(detection))
+    for signature in sorted(new_vehicles):
+        for vehicle in sorted(new_vehicles[signature]):
+            tracker.attach_vehicle(signature, vehicle)
+    return new_detections
+
+
+def _analytics_snapshot(pump_no: int, log_seq: int,
+                        engines: Sequence[CorrelationEngine],
+                        merger: Optional[GlobalCampaignMerger],
+                        tracker: IncidentTracker) -> Dict[str, object]:
+    return {
+        "pump_no": pump_no,
+        "log_seq": log_seq,
+        "sharded": merger is not None,
+        "engines": [e.snapshot() for e in engines],
+        "merger": merger.snapshot() if merger else None,
+        "tracker": tracker.snapshot(),
+    }
+
+
 class SecurityOperationsCenter:
     """An OEM fleet SOC over a simulated vehicle population.
 
@@ -53,18 +125,11 @@ class SecurityOperationsCenter:
     E17 baseline: everything is ingested and correlated, but no incident
     ever reaches containment -- the fleet burns.
 
-    ``batched`` selects batch delivery end-to-end (list-per-drained-batch
-    sinks feeding ``observe_batch``); the per-event path remains only as
-    the differential baseline.  ``columnar`` goes one further: drained
-    batches are rebuilt once as
-    :class:`~repro.soc.columnar.ColumnarBatch` arrays at dispatch and fed
-    through ``observe_columnar`` (and, when a store is attached, archived
-    via :meth:`~repro.soc.store.EventLog.append_columnar` -- same record
-    bytes, so recovery and federation replay are mode-agnostic).  All
-    three modes are byte-identical in final analytic state; the
-    differential tests pin it.  ``shard_local_correlate`` (default: on
-    whenever ``num_shards > 1``) gives every ingest shard its own
-    correlator, stitched by a :class:`GlobalCampaignMerger` each pump.
+    Drained batches reach the correlators through batch sinks only
+    (``observe_batch``, one call per batch).  ``shard_local_correlate``
+    (default: on whenever ``num_shards > 1``) gives every ingest shard
+    its own correlator, stitched by a :class:`GlobalCampaignMerger` each
+    pump.
     """
 
     def __init__(
@@ -85,8 +150,6 @@ class SecurityOperationsCenter:
         num_shards: int = 1,
         shard_key: Optional[ShardKeyFn] = None,
         audit: bool = True,
-        batched: bool = True,
-        columnar: bool = False,
         shard_local_correlate: Optional[bool] = None,
         store: Optional[DurableStore] = None,
         snapshot_every_pumps: int = 0,
@@ -130,24 +193,12 @@ class SecurityOperationsCenter:
 
         # Archival taps go in *before* the correlator sinks (write-ahead:
         # by the time analytics sees a batch it is already in the log).
-        # In columnar mode the tap consumes the same ColumnarBatch the
-        # correlators do (append_columnar serializes its retained event
-        # list through the unchanged record codec, so the log bytes are
-        # mode-independent); sink order within the columnar fan-out
-        # preserves write-ahead.
+        shards = (self.pipeline.shards
+                  if isinstance(self.pipeline, ShardedIngestPipeline)
+                  else [self.pipeline])
         if store is not None:
-            if isinstance(self.pipeline, ShardedIngestPipeline):
-                for index, shard in enumerate(self.pipeline.shards):
-                    if columnar:
-                        shard.add_columnar_sink(
-                            self._archive_columnar_handler(index))
-                    else:
-                        shard.add_batch_sink(self._archive_handler(index))
-            elif columnar:
-                self.pipeline.add_columnar_sink(
-                    self._archive_columnar_handler(0))
-            else:
-                self.pipeline.add_batch_sink(self._archive_handler(0))
+            for index, shard in enumerate(shards):
+                shard.add_batch_sink(self._archive_handler(index))
 
         def _engine() -> CorrelationEngine:
             return CorrelationEngine(
@@ -165,24 +216,13 @@ class SecurityOperationsCenter:
             self.merger: Optional[GlobalCampaignMerger] = (
                 GlobalCampaignMerger(window_s=window_s, k=k)
             )
-            for index, shard in enumerate(self.pipeline.shards):
-                if columnar:
-                    shard.add_columnar_sink(
-                        self._shard_columnar_handler(index))
-                elif batched:
-                    shard.add_batch_sink(self._shard_batch_handler(index))
-                else:
-                    shard.add_sink(self._shard_event_handler(index))
+            for index, shard in enumerate(shards):
+                shard.add_batch_sink(self._shard_batch_handler(index))
         else:
             self.correlator = _engine()
             self.correlators = [self.correlator]
             self.merger = None
-            if columnar:
-                self.pipeline.add_columnar_sink(self._on_columnar)
-            elif batched:
-                self.pipeline.add_batch_sink(self._on_batch)
-            else:
-                self.pipeline.add_sink(self._on_event)
+            self.pipeline.add_batch_sink(self._on_batch)
 
         self.tracker = IncidentTracker()
         self.responder: Optional[ResponseOrchestrator] = (
@@ -285,60 +325,9 @@ class SecurityOperationsCenter:
     # ------------------------------------------------------------------
     # Correlation sinks
     # ------------------------------------------------------------------
-    def _on_event(self, now: float, event: SecurityEvent) -> None:
-        detection = self.correlator.observe(event)
-        if detection is not None:
-            self._open_incident(
-                detection, DEFAULT_SOURCE_SEVERITY.get(event.source, Asil.A))
-        elif self.correlator.is_flagged(event.signature):
-            self.tracker.attach_vehicle(event.signature, event.vehicle_id)
-
     def _on_batch(self, now: float, events: List[SecurityEvent]) -> None:
-        correlator = self.correlator
-        tracker = self.tracker
-        for event, detection in zip(events, correlator.observe_batch(events)):
-            if detection is not None:
-                self._open_incident(
-                    detection,
-                    DEFAULT_SOURCE_SEVERITY.get(event.source, Asil.A))
-            elif correlator.is_flagged(event.signature):
-                tracker.attach_vehicle(event.signature, event.vehicle_id)
-
-    def _on_columnar(self, now: float, batch: ColumnarBatch) -> None:
-        """Single-engine columnar sink.  Detections and flagged-signature
-        hits come back as batch indices; replaying them merged in index
-        order reproduces ``_on_batch``'s exact open/attach interleaving,
-        so the incident tracker's state is byte-identical across modes.
-        """
-        result = self.correlator.observe_columnar(batch, track_hits=True)
-        if not result.detections and not result.hits:
-            return
-        events = batch.events
-        tracker = self.tracker
-        detections = result.detections
-        di = 0
-        for idx in result.hits:
-            while di < len(detections) and detections[di][0] < idx:
-                j, detection = detections[di]
-                di += 1
-                self._open_incident(
-                    detection,
-                    DEFAULT_SOURCE_SEVERITY.get(events[j].source, Asil.A))
-            event = events[idx]
-            tracker.attach_vehicle(event.signature, event.vehicle_id)
-        for j, detection in detections[di:]:
-            self._open_incident(
-                detection,
-                DEFAULT_SOURCE_SEVERITY.get(events[j].source, Asil.A))
-
-    def _shard_columnar_handler(self, index: int):
-        """Shard-local columnar observe; verdicts surface at merge time
-        (no ``track_hits`` -- spread attribution happens in the merger),
-        mirroring :meth:`_shard_batch_handler`.  Binds the shard index so
-        :meth:`adopt_analytics` rewires recovered engines."""
-        def handle(now: float, batch: ColumnarBatch) -> None:
-            self.correlators[index].observe_columnar(batch)
-        return handle
+        observe_and_attribute(self.correlator, events, self.tracker,
+                              self._open_incident)
 
     def _shard_batch_handler(self, index: int):
         """Shard-local batched observe; verdicts surface at merge time.
@@ -346,11 +335,6 @@ class SecurityOperationsCenter:
         recovered engines (:meth:`adopt_analytics`) rewires the sinks."""
         def handle(now: float, events: List[SecurityEvent]) -> None:
             self.correlators[index].observe_batch(events)
-        return handle
-
-    def _shard_event_handler(self, index: int):
-        def handle(now: float, event: SecurityEvent) -> None:
-            self.correlators[index].observe(event)
         return handle
 
     def _archive_handler(self, index: int):
@@ -361,45 +345,16 @@ class SecurityOperationsCenter:
             log.append_batch(now, index, events)
         return archive
 
-    def _archive_columnar_handler(self, index: int):
-        """Columnar-mode archival tap: same log bytes as the batch tap
-        (``append_columnar`` serializes the batch's retained events
-        through the unchanged codec)."""
-        log = self.store.log
-
-        def archive(now: float, batch: ColumnarBatch) -> None:
-            log.append_columnar(now, index, batch)
-        return archive
-
     def _merge_campaigns(self) -> None:
-        if self.merger is None:
-            return
-        new_detections, new_vehicles = self.merger.merge(self.correlators)
-        for detection in new_detections:
-            # Adopt fleet-wide verdicts locally so every engine tracks
-            # spread exactly from here on (and never re-fires).
-            for engine in self.correlators:
-                engine.adopt_campaign(detection)
-            self._open_incident(detection, self._base_severity(detection))
-        for signature in sorted(new_vehicles):
-            for vehicle in sorted(new_vehicles[signature]):
-                self.tracker.attach_vehicle(signature, vehicle)
+        if self.merger is not None:
+            merge_and_attribute(self.merger, self.correlators, self.tracker,
+                                self._open_incident)
 
     def _open_incident(self, detection: CampaignDetection,
                        base: Asil) -> None:
         incident = self.tracker.open_from_detection(detection, base)
         if self.responder is not None:
             self.responder.on_detection(incident)
-
-    @staticmethod
-    def _base_severity(detection: CampaignDetection) -> Asil:
-        """Merged detections carry no triggering event; recover the
-        source family from the signature namespace (same defaulting as
-        the per-event path)."""
-        source = source_for_signature(detection.signature)
-        if source is None:
-            return Asil.A
-        return DEFAULT_SOURCE_SEVERITY.get(source, Asil.A)
 
     # ------------------------------------------------------------------
     # Durable snapshots / recovery
@@ -411,14 +366,9 @@ class SecurityOperationsCenter:
         bytes under ``json.dumps(..., sort_keys=True)`` -- the equality
         the crash-recovery differential tests compare on.
         """
-        return {
-            "pump_no": self._pump_no,
-            "log_seq": self.store.log.last_seq if self.store else 0,
-            "sharded": self.merger is not None,
-            "engines": [e.snapshot() for e in self.correlators],
-            "merger": self.merger.snapshot() if self.merger else None,
-            "tracker": self.tracker.snapshot(),
-        }
+        return _analytics_snapshot(
+            self._pump_no, self.store.log.last_seq if self.store else 0,
+            self.correlators, self.merger, self.tracker)
 
     def save_snapshot(self):
         """Persist the analytic state; the log is synced first so a
@@ -560,14 +510,8 @@ class RecoveredAnalytics:
     def analytics_snapshot(self) -> Dict[str, object]:
         """Same canonical shape as
         :meth:`SecurityOperationsCenter.analytics_snapshot`."""
-        return {
-            "pump_no": self.pump_no,
-            "log_seq": self.log_seq,
-            "sharded": self.merger is not None,
-            "engines": [e.snapshot() for e in self.engines],
-            "merger": self.merger.snapshot() if self.merger else None,
-            "tracker": self.tracker.snapshot(),
-        }
+        return _analytics_snapshot(self.pump_no, self.log_seq, self.engines,
+                                   self.merger, self.tracker)
 
 
 def recover_soc_state(store: DurableStore,
@@ -615,17 +559,8 @@ analytics_snapshot`) to the uninterrupted run at the same pump boundary
         events_replayed += len(record.events)
         batch = list(record.events)
         if merger is None:
-            engine = engines[0]
-            for event, detection in zip(batch,
-                                        engine.observe_batch(batch)):
-                if detection is not None:
-                    tracker.open_from_detection(
-                        detection,
-                        DEFAULT_SOURCE_SEVERITY.get(event.source,
-                                                    Asil.A))
-                elif engine.is_flagged(event.signature):
-                    tracker.attach_vehicle(event.signature,
-                                           event.vehicle_id)
+            observe_and_attribute(engines[0], batch, tracker,
+                                  tracker.open_from_detection)
         else:
             engines[record.shard].observe_batch(batch)
 
@@ -645,16 +580,8 @@ analytics_snapshot`) to the uninterrupted run at the same pump boundary
             pumps += 1
             pump_no = record.pump_no
             if merger is not None:
-                new_detections, new_vehicles = merger.merge(engines)
-                for detection in new_detections:
-                    for engine in engines:
-                        engine.adopt_campaign(detection)
-                    tracker.open_from_detection(
-                        detection,
-                        SecurityOperationsCenter._base_severity(detection))
-                for signature in sorted(new_vehicles):
-                    for vehicle in sorted(new_vehicles[signature]):
-                        tracker.attach_vehicle(signature, vehicle)
+                merge_and_attribute(merger, engines, tracker,
+                                    tracker.open_from_detection)
     # mark_boundary_only: anything still pending is a torn handoff past
     # the last marker -- deliberately not applied (see docstring).
 

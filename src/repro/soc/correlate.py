@@ -46,27 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import (TYPE_CHECKING, Deque, Dict, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from collections import deque
 
-import numpy as np
-
 from repro.core.safety import Asil
-from repro.soc.columnar import BLOOM_BYTES
 from repro.soc.events import SecurityEvent
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.soc.columnar import ColumnarBatch
-
-# Ledger chunk-list length cap: bounds the per-suspect chunk scans (and
-# bloom false-positive buildup) on very long sweep-free streams.
-_MAX_LEDGER_CHUNKS = 64
-
-#: Below this size the columnar machinery costs more than it saves; the
-#: engine silently delegates to ``observe_batch`` (identical semantics).
-COLUMNAR_MIN_BATCH = 16
 
 
 def k_for_fleet_size(n_vehicles: int, base_k: int = 3,
@@ -157,54 +142,14 @@ class _SignatureWindow:
     ``newest`` is tracked monotonically -- pruning can only remove
     entries strictly older than ``newest - window``, never the maximum
     itself, so a running max is exact.
-
-    The columnar fast path appends whole per-signature batch slices as
-    **tail chunks** -- ``(times, vehicles, t_first, t_last, count)`` with
-    times ascending and ``t_first >= newest`` at append time -- instead
-    of per-entry heap pushes.  Chunks are pruned lazily (a whole chunk
-    drops once its ``t_last`` expires; partially-expired entries wait)
-    and folded into ``heap``/``counts`` only when scalar code needs
-    exact state (:meth:`CorrelationEngine._fold_window`).  Because every
-    chunk entry is >= every heap entry and chunks are globally
-    ascending, extending the heap with them preserves the heap
-    invariant without a heapify.  ``tail_len`` counts chunk entries
-    (including lazily-retained expired ones), so
-    ``len(counts) + tail_len`` upper-bounds the live distinct-vehicle
-    cardinality -- the fire-possibility screen.
     """
 
-    __slots__ = ("heap", "counts", "newest", "tail", "tail_len")
+    __slots__ = ("heap", "counts", "newest")
 
     def __init__(self) -> None:
         self.heap: List[Tuple[float, str]] = []
         self.counts: Dict[str, int] = {}
         self.newest = float("-inf")
-        self.tail: List[Tuple[np.ndarray, np.ndarray, float, float, int]] = []
-        self.tail_len = 0
-
-
-class ColumnarResult:
-    """Per-batch outcome of :meth:`CorrelationEngine.observe_columnar`.
-
-    ``detections`` is ``(batch_index, detection)`` in batch-index order
-    (exactly where ``observe_batch``'s verdict list would be non-None).
-    ``hits`` lists, in batch-index order, the verdict-less events whose
-    signature is flagged once the batch is fully observed -- the same
-    predicate the center's batched handler evaluates per event
-    (``verdict is None and is_flagged(signature)``), so campaign-spread
-    attribution stays byte-identical across delivery paths.  ``hits`` is
-    only populated when the caller asks (``track_hits=True``); shard
-    handlers skip it because spread surfaces at merge time.
-    """
-
-    __slots__ = ("n", "detections", "hits")
-
-    def __init__(self, n: int,
-                 detections: List[Tuple[int, CampaignDetection]],
-                 hits: List[int]) -> None:
-        self.n = n
-        self.detections = detections
-        self.hits = hits
 
 
 class CorrelationEngine:
@@ -253,21 +198,6 @@ class CorrelationEngine:
 
         self._seen_ids: Dict[str, float] = {}
         self._last_by_key: Dict[Tuple[str, str], float] = {}
-        # Columnar ledger chunks: drained batches arrive with their
-        # ``id_time``/``key_time`` dicts already built, so the fast path
-        # *appends the dict itself* instead of paying a growing-dict
-        # insert per entry (the dominant per-event cost at fleet scale).
-        # A bit-packed bloom filter per ledger screens a batch against
-        # the chunks in a few vectorized ops (bloom-hit elements are
-        # double-checked exactly); ``_fold_ledgers`` merges chunks into
-        # the base dicts -- and zeroes the blooms, which by invariant
-        # cover exactly the chunk contents -- whenever scalar code needs
-        # per-key lookups.  Blooms allocate lazily: per-event engines
-        # never pay the 2 MiB.
-        self._seen_chunks: List[Dict[str, float]] = []
-        self._lbk_chunks: List[Dict[Tuple[str, str], float]] = []
-        self._seen_bloom: Optional[np.ndarray] = None
-        self._lbk_bloom: Optional[np.ndarray] = None
         self._by_signature: Dict[str, _SignatureWindow] = {}
         self._flagged: Dict[str, CampaignDetection] = {}
         self._campaign_vehicles: Dict[str, Set[str]] = {}
@@ -285,20 +215,10 @@ class CorrelationEngine:
         self.windows_evicted = 0
         self.detections: List[CampaignDetection] = []
 
-        # Columnar-path telemetry.  Deliberately *not* part of
-        # ``snapshot()``: which path fed the engine is an implementation
-        # detail, and including it would break the byte-identity contract
-        # between columnar-, batch- and per-event-fed engines.
-        self.columnar_batches = 0
-        self.columnar_fallbacks = 0
-        self.columnar_group_replays = 0
-
     # ------------------------------------------------------------------
     def observe(self, event: SecurityEvent) -> Optional[CampaignDetection]:
         """Feed one event; returns a detection the first time a signature
         crosses the k-vehicles-in-window threshold."""
-        if self._seen_chunks or self._lbk_chunks:
-            self._fold_ledgers()
         self.observed += 1
 
         t = event.time
@@ -350,8 +270,6 @@ class CorrelationEngine:
         the watermark), but with the hot state in locals and one Python
         call per *batch* instead of per event.
         """
-        if self._seen_chunks or self._lbk_chunks:
-            self._fold_ledgers()
         out: List[Optional[CampaignDetection]] = []
         append = out.append
         seen = self._seen_ids
@@ -420,8 +338,6 @@ class CorrelationEngine:
         w = self._by_signature.get(sig)
         if w is None:
             w = self._by_signature[sig] = _SignatureWindow()
-        elif w.tail_len:
-            self._fold_window(w)
         heap = w.heap
         counts = w.counts
         heappush(heap, (t, vehicle))
@@ -465,8 +381,6 @@ class CorrelationEngine:
         ``_retention_s`` of watermark advance, and an entry is examined
         by at most two sweeps before eviction.
         """
-        if self._seen_chunks or self._lbk_chunks:
-            self._fold_ledgers()
         wm = self.watermark
         self._last_sweep_wm = wm
         horizon = wm - self._retention_s
@@ -491,526 +405,6 @@ class CorrelationEngine:
         self.windows_evicted += len(stale_sigs)
 
     # ------------------------------------------------------------------
-    # Columnar fast path (numpy structured batches from the drain)
-    # ------------------------------------------------------------------
-    def _fold_window(self, w: _SignatureWindow) -> None:
-        """Materialize a window's columnar tail chunks into the exact
-        scalar state (``heap``/``counts``), pruning against the current
-        ``newest`` -- the live set only depends on the final newest, so
-        deferred pruning folds to precisely what per-event pruning would
-        have left."""
-        heap = w.heap
-        counts = w.counts
-        cutoff = w.newest - self.window_s
-        # The base heap may predate columnar appends that advanced newest.
-        while heap and heap[0][0] < cutoff:
-            _, gone = heappop(heap)
-            c = counts[gone] - 1
-            if c:
-                counts[gone] = c
-            else:
-                del counts[gone]
-        get = counts.get
-        for t_a, v_a, t_first, t_last, _count in w.tail:
-            if t_last < cutoff:
-                continue  # whole chunk expired while lazily retained
-            if t_first < cutoff:
-                s = int(np.searchsorted(t_a, cutoff, side="left"))
-                t_a = t_a[s:]
-                v_a = v_a[s:]
-            vl = v_a.tolist()
-            # Chunks are ascending and >= every live heap entry, so
-            # extending preserves the heap invariant (no heapify).
-            heap.extend(zip(t_a.tolist(), vl))
-            for v in vl:
-                counts[v] = get(v, 0) + 1
-        w.tail = []
-        w.tail_len = 0
-
-    def _fold_ledgers(self) -> None:
-        """Merge columnar ledger chunks into the base dicts.
-
-        Chunks are pairwise disjoint and disjoint from the base (the
-        fast path screens before appending), so the merge is a plain
-        union -- byte-identical to having inserted per-event.  Runs
-        before any code that needs exact per-key lookups: scalar
-        observes, retention sweeps, dedup-ledger hits, snapshots.
-        """
-        if self._seen_chunks:
-            base = self._seen_ids
-            for chunk in self._seen_chunks:
-                base.update(chunk)
-            self._seen_chunks = []
-            self._seen_bloom.fill(0)
-        if self._lbk_chunks:
-            base_k = self._last_by_key
-            for chunk_k in self._lbk_chunks:
-                base_k.update(chunk_k)
-            self._lbk_chunks = []
-            self._lbk_bloom.fill(0)
-
-    def observe_columnar(self, batch: "ColumnarBatch",
-                         track_hits: bool = False) -> ColumnarResult:
-        """Feed one drained :class:`~repro.soc.columnar.ColumnarBatch`.
-
-        Semantically identical to ``observe_batch(batch.events)`` -- the
-        differential/Hypothesis suite pins byte-identical ``snapshot()``
-        state, counters included -- but the batch-wide work (duplicate
-        screening, lateness, severity, dedup-ledger maintenance,
-        per-signature grouping, window appends) runs as C-level dict and
-        numpy operations.  Rare hazards route to exact scalar code:
-
-        - within-batch duplicate ids/dedup keys, or overlap between the
-          batch's ids and the seen-ledger -> whole-batch scalar fallback;
-        - a retention sweep tripping mid-batch -> the batch splits at the
-          tripping event, which is observed scalar (sweeps are amortized
-          once per ``retention_s`` of watermark advance);
-        - a group that could possibly fire, arrive out of order, or land
-          behind its window's newest -> that signature's slice replays
-          through the scalar insert path.
-        """
-        n = batch.n
-        if n == 0:
-            return ColumnarResult(0, [], [])
-        self.columnar_batches += 1
-        d0 = len(self.detections)
-        if self._seen_bloom is None:
-            self._seen_bloom = np.zeros(BLOOM_BYTES, dtype=np.uint8)
-            self._lbk_bloom = np.zeros(BLOOM_BYTES, dtype=np.uint8)
-        elif (len(self._seen_chunks) >= _MAX_LEDGER_CHUNKS
-                or len(self._lbk_chunks) >= _MAX_LEDGER_CHUNKS):
-            self._fold_ledgers()
-        hazard = n < COLUMNAR_MIN_BATCH or not batch.ids_unique
-        if not hazard and self._seen_chunks:
-            hits = self._seen_bloom[batch.id_bloom_byte] & batch.id_bloom_bit
-            if hits.any():
-                # Bloom hits are only *suspects*: confirm each against
-                # the chunk dicts; any true hit is a real duplicate id.
-                eids = batch.eid_list
-                seen_chunks = self._seen_chunks
-                for i in np.flatnonzero(hits).tolist():
-                    eid = eids[i]
-                    if any(eid in chunk for chunk in reversed(seen_chunks)):
-                        hazard = True
-                        break
-        if not hazard and self._seen_ids:
-            base = self._seen_ids
-            if len(base) <= n:
-                # dict-keys isdisjoint iterates its *argument*: probe
-                # the smaller side into the larger dict.
-                hazard = not batch.id_time.keys().isdisjoint(base)
-            else:
-                hazard = not base.keys().isdisjoint(batch.id_time)
-        if not hazard and not batch.keys_unique:
-            # Repeated dedup keys are handled columnar only on the clean
-            # full-span path (sequential suspect resolution); any chance
-            # of a sweep split or an admission mask routes the batch to
-            # exact scalar code instead.
-            wm = self.watermark
-            hazard = (
-                (batch.t_max > wm
-                 and batch.t_max - self._last_sweep_wm >= self._retention_s)
-                or batch.t_min < max(batch.t_max, wm) - self.max_lateness_s
-                or batch.sev_min < int(self.min_severity))
-        if hazard:
-            self.columnar_fallbacks += 1
-            fired = self._scalar_span(batch, 0, n)
-        else:
-            fired = []
-            events = batch.events
-            start = 0
-            while start < n:
-                stop, c = self._next_sweep_trip(batch, start)
-                if stop > start:
-                    fired.extend(self._columnar_span(batch, start, stop, c))
-                if stop >= n:
-                    break
-                # The tripping event runs scalar: its observe() advances
-                # the watermark and performs the sweep exactly in-order.
-                d = self.observe(events[stop])
-                if d is not None:
-                    fired.append((stop, d))
-                start = stop + 1
-        if len(fired) > 1:
-            fired.sort()
-            # Group-major processing can fire out of batch order; restore
-            # the per-event append order detections snapshots pin.
-            self.detections[d0:] = [d for _, d in fired]
-        hits: List[int] = []
-        if track_hits and self._flagged:
-            ids = batch.interner.ids
-            flagged_ids = np.array(
-                [ids.get(s, -1) for s in self._flagged], dtype=np.int64)
-            mask = np.isin(batch.sig_ids, flagged_ids)
-            if mask.any():
-                fired_at = {i for i, _ in fired}
-                hits = [i for i in np.flatnonzero(mask).tolist()
-                        if i not in fired_at]
-        return ColumnarResult(n, fired, hits)
-
-    def _next_sweep_trip(self, batch: "ColumnarBatch",
-                         start: int) -> Tuple[int, Optional[np.ndarray]]:
-        """Index of the next event that would trigger a retention sweep
-        (or batch end), plus the running-watermark prefix when it had to
-        be computed (``None`` means no event in the span can be late).
-
-        Between sweeps ``watermark - last_sweep_wm < retention`` holds,
-        so an event trips iff it advances the watermark to ``t`` with
-        ``t - last_sweep_wm >= retention`` -- on the cumulative max both
-        conditions are monotone, so the first tripping index is exact.
-        """
-        wm = self.watermark
-        lsw = self._last_sweep_wm
-        retention = self._retention_s
-        t_max = batch.t_max if start == 0 else max(batch.t_list[start:])
-        if not (t_max > wm and t_max - lsw >= retention):
-            return batch.n, None
-        c = np.maximum.accumulate(batch.t[start:])
-        trip = (c > wm) & ((c - lsw) >= retention)
-        j = int(np.argmax(trip))
-        return start + j, c[:j] if j else None
-
-    def _scalar_span(self, batch: "ColumnarBatch", a: int,
-                     b: int) -> List[Tuple[int, CampaignDetection]]:
-        verdicts = self.observe_batch(
-            batch.events[a:b] if (a, b) != (0, batch.n) else batch.events)
-        return [(a + i, d) for i, d in enumerate(verdicts) if d is not None]
-
-    def _columnar_span(
-        self, batch: "ColumnarBatch", a: int, b: int,
-        c: Optional[np.ndarray],
-    ) -> List[Tuple[int, CampaignDetection]]:
-        """Vectorized observe of ``events[a:b]`` -- no sweep can trip in
-        the span, batch ids/keys are unique, and none collide with the
-        seen-ledger (the caller checked)."""
-        n = batch.n
-        full = (a, b) == (0, n)
-        t_list = batch.t_list
-        wm0 = self.watermark
-
-        # --- duplicate-id ledger: adopt the drain-built dict as a chunk
-        # (ids pre-screened unique and disjoint from base + chunks), so
-        # the span pays zero per-entry insert cost here.
-        if full:
-            self._seen_chunks.append(batch.id_time)
-            np.bitwise_or.at(self._seen_bloom, batch.id_bloom_byte,
-                             batch.id_bloom_bit)
-        else:
-            self._seen_chunks.append(
-                dict(zip(batch.eid_list[a:b], t_list[a:b])))
-            np.bitwise_or.at(self._seen_bloom, batch.id_bloom_byte[a:b],
-                             batch.id_bloom_bit[a:b])
-
-        # --- lateness + watermark ------------------------------------
-        t_min = batch.t_min if full else min(t_list[a:b])
-        t_max = batch.t_max if full else max(t_list[a:b])
-        late = None
-        n_late = 0
-        # No event can be late if even the final watermark leaves the
-        # oldest event inside the bound (prefix watermarks are <= t_max).
-        if t_min < max(t_max, wm0) - self.max_lateness_s:
-            if c is None:
-                c = np.maximum.accumulate(batch.t[a:b])
-            # Per-event watermark before event i is max(wm0, cummax of
-            # the span's earlier times) -- the running max alone would
-            # under-flag lateness whenever wm0 leads the span.
-            prefix = np.empty(b - a, dtype=np.float64)
-            prefix[0] = wm0
-            np.maximum(c[: b - a - 1], wm0, out=prefix[1:])
-            late = batch.t[a:b] < prefix - self.max_lateness_s
-            n_late = int(late.sum())
-            if n_late == 0:
-                late = None
-        if t_max > wm0:
-            self.watermark = t_max
-
-        # --- severity floor ------------------------------------------
-        min_sev = int(self.min_severity)
-        low = None
-        n_low = 0
-        if (batch.sev_min if full else int(batch.sev[a:b].min())) < min_sev:
-            low = batch.sev[a:b] < min_sev
-            if late is not None:
-                low &= ~late
-            n_low = int(low.sum())
-            if n_low == 0:
-                low = None
-
-        admitted: Optional[np.ndarray] = None
-        if late is not None or low is not None:
-            admitted = np.ones(b - a, dtype=bool)
-            if late is not None:
-                admitted &= ~late
-            if low is not None:
-                admitted &= ~low
-
-        # --- per-vehicle dedup ledger --------------------------------
-        lbk = self._last_by_key
-        n_dedup = 0
-        if full and admitted is None:
-            hits = self._lbk_bloom[batch.key_bloom_byte] & batch.key_bloom_bit
-            any_hits = bool(hits.any())
-            base_overlap = False
-            if lbk:
-                if len(lbk) <= n:
-                    base_overlap = \
-                        not batch.key_time.keys().isdisjoint(lbk)
-                else:
-                    base_overlap = \
-                        not lbk.keys().isdisjoint(batch.key_time)
-            if batch.keys_unique and not any_hits and not base_overlap:
-                self._lbk_chunks.append(batch.key_time)
-                np.bitwise_or.at(self._lbk_bloom, batch.key_bloom_byte,
-                                 batch.key_bloom_bit)
-            elif not base_overlap:
-                # Chunk (or within-batch) key hits only: resolve just
-                # the suspect keys exactly, adopt the rest as a chunk.
-                suspects = np.flatnonzero(hits).tolist()
-                if batch.dup_key_idx:
-                    suspects = sorted({*suspects, *batch.dup_key_idx}) \
-                        if suspects else batch.dup_key_idx
-                admitted, n_dedup = self._columnar_dedup_chunked(
-                    batch, suspects)
-            elif batch.keys_unique:
-                # Base-ledger hits: exact vectorized dedup on the folded
-                # base (the steady state for dedup-heavy streams).
-                self._fold_ledgers()
-                admitted, n_dedup = self._columnar_dedup(batch, a, b, None)
-            else:
-                # Base hits *and* repeated in-batch keys: every possibly
-                # colliding key resolves exactly, in stream order.
-                sus = set(np.flatnonzero(hits).tolist())
-                sus.update(batch.dup_key_idx)
-                sus.update(i for i, key in enumerate(batch.keys)
-                           if key in lbk)
-                admitted, n_dedup = self._columnar_dedup_chunked(
-                    batch, sorted(sus))
-        else:
-            # Partial/masked spans (sweep splits, filtered events):
-            # chunk-append like the full path -- the hazard gate routes
-            # repeated-key batches away from split/masked processing, so
-            # span keys are unique -- and fold to exact dict operations
-            # on any suspected collision.
-            chunk_hit = False
-            if self._lbk_chunks:
-                hits = (self._lbk_bloom[batch.key_bloom_byte[a:b]]
-                        & batch.key_bloom_bit[a:b])
-                if admitted is not None:
-                    # hits holds bloom *bit masks* (any nonzero byte is a
-                    # hit) -- AND-ing the bool mask directly would erase
-                    # every hit whose bloom bit isn't bit 0.
-                    hits[~admitted] = 0
-                chunk_hit = bool(hits.any())
-            span_keys = {batch.keys[i]: t_list[i]
-                         for i in range(a, b)
-                         if admitted is None or admitted[i - a]}
-            base_overlap = False
-            if lbk and span_keys:
-                if len(lbk) <= len(span_keys):
-                    base_overlap = not span_keys.keys().isdisjoint(lbk)
-                else:
-                    base_overlap = not lbk.keys().isdisjoint(span_keys)
-            if not chunk_hit and not base_overlap:
-                if span_keys:
-                    self._lbk_chunks.append(span_keys)
-                    np.bitwise_or.at(self._lbk_bloom,
-                                     batch.key_bloom_byte[a:b],
-                                     batch.key_bloom_bit[a:b])
-            else:
-                self._fold_ledgers()
-                if lbk.keys().isdisjoint(span_keys):
-                    lbk.update(span_keys)
-                else:
-                    admitted, n_dedup = self._columnar_dedup(batch, a, b,
-                                                             admitted)
-
-        self.observed += b - a
-        self.late_dropped += n_late
-        self.low_severity_ignored += n_low
-        self.deduped += n_dedup
-
-        # --- per-signature grouping + window appends -----------------
-        if full and admitted is None:
-            order = batch.order
-            bounds = batch.group_bounds
-            gsigs = batch.group_sigs
-        else:
-            order = batch.order
-            if not full:
-                order = order[(order >= a) & (order < b)]
-            if admitted is not None:
-                order = order[admitted[order - a]]
-            if order.size == 0:
-                return []
-            sig_sorted = batch.sig_ids[order]
-            cuts = np.flatnonzero(sig_sorted[1:] != sig_sorted[:-1]) + 1
-            bounds = [0, *cuts.tolist(), int(order.size)]
-            table = batch.interner.table
-            gsigs = [table[sig_sorted[i]] for i in bounds[:-1]]
-
-        t_srt = batch.t[order]
-        v_srt = batch.veh_obj[order]
-        in_order = batch.times_sorted
-
-        flagged = self._flagged
-        campaign_vehicles = self._campaign_vehicles
-        by_sig = self._by_signature
-        dirty = self._dirty
-        window_s = self.window_s
-        k = self.k
-        fired: List[Tuple[int, CampaignDetection]] = []
-
-        for gi, sig in enumerate(gsigs):
-            ga = bounds[gi]
-            gb = bounds[gi + 1]
-            if flagged and sig in flagged:
-                campaign_vehicles[sig].update(v_srt[ga:gb].tolist())
-                dirty.add(sig)
-                continue
-            w = by_sig.get(sig)
-            if w is None:
-                w = by_sig[sig] = _SignatureWindow()
-            tg = t_srt[ga:gb]
-            gcount = gb - ga
-            if ((not in_order and not bool(np.all(tg[1:] >= tg[:-1])))
-                    or tg[0] < w.newest
-                    or len(w.counts) + w.tail_len + gcount >= k):
-                fired.extend(self._replay_group(sig, w, order[ga:gb], batch))
-                continue
-            t_last = float(tg[gcount - 1])
-            if t_last > w.newest:
-                w.newest = t_last
-            cutoff = w.newest - window_s
-            heap = w.heap
-            if heap and heap[0][0] < cutoff:
-                counts = w.counts
-                while heap and heap[0][0] < cutoff:
-                    _, gone = heappop(heap)
-                    cnt = counts[gone] - 1
-                    if cnt:
-                        counts[gone] = cnt
-                    else:
-                        del counts[gone]
-            tail = w.tail
-            while tail and tail[0][3] < cutoff:
-                w.tail_len -= tail[0][4]
-                del tail[0]
-            tail.append((tg, v_srt[ga:gb], float(tg[0]), t_last, gcount))
-            w.tail_len += gcount
-            dirty.add(sig)
-        return fired
-
-    def _columnar_dedup_chunked(
-        self, batch: "ColumnarBatch", suspects: List[int],
-    ) -> Tuple[Optional[np.ndarray], int]:
-        """Dedup a clean full span against the chunked ledger without
-        folding: only *suspect* keys (bloom-screen hits, base-dict hits,
-        within-batch repeats -- the caller collects them, in stream
-        order) get exact lookups, walked sequentially so later
-        occurrences see earlier ones' ledger effect; everything else is
-        adopted in bulk as a chunk, exactly like the clean path.
-        """
-        keys = batch.keys
-        t_list = batch.t_list
-        base = self._last_by_key
-        chunks = self._lbk_chunks
-        dw = self.dedup_window_s
-        span_chunk = batch.key_time
-        copied = False
-        resolved: Dict[Tuple[str, str], float] = {}
-        drop: List[int] = []
-        for i in suspects:
-            key = keys[i]
-            t = t_list[i]
-            last = resolved.get(key)
-            if last is None:
-                for chunk in reversed(chunks):
-                    last = chunk.get(key)
-                    if last is not None:
-                        break
-                if last is None and base:
-                    last = base.get(key)
-            if last is not None and abs(t - last) <= dw:
-                drop.append(i)
-                resolved[key] = t if t > last else last
-            else:
-                resolved[key] = t
-        # The drain-built dict holds each key's last-occurrence time
-        # unconditionally; overwrite where the exact walk disagrees
-        # (identity check: admitted non-dup keys resolve to the very
-        # float object already stored, so they skip the copy).
-        for key, v in resolved.items():
-            if span_chunk[key] is not v:
-                if not copied:
-                    span_chunk = dict(span_chunk)
-                    copied = True
-                span_chunk[key] = v
-        chunks.append(span_chunk)
-        np.bitwise_or.at(self._lbk_bloom, batch.key_bloom_byte,
-                         batch.key_bloom_bit)
-        if not drop:
-            return None, 0
-        admitted = np.ones(batch.n, dtype=bool)
-        admitted[drop] = False
-        return admitted, len(drop)
-
-    def _columnar_dedup(
-        self, batch: "ColumnarBatch", a: int, b: int,
-        admitted: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, int]:
-        """Vectorized dedup against a ledger with hits: per-key lookups
-        in one C-level pass, threshold compare as a mask (batch keys are
-        unique, so there is no within-batch ledger interaction)."""
-        keys = batch.keys if (a, b) == (0, batch.n) else batch.keys[a:b]
-        t_list = batch.t_list if (a, b) == (0, batch.n) \
-            else batch.t_list[a:b]
-        lbk = self._last_by_key
-        lasts = list(map(lbk.get, keys))
-        la = np.array([x if x is not None else np.nan for x in lasts],
-                      dtype=np.float64)
-        if admitted is None:
-            admitted = np.ones(b - a, dtype=bool)
-        hit = admitted & ~np.isnan(la)
-        dmask = hit & (np.abs(batch.t[a:b] - la) <= self.dedup_window_s)
-        n_dedup = int(dmask.sum())
-        if n_dedup:
-            for i in np.flatnonzero(dmask).tolist():
-                if t_list[i] > lasts[i]:
-                    lbk[keys[i]] = t_list[i]
-            admitted = admitted & ~dmask
-            lbk.update((keys[i], t_list[i])
-                       for i in np.flatnonzero(admitted).tolist())
-        else:
-            lbk.update((keys[i], t_list[i])
-                       for i in np.flatnonzero(admitted).tolist())
-        return admitted, n_dedup
-
-    def _replay_group(
-        self, sig: str, w: _SignatureWindow, idx: np.ndarray,
-        batch: "ColumnarBatch",
-    ) -> List[Tuple[int, CampaignDetection]]:
-        """Exact scalar replay of one signature's admitted slice -- the
-        window could fire (or received out-of-order times), so every
-        insert needs the per-event prune/threshold check."""
-        self.columnar_group_replays += 1
-        if w.tail_len:
-            self._fold_window(w)
-        out: List[Tuple[int, CampaignDetection]] = []
-        events = batch.events
-        flagged = self._flagged
-        insert = self._window_insert
-        for i in idx.tolist():
-            e = events[i]
-            if sig in flagged:
-                self._campaign_vehicles[sig].add(e.vehicle_id)
-                self._dirty.add(sig)
-                continue
-            d = insert(sig, e.time, e.vehicle_id)
-            if d is not None:
-                out.append((i, d))
-        return out
-
-    # ------------------------------------------------------------------
     # Snapshot / restore (the durable-store recovery contract)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
@@ -1024,11 +418,6 @@ class CorrelationEngine:
         differential tests compare on.  ``detections`` keeps its append
         order -- :class:`GlobalCampaignMerger` cursors index into it.
         """
-        if self._seen_chunks or self._lbk_chunks:
-            self._fold_ledgers()
-        for w in self._by_signature.values():
-            if w.tail_len:
-                self._fold_window(w)
         return {
             "config": {
                 "window_s": self.window_s,
@@ -1127,8 +516,6 @@ class CorrelationEngine:
         w = self._by_signature.get(signature)
         if w is None:
             return []
-        if w.tail_len:
-            self._fold_window(w)
         return list(w.heap)
 
     def adopt_campaign(self, detection: CampaignDetection) -> None:
@@ -1142,8 +529,6 @@ class CorrelationEngine:
         vehicles = self._campaign_vehicles.setdefault(sig, set())
         w = self._by_signature.pop(sig, None)
         if w is not None:
-            if w.tail_len:
-                self._fold_window(w)
             vehicles.update(w.counts)
         self._dirty.add(sig)
 
@@ -1161,8 +546,6 @@ class CorrelationEngine:
         w = self._by_signature.get(signature)
         if w is None:
             return set()
-        if w.tail_len:
-            self._fold_window(w)
         return set(w.counts)
 
     def metrics(self) -> Dict[str, float]:

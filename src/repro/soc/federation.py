@@ -58,11 +58,11 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.soc.center import SecurityOperationsCenter
-from repro.soc.columnar import StringInterner, build_batch
+from repro.soc.center import base_severity, merge_and_attribute
 from repro.soc.correlate import (
     CampaignDetection,
     CorrelationEngine,
@@ -405,33 +405,20 @@ class _AnalyticState:
                    IncidentTracker.from_snapshot(base["tracker"]))
 
     def apply(self, region: str, record: LogRecord, *,
-              provisional: bool = False, columnar: bool = False,
-              interner: Optional[StringInterner] = None,
-              ) -> List[CampaignDetection]:
+              provisional: bool = False) -> List[CampaignDetection]:
         """Apply one log record; returns the fleet-wide detections it
         produced (empty for batch records)."""
         if record.kind == "batch":
-            if columnar:
-                self.engines[region][record.shard].observe_columnar(
-                    build_batch(list(record.events), interner))
-            else:
-                self.engines[region][record.shard].observe_batch(
-                    list(record.events))
+            self.engines[region][record.shard].observe_batch(
+                list(record.events))
             return []
         # Pump marker: the region merged campaigns here; the hub merges
-        # fleet-wide, exactly as `recover_soc_state` replays a marker.
-        new_detections, new_vehicles = self.merger.merge(self.all_engines)
-        for detection in new_detections:
-            for engine in self.all_engines:
-                engine.adopt_campaign(detection)
-            self.tracker.open_from_detection(
-                detection,
-                SecurityOperationsCenter._base_severity(detection),
-                provisional=provisional)
-        for signature in sorted(new_vehicles):
-            for vehicle in sorted(new_vehicles[signature]):
-                self.tracker.attach_vehicle(signature, vehicle)
-        return new_detections
+        # fleet-wide through the routine `recover_soc_state` replays
+        # markers with.
+        tracker = self.tracker
+        return merge_and_attribute(
+            self.merger, self.all_engines, tracker,
+            partial(tracker.open_from_detection, provisional=provisional))
 
 
 class FederationHub:
@@ -468,7 +455,6 @@ class FederationHub:
                  window_s: float = 8.0, k: int = 3,
                  dedup_window_s: float = 4.0,
                  max_lateness_s: float = 2.0,
-                 columnar: bool = False,
                  consistency: str = "strict",
                  staleness_budget_s: float = 2.0) -> None:
         if not regions:
@@ -499,15 +485,6 @@ class FederationHub:
         self.pumps_applied = 0
         self.stalled_rounds = 0
         self.corrupt_unrouted = 0
-        # Columnar apply path: replayed batch records are rebuilt as
-        # ColumnarBatch arrays and fed through observe_columnar.  Off by
-        # default (replay is rarely the bottleneck; E18's bench gate pins
-        # the default path) and byte-identical when on -- the
-        # differential tests run the hub both ways.  Replica engines
-        # treat interner ids as batch-local labels, so one hub-wide
-        # interner is sound across regions and shards.
-        self.columnar = columnar
-        self._interner: Optional[StringInterner] = None
         # --- partition observability + optimistic episodes ------------
         # _bound[r]: dispatch_t of r's last *contiguously known* record
         # (applied or buffered without gaps) -- the best provable lower
@@ -560,20 +537,19 @@ class FederationHub:
     @classmethod
     def from_profile(cls, regions: Sequence[str],
                      profile: Dict[str, object],
-                     columnar: bool = False,
                      consistency: str = "strict",
                      staleness_budget_s: float = 2.0) -> "FederationHub":
         """Build a hub from one region's
         :meth:`~repro.soc.center.SecurityOperationsCenter.\
 federation_profile` (regions in a federation share a configuration).
-        ``columnar``, ``consistency`` and ``staleness_budget_s`` are
-        hub-local (how *this* process applies replayed batches and rides
-        out partitions), not part of the shared profile."""
+        ``consistency`` and ``staleness_budget_s`` are hub-local (how
+        *this* process rides out partitions), not part of the shared
+        profile."""
         return cls(regions, int(profile["num_shards"]),
                    window_s=profile["window_s"], k=profile["k"],
                    dedup_window_s=profile["dedup_window_s"],
                    max_lateness_s=profile["max_lateness_s"],
-                   columnar=columnar, consistency=consistency,
+                   consistency=consistency,
                    staleness_budget_s=staleness_budget_s)
 
     # ------------------------------------------------------------------
@@ -706,11 +682,8 @@ federation_profile` (regions in a federation share a configuration).
         self.records_applied += 1
         if record.kind != "batch":
             self.pumps_applied += 1
-        if self.columnar and self._interner is None:
-            self._interner = StringInterner()
         new_detections = self._state.apply(
-            region, record, provisional=self._episode_active,
-            columnar=self.columnar, interner=self._interner)
+            region, record, provisional=self._episode_active)
         if self._episode_active:
             self._suffix.append((region, record))
             key = (record.dispatch_t, self._region_index[region])
@@ -790,8 +763,6 @@ federation_profile` (regions in a federation share a configuration).
         shadow = _AnalyticState.from_snapshots(self.regions, self._base)
         shadow_detections: List[CampaignDetection] = []
         for region, record in suffix:
-            # Scalar replay on purpose: columnar apply is byte-identical
-            # (pinned since PR 6) and reconciliation is off the hot path.
             shadow_detections.extend(shadow.apply(region, record))
         shadow_by_sig = {d.signature: d for d in shadow_detections}
         old_tracker = self._state.tracker
@@ -910,9 +881,8 @@ federation_profile` (regions in a federation share a configuration).
             adopted += 1
             for engine in self._all_engines:
                 engine.adopt_campaign(detection)
-            self.tracker.open_from_detection(
-                detection,
-                SecurityOperationsCenter._base_severity(detection))
+            self.tracker.open_from_detection(detection,
+                                             base_severity(detection))
         return adopted, deduped
 
     # ------------------------------------------------------------------

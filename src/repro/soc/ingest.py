@@ -28,7 +28,6 @@ from enum import Enum
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.core.safety import Asil
-from repro.soc.columnar import ColumnarBatch, StringInterner, build_batch
 from repro.soc.events import SecurityEvent
 
 
@@ -237,10 +236,7 @@ class IngestPipeline:
         self.min_severity = min_severity
         self.queue = BoundedQueue(queue_capacity, shed_policy)
         self._congestion_depth = max(1, int(queue_capacity * congestion_watermark))
-        self._sinks: List[Callable[[float, SecurityEvent], None]] = []
         self._batch_sinks: List[Callable[[float, List[SecurityEvent]], None]] = []
-        self._columnar_sinks: List[Callable[[float, ColumnarBatch], None]] = []
-        self._interner: Optional[StringInterner] = None
         # Enqueue timestamps keyed by *queue occupancy*, not by identity:
         # an at-least-once transport can redeliver an event while its
         # first copy is still queued, and a plain ``Dict[str, float]``
@@ -263,36 +259,14 @@ class IngestPipeline:
     # ------------------------------------------------------------------
     # Front door
     # ------------------------------------------------------------------
-    def add_sink(self, sink: Callable[[float, SecurityEvent], None]) -> None:
-        self._sinks.append(sink)
-
     def add_batch_sink(
         self, sink: Callable[[float, List[SecurityEvent]], None]
     ) -> None:
-        """Register a consumer that takes each drained batch as one list.
-
-        Batch sinks see exactly the events the per-event sinks see, in
-        exactly the same order (severity-major drain order, one call per
-        drained batch instead of one per event) -- the differential tests
-        pin both.  Dispatch accounting is identical either way.
-        """
+        """Register a consumer that takes each drained batch as one list,
+        in severity-major drain order.  This is the only delivery route:
+        sinks run in registration order, so an archival tap added before
+        the correlator sees each batch first (write-ahead)."""
         self._batch_sinks.append(sink)
-
-    def add_columnar_sink(
-        self, sink: Callable[[float, ColumnarBatch], None]
-    ) -> None:
-        """Register a consumer of :class:`~repro.soc.columnar.ColumnarBatch`.
-
-        The columnar form is built **once per drained batch**, at
-        dispatch time -- where the pipeline already touches every event
-        for latency accounting -- and shared by all columnar sinks.  It
-        wraps exactly the events (and order) the per-event and batch
-        sinks see; archival taps that serialize ``batch.events`` are
-        byte-identical to the pre-columnar record codec by construction.
-        The signature interner persists across batches per pipeline (its
-        ids are only ever batch-local grouping labels downstream).
-        """
-        self._columnar_sinks.append(sink)
 
     @property
     def queue_depth(self) -> int:
@@ -412,18 +386,10 @@ class IngestPipeline:
                 dispatch.latency_sum_s += wait
                 if wait > dispatch.latency_max_s:
                     dispatch.latency_max_s = wait
-                for sink in self._sinks:
-                    sink(now, event)
                 dispatch.exited += 1
                 dispatched += 1
             for batch_sink in self._batch_sinks:
                 batch_sink(now, batch)
-            if self._columnar_sinks:
-                if self._interner is None:
-                    self._interner = StringInterner()
-                cb = build_batch(batch, self._interner)
-                for columnar_sink in self._columnar_sinks:
-                    columnar_sink(now, cb)
         self.stats["queue"].exited += dispatched
         return dispatched
 

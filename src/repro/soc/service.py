@@ -410,7 +410,6 @@ Center.service_pump` flushes after every handoff, so a worker *process*
     queue_capacity: int = 1 << 16
     batch_size: int = 256
     shed_policy_value: str = "lowest-severity"
-    columnar: bool = False
     snapshot_every_pumps: int = 256
     fsync: str = "never"
     audit: bool = True
@@ -541,7 +540,7 @@ class WorkerCore:
             dedup_window_s=config.dedup_window_s,
             max_lateness_s=config.max_lateness_s,
             respond=False, num_shards=1, audit=config.audit,
-            columnar=config.columnar, store=store,
+            store=store,
             snapshot_every_pumps=config.snapshot_every_pumps,
         )
         if recovered is not None:

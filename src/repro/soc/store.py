@@ -32,7 +32,7 @@ On-disk record format (one segment file = ``SOCLOG1\\n`` magic + records)::
 The payload is canonical JSON: ``["b", dispatch_t, shard, [event, ...]]``
 for one archived *dispatched batch* (one record per batch-sink call, so
 replay sees exactly the batch boundaries the live correlators saw --
-batched incident attribution is batch-boundary-sensitive), and
+incident attribution is batch-boundary-sensitive), and
 ``["m", pump_t, pump_no]`` for a pump marker.  A
 **torn write** (process killed mid-append) leaves a short or
 CRC-mismatching tail; opening the log truncates the tail segment back to
@@ -438,16 +438,6 @@ class EventLog:
             [e.time for e in events])
         self._policy_sync()
         return seq
-
-    def append_columnar(self, dispatch_t: float, shard: int,
-                        batch: "ColumnarBatch") -> int:
-        """Archive one columnar batch.  Serializes from the batch's
-        retained ``events`` list through the exact same record codec as
-        :meth:`append_batch`, so a log written by a columnar-mode center
-        is byte-identical to one written by the per-event/batched path --
-        replay and forensics never need to know which mode produced it.
-        """
-        return self.append_batch(dispatch_t, shard, batch.events)
 
     def append_mark(self, t: float, pump_no: int) -> int:
         """Append a pump marker: replay re-runs the campaign merge here."""

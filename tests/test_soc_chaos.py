@@ -512,11 +512,10 @@ class TestOptimisticDifferential:
         assert len(hub.amendments) == classified
         assert len(hub.provisional_log) == hub.provisional_verdicts
 
-    def test_partition_forces_episodes_and_columnar_agrees(
-            self, chaos_corpus):
+    def test_partition_forces_episodes(self, chaos_corpus):
         """Deterministic anchor for the property above: a long outage on
-        one region provably opens episodes, and the columnar apply path
-        reconciles to the same bytes."""
+        one region provably opens episodes, and reconciliation lands on
+        the strict gate's bytes."""
         names = chaos_corpus["names"]
         victim = names[-1]
         shipments = chaos_corpus["shipments"]
@@ -527,17 +526,14 @@ class TestOptimisticDifferential:
                 arrival += 14.0
             arrivals.append(arrival)
         end = max(arrivals) + 1.0
-        canons = []
-        for columnar in (False, True):
-            hub = FederationHub.from_profile(
-                names, chaos_corpus["profile"], columnar=columnar,
-                consistency="optimistic", staleness_budget_s=0.5)
-            _drive_schedule(hub, shipments, arrivals, end)
-            assert hub.episodes >= 1
-            assert hub.provisional_verdicts >= 1
-            assert hub.reconciliations >= 1
-            canons.append(_canon(hub.analytics_snapshot()))
-        assert canons[0] == canons[1] == chaos_corpus["expected"]
+        hub = FederationHub.from_profile(
+            names, chaos_corpus["profile"],
+            consistency="optimistic", staleness_budget_s=0.5)
+        _drive_schedule(hub, shipments, arrivals, end)
+        assert hub.episodes >= 1
+        assert hub.provisional_verdicts >= 1
+        assert hub.reconciliations >= 1
+        assert _canon(hub.analytics_snapshot()) == chaos_corpus["expected"]
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,30 @@
 """Batched correlate path, bounded ledgers, and the global campaign merger.
 
-Three differential layers pin the PR's perf work to the old semantics:
+Three differential layers pin the batched delivery path to the
+per-event semantics:
 
 - Hypothesis proves ``observe_batch(events)`` equivalent to
-  ``[observe(e) for e in events]`` -- detections, every counter, the
-  watermark, flagged signatures, and campaign attribution -- on streams
-  with duplicates, late arrivals, low-severity noise, and chatty-vehicle
-  repeats, under arbitrary batch chunkings;
+  ``[observe(e) for e in events]`` -- verdicts and byte-identical
+  ``snapshot()`` state, every counter included -- on streams with
+  duplicates, late arrivals, low-severity noise, and chatty-vehicle
+  repeats, under arbitrary batch chunkings, with an empty batch
+  (an exact no-op) observed between every chunk (the degenerate batch
+  shapes are pinned in ``test_soc_columnar``);
 - the incremental :class:`CorrelationEngine` is differentially proven
   against :class:`ReferenceCorrelationEngine` (the seed implementation,
   kept verbatim as the executable spec) inside the retention horizon;
-- batch sinks are proven to deliver the exact events, in the exact
-  order, the per-event sinks deliver -- on the plain and the sharded
-  pipeline -- and a full :class:`SecurityOperationsCenter` scenario is
-  byte-identical between ``batched=True`` and ``batched=False`` for
+- batch sinks are proven to deliver every dispatched event exactly once
+  -- on the plain and the sharded pipeline -- and a full
+  :class:`SecurityOperationsCenter` scenario is byte-identical to a
+  per-event twin built from ``observe`` and the incident tracker, for
   both one and four shards.
 
 Plus regression tests for the bounded dedup/duplicate ledgers (the
 unbounded-growth fix) and unit tests for
 :class:`GlobalCampaignMerger`'s cross-shard spread accounting.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,14 +37,20 @@ from repro.soc import (
     FleetModel,
     FleetWorkloadGenerator,
     GlobalCampaignMerger,
+    IncidentTracker,
     IngestPipeline,
     ReferenceCorrelationEngine,
+    ResponseOrchestrator,
     SecurityOperationsCenter,
     ShardedIngestPipeline,
+    StringInterner,
+    build_batch,
     make_event,
     region_shard_key,
     seeded_campaigns,
+    signature_shard_key,
 )
+from repro.soc.events import DEFAULT_SOURCE_SEVERITY, source_for_signature
 
 
 def ev(vehicle, sig, time, seq, severity=Asil.C):
@@ -64,6 +75,10 @@ def snapshot(engine):
         state["evicted"] = (engine.ids_evicted, engine.keys_evicted,
                             engine.windows_evicted)
     return state
+
+
+def canon(engine):
+    return json.dumps(engine.snapshot(), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -119,9 +134,14 @@ class TestObserveBatchEquivalence:
         expected = [per_event.observe(e) for e in events]
         got = []
         for batch in chunked(events, sizes):
+            # The empty batch is an exact no-op, counters included.
+            before = canon(batched)
+            assert batched.observe_batch([]) == []
+            assert canon(batched) == before
             got.extend(batched.observe_batch(batch))
 
         assert got == expected                  # per-event verdicts align
+        assert canon(batched) == canon(per_event)
         assert snapshot(batched) == snapshot(per_event)
 
     @settings(max_examples=200, deadline=None)
@@ -246,26 +266,41 @@ class TestBatchSinkDelivery:
         lambda: ShardedIngestPipeline(num_shards=4,
                                       shard_key=region_shard_key, **PIPE_KW),
     ])
-    def test_batch_sink_matches_event_sink(self, make):
-        per_event_pipe, batch_pipe = make(), make()
-        singles, batches = [], []
-        per_event_pipe.add_sink(lambda now, e: singles.append(e))
-        batch_pipe.add_batch_sink(lambda now, batch: batches.append(list(batch)))
-        _drive(per_event_pipe)
-        _drive(batch_pipe)
-
-        flattened = [e for batch in batches for e in batch]
-        assert flattened == singles             # same events, same order
-        assert all(batches)                     # never an empty delivery
-        assert batch_pipe.metrics() == per_event_pipe.metrics()
-
-    def test_both_sink_kinds_coexist(self):
-        pipeline = IngestPipeline(**PIPE_KW)
-        singles, batches = [], []
-        pipeline.add_sink(lambda now, e: singles.append(e))
-        pipeline.add_batch_sink(lambda now, b: batches.append(list(b)))
+    def test_each_event_delivered_once(self, make):
+        pipeline = make()
+        first, second = [], []
+        pipeline.add_batch_sink(lambda now, b: first.append(list(b)))
+        pipeline.add_batch_sink(lambda now, b: second.append(list(b)))
         _drive(pipeline)
-        assert [e for b in batches for e in b] == singles
+
+        flattened = [e for batch in first for e in batch]
+        assert len(flattened) == pipeline.metrics()["dispatched"]
+        assert len({e.event_id for e in flattened}) == len(flattened)
+        assert all(0 < len(b) <= PIPE_KW["batch_size"] for b in first)
+        assert second == first                  # every sink, same batches
+
+
+class TestBatchArrays:
+    """``build_batch`` is public API the traced benchmark times."""
+
+    def test_build_batch_groups_by_signature(self):
+        events = [ev("v1", "ids.sig:b", 1.0, 1),
+                  ev("v2", "ids.sig:a", 0.5, 2),
+                  ev("v1", "ids.sig:b", 2.0, 3, severity=Asil.B)]
+        interner = StringInterner()
+        arrays = build_batch(events, interner)
+        assert arrays.n == 3 and arrays.events == events
+        assert arrays.order.tolist() == [0, 2, 1]
+        assert arrays.group_bounds == [0, 2, 3]
+        assert arrays.group_sigs == ["ids.sig:b", "ids.sig:a"]
+        assert (arrays.t_min, arrays.t_max) == (0.5, 2.0)
+        assert arrays.sev_min == int(Asil.B)
+        assert arrays.ids_unique and not arrays.keys_unique
+        assert arrays.dup_key_idx == [0, 2]
+        assert not arrays.times_sorted
+        assert interner.table == ["ids.sig:b", "ids.sig:a"]
+        assert interner.intern("ids.sig:a") == 1
+        assert build_batch([], interner).n == 0
 
 
 # ----------------------------------------------------------------------
@@ -354,36 +389,142 @@ class TestGlobalCampaignMerger:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: SOC batched vs per-event is byte-identical
+# End-to-end: the centre against a per-event twin
 # ----------------------------------------------------------------------
-def _soc_scene(batched, num_shards):
+SCENE_N = 2_000
+SCENE_KW = dict(capacity_eps=400.0, k=3)
+
+
+def _scene():
     sim = Simulator()
     rng = RngStreams(3)
-    campaigns = seeded_campaigns(rng, 2_000, 0.02)
-    fleet = FleetModel(2_000, campaigns)
-    soc = SecurityOperationsCenter(sim, fleet, capacity_eps=400.0, k=3,
-                                   num_shards=num_shards, batched=batched)
-    generator = FleetWorkloadGenerator(sim, rng, fleet, soc.pipeline)
-    soc.start()
+    fleet = FleetModel(SCENE_N, seeded_campaigns(rng, SCENE_N, 0.02))
+    return sim, rng, fleet
+
+
+def _run(sim, rng, fleet, pipeline, start):
+    generator = FleetWorkloadGenerator(sim, rng, fleet, pipeline)
+    start()
     generator.start()
     sim.run_until(12.0)
+
+
+def _centre_scene(num_shards):
+    sim, rng, fleet = _scene()
+    soc = SecurityOperationsCenter(sim, fleet, num_shards=num_shards,
+                                   **SCENE_KW)
+    _run(sim, rng, fleet, soc.pipeline, soc.start)
     soc.final_drain()
     return soc
+
+
+class _PerEventTwin:
+    """The centre's topology rebuilt by hand: the same pipeline, but
+    every drained event goes through ``observe`` one at a time, and
+    incidents open/attach directly on the tracker (with the responder
+    paged on each open)."""
+
+    def __init__(self, sim, fleet, num_shards):
+        kw = dict(capacity_eps=SCENE_KW["capacity_eps"], queue_capacity=2048,
+                  batch_size=64)
+        self.sim = sim
+        engine_kw = dict(window_s=8.0, k=SCENE_KW["k"], dedup_window_s=4.0,
+                         max_lateness_s=2.0)
+        self.tracker = IncidentTracker()
+        self.responder = ResponseOrchestrator(sim, self.tracker, fleet)
+        if num_shards == 1:
+            self.pipeline = IngestPipeline(**kw)
+            self.engines = [CorrelationEngine(**engine_kw)]
+            self.merger = None
+            self.pipeline.add_batch_sink(self._single)
+        else:
+            self.pipeline = ShardedIngestPipeline(
+                num_shards=num_shards, shard_key=signature_shard_key, **kw)
+            self.engines = [CorrelationEngine(**engine_kw)
+                            for _ in range(num_shards)]
+            self.merger = GlobalCampaignMerger(window_s=8.0, k=SCENE_KW["k"])
+            for index, shard in enumerate(self.pipeline.shards):
+                shard.add_batch_sink(self._sharded(index))
+
+    def _open(self, detection, base):
+        self.responder.on_detection(
+            self.tracker.open_from_detection(detection, base))
+
+    def _single(self, now, events):
+        engine = self.engines[0]
+        for e in events:
+            detection = engine.observe(e)
+            if detection is not None:
+                self._open(detection,
+                           DEFAULT_SOURCE_SEVERITY.get(e.source, Asil.A))
+            elif engine.is_flagged(e.signature):
+                self.tracker.attach_vehicle(e.signature, e.vehicle_id)
+
+    def _sharded(self, index):
+        def handle(now, events):
+            for e in events:
+                self.engines[index].observe(e)
+        return handle
+
+    def _merge(self):
+        if self.merger is None:
+            return
+        detections, new_vehicles = self.merger.merge(self.engines)
+        for detection in detections:
+            for engine in self.engines:
+                engine.adopt_campaign(detection)
+            source = source_for_signature(detection.signature)
+            self._open(detection,
+                       DEFAULT_SOURCE_SEVERITY.get(source, Asil.A))
+        for sig in sorted(new_vehicles):
+            for vehicle in sorted(new_vehicles[sig]):
+                self.tracker.attach_vehicle(sig, vehicle)
+
+    def _pump(self):
+        self.pipeline.pump(self.sim.now)
+        self._merge()
+        self.sim.schedule(0.25, self._pump)
+
+    def start(self):
+        self.sim.schedule(0.25, self._pump)
+
+    def final_drain(self):
+        self.pipeline.pump(self.sim.now)
+        self._merge()
+        while self.pipeline.queue_depth:
+            self.pipeline.drain_all(self.sim.now)
+            self._merge()
+
+
+def _twin_scene(num_shards):
+    sim, rng, fleet = _scene()
+    twin = _PerEventTwin(sim, fleet, num_shards)
+    _run(sim, rng, fleet, twin.pipeline, twin.start)
+    twin.final_drain()
+    return twin
+
+
+def _incident_state(tracker):
+    return {
+        iid: (inc.signature, inc.opened_at, inc.severity, inc.state,
+              sorted(inc.vehicles), inc.history)
+        for iid, inc in tracker.incidents.items()
+    }
 
 
 class TestCenterBatchedDifferential:
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_batched_center_identical_to_per_event(self, num_shards):
-        batched = _soc_scene(batched=True, num_shards=num_shards)
-        per_event = _soc_scene(batched=False, num_shards=num_shards)
-        assert batched.metrics() == per_event.metrics()
-        assert batched.flagged_signatures() == per_event.flagged_signatures()
-
-        def incident_state(soc):
-            return {
-                iid: (inc.signature, inc.opened_at, inc.severity, inc.state,
-                      sorted(inc.vehicles), inc.history)
-                for iid, inc in soc.tracker.incidents.items()
-            }
-
-        assert incident_state(batched) == incident_state(per_event)
+        centre = _centre_scene(num_shards)
+        twin = _twin_scene(num_shards)
+        assert centre.pipeline.metrics() == twin.pipeline.metrics()
+        assert ([canon(e) for e in centre.correlators]
+                == [canon(e) for e in twin.engines])
+        if num_shards > 1:
+            assert (json.dumps(centre.merger.snapshot(), sort_keys=True)
+                    == json.dumps(twin.merger.snapshot(), sort_keys=True))
+        assert centre.flagged_signatures()
+        assert (json.dumps(centre.tracker.snapshot(), sort_keys=True)
+                == json.dumps(twin.tracker.snapshot(), sort_keys=True))
+        assert _incident_state(centre.tracker) == _incident_state(twin.tracker)
+        assert centre.responder.metrics() == twin.responder.metrics()
