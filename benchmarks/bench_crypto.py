@@ -3,8 +3,8 @@
 These numbers calibrate the simulation's cost models: the E6 station
 ``verify_rate`` is the measured ECDSA verify throughput of the platform
 (here: this pure-Python implementation; on automotive silicon, the SHE /
-HSM datasheet figure), and E13's boot-time curve comes from the CMAC
-throughput.
+HSM datasheet figure), E13's boot-time curve comes from the CMAC
+throughput, and the 1 KiB CMAC case is the VSOC's per-batch tag.
 """
 
 import pytest
@@ -46,6 +46,12 @@ def test_masked_aes_block(benchmark):
 
 def test_cmac_64_bytes(benchmark):
     message = bytes(64)
+    benchmark(aes_cmac, KEY16, message)
+
+
+def test_cmac_1k_sealed_batch(benchmark):
+    """About the size of a 10-event sealed VSOC batch: the uplink's hot path."""
+    message = bytes(1024)
     benchmark(aes_cmac, KEY16, message)
 
 

@@ -2,32 +2,50 @@
 
 CMAC is the MAC mandated by the SHE specification and the workhorse of the
 framework: firmware authentication (secure boot), CAN message authentication
-(E3), and SHE key-update protocol tags all use it.
+(E3), SHE key-update protocol tags and the VSOC's per-batch uplink tags all
+use it.
+
+The message is chained through :func:`~repro.crypto.aes.encrypt_words` as
+big-endian column words, and each key's round words and K1/K2 subkeys are
+derived once and cached, so a tag costs one block encryption per 16 bytes
+and nothing per call beyond that.
 """
 
 from __future__ import annotations
 
-from repro.crypto.aes import AES
-from repro.crypto.util import constant_time_eq, xor_bytes
+import functools
+import struct
+from typing import Tuple
+
+from repro.crypto.aes import AES, BLOCK_WORDS, encrypt_words
+from repro.crypto.util import constant_time_eq
 
 _RB = 0x87  # constant for 128-bit block subkey derivation
+_MASK128 = (1 << 128) - 1
+
+Words = Tuple[int, int, int, int]
 
 
-def _left_shift_one(block: bytes) -> bytes:
-    value = int.from_bytes(block, "big")
-    shifted = (value << 1) & ((1 << 128) - 1)
-    return shifted.to_bytes(16, "big")
+def _dbl(value: int) -> int:
+    """Doubling in GF(2^128), the SP 800-38B subkey step."""
+    return ((value << 1) & _MASK128) ^ (_RB if value >> 127 else 0)
 
 
-def _derive_subkeys(aes: AES) -> tuple[bytes, bytes]:
-    l = aes.encrypt_block(bytes(16))
-    k1 = _left_shift_one(l)
-    if l[0] & 0x80:
-        k1 = k1[:-1] + bytes([k1[-1] ^ _RB])
-    k2 = _left_shift_one(k1)
-    if k1[0] & 0x80:
-        k2 = k2[:-1] + bytes([k2[-1] ^ _RB])
-    return k1, k2
+def _words(value: int) -> Words:
+    return BLOCK_WORDS.unpack(value.to_bytes(16, "big"))
+
+
+@functools.lru_cache(maxsize=1024)
+def _cmac_state(key: bytes) -> Tuple[tuple, Words, Words]:
+    """Round words plus the K1/K2 subkeys (as words) for one key.
+
+    Bounded, so a fleet of session keys cannot grow it without limit; the
+    result is immutable, so sharing it between callers is safe.
+    """
+    round_words = AES(key).round_words
+    cipher_zero = BLOCK_WORDS.pack(*encrypt_words(round_words, 0, 0, 0, 0))
+    k1 = _dbl(int.from_bytes(cipher_zero, "big"))
+    return round_words, _words(k1), _words(_dbl(k1))
 
 
 def aes_cmac(key: bytes, message: bytes, tag_len: int = 16) -> bytes:
@@ -42,24 +60,25 @@ def aes_cmac(key: bytes, message: bytes, tag_len: int = 16) -> bytes:
     """
     if not 1 <= tag_len <= 16:
         raise ValueError("tag_len must be in 1..16")
-    aes = AES(key)
-    k1, k2 = _derive_subkeys(aes)
+    round_words, k1, k2 = _cmac_state(bytes(key))
 
-    n_blocks = max(1, (len(message) + 15) // 16)
-    complete_last = len(message) > 0 and len(message) % 16 == 0
-
-    if complete_last:
-        last = xor_bytes(message[-16:], k1)
+    if message and len(message) % 16 == 0:
+        subkey = k1
     else:
-        tail = message[16 * (n_blocks - 1):]
-        padded = tail + b"\x80" + bytes(15 - len(tail))
-        last = xor_bytes(padded, k2)
+        message = message + b"\x80" + bytes(15 - len(message) % 16)
+        subkey = k2
+    words = struct.unpack(">%dI" % (len(message) // 4), message)
 
-    x = bytes(16)
-    for i in range(n_blocks - 1):
-        x = aes.encrypt_block(xor_bytes(x, message[16 * i : 16 * i + 16]))
-    tag = aes.encrypt_block(xor_bytes(x, last))
-    return tag[:tag_len]
+    s0 = s1 = s2 = s3 = 0
+    last = len(words) - 4
+    for i in range(0, last, 4):
+        s0, s1, s2, s3 = encrypt_words(round_words, s0 ^ words[i], s1 ^ words[i + 1],
+                                       s2 ^ words[i + 2], s3 ^ words[i + 3])
+    s0, s1, s2, s3 = encrypt_words(
+        round_words,
+        s0 ^ words[last] ^ subkey[0], s1 ^ words[last + 1] ^ subkey[1],
+        s2 ^ words[last + 2] ^ subkey[2], s3 ^ words[last + 3] ^ subkey[3])
+    return BLOCK_WORDS.pack(s0, s1, s2, s3)[:tag_len]
 
 
 def cmac_verify(key: bytes, message: bytes, tag: bytes) -> bool:

@@ -73,6 +73,7 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing as mp
+import multiprocessing.connection
 import os
 import queue as queue_mod
 import threading
@@ -805,17 +806,23 @@ def _worker_main(index: int, root, config: ServiceConfig,
 
 class _ProcessBackend:
     """One OS process per shard worker, fed over bounded
-    ``multiprocessing`` queues (one shared completion queue).  A full
-    feed queue refuses the submit -- the frontend keeps the handoff
-    buffered and raises SUPPRESS, so overload degrades explicitly at the
-    network edge instead of growing an unbounded pickle backlog.
+    ``multiprocessing`` queues, each worker reporting on its own
+    completion queue.  A full feed queue refuses the submit -- the
+    frontend keeps the handoff buffered and raises SUPPRESS, so overload
+    degrades explicitly at the network edge instead of growing an
+    unbounded pickle backlog.
 
     ``dead_workers``/``restart`` are the supervisor surface: a dead
     child (SIGKILL, OOM, crash -- ``is_alive()`` is the exit sentinel)
-    is respawned with ``recover=True`` on a **fresh** feed queue.  The
-    old queue's contents are deliberately discarded: the frontend's
-    in-flight ledger is the source of truth, and it resubmits every
-    unacked handoff in sequence order with the original timestamps."""
+    is respawned with ``recover=True`` on a **fresh** feed queue and a
+    fresh completion queue.  The old queues' contents are deliberately
+    discarded: the frontend's in-flight ledger is the source of truth,
+    it resubmits every unacked handoff in sequence order with the
+    original timestamps, and the recovered worker replays the acks its
+    journal owes.  Completion queues are per worker because a SIGKILL
+    can land while the worker's feeder thread holds the queue's write
+    lock; on a shared queue that lock is never released, and every
+    other worker's reports stall behind it for good."""
 
     mode = "process"
 
@@ -827,15 +834,20 @@ class _ProcessBackend:
         ctx = mp.get_context()
         self.in_qs = [ctx.Queue(maxsize=queue_max_handoffs)
                       for _ in range(num_workers)]
-        self.out_q = ctx.Queue()
+        self.out_qs = [ctx.Queue() for _ in range(num_workers)]
         self.procs = [
             ctx.Process(target=_worker_main,
-                        args=(i, root, config, self.in_qs[i], self.out_q),
+                        args=(i, root, config, self.in_qs[i], self.out_qs[i]),
                         daemon=True)
             for i in range(num_workers)
         ]
         for proc in self.procs:
             proc.start()
+        # Completion queues of dead workers.  The collector thread may
+        # still be waiting on one when ``restart`` swaps it out, so they
+        # are closed only at ``close``.
+        self._retired: List["mp.Queue"] = []
+        self._next_shard = 0
         self._final: Dict[int, Dict[str, float]] = {}
         self._stopping = False
 
@@ -851,15 +863,27 @@ class _ProcessBackend:
             return False
 
     def get_report(self, timeout: float = 0.0) -> Optional[WorkerReport]:
-        try:
-            msg = (self.out_q.get(timeout=timeout) if timeout
-                   else self.out_q.get_nowait())
-        except queue_mod.Empty:
-            return None
-        if msg[0] == "x":
-            self._final[msg[1]] = msg[2]
-            return None
-        return msg[1]
+        deadline = time.monotonic() + timeout
+        while True:
+            queues = list(self.out_qs)
+            n = len(queues)
+            # Start after the last shard served, so one busy worker
+            # cannot starve the others' reports.
+            for k in range(n):
+                shard = (self._next_shard + k) % n
+                try:
+                    msg = queues[shard].get_nowait()
+                except queue_mod.Empty:
+                    continue
+                self._next_shard = shard + 1
+                if msg[0] == "x":
+                    self._final[msg[1]] = msg[2]
+                    return None
+                return msg[1]
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not mp.connection.wait(
+                    [q._reader for q in queues], remaining):
+                return None
 
     def kill(self, shard: int) -> None:
         """SIGKILL one worker -- the crash the per-worker durable store
@@ -884,13 +908,15 @@ class _ProcessBackend:
         old_q = self.in_qs[shard]
         old_q.close()
         old_q.cancel_join_thread()
+        self._retired.append(self.out_qs[shard])
         ctx = mp.get_context()
         self.in_qs[shard] = ctx.Queue(
             maxsize=max(self.queue_max_handoffs, min_capacity))
+        self.out_qs[shard] = ctx.Queue()
         self.procs[shard] = ctx.Process(
             target=_worker_main,
             args=(shard, self.root, self.config, self.in_qs[shard],
-                  self.out_q, True),
+                  self.out_qs[shard], True),
             daemon=True)
         self.procs[shard].start()
 
@@ -903,16 +929,14 @@ class _ProcessBackend:
                 expected += 1
         deadline = time.monotonic() + 30.0
         while len(self._final) < expected and time.monotonic() < deadline:
-            try:
-                msg = self.out_q.get(timeout=0.2)
-            except queue_mod.Empty:  # pragma: no cover - slow shutdown
-                continue
-            if msg[0] == "x":
-                self._final[msg[1]] = msg[2]
+            # Parks each worker's final metrics; late reports are dropped.
+            self.get_report(timeout=0.2)
         for proc in self.procs:
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - hung worker backstop
                 proc.kill()
+        for q in self._retired:
+            q.close()
         return [self._final.get(i, {}) for i in range(len(self.procs))]
 
 

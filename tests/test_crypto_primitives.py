@@ -215,6 +215,105 @@ class TestCmac:
         assert aes_cmac(self.KEY, m1) != aes_cmac(self.KEY, m2)
 
 
+def _reference_cmac(key: bytes, message: bytes, tag_len: int = 16) -> bytes:
+    """SP 800-38B CMAC written out block by block on the byte-level AES path.
+
+    A no-op ``leak`` callback forces ``encrypt_block`` onto the byte rounds,
+    so this shares no code with the word path ``aes_cmac`` runs on.
+    """
+    aes = AES(key)
+
+    def enc(block: bytes) -> bytes:
+        return aes.encrypt_block(block, leak=lambda *_: None)
+
+    def dbl(block: bytes) -> bytes:
+        value = int.from_bytes(block, "big") << 1
+        if value >> 128:
+            value ^= (1 << 128) | 0x87
+        return value.to_bytes(16, "big")
+
+    k1 = dbl(enc(bytes(16)))
+    k2 = dbl(k1)
+    blocks = [message[i : i + 16] for i in range(0, len(message), 16)] or [b""]
+    if len(blocks[-1]) == 16:
+        blocks[-1] = xor_bytes(blocks[-1], k1)
+    else:
+        padded = blocks[-1] + b"\x80" + bytes(15 - len(blocks[-1]))
+        blocks[-1] = xor_bytes(padded, k2)
+    x = bytes(16)
+    for block in blocks:
+        x = enc(xor_bytes(x, block))
+    return x[:tag_len]
+
+
+_AES_KEYS = st.sampled_from((16, 24, 32)).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n))
+
+
+class TestCmacDifferential:
+    """The word-oriented CMAC against the byte path and more SP 800-38B vectors."""
+
+    MSG = bytes.fromhex(
+        "6bc1bee22e409f96e93d7e117393172a"
+        "ae2d8a571e03ac9c9eb76fac45af8e51"
+        "30c81c46a35ce411e5fbc1191a0a52ef"
+        "f69f2445df4f9b17ad2b417be66c3710"
+    )
+
+    @pytest.mark.parametrize("key_hex, tags", [
+        ("8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+         ("d17ddf46adaacde531cac483de7a9367", "9e99a7bf31e710900662f65e617c5184",
+          "8a1de5be2eb31aad089a82e6ee908b0e", "a1d5df0eed790f794d77589659f39a11")),
+        ("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+         ("028962f61b7bf89efc6b551f4667d983", "28a7023f452e8f82bd4bf28d8c37c35c",
+          "aaf3d8f1de5640c232f5b169b9c911e6", "e1992190549f6ed5696a2c056c315410")),
+    ], ids=["aes192", "aes256"])
+    def test_sp800_38b_vectors(self, key_hex, tags):
+        key = bytes.fromhex(key_hex)
+        for length, tag in zip((0, 16, 40, 64), tags):
+            assert aes_cmac(key, self.MSG[:length]).hex() == tag
+            assert _reference_cmac(key, self.MSG[:length]).hex() == tag
+
+    @given(_AES_KEYS,
+           st.one_of(st.binary(max_size=200),
+                     st.integers(0, 12).flatmap(
+                         lambda n: st.binary(min_size=16 * n, max_size=16 * n))),
+           st.integers(1, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_byte_path_reference(self, key, message, tag_len):
+        assert aes_cmac(key, message, tag_len) == _reference_cmac(key, message, tag_len)
+
+    @given(_AES_KEYS, st.binary(min_size=16, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_property_word_path_equals_leak_path(self, key, block):
+        aes = AES(key)
+        assert aes.encrypt_block(block) == aes.encrypt_block(block, leak=lambda *_: None)
+
+    def test_bytearray_key_and_message(self):
+        key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+        msg = b"batch body" * 5
+        assert aes_cmac(bytearray(key), msg) == aes_cmac(key, msg)
+        assert aes_cmac(key, bytearray(msg)) == aes_cmac(key, msg)
+        assert cmac_verify(bytearray(key), msg, aes_cmac(key, msg))
+
+    def test_interleaved_keys_do_not_share_state(self):
+        key_a, key_b = bytes(range(16)), bytes(range(1, 17))
+        msg = bytes(range(48))
+        expected = {key_a: _reference_cmac(key_a, msg), key_b: _reference_cmac(key_b, msg)}
+        assert expected[key_a] != expected[key_b]
+        mutable = bytearray(key_a)
+        for key in (key_a, key_b, key_a, key_b, key_b, key_a):
+            assert aes_cmac(key, msg) == expected[key]
+            assert aes_cmac(mutable, msg) == expected[key_a]
+        # Mutating a bytearray key after use must not reuse the old key's state.
+        mutable[:] = key_b
+        assert aes_cmac(mutable, msg) == expected[key_b]
+
+    def test_bad_key_length_still_rejected(self):
+        with pytest.raises(ValueError):
+            aes_cmac(bytes(15), b"msg")
+
+
 class TestModes:
     KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")

@@ -830,6 +830,42 @@ class TestAutoRestart:
         assert len(mttrs) == 1
         assert mttrs[0] < 30.0  # generous CI bound; E20 publishes real MTTR
 
+    def test_repeated_sigkills_never_stall_reports(self, tmp_path):
+        """A SIGKILL can land while a worker's feeder thread holds its
+        completion queue's write lock.  On a queue shared by all workers
+        that lock is never released and every later report stalls; with a
+        queue per worker, replaced at restart, each kill round drains."""
+        config = ServiceConfig(max_lateness_s=7200.0, snapshot_every_pumps=3,
+                               fleet_key=FLEET_KEY)
+        clk = [1000.0]
+        svc = IngestService(2, mode="process", root=tmp_path, config=config,
+                            clock=lambda: clk[0])
+        conns = [svc.open_conn(f"veh-{i}") for i in range(4)]
+        keys = {c.client_id: derive_session_key(FLEET_KEY, c.client_id)
+                for c in conns}
+        try:
+            for rnd in range(24):
+                clk[0] += 1.0
+                for conn in conns:
+                    assert svc.route(conn, seal_payload(
+                        keys[conn.client_id], conn.client_id,
+                        batch(conn.client_id, rnd)))
+                svc.flush()
+                # Vary how far the workers get before the kill, so kills
+                # land across their report writes.
+                svc.poll_completions(timeout=0.002 * (rnd % 4))
+                for shard in range(2):
+                    svc.sigkill_worker(shard)
+                assert svc.check_workers() == 2
+                deadline = time.monotonic() + 10.0
+                while svc.inflight_batches():
+                    assert time.monotonic() < deadline, (
+                        f"reports stalled after kill round {rnd}")
+                    svc.poll_completions(timeout=0.05)
+            svc.audit_conservation()
+        finally:
+            svc.drain_and_close()
+
     def test_unsupervised_service_does_not_restart(self, tmp_path):
         svc = IngestService(1, mode="inline", root=tmp_path,
                             supervise=False, clock=lambda: 100.0)
