@@ -7,8 +7,9 @@ E17 runs the :mod:`repro.soc` stack over fleets of 10^2..10^7 vehicles
 with seeded cross-fleet attack campaigns planted in benign noise, and
 for every cell also runs the identical scenario with response disabled
 (the no-SOC baseline).  Cells at/above :data:`SHARDED_FLEET` run the
-scale-out configuration -- a :class:`~repro.soc.shard.ShardedIngestPipeline`
-worker pool, **shard-local correlators** stitched by the
+scale-out configuration -- a multi-shard
+:class:`~repro.soc.ingest.IngestPipeline` worker pool, **shard-local
+correlators** stitched by the
 :class:`~repro.soc.correlate.GlobalCampaignMerger`, batched sink
 delivery end-to-end, and the numpy-vectorized workload generator -- and
 *every* cell runs with the :class:`~repro.soc.shard.ConservationAudit`

@@ -10,12 +10,13 @@ out.  This package is that backend:
   adapters from every on-vehicle alert source (IDS, V2X misbehavior,
   gateway quarantine, UDS SecurityAccess failures).
 - :mod:`repro.soc.ingest` -- bounded-queue ingestion with batching,
-  explicit load-shedding policies, and a backpressure signal.
-- :mod:`repro.soc.shard` -- scale-out ingest: N partitioned pipelines
-  (pluggable per-signature/per-region shard keys) drained round-robin
-  from a worker pool with a shared capacity budget, plus the
-  :class:`~repro.soc.shard.ConservationAudit` that re-proves the
-  shed/backpressure accounting per shard and globally after every pump.
+  explicit load-shedding policies, and a backpressure signal: one
+  pipeline of N shard queues drained round-robin from a worker pool
+  with a shared capacity budget (N=1 by default).
+- :mod:`repro.soc.shard` -- the pluggable per-signature/per-region
+  shard keys, plus the :class:`~repro.soc.shard.ConservationAudit` that
+  re-proves the shed/backpressure accounting per shard and globally
+  after every pump.
 - :mod:`repro.soc.correlate` -- sliding-window cross-vehicle
   correlation: per-vehicle dedup, duplicate/late-event hygiene, and
   k-vehicles-in-window campaign detection.  Every drained batch reaches
@@ -101,7 +102,6 @@ from repro.soc.ingest import (
 from repro.soc.shard import (
     ConservationAudit,
     ConservationError,
-    ShardedIngestPipeline,
     ShardKeyFn,
     region_shard_key,
     signature_shard_key,
@@ -198,7 +198,6 @@ __all__ = [
     "TokenBucket",
     "ConservationAudit",
     "ConservationError",
-    "ShardedIngestPipeline",
     "ShardKeyFn",
     "region_shard_key",
     "signature_shard_key",

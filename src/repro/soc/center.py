@@ -5,12 +5,14 @@ Wires the four subsystem stages into one
 and aggregates every stage's counters into a single flat ``metrics()``
 dict (the shape E17 publishes and the determinism tests pin).
 
-Correlation topology scales with the ingest topology:
+There is one ingest pipeline (:class:`~repro.soc.ingest.IngestPipeline`,
+``num_shards`` queues) and ``num_shards`` alone picks the correlation
+topology:
 
-- ``num_shards == 1``: one :class:`~repro.soc.correlate.CorrelationEngine`
-  fed straight off the pipeline, one Python call per drained batch
+- one shard: one :class:`~repro.soc.correlate.CorrelationEngine` fed
+  off the pipeline, one Python call per drained batch
   (``add_batch_sink`` -> ``observe_batch``);
-- ``num_shards > 1``: one **shard-local** engine per ingest shard plus a
+- more: one **shard-local** engine per ingest shard plus a
   :class:`~repro.soc.correlate.GlobalCampaignMerger` that stitches the
   local verdicts (and, under region sharding, sub-threshold cross-shard
   windows) into fleet-wide campaigns after every pump.  Merged campaigns
@@ -45,7 +47,7 @@ from repro.soc.fleet import FleetModel
 from repro.soc.incident import AMENDMENT_KINDS, Amendment, IncidentTracker
 from repro.soc.ingest import IngestPipeline, ShedPolicy
 from repro.soc.respond import ResponseOrchestrator
-from repro.soc.shard import ConservationAudit, ShardedIngestPipeline, ShardKeyFn
+from repro.soc.shard import ConservationAudit, ShardKeyFn
 from repro.soc.store import DurableStore
 
 
@@ -126,10 +128,9 @@ class SecurityOperationsCenter:
     ever reaches containment -- the fleet burns.
 
     Drained batches reach the correlators through batch sinks only
-    (``observe_batch``, one call per batch).  ``shard_local_correlate``
-    (default: on whenever ``num_shards > 1``) gives every ingest shard
-    its own correlator, stitched by a :class:`GlobalCampaignMerger` each
-    pump.
+    (``observe_batch``, one call per batch).  With ``num_shards > 1``
+    every ingest shard has its own correlator, stitched by a
+    :class:`GlobalCampaignMerger` each pump.
     """
 
     def __init__(
@@ -150,7 +151,6 @@ class SecurityOperationsCenter:
         num_shards: int = 1,
         shard_key: Optional[ShardKeyFn] = None,
         audit: bool = True,
-        shard_local_correlate: Optional[bool] = None,
         store: Optional[DurableStore] = None,
         snapshot_every_pumps: int = 0,
     ) -> None:
@@ -168,36 +168,22 @@ class SecurityOperationsCenter:
         self.dedup_window_s = dedup_window_s
         self.max_lateness_s = max_lateness_s
 
-        # num_shards=1 keeps the plain single-queue pipeline (the two are
-        # behaviorally identical -- the differential tests prove it -- but
-        # the plain object is what the pre-shard seed benchmarks pinned).
-        if num_shards > 1:
-            self.pipeline = ShardedIngestPipeline(
-                num_shards=num_shards,
-                shard_key=shard_key,
-                capacity_eps=capacity_eps,
-                queue_capacity=queue_capacity,
-                batch_size=batch_size,
-                shed_policy=shed_policy,
-            )
-        else:
-            self.pipeline = IngestPipeline(
-                capacity_eps=capacity_eps,
-                queue_capacity=queue_capacity,
-                batch_size=batch_size,
-                shed_policy=shed_policy,
-            )
+        self.pipeline = IngestPipeline(
+            capacity_eps=capacity_eps,
+            queue_capacity=queue_capacity,
+            batch_size=batch_size,
+            shed_policy=shed_policy,
+            num_shards=num_shards,
+            shard_key=shard_key,
+        )
         self.audit: Optional[ConservationAudit] = (
             ConservationAudit() if audit else None
         )
 
         # Archival taps go in *before* the correlator sinks (write-ahead:
         # by the time analytics sees a batch it is already in the log).
-        shards = (self.pipeline.shards
-                  if isinstance(self.pipeline, ShardedIngestPipeline)
-                  else [self.pipeline])
         if store is not None:
-            for index, shard in enumerate(shards):
+            for index, shard in enumerate(self.pipeline.shards):
                 shard.add_batch_sink(self._archive_handler(index))
 
         def _engine() -> CorrelationEngine:
@@ -206,9 +192,7 @@ class SecurityOperationsCenter:
                 dedup_window_s=dedup_window_s, max_lateness_s=max_lateness_s,
             )
 
-        if shard_local_correlate is None:
-            shard_local_correlate = num_shards > 1
-        if shard_local_correlate and num_shards > 1:
+        if num_shards > 1:
             self.correlators: List[CorrelationEngine] = [
                 _engine() for _ in range(num_shards)
             ]
@@ -216,7 +200,7 @@ class SecurityOperationsCenter:
             self.merger: Optional[GlobalCampaignMerger] = (
                 GlobalCampaignMerger(window_s=window_s, k=k)
             )
-            for index, shard in enumerate(shards):
+            for index, shard in enumerate(self.pipeline.shards):
                 shard.add_batch_sink(self._shard_batch_handler(index))
         else:
             self.correlator = _engine()

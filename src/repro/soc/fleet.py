@@ -24,10 +24,9 @@ Three traffic classes:
 The generator honors the ingest pipeline's backpressure signal: while an
 event's own ingestion path reports
 :meth:`~repro.soc.ingest.IngestPipeline.congested_for`, ASIL-A telemetry
-is suppressed *at the source* (counted, not lost silently).  Against a
-:class:`~repro.soc.shard.ShardedIngestPipeline` that signal is per
-shard, so a single hot partition never mutes telemetry bound for cold
-ones.
+is suppressed *at the source* (counted, not lost silently).  That
+signal is per shard, so a single hot partition never mutes telemetry
+bound for cold ones.
 """
 
 from __future__ import annotations
@@ -281,7 +280,7 @@ class FleetWorkloadGenerator:
     # ------------------------------------------------------------------
     def _offer(self, event: SecurityEvent) -> None:
         # Per-shard backpressure: only throttle telemetry whose own
-        # ingestion path is hot (a plain pipeline has exactly one path).
+        # ingestion path is hot (one shard means exactly one path).
         if event.severity <= Asil.A and self.pipeline.congested_for(event):
             self.suppressed_at_source += 1
             return

@@ -6,29 +6,34 @@ O(1), memory must be bounded regardless of offered load, and overload
 must degrade *explicitly* -- every shed event is counted and attributed
 to a policy decision, never silently lost.
 
-Stages (each with its own :class:`StageStats`):
+One :class:`IngestPipeline` holds ``num_shards`` :class:`IngestShard`
+objects (one by default).  Each shard is one path through three stages:
 
 ``admit``     schema/timestamp sanity validation, severity floor;
 ``queue``     a :class:`BoundedQueue` with a pluggable :class:`ShedPolicy`;
-``dispatch``  capacity-limited batch drain to the registered sinks
+``dispatch``  batch drain to the shard's registered sinks
               (the correlation engine, archival taps, ...).
 
-Backend capacity is modelled in *simulation time*: each ``pump(now)``
-may dispatch at most ``capacity_eps * dt`` events, so a fleet offering
-more than the backend sustains visibly grows the queue until the shed
-policy engages -- the backpressure signal (:attr:`IngestPipeline.congested`)
-that workload sources use to throttle low-severity telemetry at origin.
+A shard key (:mod:`repro.soc.shard`) routes each event to its shard;
+with one shard no key is computed.  The pipeline owns the one backend
+capacity budget, in *simulation time*: each ``pump(now)`` may dispatch
+at most ``capacity_eps * dt`` events, handed out round-robin one batch
+per shard per turn, so a fleet offering more than the backend sustains
+visibly grows the queues until the shed policy engages -- the
+backpressure signal (:meth:`IngestPipeline.congested_for`) that workload
+sources use to throttle low-severity telemetry at origin.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.core.safety import Asil
 from repro.soc.events import SecurityEvent
+from repro.soc.shard import ShardKeyFn, signature_shard_key
 
 
 class ShedPolicy(Enum):
@@ -89,25 +94,13 @@ class StageStats:
     name: str
     entered: int = 0
     exited: int = 0
-    shed: int = 0
     batches: int = 0
     latency_sum_s: float = 0.0
     latency_max_s: float = 0.0
-    depth_max: int = 0
 
     @property
     def mean_latency_s(self) -> float:
         return self.latency_sum_s / self.exited if self.exited else 0.0
-
-    def throughput_eps(self, elapsed_s: float) -> float:
-        return self.exited / elapsed_s if elapsed_s > 0 else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            f"{self.name}_in": float(self.entered),
-            f"{self.name}_out": float(self.exited),
-            f"{self.name}_shed": float(self.shed),
-        }
 
 
 class BoundedQueue:
@@ -212,27 +205,23 @@ class BoundedQueue:
         return out
 
 
-class IngestPipeline:
-    """admit -> queue -> dispatch, with per-stage accounting.
+class IngestShard:
+    """One queue's admit -> queue -> dispatch path, with its accounting.
 
-    ``capacity_eps``: backend dispatch capacity in events per simulated
-    second.  ``congestion_watermark``: queue fill fraction above which
-    :attr:`congested` turns on (sources may then pre-shed QM/A telemetry).
+    Everything here is per queue; batch size and the capacity budget
+    that decides how much to dispatch belong to the owning
+    :class:`IngestPipeline`.
+    ``congestion_watermark`` is the queue fill fraction above which
+    :attr:`congested` turns on.
     """
 
     def __init__(
         self,
-        capacity_eps: float = 250.0,
-        queue_capacity: int = 2048,
-        batch_size: int = 64,
-        shed_policy: ShedPolicy = ShedPolicy.LOWEST_SEVERITY,
-        min_severity: Asil = Asil.QM,
-        congestion_watermark: float = 0.5,
+        queue_capacity: int,
+        shed_policy: ShedPolicy,
+        min_severity: Asil,
+        congestion_watermark: float,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.capacity_eps = capacity_eps
-        self.batch_size = batch_size
         self.min_severity = min_severity
         self.queue = BoundedQueue(queue_capacity, shed_policy)
         self._congestion_depth = max(1, int(queue_capacity * congestion_watermark))
@@ -246,19 +235,13 @@ class IngestPipeline:
         # exit path (dispatch *and* eviction both take the bucket head)
         # -- so a FIFO of timestamps per id keeps each copy's wait exact.
         self._enqueue_time: Dict[str, Deque[float]] = {}
-        self._last_pump: Optional[float] = None
-        self._carry = 0.0  # fractional dispatch budget between pumps
         self.stats = {
             "admit": StageStats("admit"),
-            "queue": StageStats("queue"),
             "dispatch": StageStats("dispatch"),
         }
         self.rejected_invalid = 0
         self.rejected_severity = 0
 
-    # ------------------------------------------------------------------
-    # Front door
-    # ------------------------------------------------------------------
     def add_batch_sink(
         self, sink: Callable[[float, List[SecurityEvent]], None]
     ) -> None:
@@ -269,28 +252,8 @@ class IngestPipeline:
         self._batch_sinks.append(sink)
 
     @property
-    def queue_depth(self) -> int:
-        """Events currently queued (uniform across plain/sharded)."""
-        return len(self.queue)
-
-    @property
     def congested(self) -> bool:
         return len(self.queue) >= self._congestion_depth
-
-    @property
-    def fully_congested(self) -> bool:
-        """Uniform API with :class:`~repro.soc.shard.ShardedIngestPipeline`:
-        a single queue is fully congested iff it is congested."""
-        return self.congested
-
-    def congested_for(self, event: SecurityEvent) -> bool:
-        """Backpressure signal for *this* event's ingestion path.
-
-        A plain pipeline has one path; the sharded pipeline overrides
-        this per shard so sources only throttle telemetry headed for a
-        hot partition.
-        """
-        return self.congested
 
     @property
     def shed_rate(self) -> float:
@@ -300,10 +263,12 @@ class IngestPipeline:
         return self.queue.lost / offered if offered else 0.0
 
     def offer(self, now: float, event: SecurityEvent) -> bool:
-        """Admit one event; returns True if it made it into the queue."""
+        """Admit one event; returns True if it made it into the queue.
+        A time outside ``[0, now]`` -- NaN and infinities included -- is
+        invalid."""
         admit = self.stats["admit"]
         admit.entered += 1
-        if not event.vehicle_id or event.time < 0 or event.time > now + 1e-9:
+        if not event.vehicle_id or not 0.0 <= event.time <= now + 1e-9:
             self.rejected_invalid += 1
             return False
         if event.severity < self.min_severity:
@@ -311,11 +276,7 @@ class IngestPipeline:
             return False
         admit.exited += 1
 
-        qstats = self.stats["queue"]
-        qstats.entered += 1
         victim = self.queue.offer(event)
-        if victim is not None:
-            qstats.shed += 1
         if victim is event:
             # Refused at the door: it never had an enqueue timestamp (a
             # queued copy of the same id keeps its own).
@@ -323,8 +284,6 @@ class IngestPipeline:
         if victim is not None:
             self._drop_enqueue_time(victim)
         self._enqueue_time.setdefault(event.event_id, deque()).append(now)
-        if len(self.queue) > qstats.depth_max:
-            qstats.depth_max = len(self.queue)
         return True
 
     def _drop_enqueue_time(self, victim: SecurityEvent) -> None:
@@ -336,73 +295,33 @@ class IngestPipeline:
             if not times:
                 del self._enqueue_time[victim.event_id]
 
-    # ------------------------------------------------------------------
-    # Backend
-    # ------------------------------------------------------------------
-    def pump(self, now: float) -> int:
-        """Dispatch queued events within the capacity budget since the
-        last pump; returns the number dispatched.
-
-        .. note:: **First-pump budget quirk (intended, pinned by test).**
-           The very first ``pump`` has no reference point for elapsed
-           simulation time, so it always grants exactly ``batch_size``
-           regardless of ``now`` -- a cold backend drains one batch, not
-           ``capacity_eps * now`` events.  The sharded drain loop
-           (:class:`~repro.soc.shard.ShardedIngestPipeline`) replicates
-           this as ``batch_size * num_shards`` (one cold batch per
-           worker) so ``num_shards=1`` stays bit-identical to a plain
-           pipeline.
-        """
-        if self._last_pump is None:
-            budget = float(self.batch_size)
-        else:
-            budget = self._carry + self.capacity_eps * max(0.0, now - self._last_pump)
-        self._last_pump = now
-        allowance = int(budget)
-        self._carry = min(budget - allowance, self.capacity_eps)
-        return self.dispatch(now, allowance)
-
-    def dispatch(self, now: float, allowance: int) -> int:
-        """Drain and deliver up to ``allowance`` events, one batch at a
-        time, bypassing the rate budget (the caller owns it -- either
-        :meth:`pump` or a sharded worker pool)."""
+    def dispatch(self, now: float, limit: int) -> int:
+        """Drain one batch of up to ``limit`` events and deliver it to
+        the sinks; returns its size (the owning pipeline sizes batches
+        and decides the allowance)."""
+        batch = self.queue.drain(limit)
+        if not batch:
+            return 0
         dispatch = self.stats["dispatch"]
-        dispatched = 0
-        while dispatched < allowance:
-            batch = self.queue.drain(min(self.batch_size, allowance - dispatched))
-            if not batch:
-                break
-            dispatch.batches += 1
-            for event in batch:
-                dispatch.entered += 1
-                times = self._enqueue_time.get(event.event_id)
-                if times:
-                    t_in = times.popleft()
-                    if not times:
-                        del self._enqueue_time[event.event_id]
-                else:  # pragma: no cover - defensive; every queued copy logs a time
-                    t_in = now
-                wait = max(0.0, now - t_in)
-                dispatch.latency_sum_s += wait
-                if wait > dispatch.latency_max_s:
-                    dispatch.latency_max_s = wait
-                dispatch.exited += 1
-                dispatched += 1
-            for batch_sink in self._batch_sinks:
-                batch_sink(now, batch)
-        self.stats["queue"].exited += dispatched
-        return dispatched
+        dispatch.batches += 1
+        for event in batch:
+            dispatch.entered += 1
+            times = self._enqueue_time.get(event.event_id)
+            if times:
+                t_in = times.popleft()
+                if not times:
+                    del self._enqueue_time[event.event_id]
+            else:  # pragma: no cover - defensive; every queued copy logs a time
+                t_in = now
+            wait = max(0.0, now - t_in)
+            dispatch.latency_sum_s += wait
+            if wait > dispatch.latency_max_s:
+                dispatch.latency_max_s = wait
+            dispatch.exited += 1
+        for batch_sink in self._batch_sinks:
+            batch_sink(now, batch)
+        return len(batch)
 
-    def drain_all(self, now: float) -> int:
-        """Dispatch everything still queued, bypassing the rate budget.
-
-        End-of-run drain: the simulation is over, so capacity modeling no
-        longer applies -- what matters is that every accepted event is
-        scored and accounted, not when.  Bounded by the queue depth.
-        """
-        return self.dispatch(now, len(self.queue))
-
-    # ------------------------------------------------------------------
     def metrics(self) -> Dict[str, float]:
         dispatch = self.stats["dispatch"]
         return {
@@ -421,3 +340,173 @@ class IngestPipeline:
             "mean_dispatch_latency_s": dispatch.mean_latency_s,
             "max_dispatch_latency_s": dispatch.latency_max_s,
         }
+
+
+class IngestPipeline:
+    """``num_shards`` :class:`IngestShard` queues behind one front door
+    and one backend capacity budget.
+
+    Admission routes each event to ``shard_key(event, num_shards)``
+    (default :func:`~repro.soc.shard.signature_shard_key`).  Draining
+    simulates a worker pool sharing ``capacity_eps`` events per simulated
+    second: each :meth:`pump` turns elapsed time into an allowance and
+    :meth:`dispatch` hands it out round-robin, at most one batch per
+    shard per turn, skipping drained shards -- work-conserving, so one
+    hot shard can use the whole budget while the others are idle.
+
+    ``queue_capacity`` is **per shard** (the memory bound scales with
+    the worker pool, as N real consumer processes would).  Each shard
+    keeps its own congestion watermark: :meth:`congested_for` is the
+    signal for one event's shard, :attr:`congested` /
+    :attr:`fully_congested` the any/all aggregates.  ``metrics()`` sums
+    the shards' counters (``queue_depth_max`` and
+    ``max_dispatch_latency_s`` are the worst single shard's);
+    per-shard tables are ``[s.metrics() for s in pipeline.shards]``.
+    """
+
+    def __init__(
+        self,
+        capacity_eps: float = 250.0,
+        queue_capacity: int = 2048,
+        batch_size: int = 64,
+        shed_policy: ShedPolicy = ShedPolicy.LOWEST_SEVERITY,
+        min_severity: Asil = Asil.QM,
+        congestion_watermark: float = 0.5,
+        num_shards: int = 1,
+        shard_key: Optional[ShardKeyFn] = None,
+    ) -> None:
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        self.num_shards = num_shards
+        self.shard_key: ShardKeyFn = shard_key or signature_shard_key
+        self.capacity_eps = capacity_eps
+        self.batch_size = batch_size
+        self.shards: List[IngestShard] = [
+            IngestShard(queue_capacity, shed_policy, min_severity,
+                        congestion_watermark)
+            for _ in range(num_shards)
+        ]
+        if num_shards == 1:
+            # The only shard takes every event: no key, no extra call.
+            self.offer = self.shards[0].offer
+        self._last_pump: Optional[float] = None
+        self._carry = 0.0  # fractional dispatch budget between pumps
+        self._rr = 0  # round-robin cursor, persists across pumps for fairness
+
+    # ------------------------------------------------------------------
+    # Front door
+    # ------------------------------------------------------------------
+    def add_batch_sink(
+        self, sink: Callable[[float, List[SecurityEvent]], None]
+    ) -> None:
+        """Register a batch consumer on every shard.  Shard-*local*
+        consumers (per-shard correlators, archival taps that record the
+        shard index) register on ``shards[i]`` directly instead."""
+        for shard in self.shards:
+            shard.add_batch_sink(sink)
+
+    def shard_of(self, event: SecurityEvent) -> int:
+        return self.shard_key(event, self.num_shards)
+
+    def offer(self, now: float, event: SecurityEvent) -> bool:
+        """Admit one event to its shard; True if it was queued."""
+        return self.shards[self.shard_of(event)].offer(now, event)
+
+    @property
+    def queue_depth(self) -> int:
+        """Events currently queued across every shard."""
+        return sum(len(s.queue) for s in self.shards)
+
+    @property
+    def congested(self) -> bool:
+        """True if *any* shard is past its watermark (conservative)."""
+        return any(shard.congested for shard in self.shards)
+
+    @property
+    def fully_congested(self) -> bool:
+        """True if *every* shard is past its watermark -- the bulk
+        source-suppression fast path may then skip event construction."""
+        return all(shard.congested for shard in self.shards)
+
+    def congested_for(self, event: SecurityEvent) -> bool:
+        """Backpressure for *this* event's shard: sources throttle only
+        telemetry headed for a hot partition."""
+        return self.shards[self.shard_of(event)].congested
+
+    @property
+    def shed_rate(self) -> float:
+        """Fraction of *offered* events shed at the queues (refusals
+        plus evictions of previously accepted events)."""
+        offered = sum(s.queue.offered for s in self.shards)
+        lost = sum(s.queue.lost for s in self.shards)
+        return lost / offered if offered else 0.0
+
+    # ------------------------------------------------------------------
+    # Backend
+    # ------------------------------------------------------------------
+    def pump(self, now: float) -> int:
+        """Dispatch queued events within the capacity budget since the
+        last pump; returns the number dispatched.
+
+        .. note:: **First-pump budget quirk (intended, pinned by test).**
+           The very first ``pump`` has no reference point for elapsed
+           simulation time, so it always grants exactly
+           ``batch_size * num_shards`` -- one cold batch per worker --
+           regardless of ``now``, never ``capacity_eps * now`` events.
+        """
+        if self._last_pump is None:
+            budget = float(self.batch_size * self.num_shards)
+        else:
+            budget = self._carry + self.capacity_eps * max(0.0, now - self._last_pump)
+        self._last_pump = now
+        allowance = int(budget)
+        self._carry = min(budget - allowance, self.capacity_eps)
+        return self.dispatch(now, allowance)
+
+    def dispatch(self, now: float, allowance: int) -> int:
+        """Round-robin drain of up to ``allowance`` events, bypassing the
+        rate budget (the caller owns it: :meth:`pump` or :meth:`drain_all`)."""
+        dispatched = 0
+        active = [s for s in self.shards if len(s.queue)]
+        while dispatched < allowance and active:
+            shard = active[self._rr % len(active)]
+            want = min(self.batch_size, allowance - dispatched)
+            got = shard.dispatch(now, want)
+            dispatched += got
+            if got < want or not len(shard.queue):
+                active.remove(shard)  # drained dry; cursor stays put
+            else:
+                self._rr += 1
+        if not active:
+            self._rr = 0
+        return dispatched
+
+    def drain_all(self, now: float) -> int:
+        """Dispatch everything still queued, bypassing the rate budget.
+
+        End-of-run drain: the simulation is over, so capacity modeling no
+        longer applies -- what matters is that every accepted event is
+        scored and accounted, not when.  Bounded by the queue depth.
+        """
+        return self.dispatch(now, self.queue_depth)
+
+    # ------------------------------------------------------------------
+    def metrics(self) -> Dict[str, float]:
+        """The shards' :meth:`IngestShard.metrics`, merged."""
+        merged: Dict[str, float] = {}
+        latency_sum = 0.0
+        for shard in self.shards:
+            for key, value in shard.metrics().items():
+                merged[key] = merged.get(key, 0.0) + value
+            latency_sum += shard.stats["dispatch"].latency_sum_s
+        dispatched = merged["dispatched"]
+        merged["shed_rate"] = self.shed_rate
+        merged["queue_depth_max"] = max(
+            float(s.queue.depth_max) for s in self.shards)
+        merged["mean_dispatch_latency_s"] = (
+            latency_sum / dispatched if dispatched else 0.0)
+        merged["max_dispatch_latency_s"] = max(
+            s.stats["dispatch"].latency_max_s for s in self.shards)
+        return merged

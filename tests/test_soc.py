@@ -147,7 +147,12 @@ class TestIngestPipeline:
         pipe = IngestPipeline()
         assert not pipe.offer(1.0, ev("v1", "s", 5.0))      # from the future
         assert not pipe.offer(1.0, ev("", "s", 0.5))        # no vehicle
-        assert pipe.rejected_invalid == 2
+        # Non-finite times: NaN fails both halves of a "< 0 or > now"
+        # test, so it must be refused by a range check, not two compares.
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            assert not pipe.offer(1.0, ev("v1", "s", bad))
+        assert pipe.metrics()["rejected_invalid"] == 5
+        ConservationAudit().check(pipe)
 
     def test_capacity_budget_limits_dispatch(self):
         pipe = IngestPipeline(capacity_eps=10.0, batch_size=4)
@@ -156,24 +161,24 @@ class TestIngestPipeline:
         pipe.pump(0.0)                       # first pump: one batch allowance
         assert pipe.pump(1.0) == 10          # then capacity_eps * dt
         metrics = pipe.metrics()
-        assert metrics["dispatched"] == pipe.stats["dispatch"].exited
+        assert metrics["dispatched"] == pipe.shards[0].stats["dispatch"].exited
 
     def test_sheds_when_full_and_reports_rate(self):
         pipe = IngestPipeline(capacity_eps=1.0, queue_capacity=8,
                               shed_policy=ShedPolicy.DROP_NEWEST)
         for i in range(20):
             pipe.offer(0.0, ev(f"v{i}", "s", 0.0))
-        assert len(pipe.queue) == 8
-        assert pipe.queue.shed == 12
+        assert len(pipe.shards[0].queue) == 8
+        assert pipe.shards[0].queue.shed == 12
         assert pipe.shed_rate == pytest.approx(12 / 20)
         assert pipe.congested
 
     def test_first_pump_budget_quirk_pinned(self):
         # Regression pin for the intended first-pump quirk: a cold
         # backend has no elapsed-time reference, so the first pump always
-        # grants exactly batch_size -- never capacity_eps * now.  The
-        # sharded drain loop replicates this per worker; if either side
-        # changes, the shard=1 differential equivalence silently breaks.
+        # grants exactly batch_size -- never capacity_eps * now.  With N
+        # shards the grant is one cold batch per worker (pinned in
+        # tests/test_soc_shard.py); this is its N=1 case.
         pipe = IngestPipeline(capacity_eps=1000.0, batch_size=8)
         for i in range(50):
             assert pipe.offer(0.0, ev(f"v{i}", "s", 0.0))
@@ -189,7 +194,7 @@ class TestIngestPipeline:
         pipe.offer(0.0, ev("v1", "s", 0.0))
         pipe.pump(2.0)
         assert seen == [(2.0, "v1")]
-        assert pipe.stats["dispatch"].latency_max_s == pytest.approx(2.0)
+        assert pipe.shards[0].stats["dispatch"].latency_max_s == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------
@@ -237,11 +242,11 @@ class TestIngestAccountingRegressions:
         assert pipe.offer(0.0, event)
         assert pipe.offer(1.0, event)          # redelivery, still queued
         assert pipe.dispatch(2.0, 2) == 2
-        dispatch = pipe.stats["dispatch"]
+        dispatch = pipe.shards[0].stats["dispatch"]
         assert dispatch.latency_sum_s == pytest.approx(3.0)   # 2.0 + 1.0
         assert dispatch.latency_max_s == pytest.approx(2.0)
         assert pipe.metrics()["mean_dispatch_latency_s"] == pytest.approx(1.5)
-        assert not pipe._enqueue_time            # fully reclaimed
+        assert not pipe.shards[0]._enqueue_time  # fully reclaimed
 
     def test_eviction_forgets_oldest_copy_timestamp(self):
         pipe = IngestPipeline(queue_capacity=2, capacity_eps=100.0,
@@ -252,7 +257,7 @@ class TestIngestAccountingRegressions:
         assert pipe.offer(2.0, ev("v2", "s", 1.5))  # evicts the oldest copy
         assert pipe.dispatch(3.0, 2) == 2
         # Survivors: the t=1.0 copy (waited 2.0) and v2 (waited 1.0).
-        assert pipe.stats["dispatch"].latency_sum_s == pytest.approx(3.0)
+        assert pipe.shards[0].stats["dispatch"].latency_sum_s == pytest.approx(3.0)
 
     def test_refused_arrival_does_not_steal_queued_timestamp(self):
         pipe = IngestPipeline(queue_capacity=1, capacity_eps=100.0,
@@ -261,7 +266,7 @@ class TestIngestAccountingRegressions:
         assert pipe.offer(0.0, event)
         assert not pipe.offer(1.0, event)      # refused at the door
         assert pipe.dispatch(2.0, 1) == 1
-        assert pipe.stats["dispatch"].latency_sum_s == pytest.approx(2.0)
+        assert pipe.shards[0].stats["dispatch"].latency_sum_s == pytest.approx(2.0)
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_final_drain_empties_deep_backlog(self, num_shards):

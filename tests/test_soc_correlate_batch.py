@@ -42,7 +42,6 @@ from repro.soc import (
     ReferenceCorrelationEngine,
     ResponseOrchestrator,
     SecurityOperationsCenter,
-    ShardedIngestPipeline,
     StringInterner,
     build_batch,
     make_event,
@@ -262,9 +261,9 @@ def _drive(pipeline):
 class TestBatchSinkDelivery:
     @pytest.mark.parametrize("make", [
         lambda: IngestPipeline(**PIPE_KW),
-        lambda: ShardedIngestPipeline(num_shards=4, **PIPE_KW),
-        lambda: ShardedIngestPipeline(num_shards=4,
-                                      shard_key=region_shard_key, **PIPE_KW),
+        lambda: IngestPipeline(num_shards=4, **PIPE_KW),
+        lambda: IngestPipeline(num_shards=4,
+                               shard_key=region_shard_key, **PIPE_KW),
     ])
     def test_each_event_delivered_once(self, make):
         pipeline = make()
@@ -438,7 +437,7 @@ class _PerEventTwin:
             self.merger = None
             self.pipeline.add_batch_sink(self._single)
         else:
-            self.pipeline = ShardedIngestPipeline(
+            self.pipeline = IngestPipeline(
                 num_shards=num_shards, shard_key=signature_shard_key, **kw)
             self.engines = [CorrelationEngine(**engine_kw)
                             for _ in range(num_shards)]

@@ -13,6 +13,7 @@ closing-transport write guard.
 
 import asyncio
 import inspect
+import json
 import time
 
 import pytest
@@ -727,6 +728,41 @@ class TestTruncateAfterLastMark:
         assert log.append_batch(2.0, 0, [ev("v", "s", 1.5, 2)]) == 1
         assert self._kinds(log) == ["batch"]
         log.close()
+
+
+# ----------------------------------------------------------------------
+# Pinned regression: non-finite event times
+# ----------------------------------------------------------------------
+class TestNonFiniteEventTimeRegression:
+    def test_nan_timed_event_refused_and_worker_recovers(self, tmp_path):
+        """The wire decoder accepts ``NaN`` (plain ``json.loads``), and
+        ``NaN`` fails both halves of a ``t < 0 or t > now`` check, so a
+        NaN-timed event used to be admitted -- and the archival tap's
+        ``allow_nan=False`` encoder then raised inside ``service_pump``
+        on every (re)submission of the handoff.  Admission must refuse
+        it as invalid; the rest of the batch flows and is journaled."""
+        events = [ev("veh-a", f"sig.{i % 2}", 900.0 + i, i) for i in range(5)]
+        obj = json.loads(encode_batch(7, events))
+        obj[2][2][1] = float("nan")       # event_to_obj: index 1 is time
+        payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        assert b"NaN" in payload
+
+        core = WorkerCore(0, root=tmp_path, config=ServiceConfig())
+        report = core.ingest_handoff(1000.0, [(1, "veh-a", 7, payload)],
+                                     seq=1)
+        assert report.acks == ((1, 7, 5, 4),)
+        assert core.metrics()["rejected_invalid"] == 1.0
+        assert report.dispatched == 4
+        core.close()
+
+        restarted = WorkerCore(0, root=tmp_path, config=ServiceConfig(),
+                               recover=True)
+        assert restarted.soc._pump_no == 1
+        again = restarted.ingest_handoff(1000.0, [(1, "veh-a", 7, payload)],
+                                         seq=1)
+        assert again.acks == ((1, 7, 5, 4),)   # from the journal
+        assert restarted.replayed_handoffs == 1
+        restarted.close()
 
 
 # ----------------------------------------------------------------------

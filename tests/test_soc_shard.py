@@ -7,14 +7,15 @@ Three layers of machine-checked accounting:
   ``len(q) == accepted - drained - evicted``) under arbitrary
   offer/drain interleavings for all three shed policies, including the
   LOWEST_SEVERITY "never evict to admit less-severe" edge;
-- differential tests prove a ``ShardedIngestPipeline`` with
-  ``num_shards=1`` is byte-identical to a plain ``IngestPipeline`` on
-  the same deterministic stream, and that N-shard merged counters equal
-  the sum of per-shard counters;
+- differential tests prove an ``IngestPipeline`` with ``num_shards=1``
+  is byte-identical to the single-queue pipeline it replaced (a golden
+  recorded from that class on the same deterministic stream), and that
+  N-shard merged counters equal the sum of per-shard counters;
 - :class:`ConservationAudit` is exercised both as the oracle inside the
   differential drives and directly (it must *detect* a cooked ledger).
 """
 
+import hashlib
 import json
 import random
 
@@ -32,7 +33,6 @@ from repro.soc import (
     FleetWorkloadGenerator,
     IngestPipeline,
     SecurityOperationsCenter,
-    ShardedIngestPipeline,
     ShedPolicy,
     make_event,
     region_shard_key,
@@ -172,7 +172,8 @@ class TestBoundedQueueConservation:
 
 
 # ----------------------------------------------------------------------
-# Differential: sharded(1) == plain, merged == sum of shards
+# Differential: one shard == the pre-merge single-queue golden,
+# merged == sum of shards
 # ----------------------------------------------------------------------
 def _stream(n_events=400, seed=7):
     """Deterministic event stream with invalid/low-severity/overload mix."""
@@ -216,43 +217,57 @@ PIPE_KW = dict(capacity_eps=40.0, queue_capacity=32, batch_size=8,
                min_severity=Asil.A)
 
 
+#: Recorded from the single-queue ``IngestPipeline(**PIPE_KW)`` that
+#: preceded the sharded merge, driven by ``_drive(_stream())``: the
+#: exact ``json.dumps(metrics())`` bytes (key order included) and the
+#: SHA-256 of the sink log, one ``f"{now!r} {event_id}"`` line per
+#: delivered event.
+GOLDEN_ONE_SHARD_METRICS = (
+    '{"offered": 400.0, "rejected_invalid": 35.0, "rejected_severity": 59.0,'
+    ' "admitted": 306.0, "queued_shed": 1.0, "queue_refused": 0.0,'
+    ' "queue_evicted": 1.0, "shed_rate": 0.0032679738562091504,'
+    ' "dispatched": 305.0, "batches": 46.0, "queue_depth": 0.0,'
+    ' "queue_depth_max": 32.0, "mean_dispatch_latency_s": 0.3302124377166165,'
+    ' "max_dispatch_latency_s": 1.169217429802612}')
+GOLDEN_ONE_SHARD_SINK = (
+    305, "6e8bfafc34d18d305457737bc5c7d0fb5a0bbc674a70d140982167d5c3716b36")
+
+
 class TestDifferential:
     def test_one_shard_byte_identical_to_plain(self):
-        events = _stream()
-        plain = IngestPipeline(**PIPE_KW)
-        sharded = ShardedIngestPipeline(num_shards=1, **PIPE_KW)
-        seen_plain = _drive(plain, events)
-        seen_sharded = _drive(sharded, events)
+        pipe = IngestPipeline(**PIPE_KW)
+        seen = _drive(pipe, _stream())
 
-        assert seen_plain == seen_sharded        # same events, same order
-        assert plain.metrics() == sharded.metrics()
+        # Same events, same order, same dispatch times.
+        log = "\n".join(f"{now!r} {eid}" for now, eid in seen).encode()
+        assert (len(seen), hashlib.sha256(log).hexdigest()) \
+            == GOLDEN_ONE_SHARD_SINK
         # Byte-identical, not merely approximately equal.
-        assert (json.dumps(plain.metrics(), sort_keys=True)
-                == json.dumps(sharded.metrics(), sort_keys=True))
+        assert json.dumps(pipe.metrics()) == GOLDEN_ONE_SHARD_METRICS
         # The stream actually exercised every accounting path.
-        assert plain.rejected_invalid > 0
-        assert plain.rejected_severity > 0
-        assert plain.queue.lost > 0
-        assert plain.stats["dispatch"].exited > 0
+        shard = pipe.shards[0]
+        assert shard.rejected_invalid > 0
+        assert shard.rejected_severity > 0
+        assert shard.queue.lost > 0
+        assert shard.stats["dispatch"].exited > 0
 
     def test_one_shard_congestion_signal_matches_plain(self):
-        plain = IngestPipeline(**PIPE_KW)
-        sharded = ShardedIngestPipeline(num_shards=1, **PIPE_KW)
-        for pipe in (plain, sharded):
-            for seq in range(20):
-                pipe.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
+        # The single-queue pipeline read congested on all three
+        # signals once 20 events filled half its 32-slot queue.
+        pipe = IngestPipeline(**PIPE_KW)
+        for seq in range(20):
+            pipe.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
         event = ev("v0", "s", 0.0, 999)
-        assert plain.congested == sharded.congested
-        assert plain.fully_congested == sharded.fully_congested
-        assert plain.congested_for(event) == sharded.congested_for(event)
+        assert (pipe.congested, pipe.fully_congested,
+                pipe.congested_for(event)) == (True, True, True)
 
     def test_merged_counters_equal_sum_of_shards(self):
         events = _stream(n_events=600, seed=11)
-        sharded = ShardedIngestPipeline(num_shards=4, **PIPE_KW)
+        sharded = IngestPipeline(num_shards=4, **PIPE_KW)
         _drive(sharded, events)
 
         merged = sharded.metrics()
-        per_shard = sharded.shard_metrics()
+        per_shard = [s.metrics() for s in sharded.shards]
         assert len(per_shard) == 4
         assert sum(1 for m in per_shard if m["offered"]) > 1  # really spread
         for counter in ("offered", "rejected_invalid", "admitted",
@@ -269,8 +284,8 @@ class TestDifferential:
     ))
     @settings(max_examples=40, deadline=None)
     def test_shard_merge_accounting_always_conserves(self, rows):
-        sharded = ShardedIngestPipeline(num_shards=3, capacity_eps=20.0,
-                                        queue_capacity=8, batch_size=4)
+        sharded = IngestPipeline(num_shards=3, capacity_eps=20.0,
+                                 queue_capacity=8, batch_size=4)
         audit = ConservationAudit()
         for seq, (vehicle, sig, severity) in enumerate(rows):
             now = seq * 0.01
@@ -284,7 +299,7 @@ class TestDifferential:
         assert audit.failures == 0
         merged = sharded.metrics()
         assert merged["offered"] == len(rows)
-        per_shard = sharded.shard_metrics()
+        per_shard = [s.metrics() for s in sharded.shards]
         for counter in ("offered", "queued_shed", "dispatched", "queue_depth"):
             assert merged[counter] == sum(m[counter] for m in per_shard)
 
@@ -294,9 +309,9 @@ class TestDifferential:
 # ----------------------------------------------------------------------
 class TestShardedDrain:
     def test_first_pump_grants_one_cold_batch_per_worker(self):
-        sharded = ShardedIngestPipeline(num_shards=4, capacity_eps=1000.0,
-                                        queue_capacity=256, batch_size=8,
-                                        shard_key=lambda e, n: int(e.vehicle_id[1:]) % n)
+        sharded = IngestPipeline(num_shards=4, capacity_eps=1000.0,
+                                 queue_capacity=256, batch_size=8,
+                                 shard_key=lambda e, n: int(e.vehicle_id[1:]) % n)
         for seq in range(200):
             sharded.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
         # Regardless of elapsed time, a cold pool drains exactly
@@ -309,9 +324,9 @@ class TestShardedDrain:
     def test_budget_is_shared_and_work_conserving(self):
         # All events land on one hot shard; it may consume the whole
         # pool budget, not just 1/N of it.
-        sharded = ShardedIngestPipeline(num_shards=4, capacity_eps=100.0,
-                                        queue_capacity=512, batch_size=8,
-                                        shard_key=lambda e, n: 0)
+        sharded = IngestPipeline(num_shards=4, capacity_eps=100.0,
+                                 queue_capacity=512, batch_size=8,
+                                 shard_key=lambda e, n: 0)
         for seq in range(300):
             sharded.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
         sharded.pump(0.0)                        # cold batches
@@ -320,9 +335,9 @@ class TestShardedDrain:
         assert all(s.stats["dispatch"].exited == 0 for s in sharded.shards[1:])
 
     def test_round_robin_spreads_budget_across_hot_shards(self):
-        sharded = ShardedIngestPipeline(num_shards=2, capacity_eps=40.0,
-                                        queue_capacity=512, batch_size=8,
-                                        shard_key=lambda e, n: int(e.vehicle_id[1:]) % n)
+        sharded = IngestPipeline(num_shards=2, capacity_eps=40.0,
+                                 queue_capacity=512, batch_size=8,
+                                 shard_key=lambda e, n: int(e.vehicle_id[1:]) % n)
         for seq in range(200):
             sharded.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
         sharded.pump(0.0)
@@ -333,9 +348,9 @@ class TestShardedDrain:
 
     def test_per_shard_congestion_only_throttles_hot_partition(self):
         key = lambda e, n: int(e.vehicle_id[1:]) % n
-        sharded = ShardedIngestPipeline(num_shards=2, capacity_eps=10.0,
-                                        queue_capacity=16, batch_size=4,
-                                        shard_key=key)
+        sharded = IngestPipeline(num_shards=2, capacity_eps=10.0,
+                                 queue_capacity=16, batch_size=4,
+                                 shard_key=key)
         for seq in range(0, 40, 2):              # even vehicles -> shard 0
             sharded.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
         hot = ev("v2", "s", 0.0, 1000)
@@ -347,9 +362,9 @@ class TestShardedDrain:
 
     def test_generator_suppression_is_per_shard(self):
         key = lambda e, n: int(e.vehicle_id[1:]) % n
-        sharded = ShardedIngestPipeline(num_shards=2, capacity_eps=10.0,
-                                        queue_capacity=16, batch_size=4,
-                                        shard_key=key)
+        sharded = IngestPipeline(num_shards=2, capacity_eps=10.0,
+                                 queue_capacity=16, batch_size=4,
+                                 shard_key=key)
         sim = Simulator()
         fleet = FleetModel(10, [])
         generator = FleetWorkloadGenerator(sim, RngStreams(0), fleet, sharded,
@@ -374,14 +389,14 @@ class TestConservationAudit:
         audit = ConservationAudit()
         audit.check(pipe)
         assert audit.checks == 1
-        pipe.queue.shed += 1                      # cook the books
+        pipe.shards[0].queue.shed += 1            # cook the books
         with pytest.raises(ConservationError):
             audit.check(pipe)
         assert audit.failures == 1
         assert "offered" in audit.last_error
 
     def test_detects_vanished_dispatch_on_a_shard(self):
-        sharded = ShardedIngestPipeline(num_shards=2, **PIPE_KW)
+        sharded = IngestPipeline(num_shards=2, **PIPE_KW)
         for seq in range(20):
             sharded.offer(0.0, ev(f"v{seq}", f"sig-{seq}", 0.0, seq))
         sharded.pump(1.0)
@@ -411,7 +426,7 @@ class TestMergedRefusalCounters:
     def _overloaded(policy):
         # 4 shards x capacity 8: route vehicles round-robin, overfill two
         # shards so both refusal kinds occur, then drain everything.
-        sharded = ShardedIngestPipeline(
+        sharded = IngestPipeline(
             num_shards=4, capacity_eps=40.0, queue_capacity=8, batch_size=4,
             shed_policy=policy,
             shard_key=lambda e, n: int(e.vehicle_id[1:]) % n)
@@ -424,7 +439,7 @@ class TestMergedRefusalCounters:
     def test_refusals_surface_and_conserve_drop_newest(self):
         sharded = self._overloaded(ShedPolicy.DROP_NEWEST)
         merged = sharded.metrics()
-        per_shard = sharded.shard_metrics()
+        per_shard = [s.metrics() for s in sharded.shards]
         # Pinned: 24 offered, 8+8 fit, 4+4 refused at the door, none
         # evicted (DROP_NEWEST never removes queued events).
         assert merged["admitted"] == 24.0
