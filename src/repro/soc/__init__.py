@@ -6,9 +6,10 @@ centralized security policy and in-field extensibility (§7) presuppose a
 is actually a class-break in progress (§4.2), and pushes the fix back
 out.  This package is that backend:
 
-- :mod:`repro.soc.events` -- the normalized telemetry schema plus
-  adapters from every on-vehicle alert source (IDS, V2X misbehavior,
-  gateway quarantine, UDS SecurityAccess failures).
+- :mod:`repro.soc.events` -- the normalized telemetry schema (one tuple
+  that wire, log and shipments encode as-is, and its one validating
+  decoder) plus adapters from every on-vehicle alert source (IDS, V2X
+  misbehavior, gateway quarantine, UDS SecurityAccess failures).
 - :mod:`repro.soc.ingest` -- bounded-queue ingestion with batching,
   explicit load-shedding policies, and a backpressure signal: one
   pipeline of N shard queues drained round-robin from a worker pool
@@ -82,6 +83,7 @@ flood, and worker MTTR with a byte-identical restart differential.
 
 from repro.soc.events import (
     DEFAULT_SOURCE_SEVERITY,
+    CorruptRecord,
     EventSource,
     SecurityEvent,
     from_gateway_record,
@@ -132,7 +134,6 @@ from repro.soc.fleet import (
     seeded_campaigns,
 )
 from repro.soc.store import (
-    CorruptRecord,
     DurableStore,
     EventLog,
     LogRecord,

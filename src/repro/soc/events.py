@@ -8,25 +8,31 @@ across vehicles (let alone across sources) until those are normalized
 into one schema; this module is that schema plus the per-source
 constructors.
 
-``SecurityEvent`` is frozen and hashable; ``event_id`` is derived
-deterministically from (vehicle, source, signature, time, sequence) so a
-re-run of the same seeded simulation produces byte-identical ids -- the
-property the dedup/correlation tests and the E17 determinism guarantee
-rest on.
+``SecurityEvent`` is a named tuple in the canonical log order with a
+``str``-enum source and an ``int``-enum severity, so ``json.dumps``
+writes it as exactly the JSON array that the wire, the durable log and
+federation shipments carry; :func:`event_from_obj` is the one decoder
+back, and it validates every field.  Being a tuple, an event equals an
+equal plain tuple, and ``EventSource.IDS == "ids"``.  ``event_id`` is
+derived deterministically from (vehicle, source, signature, time,
+sequence) so a re-run of the same seeded simulation produces
+byte-identical ids -- the property the dedup/correlation tests and the
+E17 determinism guarantee rest on.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
 from enum import Enum
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.safety import Asil
 
 
-class EventSource(Enum):
-    """Which on-vehicle mechanism produced the telemetry."""
+class EventSource(str, Enum):
+    """Which on-vehicle mechanism produced the telemetry (a ``str`` enum,
+    so an event's source encodes as its value)."""
 
     IDS = "ids"
     V2X = "v2x"
@@ -80,14 +86,18 @@ def make_event_id(vehicle_id: str, source: "EventSource", signature: str,
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class SecurityEvent:
+class CorruptRecord(RuntimeError):
+    """Bytes that fail framing, CRC or the event schema: a record before
+    the log's recoverable tail, a wire payload, or a shipment."""
+
+
+class SecurityEvent(NamedTuple):
     """One normalized telemetry record as the VSOC ingests it.
 
     ``signature`` is the cross-fleet correlation key: two vehicles hit by
     the same attack tooling report the same signature (the paper's §4.2
-    class-break made observable).  ``detail`` is a frozen tuple of
-    key/value pairs so events stay hashable.
+    class-break made observable).  ``detail`` is a tuple of key/value
+    pairs with JSON-scalar values, so events stay hashable.
     """
 
     event_id: str
@@ -96,7 +106,7 @@ class SecurityEvent:
     source: EventSource
     signature: str
     severity: Asil = Asil.A
-    detail: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
+    detail: Tuple[Tuple[str, Any], ...] = ()
 
     def detail_dict(self) -> dict:
         return dict(self.detail)
@@ -105,6 +115,50 @@ class SecurityEvent:
     def is_actionable(self) -> bool:
         """QM telemetry is observability noise, never incident input."""
         return self.severity > Asil.QM
+
+
+_SOURCES: Dict[str, EventSource] = {s.value: s for s in EventSource}
+_SEVERITIES: Dict[int, Asil] = {int(a): a for a in Asil}
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _detail_pair(pair: Any) -> Tuple[str, Any]:
+    if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str:
+        raise CorruptRecord("malformed event detail pair")
+    key, value = pair
+    kind = type(value)
+    if kind not in _SCALARS or (kind is float and not math.isfinite(value)):
+        raise CorruptRecord("event detail value is not a finite JSON scalar")
+    return key, value
+
+
+def event_from_obj(obj: Any) -> SecurityEvent:
+    """Decode one event from its JSON array (wire, log and shipment
+    share the form), checking every field: string ids, vehicle and
+    signature; a finite ``int``/``float`` time (stored as ``float``); a
+    known source; an ``int`` severity within :class:`Asil`; and a list of
+    ``[str, JSON scalar]`` detail pairs.  Booleans are not numbers here.
+    Any violation raises :class:`CorruptRecord`."""
+    if type(obj) is not list or len(obj) != 7:
+        raise CorruptRecord("an event is a JSON array of 7 fields")
+    event_id, t, vehicle_id, source, signature, severity, detail = obj
+    if type(t) is int:
+        try:
+            t = float(t)
+        except OverflowError:  # outside float range: not a finite time
+            t = math.inf
+    if (type(event_id) is not str or type(vehicle_id) is not str
+            or type(signature) is not str or type(source) is not str
+            or type(severity) is not int or type(detail) is not list
+            or type(t) is not float or not math.isfinite(t)):
+        raise CorruptRecord("event field of the wrong type or not finite")
+    source = _SOURCES.get(source)
+    severity = _SEVERITIES.get(severity)
+    if source is None or severity is None:
+        raise CorruptRecord("unknown event source or severity")
+    return SecurityEvent(event_id, t, vehicle_id, source, signature,
+                         severity,
+                         tuple(map(_detail_pair, detail)) if detail else ())
 
 
 def _freeze(detail: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:

@@ -70,13 +70,13 @@ from repro.soc.correlate import (
 )
 from repro.soc.incident import Amendment, IncidentTracker
 from repro.soc.store import (
-    _HEADER,
-    _record_from_payload,
-    _dumps,
+    FRAME_HEADER,
     CorruptRecord,
     EventLog,
     LogRecord,
+    canonical_dumps,
     frame_payload,
+    record_from_payload,
     record_payload,
 )
 
@@ -113,8 +113,8 @@ def encode_shipment(shipment: Shipment) -> bytes:
     the wire format self-verifies exactly like a segment on disk."""
     if not shipment.records:
         raise ValueError("a shipment carries at least one record")
-    head = _dumps(["h", shipment.region, shipment.first_seq,
-                   shipment.last_seq, shipment.watermark])
+    head = canonical_dumps(["h", shipment.region, shipment.first_seq,
+                            shipment.last_seq, shipment.watermark])
     parts = [frame_payload(head)]
     for record in shipment.records:
         parts.append(frame_payload(record_payload(record)))
@@ -127,10 +127,10 @@ def decode_shipment(data: bytes) -> Shipment:
     payloads: List[bytes] = []
     offset = 0
     while offset < len(data):
-        if len(data) - offset < _HEADER.size:
+        if len(data) - offset < FRAME_HEADER.size:
             raise CorruptRecord("shipment: short frame header")
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
+        length, crc = FRAME_HEADER.unpack_from(data, offset)
+        start = offset + FRAME_HEADER.size
         payload = data[start:start + length]
         if len(payload) < length or zlib.crc32(payload) != crc:
             raise CorruptRecord("shipment: frame failed length/CRC check")
@@ -145,7 +145,7 @@ def decode_shipment(data: bytes) -> Shipment:
     first_seq, last_seq = int(first_seq), int(last_seq)
     if len(payloads) - 1 != last_seq - first_seq + 1:
         raise CorruptRecord("shipment: record count does not match header")
-    records = tuple(_record_from_payload(first_seq + i, p)
+    records = tuple(record_from_payload(first_seq + i, p)
                     for i, p in enumerate(payloads[1:]))
     if records[-1].dispatch_t != float(watermark):
         raise CorruptRecord("shipment: watermark does not match last record")

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.safety import Asil
 from repro.soc.events import SecurityEvent
@@ -106,9 +106,12 @@ class StageStats:
 class BoundedQueue:
     """Severity-bucketed FIFO with hard capacity and explicit shedding.
 
-    Events are kept in one deque per ASIL level; drain order is highest
-    severity first, FIFO within a level, which makes LOWEST_SEVERITY
-    eviction O(1) instead of an O(n) scan.
+    Entries are ``(enqueue_time, event)`` pairs kept in one deque per
+    ASIL level; drain order is highest severity first, FIFO within a
+    level, which makes LOWEST_SEVERITY eviction O(1) instead of an O(n)
+    scan.  Each entry carries its own copy's enqueue time, so an event
+    redelivered while a copy is still queued keeps both waits, whichever
+    way (dispatch or eviction) each copy leaves.
 
     Accounting is conservation-complete: every offered event ends up in
     exactly one of ``shed`` (refused at the door), ``evicted`` (accepted,
@@ -126,7 +129,7 @@ class BoundedQueue:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.policy = policy
-        self._buckets: Dict[Asil, Deque[SecurityEvent]] = {
+        self._buckets: Dict[Asil, Deque[Tuple[float, SecurityEvent]]] = {
             level: deque() for level in Asil
         }
         self._size = 0
@@ -149,49 +152,46 @@ class BoundedQueue:
         """Total events dropped at the queue (refusals + evictions)."""
         return self.shed + self.evicted
 
-    def offer(self, event: SecurityEvent) -> Optional[SecurityEvent]:
-        """Enqueue; returns the event shed to make room (possibly the
-        offered one), or ``None`` if nothing was dropped."""
+    def offer(self, now: float, event: SecurityEvent
+              ) -> Optional[SecurityEvent]:
+        """Enqueue ``event`` stamped with ``now``; returns the event shed
+        to make room (possibly the offered one), or ``None`` if nothing
+        was dropped."""
         self.offered += 1
         victim: Optional[SecurityEvent] = None
-        if self.full:
-            victim = self._evict_for(event)
-            if victim is event:
+        if self._size >= self.capacity:
+            bucket = self._victim_bucket(event.severity)
+            if bucket is None:
                 self.shed += 1
-                return victim
-        self._buckets[event.severity].append(event)
-        self._size += 1
-        self.accepted += 1
-        if self._size > self.depth_max:
-            self.depth_max = self._size
-        if victim is not None:
+                return event
+            victim = bucket.popleft()[1]
             self.evicted += 1
+        else:
+            self._size += 1
+            if self._size > self.depth_max:
+                self.depth_max = self._size
+        self._buckets[event.severity].append((now, event))
+        self.accepted += 1
         return victim
 
-    def _evict_for(self, incoming: SecurityEvent) -> SecurityEvent:
+    def _victim_bucket(self, severity: Asil
+                       ) -> Optional[Deque[Tuple[float, SecurityEvent]]]:
+        """The bucket whose head a full queue evicts for an arrival of
+        ``severity``, or ``None`` to refuse the arrival instead."""
         if self.policy is ShedPolicy.DROP_NEWEST:
-            return incoming
-        if self.policy is ShedPolicy.DROP_OLDEST:
-            # Oldest = head of the lowest non-empty severity bucket; stale
-            # low-severity telemetry goes before fresh critical alerts.
-            for level in Asil:
-                if self._buckets[level]:
-                    self._size -= 1
-                    return self._buckets[level].popleft()
-        # LOWEST_SEVERITY: evict from the least-severe non-empty bucket,
-        # but never to admit something even less severe.
-        for level in Asil:
-            bucket = self._buckets[level]
-            if bucket:
-                if level >= incoming.severity:
-                    return incoming
-                self._size -= 1
-                return bucket.popleft()
-        return incoming  # pragma: no cover - full implies a non-empty bucket
+            return None
+        # Both eviction policies take the head of the lowest non-empty
+        # bucket (a full queue has one): stale low-severity telemetry
+        # goes before fresh critical alerts.
+        level = next(level for level in Asil if self._buckets[level])
+        if self.policy is ShedPolicy.LOWEST_SEVERITY and level >= severity:
+            return None  # never evict to admit something even less severe
+        return self._buckets[level]
 
-    def drain(self, limit: int) -> List[SecurityEvent]:
-        """Dequeue up to ``limit`` events, highest severity first."""
-        out: List[SecurityEvent] = []
+    def drain(self, limit: int) -> List[Tuple[float, SecurityEvent]]:
+        """Dequeue up to ``limit`` ``(enqueue_time, event)`` entries,
+        highest severity first."""
+        out: List[Tuple[float, SecurityEvent]] = []
         if limit <= 0:
             return out
         for level in reversed(Asil):
@@ -226,15 +226,6 @@ class IngestShard:
         self.queue = BoundedQueue(queue_capacity, shed_policy)
         self._congestion_depth = max(1, int(queue_capacity * congestion_watermark))
         self._batch_sinks: List[Callable[[float, List[SecurityEvent]], None]] = []
-        # Enqueue timestamps keyed by *queue occupancy*, not by identity:
-        # an at-least-once transport can redeliver an event while its
-        # first copy is still queued, and a plain ``Dict[str, float]``
-        # would overwrite the first copy's timestamp (skewing the wait of
-        # one dispatch and zeroing the other).  Copies of one event_id
-        # share a severity bucket and leave in FIFO order -- for every
-        # exit path (dispatch *and* eviction both take the bucket head)
-        # -- so a FIFO of timestamps per id keeps each copy's wait exact.
-        self._enqueue_time: Dict[str, Deque[float]] = {}
         self.stats = {
             "admit": StageStats("admit"),
             "dispatch": StageStats("dispatch"),
@@ -276,48 +267,29 @@ class IngestShard:
             return False
         admit.exited += 1
 
-        victim = self.queue.offer(event)
-        if victim is event:
-            # Refused at the door: it never had an enqueue timestamp (a
-            # queued copy of the same id keeps its own).
-            return False
-        if victim is not None:
-            self._drop_enqueue_time(victim)
-        self._enqueue_time.setdefault(event.event_id, deque()).append(now)
-        return True
-
-    def _drop_enqueue_time(self, victim: SecurityEvent) -> None:
-        """Forget the oldest queued copy's timestamp when it is evicted
-        (evictions pop the bucket head, i.e. the oldest copy of an id)."""
-        times = self._enqueue_time.get(victim.event_id)
-        if times:
-            times.popleft()
-            if not times:
-                del self._enqueue_time[victim.event_id]
+        queue = self.queue
+        shed = queue.shed
+        queue.offer(now, event)
+        return queue.shed == shed  # not refused at the door: queued
 
     def dispatch(self, now: float, limit: int) -> int:
         """Drain one batch of up to ``limit`` events and deliver it to
         the sinks; returns its size (the owning pipeline sizes batches
         and decides the allowance)."""
-        batch = self.queue.drain(limit)
-        if not batch:
+        entries = self.queue.drain(limit)
+        if not entries:
             return 0
         dispatch = self.stats["dispatch"]
         dispatch.batches += 1
-        for event in batch:
-            dispatch.entered += 1
-            times = self._enqueue_time.get(event.event_id)
-            if times:
-                t_in = times.popleft()
-                if not times:
-                    del self._enqueue_time[event.event_id]
-            else:  # pragma: no cover - defensive; every queued copy logs a time
-                t_in = now
+        batch: List[SecurityEvent] = []
+        for t_in, event in entries:
             wait = max(0.0, now - t_in)
             dispatch.latency_sum_s += wait
             if wait > dispatch.latency_max_s:
                 dispatch.latency_max_s = wait
-            dispatch.exited += 1
+            batch.append(event)
+        dispatch.entered += len(batch)
+        dispatch.exited += len(batch)
         for batch_sink in self._batch_sinks:
             batch_sink(now, batch)
         return len(batch)

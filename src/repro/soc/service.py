@@ -91,19 +91,18 @@ from repro.soc.center import (
     SecurityOperationsCenter,
     recover_soc_state,
 )
-from repro.soc.events import SecurityEvent
+from repro.soc.events import SecurityEvent, event_from_obj
 from repro.soc.fleet import FleetModel
 from repro.soc.ingest import TokenBucket
-from repro.soc.shard import ConservationAudit, _stable_hash
+from repro.soc.shard import ConservationAudit, stable_hash
 from repro.soc.store import (
-    _MAGIC,
-    _scan_valid_prefix,
+    FRAME_HEADER,
+    SEGMENT_MAGIC,
     CorruptRecord,
     DurableStore,
     canonical_dumps,
-    event_from_obj,
-    event_to_obj,
     frame_payload,
+    scan_valid_prefix,
     unframe_payload,
 )
 
@@ -172,11 +171,11 @@ def encode_welcome(shard: int, num_workers: int, credits: int) -> bytes:
 
 
 def encode_batch(batch_id: int, events: Sequence[SecurityEvent]) -> bytes:
-    """One client event batch.  The events ride as the exact canonical
-    objects the durable log stores (:func:`~repro.soc.store.event_to_obj`),
-    so a worker's archival tap re-serializes them byte-identically."""
-    return canonical_dumps(
-        [_T_BATCH, batch_id, [event_to_obj(e) for e in events]])
+    """One client event batch.  Each event rides as the same canonical
+    JSON array the durable log stores (a
+    :class:`~repro.soc.events.SecurityEvent` is that array as a tuple),
+    so a worker's archival tap re-serializes it byte-identically."""
+    return canonical_dumps([_T_BATCH, batch_id, list(events)])
 
 
 def encode_ack(batch_id: int, accepted: int, credits: int) -> bytes:
@@ -276,15 +275,17 @@ def decode_message(payload: bytes) -> Tuple:
 
     BATCH payloads come back as ``("e", batch_id, [SecurityEvent, ...])``
     -- the inverse of :func:`encode_batch`, hypothesis-tested
-    byte-identical on the round trip.  Unknown tags raise
+    byte-identical on the round trip.  Events go through the validating
+    :func:`~repro.soc.events.event_from_obj`.  Unknown tags and
+    schema-violating events raise
     :class:`~repro.soc.store.CorruptRecord` (a framed-but-nonsense
-    payload is rejected, never half-interpreted).
+    payload is rejected whole, never half-interpreted).
     """
     try:
         obj = json.loads(payload.decode("utf-8"))
         tag = obj[0]
         if tag == _T_BATCH:
-            return (_T_BATCH, int(obj[1]), [event_from_obj(o) for o in obj[2]])
+            return (_T_BATCH, int(obj[1]), list(map(event_from_obj, obj[2])))
         if tag == _T_ACK:
             return (_T_ACK, int(obj[1]), int(obj[2]), int(obj[3]))
         if tag == _T_HELLO:
@@ -338,8 +339,6 @@ class FrameStreamDecoder:
     before the tail.
     """
 
-    _HDR = 8  # u32 len + u32 crc, same header the log's segments use
-
     def __init__(self, max_frame_bytes: int = 1 << 24) -> None:
         self.max_frame_bytes = max_frame_bytes
         self._buf = bytearray()
@@ -361,15 +360,16 @@ class FrameStreamDecoder:
         self._buf += data
         out: List[bytes] = []
         buf = self._buf
+        hdr = FRAME_HEADER.size  # the log's record header
         pos = 0
         try:
-            while len(buf) - pos >= self._HDR:
+            while len(buf) - pos >= hdr:
                 length = int.from_bytes(buf[pos:pos + 4], "little")
                 if length > self.max_frame_bytes:
                     raise CorruptRecord(
                         f"frame length {length} exceeds "
                         f"{self.max_frame_bytes}")
-                end = pos + self._HDR + length
+                end = pos + hdr + length
                 if len(buf) < end:
                     break
                 # unframe_payload re-checks length and CRC -- one code
@@ -456,13 +456,13 @@ class _HandoffJournal:
         self.keep = keep
         self.entries: Dict[int, Tuple[Tuple[int, int, int, int], ...]] = {}
         if self.path.exists():
-            payloads, _ = _scan_valid_prefix(self.path)
+            payloads, _ = scan_valid_prefix(self.path)
             for payload in payloads:
                 obj = json.loads(payload.decode("utf-8"))
                 self.entries[int(obj[1])] = tuple(
                     tuple(int(x) for x in ack) for ack in obj[2])
         else:
-            self.path.write_bytes(_MAGIC)
+            self.path.write_bytes(SEGMENT_MAGIC)
         self._fh = open(self.path, "ab")
 
     def lookup(self, seq: int) -> Tuple[Tuple[int, int, int, int], ...]:
@@ -486,7 +486,7 @@ class _HandoffJournal:
         self._fh.close()
         tmp = self.path.with_suffix(".tmp")
         with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
+            fh.write(SEGMENT_MAGIC)
             for seq in recent:
                 fh.write(frame_payload(canonical_dumps(
                     ["j", seq, [list(a) for a in self.entries[seq]]])))
@@ -943,7 +943,7 @@ class _ProcessBackend:
 def shard_for_client(client_id: str, num_workers: int) -> int:
     """Connection-level shard key: CRC-32 of the client id (process-
     stable, like every shard key in :mod:`repro.soc.shard`)."""
-    return _stable_hash(client_id) % num_workers
+    return stable_hash(client_id) % num_workers
 
 
 # ----------------------------------------------------------------------

@@ -42,19 +42,19 @@ from repro.soc.events import SecurityEvent
 ShardKeyFn = Callable[[SecurityEvent, int], int]
 
 
-def _stable_hash(text: str) -> int:
+def stable_hash(text: str) -> int:
     """Process-stable 32-bit hash (CRC-32; ``hash()`` is salted)."""
     return zlib.crc32(text.encode("utf-8"))
 
 
 def signature_shard_key(event: SecurityEvent, num_shards: int) -> int:
     """Partition by attack signature: one campaign, one shard."""
-    return _stable_hash(event.signature) % num_shards
+    return stable_hash(event.signature) % num_shards
 
 
 def region_shard_key(event: SecurityEvent, num_shards: int) -> int:
     """Partition by vehicle (a proxy for region/tenant residency)."""
-    return _stable_hash(event.vehicle_id) % num_shards
+    return stable_hash(event.vehicle_id) % num_shards
 
 
 class ConservationError(AssertionError):

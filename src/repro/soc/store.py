@@ -30,10 +30,11 @@ On-disk record format (one segment file = ``SOCLOG1\\n`` magic + records)::
     └──────────┴──────────────┴───────────────────┘
 
 The payload is canonical JSON: ``["b", dispatch_t, shard, [event, ...]]``
-for one archived *dispatched batch* (one record per batch-sink call, so
-replay sees exactly the batch boundaries the live correlators saw --
-incident attribution is batch-boundary-sensitive), and
-``["m", pump_t, pump_no]`` for a pump marker.  A
+(each event its :class:`~repro.soc.events.SecurityEvent` tuple as a
+JSON array) for one archived *dispatched batch* (one record per
+batch-sink call, so replay sees exactly the batch boundaries the live
+correlators saw -- incident attribution is batch-boundary-sensitive),
+and ``["m", pump_t, pump_no]`` for a pump marker.  A
 **torn write** (process killed mid-append) leaves a short or
 CRC-mismatching tail; opening the log truncates the tail segment back to
 its last whole record -- earlier records are never touched, and a CRC
@@ -62,11 +63,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.safety import Asil
-from repro.soc.events import EventSource, SecurityEvent
+from repro.soc.events import CorruptRecord, SecurityEvent, event_from_obj
 
-_MAGIC = b"SOCLOG1\n"
-_HEADER = struct.Struct("<II")  # record length, CRC32 of the payload
+#: First bytes of every segment file (and of the service's journal).
+SEGMENT_MAGIC = b"SOCLOG1\n"
+#: Record header: payload length, CRC32 of the payload (little-endian).
+FRAME_HEADER = struct.Struct("<II")
 
 #: When to fsync the active segment: ``never`` (OS buffering only),
 #: ``rotate`` (at segment close and explicit :meth:`EventLog.sync` --
@@ -75,44 +77,16 @@ _HEADER = struct.Struct("<II")  # record length, CRC32 of the payload
 FSYNC_POLICIES = ("never", "rotate", "always")
 
 
-class CorruptRecord(RuntimeError):
-    """A record *before* the recoverable tail failed CRC/framing."""
-
-
 # ----------------------------------------------------------------------
-# Event codec: canonical JSON, byte-identical round trip
+# Codec: canonical JSON, byte-identical round trip
 # ----------------------------------------------------------------------
 
-def _event_obj(event: SecurityEvent) -> list:
-    return [
-        event.event_id,
-        event.time,
-        event.vehicle_id,
-        event.source.value,
-        event.signature,
-        int(event.severity),
-        [[k, v] for k, v in event.detail],
-    ]
-
-
-def _event_from_obj(obj: Sequence) -> SecurityEvent:
-    eid, t, vid, src, sig, sev, detail = obj
-    return SecurityEvent(
-        event_id=eid,
-        time=float(t),
-        vehicle_id=vid,
-        source=EventSource(src),
-        signature=sig,
-        severity=Asil(sev),
-        detail=tuple((k, v) for k, v in detail),
-    )
-
-
-def _dumps(obj) -> bytes:
-    # Compact separators + repr-based floats: Python floats round-trip
-    # exactly through json, so re-encoding a decoded event reproduces
-    # the original bytes.  NaN times are rejected (they would break the
-    # watermark ordering the sparse index relies on).
+def canonical_dumps(obj) -> bytes:
+    """The one encoding of wire messages, log records and shipments (an
+    event encodes as-is).  Compact separators + repr-based floats: Python
+    floats round-trip exactly through json, so re-encoding a decoded
+    event reproduces the original bytes.  NaN and infinities are
+    rejected (they would break the sparse index's watermark order)."""
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False,
                       allow_nan=False).encode("utf-8")
 
@@ -120,13 +94,14 @@ def _dumps(obj) -> bytes:
 def encode_event(event: SecurityEvent) -> bytes:
     """Canonical wire form of one event.  ``detail`` values must be JSON
     scalars (everything the adapters in :mod:`repro.soc.events` emit)."""
-    return _dumps(_event_obj(event))
+    return canonical_dumps(event)
 
 
 def decode_event(data: bytes) -> SecurityEvent:
-    """Inverse of :func:`encode_event` (hypothesis-tested byte-identical:
-    ``encode(decode(b)) == b`` and ``decode(encode(e)) == e``)."""
-    return _event_from_obj(json.loads(data.decode("utf-8")))
+    """Inverse of :func:`encode_event`, validating (hypothesis-tested
+    byte-identical: ``encode(decode(b)) == b`` and
+    ``decode(encode(e)) == e``)."""
+    return event_from_obj(json.loads(data.decode("utf-8")))
 
 
 @dataclass(frozen=True)
@@ -151,12 +126,14 @@ class ScanHit:
     event: SecurityEvent
 
 
-def _record_from_payload(seq: int, payload: bytes) -> LogRecord:
+def record_from_payload(seq: int, payload: bytes) -> LogRecord:
+    """Inverse of :func:`record_payload`; raises :class:`CorruptRecord`
+    on an unknown tag or a schema-violating event."""
     obj = json.loads(payload.decode("utf-8"))
     if obj[0] == "b":
         return LogRecord(seq=seq, kind="batch", dispatch_t=float(obj[1]),
                          shard=int(obj[2]),
-                         events=tuple(_event_from_obj(e) for e in obj[3]))
+                         events=tuple(map(event_from_obj, obj[3])))
     if obj[0] == "m":
         return LogRecord(seq=seq, kind="mark", dispatch_t=float(obj[1]),
                          pump_no=int(obj[2]))
@@ -165,42 +142,32 @@ def _record_from_payload(seq: int, payload: bytes) -> LogRecord:
 
 def record_payload(record: LogRecord) -> bytes:
     """Canonical wire payload of one :class:`LogRecord` (the inverse of
-    :func:`_record_from_payload`): re-encoding a decoded record
+    :func:`record_from_payload`): re-encoding a decoded record
     reproduces the on-disk payload bytes exactly, so a shipped record is
     byte-identical to the one the region archived."""
     if record.kind == "batch":
-        return _dumps(["b", record.dispatch_t, record.shard,
-                       [_event_obj(e) for e in record.events]])
+        return canonical_dumps(["b", record.dispatch_t, record.shard,
+                                record.events])
     if record.kind == "mark":
-        return _dumps(["m", record.dispatch_t, record.pump_no])
+        return canonical_dumps(["m", record.dispatch_t, record.pump_no])
     raise ValueError(f"unknown record kind {record.kind!r}")
-
-
-#: Public aliases for the canonical codec building blocks, reused by the
-#: network wire protocol (:mod:`repro.soc.service`): wire frames carry
-#: the same ``u32len|CRC32`` envelope and the same canonical-JSON event
-#: objects as log records, so wire bytes, log bytes, and shipment bytes
-#: all share one self-verifying codec (and one test harness).
-canonical_dumps = _dumps
-event_to_obj = _event_obj
-event_from_obj = _event_from_obj
 
 
 def frame_payload(payload: bytes) -> bytes:
     """Frame one payload with the log's record codec (``u32 len | u32
     CRC32 | payload``) -- the same self-verifying envelope segments use
     on disk, reused by the federation shippers on the wire."""
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def unframe_payload(data: bytes) -> bytes:
     """Inverse of :func:`frame_payload`: verify framing + CRC, return
     the payload.  Raises :class:`CorruptRecord` on any damage -- a
     corrupted shipment is rejected whole, never half-applied."""
-    if len(data) < _HEADER.size:
+    if len(data) < FRAME_HEADER.size:
         raise CorruptRecord("short frame header")
-    length, crc = _HEADER.unpack(data[:_HEADER.size])
-    payload = data[_HEADER.size:]
+    length, crc = FRAME_HEADER.unpack(data[:FRAME_HEADER.size])
+    payload = data[FRAME_HEADER.size:]
     if len(payload) != length or zlib.crc32(payload) != crc:
         raise CorruptRecord("frame failed length/CRC check")
     return payload
@@ -228,48 +195,48 @@ def _segment_first_seq(path: Path) -> int:
     return int(path.stem.split("-")[1])
 
 
-def _iter_payloads(path: Path, start_offset: int = len(_MAGIC),
+def _iter_payloads(path: Path, start_offset: int = len(SEGMENT_MAGIC),
                    stop_offset: Optional[int] = None,
                    ) -> Iterator[Tuple[int, bytes]]:
     """Yield ``(offset, payload)`` for whole, CRC-valid records.  Raises
     :class:`CorruptRecord` on a framing/CRC failure (callers that expect
-    a recoverable torn tail use :func:`_scan_valid_prefix` instead)."""
+    a recoverable torn tail use :func:`scan_valid_prefix` instead)."""
     with open(path, "rb") as fh:
         fh.seek(start_offset)
         offset = start_offset
         while stop_offset is None or offset < stop_offset:
-            header = fh.read(_HEADER.size)
+            header = fh.read(FRAME_HEADER.size)
             if not header:
                 return
-            if len(header) < _HEADER.size:
+            if len(header) < FRAME_HEADER.size:
                 raise CorruptRecord(f"{path.name}: short header at {offset}")
-            length, crc = _HEADER.unpack(header)
+            length, crc = FRAME_HEADER.unpack(header)
             payload = fh.read(length)
             if len(payload) < length or zlib.crc32(payload) != crc:
                 raise CorruptRecord(f"{path.name}: bad record at {offset}")
             yield offset, payload
-            offset += _HEADER.size + length
+            offset += FRAME_HEADER.size + length
 
 
-def _scan_valid_prefix(path: Path) -> Tuple[List[bytes], int]:
+def scan_valid_prefix(path: Path) -> Tuple[List[bytes], int]:
     """Read a segment tolerating a torn tail: returns every whole valid
     record plus the byte offset where validity ends (the truncate point)."""
     payloads: List[bytes] = []
-    good_end = len(_MAGIC)
+    good_end = len(SEGMENT_MAGIC)
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            return [], len(_MAGIC)
+        magic = fh.read(len(SEGMENT_MAGIC))
+        if magic != SEGMENT_MAGIC:
+            return [], len(SEGMENT_MAGIC)
         while True:
-            header = fh.read(_HEADER.size)
-            if len(header) < _HEADER.size:
+            header = fh.read(FRAME_HEADER.size)
+            if len(header) < FRAME_HEADER.size:
                 break
-            length, crc = _HEADER.unpack(header)
+            length, crc = FRAME_HEADER.unpack(header)
             payload = fh.read(length)
             if len(payload) < length or zlib.crc32(payload) != crc:
                 break
             payloads.append(payload)
-            good_end += _HEADER.size + length
+            good_end += FRAME_HEADER.size + length
     return payloads, good_end
 
 
@@ -304,7 +271,7 @@ class EventLog:
         self._fh = None
         self._first_seq = 1          # first seq of the active segment
         self._count = 0              # records in the active segment
-        self._offset = len(_MAGIC)   # append position in the active segment
+        self._offset = len(SEGMENT_MAGIC)  # append position in it
         self._checkpoints: List[List[float]] = []
         self._min_t: Optional[float] = None
         self._max_t: Optional[float] = None
@@ -343,15 +310,15 @@ class EventLog:
         tail = segments[-1]
         size = tail.stat().st_size
         with open(tail, "rb") as fh:
-            magic_ok = fh.read(len(_MAGIC)) == _MAGIC
+            magic_ok = fh.read(len(SEGMENT_MAGIC)) == SEGMENT_MAGIC
         if not magic_ok:
             # Torn during segment creation: nothing recoverable in it.
             with open(tail, "wb") as fh:
-                fh.write(_MAGIC)
+                fh.write(SEGMENT_MAGIC)
             self.truncated_bytes = size
             payloads = []
         else:
-            payloads, good_end = _scan_valid_prefix(tail)
+            payloads, good_end = scan_valid_prefix(tail)
             if good_end < size:
                 with open(tail, "r+b") as fh:
                     fh.truncate(good_end)
@@ -359,7 +326,7 @@ class EventLog:
         # Rebuild the active segment's in-memory index state.
         self._first_seq = _segment_first_seq(tail)
         self._count = 0
-        self._offset = len(_MAGIC)
+        self._offset = len(SEGMENT_MAGIC)
         self._checkpoints = []
         self._min_t = self._max_t = self._watermark = None
         for payload in payloads:
@@ -370,11 +337,11 @@ class EventLog:
     def _open_segment(self, first_seq: int) -> None:
         self._first_seq = first_seq
         self._count = 0
-        self._offset = len(_MAGIC)
+        self._offset = len(SEGMENT_MAGIC)
         self._checkpoints = []
         self._min_t = self._max_t = self._watermark = None
         self._fh = open(self._segment_path(first_seq), "wb")
-        self._fh.write(_MAGIC)
+        self._fh.write(SEGMENT_MAGIC)
 
     # ------------------------------------------------------------------
     # Append path
@@ -397,7 +364,7 @@ class EventLog:
         obj = json.loads(payload.decode("utf-8"))
         if obj[0] == "b":
             self._note_times([float(e[1]) for e in obj[3]])
-        self._offset += _HEADER.size + len(payload)
+        self._offset += FRAME_HEADER.size + len(payload)
         self._count += 1
 
     def _append_payload(self, payload: bytes,
@@ -408,9 +375,9 @@ class EventLog:
             self._checkpoints.append(
                 [self._offset, self._count,
                  self._watermark if self._watermark is not None else None])
-        self._fh.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
+        self._fh.write(FRAME_HEADER.pack(len(payload), zlib.crc32(payload)))
         self._fh.write(payload)
-        self._offset += _HEADER.size + len(payload)
+        self._offset += FRAME_HEADER.size + len(payload)
         self._count += 1
         self.last_seq += 1
         self.appended += 1
@@ -433,15 +400,14 @@ class EventLog:
         calls this once per dispatch batch, which is what preserves the
         batch boundaries replay needs); returns its sequence number."""
         seq = self._append_payload(
-            _dumps(["b", dispatch_t, shard,
-                    [_event_obj(e) for e in events]]),
+            canonical_dumps(["b", dispatch_t, shard, events]),
             [e.time for e in events])
         self._policy_sync()
         return seq
 
     def append_mark(self, t: float, pump_no: int) -> int:
         """Append a pump marker: replay re-runs the campaign merge here."""
-        seq = self._append_payload(_dumps(["m", t, pump_no]), ())
+        seq = self._append_payload(canonical_dumps(["m", t, pump_no]), ())
         self._policy_sync()
         return seq
 
@@ -509,19 +475,19 @@ class EventLog:
                  "segments_deleted": 0}
         for path in reversed(self.segment_paths()):
             size = path.stat().st_size
-            payloads, _ = _scan_valid_prefix(path)
-            keep_end = len(_MAGIC)
+            payloads, _ = scan_valid_prefix(path)
+            keep_end = len(SEGMENT_MAGIC)
             keep_records = 0
-            offset = len(_MAGIC)
+            offset = len(SEGMENT_MAGIC)
             for i, payload in enumerate(payloads):
-                offset += _HEADER.size + len(payload)
+                offset += FRAME_HEADER.size + len(payload)
                 if payload.startswith(b'["m"'):
                     keep_end = offset
                     keep_records = i + 1
             if keep_records == 0:
                 # No marker anywhere in this segment: nothing survives.
                 stats["records_dropped"] += len(payloads)
-                stats["bytes_dropped"] += max(0, size - len(_MAGIC))
+                stats["bytes_dropped"] += max(0, size - len(SEGMENT_MAGIC))
                 stats["segments_deleted"] += 1
                 self._index_path(path).unlink(missing_ok=True)
                 path.unlink()
@@ -575,7 +541,7 @@ class EventLog:
                 seq = info.first_seq + i
                 if seq <= after_seq:
                     continue
-                yield _record_from_payload(seq, payload)
+                yield record_from_payload(seq, payload)
 
     def tail(self, after_seq: int = 0) -> Iterator[LogRecord]:
         """Yield every record with ``seq > after_seq`` like
@@ -601,7 +567,7 @@ class EventLog:
             if info.first_seq + info.count - 1 <= after_seq:
                 stats["segments_skipped"] += 1
                 continue
-            start_offset, start_index = len(_MAGIC), 0
+            start_offset, start_index = len(SEGMENT_MAGIC), 0
             # Records are seq-contiguous, so checkpoint ``record_index``
             # maps directly to seq: seek to the last checkpoint whose
             # first record is still <= the resume point.
@@ -610,7 +576,7 @@ class EventLog:
                     start_offset, start_index = int(offset), int(index)
                 else:
                     break
-            stats["bytes_seeked"] += start_offset - len(_MAGIC)
+            stats["bytes_seeked"] += start_offset - len(SEGMENT_MAGIC)
             for i, (_, payload) in enumerate(_iter_payloads(
                     info.path, start_offset=start_offset)):
                 stats["records_read"] += 1
@@ -618,7 +584,7 @@ class EventLog:
                 if seq <= after_seq:
                     continue
                 stats["records_yielded"] += 1
-                yield _record_from_payload(seq, payload)
+                yield record_from_payload(seq, payload)
 
     def scan(self, signature: Optional[str] = None,
              vehicle_id: Optional[str] = None,
@@ -648,7 +614,7 @@ class EventLog:
                         and info.max_t < t0)):
                 stats["segments_skipped"] += 1
                 continue
-            start_offset, start_index = len(_MAGIC), 0
+            start_offset, start_index = len(SEGMENT_MAGIC), 0
             stop_offset: Optional[int] = None
             if t0 is not None:
                 for offset, index, watermark in info.checkpoints:
@@ -664,12 +630,12 @@ class EventLog:
                             watermark > t1 + max_disorder_s):
                         stop_offset = int(offset)
                         break
-            stats["bytes_seeked"] += start_offset - len(_MAGIC)
+            stats["bytes_seeked"] += start_offset - len(SEGMENT_MAGIC)
             for i, (_, payload) in enumerate(_iter_payloads(
                     info.path, start_offset=start_offset,
                     stop_offset=stop_offset)):
                 stats["records_read"] += 1
-                record = _record_from_payload(
+                record = record_from_payload(
                     info.first_seq + start_index + i, payload)
                 if record.kind != "batch":
                     continue

@@ -109,28 +109,43 @@ class TestBoundedQueue:
     def test_drop_newest_refuses_arrival(self):
         q = BoundedQueue(2, ShedPolicy.DROP_NEWEST)
         e1, e2, e3 = (ev("v1", "s", 0.0), ev("v2", "s", 0.1), ev("v3", "s", 0.2))
-        assert q.offer(e1) is None and q.offer(e2) is None
-        assert q.offer(e3) is e3
+        assert q.offer(0.0, e1) is None and q.offer(0.1, e2) is None
+        assert q.offer(0.2, e3) is e3
         assert q.shed == 1 and len(q) == 2
 
     def test_drop_oldest_evicts_head(self):
         q = BoundedQueue(2, ShedPolicy.DROP_OLDEST)
         e1, e2, e3 = (ev("v1", "s", 0.0), ev("v2", "s", 0.1), ev("v3", "s", 0.2))
-        q.offer(e1), q.offer(e2)
-        victim = q.offer(e3)
+        q.offer(0.0, e1), q.offer(0.1, e2)
+        victim = q.offer(0.2, e3)
         assert victim is e1
-        assert [e.vehicle_id for e in q.drain(10)] == ["v2", "v3"]
+        assert [e.vehicle_id for _, e in q.drain(10)] == ["v2", "v3"]
 
     def test_lowest_severity_eviction(self):
         q = BoundedQueue(2, ShedPolicy.LOWEST_SEVERITY)
         low = ev("v1", "s", 0.0, severity=Asil.A)
         high = ev("v2", "s", 0.1, severity=Asil.D)
         incoming = ev("v3", "s", 0.2, severity=Asil.C)
-        q.offer(low), q.offer(high)
-        assert q.offer(incoming) is low
+        q.offer(0.0, low), q.offer(0.1, high)
+        assert q.offer(0.2, incoming) is low
         # ...but never evicts to admit something less severe.
         lower = ev("v4", "s", 0.3, severity=Asil.A)
-        assert q.offer(lower) is lower
+        assert q.offer(0.3, lower) is lower
+
+    def test_arrival_evicting_its_own_queued_copy_is_conserved(self):
+        # Redelivering the very object at the eviction head used to count
+        # as a refusal after the head was already popped: the event
+        # vanished and len(q) != accepted - drained - evicted.
+        q = BoundedQueue(1, ShedPolicy.DROP_OLDEST)
+        e = ev("v1", "s", 0.0)
+        assert q.offer(0.0, e) is None
+        assert q.offer(1.0, e) is e            # its older copy made room
+        assert (len(q), q.accepted, q.evicted, q.shed) == (1, 2, 1, 0)
+        assert q.drain(10) == [(1.0, e)]
+        pipe = IngestPipeline(queue_capacity=1,
+                              shed_policy=ShedPolicy.DROP_OLDEST)
+        assert pipe.offer(0.0, e) and pipe.offer(1.0, e)   # both queued
+        ConservationAudit().check(pipe)
 
     def test_drain_is_severity_then_fifo(self):
         q = BoundedQueue(8, ShedPolicy.DROP_OLDEST)
@@ -138,8 +153,8 @@ class TestBoundedQueue:
         d1 = ev("v2", "s", 0.1, severity=Asil.D)
         a2 = ev("v3", "s", 0.2, severity=Asil.A)
         for e in (a1, d1, a2):
-            q.offer(e)
-        assert [e.vehicle_id for e in q.drain(10)] == ["v2", "v1", "v3"]
+            q.offer(e.time, e)
+        assert q.drain(10) == [(0.1, d1), (0.0, a1), (0.2, a2)]
 
 
 class TestIngestPipeline:
@@ -246,7 +261,14 @@ class TestIngestAccountingRegressions:
         assert dispatch.latency_sum_s == pytest.approx(3.0)   # 2.0 + 1.0
         assert dispatch.latency_max_s == pytest.approx(2.0)
         assert pipe.metrics()["mean_dispatch_latency_s"] == pytest.approx(1.5)
-        assert not pipe.shards[0]._enqueue_time  # fully reclaimed
+        # Nothing of either copy lingers: a later copy of the same id
+        # reports only its own wait.
+        assert pipe.offer(5.0, event)
+        assert pipe.dispatch(5.5, 2) == 1
+        assert dispatch.latency_sum_s == pytest.approx(3.5)   # + 0.5
+        assert dispatch.latency_max_s == pytest.approx(2.0)
+        assert pipe.metrics()["mean_dispatch_latency_s"] == pytest.approx(
+            3.5 / 3)
 
     def test_eviction_forgets_oldest_copy_timestamp(self):
         pipe = IngestPipeline(queue_capacity=2, capacity_eps=100.0,

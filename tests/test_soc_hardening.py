@@ -739,29 +739,87 @@ class TestNonFiniteEventTimeRegression:
         ``NaN`` fails both halves of a ``t < 0 or t > now`` check, so a
         NaN-timed event used to be admitted -- and the archival tap's
         ``allow_nan=False`` encoder then raised inside ``service_pump``
-        on every (re)submission of the handoff.  Admission must refuse
-        it as invalid; the rest of the batch flows and is journaled."""
+        on every (re)submission of the handoff.  A non-finite time is a
+        schema violation, so the validating decoder refuses its batch
+        whole (admission's range check still refuses NaN from in-process
+        callers); the handoff's other batch flows and is journaled."""
         events = [ev("veh-a", f"sig.{i % 2}", 900.0 + i, i) for i in range(5)]
         obj = json.loads(encode_batch(7, events))
-        obj[2][2][1] = float("nan")       # event_to_obj: index 1 is time
+        obj[2][2][1] = float("nan")       # an event array: index 1 is time
         payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
         assert b"NaN" in payload
+        items = [(1, "veh-a", 7, payload), (1, "veh-a", 8, batch("veh-a", 8))]
 
         core = WorkerCore(0, root=tmp_path, config=ServiceConfig())
-        report = core.ingest_handoff(1000.0, [(1, "veh-a", 7, payload)],
-                                     seq=1)
-        assert report.acks == ((1, 7, 5, 4),)
-        assert core.metrics()["rejected_invalid"] == 1.0
-        assert report.dispatched == 4
+        report = core.ingest_handoff(1000.0, items, seq=1)
+        assert report.acks == ((1, 7, 0, -1), (1, 8, 3, 3))
+        assert core.metrics()["service_decode_errors"] == 1.0
+        assert report.dispatched == 3
         core.close()
 
         restarted = WorkerCore(0, root=tmp_path, config=ServiceConfig(),
                                recover=True)
         assert restarted.soc._pump_no == 1
-        again = restarted.ingest_handoff(1000.0, [(1, "veh-a", 7, payload)],
-                                         seq=1)
-        assert again.acks == ((1, 7, 5, 4),)   # from the journal
+        again = restarted.ingest_handoff(1000.0, items, seq=1)
+        assert again.acks == report.acks   # from the journal
         assert restarted.replayed_handoffs == 1
+        restarted.close()
+
+
+# ----------------------------------------------------------------------
+# Pinned regression: schema-violating events
+# ----------------------------------------------------------------------
+#: (event-array index, hostile JSON value) -- one field per case.
+SCHEMA_VIOLATIONS = [
+    pytest.param(0, ["e1"], id="list-event-id"),
+    pytest.param(1, "901.0", id="string-time"),
+    pytest.param(1, True, id="bool-time"),
+    pytest.param(2, ["v"], id="list-vehicle-id"),
+    pytest.param(3, "can", id="unknown-source"),
+    pytest.param(4, {"k": 1}, id="dict-signature"),
+    pytest.param(5, 9, id="severity-out-of-range"),
+    pytest.param(5, True, id="bool-severity"),
+    pytest.param(5, 2.0, id="float-severity"),
+    pytest.param(6, {"k": 1}, id="dict-detail"),
+    pytest.param(6, [[1, "x"]], id="non-string-detail-key"),
+    pytest.param(6, [["k", [1]]], id="non-scalar-detail-value"),
+    pytest.param(6, [["k", float("nan")]], id="nan-detail-value"),
+]
+
+
+class TestSchemaViolatingEventRegression:
+    @pytest.mark.parametrize("field, value", SCHEMA_VIOLATIONS)
+    def test_bad_event_refuses_its_batch_and_worker_recovers(
+            self, tmp_path, field, value):
+        """The wire decoder checked no field types, so one event such as
+        ``["e1", 1.0, ["v"], "ids", "ids.x", 4, []]`` was admitted and
+        archived, then raised ``TypeError`` in ``observe_batch`` -- on
+        every resubmission of the handoff too, after recovery.  Others
+        were silently coerced (``"901.0"`` -> 901.0, ``true`` -> ASIL A)
+        or crashed the archival encoder (NaN detail).  The validating
+        decoder refuses the batch whole; the handoff's other batches are
+        acked, and the worker recovers and keeps ingesting."""
+        bad = json.loads(batch("veh-a", 1))
+        bad[2][1][field] = value
+        items = [(1, "veh-a", 0, batch("veh-a", 0)),
+                 (1, "veh-a", 1,
+                  json.dumps(bad, separators=(",", ":")).encode("utf-8")),
+                 (2, "veh-b", 2, batch("veh-b", 2))]
+
+        core = WorkerCore(0, root=tmp_path, config=ServiceConfig())
+        report = core.ingest_handoff(1000.0, items, seq=1)
+        assert report.acks == ((1, 0, 3, 3), (1, 1, 0, -1), (2, 2, 3, 3))
+        assert core.metrics()["service_decode_errors"] == 1.0
+        assert report.dispatched == 6
+        core.close()
+
+        restarted = WorkerCore(0, root=tmp_path, config=ServiceConfig(),
+                               recover=True)
+        again = restarted.ingest_handoff(1000.0, items, seq=1)
+        assert again.acks == report.acks   # from the journal
+        more = restarted.ingest_handoff(
+            1001.0, [(1, "veh-a", 3, batch("veh-a", 3))], seq=2)
+        assert more.acks == ((1, 3, 3, 3),)
         restarted.close()
 
 

@@ -49,7 +49,7 @@ from repro.soc.service import (
     encode_welcome,
     worker_root,
 )
-from repro.soc.store import _HEADER, canonical_dumps, frame_payload
+from repro.soc.store import FRAME_HEADER, canonical_dumps, frame_payload
 
 
 def ev(vehicle, sig, time, seq, severity=Asil.B):
@@ -143,7 +143,7 @@ class TestWireCodec:
         boundaries = []
         offset = 0
         for p in payloads:
-            offset += _HEADER.size + len(p)
+            offset += FRAME_HEADER.size + len(p)
             boundaries.append(offset)
         cut = data.draw(st.integers(min_value=0, max_value=len(stream) - 1),
                         label="cut")

@@ -105,7 +105,7 @@ class TestBoundedQueueConservation:
                 seq += 1
                 was_full = q.full
                 min_before = min((x.severity for x in shadow), default=None)
-                victim = q.offer(event)
+                victim = q.offer(event.time, event)
                 if victim is None:
                     assert not was_full
                     shadow.append(event)
@@ -128,7 +128,7 @@ class TestBoundedQueueConservation:
                         assert victim.severity == min_before
                         assert victim.severity < event.severity
             else:
-                out = q.drain(arg)
+                out = [event for _, event in q.drain(arg)]
                 assert len(out) <= arg
                 # Highest severity first, FIFO within a level.
                 for left, right in zip(out, out[1:]):
@@ -157,7 +157,7 @@ class TestBoundedQueueConservation:
                 event = ev(f"v{seq}", "s", float(seq), seq, severity=arg)
                 seq += 1
                 max_before = max((x.severity for x in shadow), default=None)
-                victim = q.offer(event)
+                victim = q.offer(event.time, event)
                 if victim is None:
                     shadow.append(event)
                 elif victim is not event:
@@ -167,7 +167,7 @@ class TestBoundedQueueConservation:
                 if max_before is not None:
                     assert max_after >= max_before
             else:
-                for drained in q.drain(arg):
+                for _, drained in q.drain(arg):
                     shadow.remove(drained)
 
 

@@ -10,6 +10,7 @@ differential: kill-at-arbitrary-pump + restore + replay is
 byte-identical to an uninterrupted run at 1 and 4 shards.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -30,14 +31,23 @@ from repro.soc import (
     IncidentTracker,
     SecurityEvent,
     SecurityOperationsCenter,
+    Shipment,
     SnapshotStore,
     decode_event,
     encode_event,
+    encode_shipment,
     make_event,
     recover_soc_state,
     seeded_campaigns,
 )
-from repro.soc.store import _HEADER, _MAGIC
+from repro.soc.events import event_from_obj
+from repro.soc.service import encode_batch
+from repro.soc.store import (
+    FRAME_HEADER,
+    SEGMENT_MAGIC,
+    canonical_dumps,
+    record_payload,
+)
 
 
 def ev(vehicle, sig, time, seq, severity=Asil.B):
@@ -52,6 +62,15 @@ _json_scalars = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=16),
 )
+
+
+#: Any JSON value, and the types each event-array field accepts.
+_json_values = st.one_of(
+    _json_scalars,
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_FIELD_TYPES = ((str,), (int, float), (str,), (str,), (str,), (int,), (list,))
 
 
 @st.composite
@@ -84,13 +103,102 @@ class TestEventCodec:
 
     def test_nan_time_rejected(self):
         event = ev("v1", "sig", 1.0, 1)
-        bad = SecurityEvent(
-            event_id=event.event_id, time=float("nan"),
-            vehicle_id=event.vehicle_id, source=event.source,
-            signature=event.signature, severity=event.severity,
-            detail=event.detail)
-        with pytest.raises(ValueError):
-            encode_event(bad)
+        for t in (float("nan"), float("inf"), float("-inf")):
+            bad = SecurityEvent(
+                event_id=event.event_id, time=t,
+                vehicle_id=event.vehicle_id, source=event.source,
+                signature=event.signature, severity=event.severity,
+                detail=event.detail)
+            with pytest.raises(ValueError):
+                encode_event(bad)
+            # ...and the decoder refuses a non-finite time on the way in.
+            with pytest.raises(CorruptRecord):
+                event_from_obj(json.loads(json.dumps(list(bad))))
+
+    @given(security_events(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_decoder_rejects_each_wrong_typed_field(self, event, data):
+        obj = json.loads(encode_event(event))
+        decoded = event_from_obj(obj)
+        # Tuples compare equal to plain tuples and "ids" == IDS, so pin
+        # the decoded types as well as the value.
+        assert decoded == event and type(decoded) is SecurityEvent
+        assert decoded.source is event.source
+        assert decoded.severity is event.severity
+        field = data.draw(st.integers(min_value=0, max_value=6))
+        allowed = _FIELD_TYPES[field]
+        obj[field] = data.draw(_json_values.filter(
+            lambda v: type(v) not in allowed))
+        with pytest.raises(CorruptRecord):
+            event_from_obj(obj)
+
+
+# ----------------------------------------------------------------------
+# Golden bytes: the codec's output is pinned, not just self-consistent
+# ----------------------------------------------------------------------
+def _golden_events():
+    return [
+        make_event("v001", EventSource.IDS, "ids.spec:0x0c9", 0.5, 1),
+        make_event("v002", EventSource.GATEWAY, "gateway.quarantine:body",
+                   1.25, 2, detail={"domain": "body", "count": 3}),
+        make_event("v003", EventSource.DIAG, "diag.security_access:nrc0x35",
+                   2.0, 3, severity=Asil.D,
+                   detail={"nrc": 53, "target_ecu": "bcm"}),
+        make_event("v\u00e9h", EventSource.V2X, "v2x.misbehavior:teleport",
+                   3.0625, 4, severity=Asil.QM,
+                   detail={"accused": None, "ok": True, "score": -0.1}),
+        make_event("v005", EventSource.IDS, "ids.frequency:0x244", 1e-07, 5,
+                   severity=Asil.C,
+                   detail={"reason": "burst \u2713", "big": 2 ** 53}),
+    ]
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    """SHA-256 digests recorded from the codec before events became
+    tuples: wire batch, on-disk segment, record payloads, a federation
+    shipment, and a sharded centre's analytics snapshot and log."""
+
+    def test_codec_bytes_match_recorded_digests(self, tmp_path):
+        events = _golden_events()
+        assert _sha(encode_batch(7, events)) == (
+            "e1019c7aed547e5169b38c1116f104d7092e1e9c1ccc68f14cc6a02d89df9562")
+        log = EventLog(tmp_path / "log")
+        log.append_batch(0.25, 0, events[:3])
+        log.append_mark(0.25, 1)
+        log.append_batch(0.5, 1, events[3:])
+        records = list(log.replay())
+        log.close()
+        assert [e for r in records for e in r.events] == events
+        assert _sha(log.segment_paths()[0].read_bytes()) == (
+            "5068ae4ee3c26b4be8942b95fdd33b9ea1e3fcdd6509403393311d6428de346c")
+        assert _sha(b"".join(record_payload(r) for r in records)) == (
+            "df78c3a7509b0632d902b1bbf25edf7ef0ed33ea27052d41e0b0f1c8b8421ead")
+        shipment = Shipment("r1", 1, 3, records[-1].dispatch_t, tuple(records))
+        assert _sha(encode_shipment(shipment)) == (
+            "868f2b7c0a1a16a098ac44fbf2e0e3958ae1175583fc30ca8bf9344a720e6aa6")
+
+    def test_analytics_snapshot_and_log_match_recorded_digests(
+            self, tmp_path):
+        sim = Simulator()
+        rng = RngStreams(11)
+        fleet = FleetModel(300, seeded_campaigns(rng, 300, 0.05))
+        soc = SecurityOperationsCenter(
+            sim, fleet, capacity_eps=120.0, k=3, respond=False,
+            num_shards=2, store=DurableStore(tmp_path))
+        FleetWorkloadGenerator(sim, rng, fleet, soc.pipeline).start()
+        soc.start()
+        sim.run_until(6.0)
+        assert soc.metrics()["dispatched"] > 0
+        assert _sha(canonical_dumps(soc.analytics_snapshot())) == (
+            "a09a3b73e6bc5649a132c3e6a57f2537347fad31e58725668fd97c252f6b1c3d")
+        soc.store.close()
+        assert _sha(b"".join(p.read_bytes()
+                             for p in soc.store.log.segment_paths())) == (
+            "863bf03bd3c855a28316a3dd135a1012de4c17924c038dc0a66435ec78873bd8")
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +275,7 @@ class TestEventLog:
         log.close()
         closed = log.segment_paths()[0]
         blob = bytearray(closed.read_bytes())
-        blob[len(_MAGIC) + _HEADER.size + 2] ^= 0xFF  # flip a payload byte
+        blob[len(SEGMENT_MAGIC) + FRAME_HEADER.size + 2] ^= 0xFF  # flip a payload byte
         closed.write_bytes(bytes(blob))
         reopened = EventLog(tmp_path, segment_max_records=2)
         with pytest.raises(CorruptRecord):
@@ -180,10 +288,10 @@ class TestTornWriteRecovery:
     def _record_boundaries(blob):
         """Byte offsets at which each whole record ends."""
         ends = []
-        offset = len(_MAGIC)
+        offset = len(SEGMENT_MAGIC)
         while offset < len(blob):
-            length, _ = _HEADER.unpack(blob[offset:offset + _HEADER.size])
-            offset += _HEADER.size + length
+            length, _ = FRAME_HEADER.unpack(blob[offset:offset + FRAME_HEADER.size])
+            offset += FRAME_HEADER.size + length
             ends.append(offset)
         return ends
 
@@ -200,7 +308,7 @@ class TestTornWriteRecovery:
         (segment,) = log.segment_paths()
         blob = segment.read_bytes()
         ends = self._record_boundaries(blob)
-        cut = data.draw(st.integers(min_value=len(_MAGIC),
+        cut = data.draw(st.integers(min_value=len(SEGMENT_MAGIC),
                                     max_value=len(blob) - 1), label="cut")
         segment.write_bytes(blob[:cut])
 
@@ -208,7 +316,7 @@ class TestTornWriteRecovery:
         whole = sum(1 for end in ends if end <= cut)
         assert recovered.last_seq == whole
         assert recovered.truncated_bytes == cut - (
-            ends[whole - 1] if whole else len(_MAGIC))
+            ends[whole - 1] if whole else len(SEGMENT_MAGIC))
         assert len(list(recovered.replay())) == whole
         # The log is immediately appendable again.
         recovered.append(99.0, 0, ev("vx", "sig", 99.0, 999))
