@@ -247,6 +247,13 @@ class SecurityOperationsCenter:
                     and self._pump_no % self.snapshot_every_pumps == 0):
                 self.save_snapshot()
 
+    @property
+    def pump_no(self) -> int:
+        """Pump markers written so far -- the sequence number of the last
+        handoff this center sealed (0 before the first, and always 0
+        without a durable store)."""
+        return self._pump_no
+
     def start_service(self) -> None:
         """Arm this center for network-service drive mode
         (:mod:`repro.soc.service`): write snapshot 0 so recovery always
@@ -258,7 +265,7 @@ class SecurityOperationsCenter:
             if self.store is not None:
                 self.save_snapshot()
 
-    def service_pump(self, now: float, sync_log: bool = True,
+    def service_pump(self, now: float,
                      pre_mark: Optional[Callable[[], None]] = None) -> int:
         """One network-service pump: drain *everything* queued at wall
         time ``now``, then run the standard post-dispatch bookkeeping
@@ -267,11 +274,11 @@ class SecurityOperationsCenter:
         This is the drive mode a :class:`~repro.soc.service.WorkerCore`
         uses -- arrival cadence replaces the simulated capacity budget,
         so each handoff batch is dispatched whole and the pump marker
-        records the handoff boundary replay must reproduce.  With
-        ``sync_log`` (default) the event log is flushed to the OS after
-        the marker, so a SIGKILLed worker process loses nothing that was
-        acknowledged (the log's own torn-tail recovery covers the kill
-        landing mid-append).  Returns the number of events dispatched.
+        records the handoff boundary replay must reproduce.  The event
+        log is flushed to the OS after the marker, so a SIGKILLed worker
+        process loses nothing that was acknowledged (the log's own
+        torn-tail recovery covers the kill landing mid-append).  Returns
+        the number of events dispatched.
 
         ``pre_mark``, if given, runs after the batch records are
         archived but *before* the pump marker is appended.  The worker
@@ -284,7 +291,7 @@ class SecurityOperationsCenter:
         if pre_mark is not None:
             pre_mark()
         self._finish_pump(now)
-        if self.store is not None and sync_log:
+        if self.store is not None:
             self.store.log.sync()
         return dispatched
 
@@ -498,9 +505,7 @@ class RecoveredAnalytics:
                                    self.merger, self.tracker)
 
 
-def recover_soc_state(store: DurableStore,
-                      mark_boundary_only: bool = False
-                      ) -> RecoveredAnalytics:
+def recover_soc_state(store: DurableStore) -> RecoveredAnalytics:
     """Rebuild the analytic state a dead SOC process would have had.
 
     Loads the latest valid snapshot, then replays every log record after
@@ -512,16 +517,12 @@ def recover_soc_state(store: DurableStore,
 analytics_snapshot`) to the uninterrupted run at the same pump boundary
     -- the tentpole differential in ``tests/test_soc_store.py``.
 
-    With ``mark_boundary_only`` batch records are applied only once the
-    pump marker that seals them arrives; a trailing run of batch records
-    past the last marker (a handoff the process died inside) is left
-    unapplied, so the recovered state lands exactly on a handoff
-    boundary.  This is the worker auto-restart contract: the frontend
-    resubmits the torn handoff, and re-processing it from the boundary
-    is what makes restart byte-identical to the uninterrupted twin
-    (:class:`~repro.soc.service.WorkerCore` pairs this with
-    :meth:`~repro.soc.store.EventLog.truncate_after_last_mark` so the
-    log *bytes* agree too).
+    A worker restart (:class:`~repro.soc.service.WorkerCore` with
+    ``recover=True``) first calls
+    :meth:`~repro.soc.store.EventLog.truncate_after_last_mark`, so no
+    batch record survives past the last marker and the recovered state
+    lands exactly on a handoff boundary: the frontend resubmits the torn
+    handoff, and re-processing it re-archives the twin's exact bytes.
     """
     snap = store.snapshots.load_latest()
     if snap is None:
@@ -536,38 +537,23 @@ analytics_snapshot`) to the uninterrupted run at the same pump boundary
     pump_no = snap["pump_no"]
     last_seq = snap["log_seq"]
     batches = events_replayed = pumps = 0
-
-    def _apply_batch(record) -> None:
-        nonlocal batches, events_replayed
-        batches += 1
-        events_replayed += len(record.events)
-        batch = list(record.events)
-        if merger is None:
-            observe_and_attribute(engines[0], batch, tracker,
-                                  tracker.open_from_detection)
-        else:
-            engines[record.shard].observe_batch(batch)
-
-    pending: List = []  # batch records awaiting their sealing marker
     for record in store.log.replay(after_seq=snap["log_seq"]):
+        last_seq = record.seq
         if record.kind == "batch":
-            if mark_boundary_only:
-                pending.append(record)
-                continue
-            last_seq = record.seq
-            _apply_batch(record)
+            batches += 1
+            events_replayed += len(record.events)
+            batch = list(record.events)
+            if merger is None:
+                observe_and_attribute(engines[0], batch, tracker,
+                                      tracker.open_from_detection)
+            else:
+                engines[record.shard].observe_batch(batch)
         else:  # pump marker: the live run merged campaigns here
-            for sealed in pending:
-                _apply_batch(sealed)
-            pending.clear()
-            last_seq = record.seq
             pumps += 1
             pump_no = record.pump_no
             if merger is not None:
                 merge_and_attribute(merger, engines, tracker,
                                     tracker.open_from_detection)
-    # mark_boundary_only: anything still pending is a torn handoff past
-    # the last marker -- deliberately not applied (see docstring).
 
     return RecoveredAnalytics(
         engines=engines, merger=merger, tracker=tracker,

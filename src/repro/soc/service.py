@@ -410,7 +410,6 @@ Center.service_pump` flushes after every handoff, so a worker *process*
     max_lateness_s: float = 2.0
     queue_capacity: int = 1 << 16
     batch_size: int = 256
-    shed_policy_value: str = "lowest-severity"
     snapshot_every_pumps: int = 256
     fsync: str = "never"
     audit: bool = True
@@ -509,8 +508,6 @@ class WorkerCore:
     def __init__(self, index: int, root=None,
                  config: Optional[ServiceConfig] = None,
                  recover: bool = False) -> None:
-        from repro.soc.ingest import ShedPolicy  # local: avoid cycle at import
-
         self.index = index
         self.config = config = config or ServiceConfig()
         store = None
@@ -520,14 +517,13 @@ class WorkerCore:
                                  fsync=config.fsync)
             if recover:
                 # Auto-restart path: truncate the log back to the last
-                # pump marker (the commit point), then rebuild analytic
-                # state exactly at that handoff boundary.  The frontend
+                # pump marker (the commit point), so ordinary recovery
+                # lands exactly on that handoff boundary.  The frontend
                 # resubmits everything past it, and re-processing those
                 # handoffs re-archives the exact bytes the twin wrote.
                 store.log.truncate_after_last_mark()
                 try:
-                    recovered = recover_soc_state(
-                        store, mark_boundary_only=True)
+                    recovered = recover_soc_state(store)
                 except RuntimeError:  # pragma: no cover - killed pre-snap-0
                     recovered = None  # nothing recoverable: start fresh
         elif recover:
@@ -536,7 +532,6 @@ class WorkerCore:
             Simulator(), FleetModel(0, []),
             queue_capacity=config.queue_capacity,
             batch_size=config.batch_size,
-            shed_policy=ShedPolicy(config.shed_policy_value),
             window_s=config.window_s, k=config.k,
             dedup_window_s=config.dedup_window_s,
             max_lateness_s=config.max_lateness_s,
@@ -608,13 +603,13 @@ class WorkerCore:
         latency metrics -- never admission or marker times.
         """
         soc = self.soc
-        if 0 <= seq <= soc._pump_no:
+        if 0 <= seq <= soc.pump_no:
             self.replayed_handoffs += 1
             acks = self._journal.lookup(seq) if self._journal else ()
             return WorkerReport(shard=self.index, acks=tuple(acks),
                                 dispatched=0,
                                 congested=soc.pipeline.congested,
-                                pump_no=soc._pump_no,
+                                pump_no=soc.pump_no,
                                 queue_depth=soc.pipeline.queue_depth,
                                 handoff_seq=seq)
         pipeline = soc.pipeline
@@ -660,7 +655,7 @@ class WorkerCore:
                 self.handoff_latency_max_s = wait
         return WorkerReport(shard=self.index, acks=tuple(acks),
                             dispatched=dispatched, congested=congested,
-                            pump_no=soc._pump_no,
+                            pump_no=soc.pump_no,
                             queue_depth=pipeline.queue_depth,
                             handoff_seq=seq)
 
@@ -708,18 +703,15 @@ class WorkerReport:
     handoff_seq: int = -1
 
 
-def recover_worker(root, index: int,
-                   for_restart: bool = False) -> RecoveredAnalytics:
+def recover_worker(root, index: int) -> RecoveredAnalytics:
     """Rebuild shard worker ``index``'s analytic state from its durable
     store -- the per-worker crash-recovery entry point (snapshot +
-    log-suffix replay via :func:`~repro.soc.center.recover_soc_state`).
-
-    ``for_restart`` applies the live auto-restart discipline offline:
-    stop at the last sealed handoff boundary (trailing batch records
-    past the last pump marker belong to a handoff the frontend will
-    resubmit) instead of replaying every surviving record."""
-    return recover_soc_state(DurableStore(worker_root(root, index)),
-                             mark_boundary_only=for_restart)
+    log-suffix replay via :func:`~repro.soc.center.recover_soc_state`)."""
+    store = DurableStore(worker_root(root, index))
+    try:
+        return recover_soc_state(store)
+    finally:
+        store.close()
 
 
 # ----------------------------------------------------------------------
@@ -754,9 +746,6 @@ class _InlineBackend:
     def get_report(self, timeout: float = 0.0) -> Optional[WorkerReport]:
         return self._reports.pop(0) if self._reports else None
 
-    def worker_metrics(self) -> List[Dict[str, float]]:
-        return [core.metrics() for core in self.cores]
-
     def kill(self, shard: int) -> None:
         """Simulate a worker crash: drop the core on the floor without
         snapshot or close (its durable store is the only survivor)."""
@@ -768,9 +757,6 @@ class _InlineBackend:
     def restart(self, shard: int, min_capacity: int = 0) -> None:
         """Rebuild a killed core from its durable store (deterministic
         inline twin of the process backend's respawn)."""
-        if self.root is None:
-            raise RuntimeError("cannot restart a worker without a "
-                               "durable root")
         self.cores[shard] = WorkerCore(shard, self.root, self.config,
                                        recover=True)
 
@@ -1013,7 +999,6 @@ class IngestService:
                  quota_bytes_per_s: Optional[float] = None,
                  quota_burst_bytes: Optional[float] = None,
                  quota_disconnect_after: Optional[int] = None,
-                 supervise: Optional[bool] = None,
                  handshake_timeout_s: float = 5.0,
                  max_preauth_bytes: int = 4096,
                  max_half_open: int = 1024,
@@ -1036,9 +1021,6 @@ class IngestService:
             else (4.0 * quota_bytes_per_s
                   if quota_bytes_per_s is not None else None))
         self.quota_disconnect_after = quota_disconnect_after
-        # Auto-restart needs a durable store to replay from; default the
-        # supervisor on exactly when one exists.
-        self.supervise = (root is not None) if supervise is None else supervise
         self.handshake_timeout_s = handshake_timeout_s
         self.max_preauth_bytes = max_preauth_bytes
         self.max_half_open = max_half_open
@@ -1056,10 +1038,12 @@ class IngestService:
         self._buffers: List[List[Tuple[int, str, int, bytes]]] = [
             [] for _ in range(num_workers)]
         # In-flight ledger: per shard, seq -> (t_send, t_mono, items) for
-        # every submitted-but-unreported handoff.  The supervisor replays
-        # it (original timestamps, sequence order) after a restart; a
-        # report pops its entry, and a report whose entry is already gone
-        # is a duplicate of replayed work and is dropped whole.
+        # every submitted-but-unreported handoff.  It is the only handoff
+        # state: its length is the shard's outstanding-handoff count, and
+        # the supervisor replays it (original timestamps, sequence order)
+        # after a restart; a report pops its entry, and a report whose
+        # entry is already gone is a duplicate of replayed work and is
+        # dropped whole.
         self._inflight: List[Dict[int, Tuple[float, Optional[float],
                                              List[Tuple[int, str, int,
                                                         bytes]]]]] = [
@@ -1067,15 +1051,15 @@ class IngestService:
         # Handoff sequence numbers are 1-based so seq N == the worker's
         # pump_no after applying it -- the invariant replay dedup rides.
         self._next_seq = [1] * num_workers
-        self._outstanding = [0] * num_workers
         self._congested = [False] * num_workers
         self._suppressed = [False] * num_workers
         self.conns: Dict[int, _Conn] = {}
         self._shard_conns: List[Dict[int, _Conn]] = [
             {} for _ in range(num_workers)]
         self._next_conn = 0
-        # Flow totals (frontend truth; per-worker truth comes from
-        # worker_metrics -- the service conservation test ties them).
+        # Flow totals (frontend truth; per-worker truth comes from the
+        # workers' final metrics -- the service conservation test ties
+        # them).
         self.batches_routed = 0
         self.batches_acked = 0
         self.events_acked = 0
@@ -1087,7 +1071,6 @@ class IngestService:
         self.quota_refused_bytes = 0
         self.quota_disconnects = 0
         self.batches_cmac_rejected = 0
-        self.batches_forgotten = 0
         self.worker_restarts = 0
         self.duplicate_reports = 0
         self.handoffs_resubmitted = 0
@@ -1180,7 +1163,6 @@ class IngestService:
                 self._inflight[index][seq] = (t_send, t_mono, buf)
                 self._next_seq[index] = seq + 1
                 self._buffers[index] = []
-                self._outstanding[index] += 1
                 self.handoffs_submitted += 1
                 submitted += 1
             else:
@@ -1213,7 +1195,6 @@ class IngestService:
             self.duplicate_reports += 1
             return []
         out: List[Tuple[_Conn, int, int, int]] = []
-        self._outstanding[report.shard] -= 1
         self._congested[report.shard] = report.congested
         for conn_id, batch_id, offered, accepted in report.acks:
             self.batches_acked += 1
@@ -1258,12 +1239,13 @@ class IngestService:
     def _update_suppression(self, shard: int) -> None:
         """Recompute the shard's SUPPRESS state from the outstanding-
         handoff watermark OR the worker's own congestion signal."""
+        outstanding = len(self._inflight[shard])
         if self._suppressed[shard]:
-            want = (self._outstanding[shard] >= self.resume_below
+            want = (outstanding >= self.resume_below
                     or len(self._buffers[shard]) >= self.handoff_batch
                     or self._congested[shard])
         else:
-            want = (self._outstanding[shard] >= self.suppress_after
+            want = (outstanding >= self.suppress_after
                     or len(self._buffers[shard])
                     >= self.handoff_batch * self.suppress_after
                     or self._congested[shard])
@@ -1290,43 +1272,24 @@ class IngestService:
     def suppressed(self, shard: int) -> bool:
         return self._suppressed[shard]
 
-    # -- worker failure: lossy kill vs supervised restart ---------------
-    def kill_worker(self, shard: int) -> None:
-        """Crash one shard worker (SIGKILL in process mode, dropped
-        core inline) and *forget* its in-flight work -- the lossy
-        operator-level path the kill-a-worker recovery tests drive.
-        Anything buffered or in flight for the shard is lost unacked
-        (counted in ``batches_forgotten``): the client-side credit
-        ledger sees exactly which batches died.  Compare
-        :meth:`sigkill_worker`, which keeps the ledger so the
-        supervisor can replay."""
-        self.backend.kill(shard)
-        self.batches_forgotten += (len(self._buffers[shard])
-                                   + self.inflight_batches(shard))
-        self._buffers[shard] = []
-        self._inflight[shard].clear()
-        self._outstanding[shard] = 0
-        # A crash empties the shard's pipeline: recompute SUPPRESS now,
-        # or surviving connections stay muted until unrelated traffic
-        # next touches the shard.
-        self._congested[shard] = False
-        self._update_suppression(shard)
-
+    # -- worker failure: kill, then supervised restart ------------------
     def sigkill_worker(self, shard: int) -> None:
-        """Crash one shard worker *without* forgetting its work: the
-        in-flight ledger and shard buffer survive, so
-        :meth:`check_workers` can restart the worker and replay every
-        unacked handoff -- the MTTR / zero-ack-loss path."""
+        """Crash one shard worker (SIGKILL in process mode, dropped core
+        inline).  Its work is never forgotten: the in-flight ledger and
+        shard buffer survive, so :meth:`check_workers` can restart the
+        worker and replay every unacked handoff exactly once."""
         self.backend.kill(shard)
 
     def check_workers(self) -> int:
         """Supervisor tick: detect dead workers (exit sentinel), respawn
-        each in recover mode (snapshot + log-suffix replay of its
-        durable store), and resubmit its unacked handoffs from the
-        in-flight ledger in sequence order with their *original*
-        timestamps -- replay must be deterministic, not re-stamped.
+        each in recover mode (log truncated to its last pump marker, then
+        snapshot + log-suffix replay of its durable store), and resubmit
+        its unacked handoffs from the in-flight ledger in sequence order
+        with their *original* timestamps -- replay must be deterministic,
+        not re-stamped.  Supervision is on exactly when the service has a
+        durable root to recover from; without one this returns 0.
         Returns the number of workers restarted."""
-        if not self.supervise or self.closed:
+        if self.backend.root is None or self.closed:
             return 0
         restarted = 0
         for shard in self.backend.dead_workers():
@@ -1334,11 +1297,9 @@ class IngestService:
             self.backend.restart(shard, min_capacity=len(pending) + 1)
             self.worker_restarts += 1
             restarted += 1
-            self._outstanding[shard] = 0
             self._congested[shard] = False
             for seq, (t_send, t_mono, items) in pending:
                 if self.backend.submit(shard, seq, t_send, t_mono, items):
-                    self._outstanding[shard] += 1
                     self.handoffs_resubmitted += 1
                 else:  # pragma: no cover - queue sized for all pending
                     self.submit_refusals += 1
@@ -1355,7 +1316,7 @@ class IngestService:
         if self.closed:
             return self._final_metrics or []
         deadline = self.mono_clock() + timeout_s
-        while (self.buffered() or any(x > 0 for x in self._outstanding)):
+        while self.buffered() or any(self._inflight):
             self.check_workers()
             self.flush()
             self.poll_completions(timeout=poll_interval_s)
@@ -1370,16 +1331,6 @@ class IngestService:
         :class:`~repro.soc.shard.ConservationError` on violation)."""
         ConservationAudit().check_service(self)
 
-    def worker_metrics(self) -> List[Dict[str, float]]:
-        """Final per-worker metrics (after :meth:`drain_and_close`); the
-        inline backend can also report live."""
-        if self._final_metrics is not None:
-            return self._final_metrics
-        if isinstance(self.backend, _InlineBackend):
-            return self.backend.worker_metrics()
-        raise RuntimeError("process-mode metrics are collected at "
-                           "drain_and_close()")
-
     def metrics(self) -> Dict[str, float]:
         """Frontend flow counters (live at any time)."""
         return {
@@ -1391,14 +1342,13 @@ class IngestService:
             "submit_refusals": float(self.submit_refusals),
             "suppress_transitions": float(self.suppress_transitions),
             "buffered": float(self.buffered()),
-            "outstanding": float(sum(self._outstanding)),
+            "outstanding": float(sum(len(x) for x in self._inflight)),
             "inflight_batches": float(self.inflight_batches()),
             "connections": float(len(self.conns)),
             "quota_refused": float(self.quota_refused),
             "quota_refused_bytes": float(self.quota_refused_bytes),
             "quota_disconnects": float(self.quota_disconnects),
             "batches_cmac_rejected": float(self.batches_cmac_rejected),
-            "batches_forgotten": float(self.batches_forgotten),
             "worker_restarts": float(self.worker_restarts),
             "duplicate_reports": float(self.duplicate_reports),
             "handoffs_resubmitted": float(self.handoffs_resubmitted),
@@ -1431,14 +1381,12 @@ class IngestServer:
         self._pump_task: Optional[asyncio.Task] = None
         self._collector: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        self._report_wakeup: Optional[asyncio.Event] = None
         self._conn_writers: set = set()
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._report_wakeup = asyncio.Event()
         self._pump_task = asyncio.create_task(self._pump())
         if self.service.mode == "process":
             loop = asyncio.get_running_loop()

@@ -145,30 +145,27 @@ class ConservationAudit:
         """Audit an :class:`~repro.soc.service.IngestService` front
         door's batch-flow identity::
 
-            routed == acked + buffered + in-flight + forgotten
+            routed == acked + buffered + in-flight
 
         where *routed* excludes batches the per-client quota hard-refused
         at the door (``quota_refused`` -- those never enter a buffer,
         mirroring how the pipeline identity counts ``rejected_*`` outside
-        ``admitted``), and *forgotten* is work an operator-level
-        :meth:`~repro.soc.service.IngestService.kill_worker` deliberately
-        dropped.  The published :meth:`~repro.soc.service.IngestService.\
-metrics` must republish every term (cooked-counter detection, same as
-        the pipeline audit), including ``quota_refused``.
+        ``admitted``).  A dead worker's work stays in flight until its
+        restarted successor reports it.  The published
+        :meth:`~repro.soc.service.IngestService.metrics` must republish
+        every term (cooked-counter detection, same as the pipeline
+        audit), including ``quota_refused``.
         """
         m = service.metrics()
         routed = service.batches_routed
         accounted = (service.batches_acked + service.buffered()
-                     + service.inflight_batches()
-                     + service.batches_forgotten)
+                     + service.inflight_batches())
         if routed != accounted:
-            self._fail("service",
-                       "routed != acked + buffered + inflight + forgotten",
+            self._fail("service", "routed != acked + buffered + inflight",
                        routed, accounted)
         for key, attr in (("batches_routed", service.batches_routed),
                           ("batches_acked", service.batches_acked),
                           ("quota_refused", service.quota_refused),
-                          ("batches_forgotten", service.batches_forgotten),
                           ("buffered", service.buffered()),
                           ("inflight_batches", service.inflight_batches())):
             if m.get(key) != float(attr):

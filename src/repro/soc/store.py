@@ -718,14 +718,12 @@ class DurableStore:
     """
 
     def __init__(self, root, *, segment_max_records: int = 4096,
-                 index_every: int = 64, fsync: str = "rotate",
-                 keep_snapshots: int = 4) -> None:
+                 index_every: int = 64, fsync: str = "rotate") -> None:
         self.root = Path(root)
         self.log = EventLog(self.root / "log",
                             segment_max_records=segment_max_records,
                             index_every=index_every, fsync=fsync)
-        self.snapshots = SnapshotStore(self.root / "snapshots",
-                                       keep=keep_snapshots)
+        self.snapshots = SnapshotStore(self.root / "snapshots")
 
     def close(self) -> None:
         self.log.close()

@@ -7,7 +7,7 @@ SUPPRESS/REFUSED, and supervised worker auto-restart (exactly-once
 replay from the handoff journal, byte-identical to an uninterrupted
 twin) -- plus the pinned regressions for the frontend robustness
 bugfixes: malformed-BATCH ``CorruptRecord`` translation, stale SUPPRESS
-after ``kill_worker``, monotonic deadlines/latency, and the
+after a worker kill, monotonic deadlines/latency, and the
 closing-transport write guard.
 """
 
@@ -46,7 +46,12 @@ from repro.soc.service import (
     worker_root,
 )
 from repro.soc.shard import ConservationError
-from repro.soc.store import EventLog, canonical_dumps, frame_payload
+from repro.soc.store import (
+    EventLog,
+    canonical_dumps,
+    frame_payload,
+    scan_valid_prefix,
+)
 
 FLEET_KEY = b"\x42" * 16
 
@@ -170,38 +175,52 @@ class TestDecoderRejectedBytes:
 
 
 # ----------------------------------------------------------------------
-# Pinned regression: kill_worker recomputes suppression
+# Pinned regression: a worker kill never leaves stale suppression
 # ----------------------------------------------------------------------
 class TestKillWorkerSuppressionRegression:
     def test_no_stale_suppress_after_crash(self, tmp_path):
-        """``kill_worker`` used to zero ``_outstanding`` without
-        recomputing SUPPRESS: survivors of a worker crash stayed muted
-        until unrelated traffic next touched the shard."""
+        """A lossy kill once zeroed the outstanding-handoff count without
+        recomputing SUPPRESS, so survivors of a worker crash stayed muted
+        until unrelated traffic next touched the shard.  The watermark
+        reads the in-flight ledger: the dead worker's handoff keeps
+        the shard suppressed until the restarted worker reports it, and
+        that report alone lifts SUPPRESS."""
         svc = IngestService(1, mode="inline", root=tmp_path,
                             suppress_after=1, resume_below=1,
-                            supervise=False, clock=lambda: 100.0)
+                            clock=lambda: 100.0)
         conn = svc.open_conn("veh-1")
         assert svc.route(conn, batch("veh-1", 0))
         svc.flush()
         assert svc.suppressed(0) and conn.suppressed
-        svc.kill_worker(0)
-        # The crash emptied the shard's pipeline: suppression must lift
-        # NOW, not at the next unrelated flush.
+        svc.sigkill_worker(0)
+        assert svc.suppressed(0)        # its handoff is still unreported
+        assert svc.check_workers() == 1
+        svc.poll_completions()          # no flush, no new traffic
+        assert svc.metrics()["outstanding"] == 0.0
         assert not svc.suppressed(0)
         assert not conn.suppressed
-        assert svc.batches_forgotten == 1
+        assert svc.batches_acked == 1
         svc.audit_conservation()
+        svc.drain_and_close()
 
-    def test_forgotten_work_counted_in_conservation(self, tmp_path):
+    def test_dead_work_stays_inflight(self, tmp_path):
+        """Conservation holds across a kill: the dead worker's handoffs
+        count as in flight (and its shard buffer as buffered) until the
+        restarted worker reports them, and none is lost or acked twice."""
         svc = IngestService(1, mode="inline", root=tmp_path,
-                            supervise=False, clock=lambda: 100.0)
+                            clock=lambda: 100.0)
         conn = svc.open_conn("veh-1")
         for rnd in range(3):
             assert svc.route(conn, batch("veh-1", rnd))
         svc.flush()          # 3 batches now in flight
         assert svc.route(conn, batch("veh-1", 3))  # 1 buffered
-        svc.kill_worker(0)
-        assert svc.batches_forgotten == 4
+        svc.sigkill_worker(0)
+        assert svc.inflight_batches() == 3 and svc.buffered() == 1
+        svc.audit_conservation()
+        assert svc.check_workers() == 1
+        svc.audit_conservation()
+        svc.drain_and_close()
+        assert svc.batches_acked == svc.batches_routed == 4
         assert svc.inflight_batches() == 0 and svc.buffered() == 0
         svc.audit_conservation()
 
@@ -759,7 +778,7 @@ class TestNonFiniteEventTimeRegression:
 
         restarted = WorkerCore(0, root=tmp_path, config=ServiceConfig(),
                                recover=True)
-        assert restarted.soc._pump_no == 1
+        assert restarted.soc.pump_no == 1
         again = restarted.ingest_handoff(1000.0, items, seq=1)
         assert again.acks == report.acks   # from the journal
         assert restarted.replayed_handoffs == 1
@@ -864,7 +883,7 @@ def _drive_with_kills(root, mode, kill_rounds, rounds=16, num_workers=2,
         acked += len(svc.poll_completions(
             timeout=0.01 if mode == "process" else 0.0))
     deadline = time.monotonic() + 60.0
-    while (svc.buffered() or any(x > 0 for x in svc._outstanding)) \
+    while (svc.buffered() or svc.metrics()["outstanding"]) \
             and time.monotonic() < deadline:
         svc.flush()
         acked += len(svc.poll_completions(timeout=0.01))
@@ -960,22 +979,64 @@ class TestAutoRestart:
         finally:
             svc.drain_and_close()
 
-    def test_unsupervised_service_does_not_restart(self, tmp_path):
-        svc = IngestService(1, mode="inline", root=tmp_path,
-                            supervise=False, clock=lambda: 100.0)
-        conn = svc.open_conn("veh-1")
-        assert svc.route(conn, batch("veh-1", 0))
-        svc.flush()
+    def test_restart_requires_durable_root(self):
+        """Supervision is on exactly when a durable root exists: without
+        one there is nothing to recover from, so nothing restarts."""
+        svc = IngestService(1, mode="inline", clock=lambda: 100.0)
         svc.sigkill_worker(0)
         assert svc.check_workers() == 0
         assert svc.worker_restarts == 0
 
-    def test_restart_requires_durable_root(self):
-        svc = IngestService(1, mode="inline", supervise=True,
-                            clock=lambda: 100.0)
-        svc.sigkill_worker(0)
-        with pytest.raises(RuntimeError):
-            svc.check_workers()
+    def test_kill_restart_kill_archives_each_batch_once(self, tmp_path):
+        """Kill a process worker with handoffs still queued, restart it,
+        let a new handoff seal, then kill it again before that handoff's
+        report is read.  A lossy kill that forgot the first two handoffs
+        broke the worker's ``handoff seq == pump number`` invariant: the
+        third handoff was sealed as pump 1, re-run after the second
+        restart and archived twice.  With one kill path the ledger keeps
+        every handoff, so each client batch is archived once and the
+        restarted worker replays the last one from its journal."""
+        log_dir = worker_root(tmp_path, 0) / "log"
+
+        def records():
+            return [json.loads(payload)
+                    for seg in sorted(log_dir.glob("seg-*.log"))
+                    for payload in scan_valid_prefix(seg)[0]]
+
+        def marks():
+            return [r[2] for r in records() if r[0] == "m"]
+
+        svc = IngestService(1, mode="process", root=tmp_path,
+                            clock=lambda: 1000.0)
+        conn = svc.open_conn("veh-1")
+        try:
+            for rnd in (1, 2):
+                assert svc.route(conn, batch("veh-1", rnd))
+                svc.flush()
+            svc.sigkill_worker(0)              # handoffs 1 and 2 queued
+            assert svc.check_workers() == 1
+            deadline = time.monotonic() + 30.0
+            while svc.metrics()["outstanding"]:
+                assert time.monotonic() < deadline, "resubmits never acked"
+                svc.poll_completions(timeout=0.05)
+            sealed = len(marks())
+            assert svc.route(conn, batch("veh-1", 3))
+            svc.flush()
+            while len(marks()) == sealed:
+                assert time.monotonic() < deadline, "handoff 3 never sealed"
+                time.sleep(0.01)
+            svc.sigkill_worker(0)              # its report is never read
+            assert svc.check_workers() == 1
+        finally:
+            final = svc.drain_and_close()
+        assert final[0]["service_replayed_handoffs"] == 1.0
+        assert svc.batches_acked == svc.batches_routed == 3
+        assert svc.events_acked == 9
+        svc.audit_conservation()
+        assert marks() == [1, 2, 3]
+        archived = [e[0] for r in records() if r[0] == "b" for e in r[3]]
+        sent = [json.loads(batch("veh-1", rnd))[2] for rnd in (1, 2, 3)]
+        assert archived == [e[0] for events in sent for e in events]
 
     def test_worker_core_recover_requires_root(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,12 @@ an alias.  This test fails on any ``from X import _name`` in
 ``src/repro/soc`` and on ``module._name`` through a module bound by
 ``import``, the same rule ``perfbench/public_api.py`` applies to the
 benchmark.
+
+The same holds between classes: ``obj._attr`` may be read only inside
+a class that itself assigns ``self._attr`` (or defines ``_attr`` in its
+body), so another class's private state is reached through a public
+property instead.  Same-class access on a second instance -- e.g. the
+writes ``from_snapshot`` makes on the object it builds -- passes.
 """
 
 import ast
@@ -40,6 +46,51 @@ def private_imports(path: Path):
     return found
 
 
+#: Private attributes of foreign objects the package must read anyway.
+#: ``multiprocessing.Queue._reader`` is the only handle
+#: ``multiprocessing.connection.wait`` accepts, and waiting on every
+#: worker's completion queue at once needs it.
+FOREIGN_PRIVATE = {"_reader"}
+
+
+def _class_names(cls: ast.ClassDef):
+    """Names a class owns: its body's defs and assignments plus every
+    ``self.<name>`` it assigns anywhere in its methods."""
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(stmt, "targets", None) or [stmt.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    names.update(n.attr for n in ast.walk(cls)
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Store)
+                 and isinstance(n.value, ast.Name) and n.value.id == "self")
+    return names
+
+
+def foreign_private_reads(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, owned):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Load)
+                    and _private(child.attr) and child.attr not in owned
+                    and child.attr not in FOREIGN_PRIVATE):
+                found.append(f"{path.name}:{child.lineno}: "
+                             f"{ast.unparse(child.value)}.{child.attr}")
+            visit(child, _class_names(child)
+                  if isinstance(child, ast.ClassDef) else owned)
+
+    visit(tree, set())
+    return found
+
+
 def test_soc_modules_import_no_private_names():
     paths = sorted(SOC.glob("*.py"))
     assert paths
@@ -53,3 +104,29 @@ def test_guard_catches_both_forms(tmp_path):
                    "os._exit(0)\n")
     assert private_imports(bad) == [
         "bad.py:2: from repro.soc.store import _x", "bad.py:3: os._exit"]
+
+
+def test_soc_classes_read_no_foreign_private_attributes():
+    paths = sorted(SOC.glob("*.py"))
+    found = [hit for path in paths for hit in foreign_private_reads(path)]
+    assert found == []
+
+
+def test_attribute_guard_catches_foreign_reads(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "class Center:\n"
+        "    def __init__(self):\n"
+        "        self._pump_no = 0\n"
+        "    @classmethod\n"
+        "    def from_snapshot(cls, n):\n"
+        "        obj = cls.__new__(cls)\n"
+        "        obj._pump_no = n\n"
+        "        return obj._pump_no\n"
+        "class Worker:\n"
+        "    def seal(self, soc, q):\n"
+        "        return soc._pump_no, q._reader\n"
+        "def helper(soc):\n"
+        "    return soc._pump_no\n")
+    assert foreign_private_reads(bad) == [
+        "bad.py:11: soc._pump_no", "bad.py:13: soc._pump_no"]

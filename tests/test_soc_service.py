@@ -592,7 +592,7 @@ class TestKillRecovery:
                                 [(conn.conn_id, conn.client_id, rnd, payload)])
 
         # SIGKILL (process mode) / drop (inline): no snapshot, no close.
-        svc.kill_worker(victim)
+        svc.sigkill_worker(victim)
         recovered = recover_worker(tmp_path / "svc", victim)
         twin_state = canonical_dumps(twin.soc.analytics_snapshot())
         assert canonical_dumps(recovered.analytics_snapshot()) == twin_state
