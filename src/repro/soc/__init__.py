@@ -139,8 +139,6 @@ from repro.soc.store import (
     LogRecord,
     ScanHit,
     SnapshotStore,
-    decode_event,
-    encode_event,
 )
 from repro.soc.center import (
     RecoveredAnalytics,
@@ -229,8 +227,6 @@ __all__ = [
     "LogRecord",
     "ScanHit",
     "SnapshotStore",
-    "decode_event",
-    "encode_event",
     "RecoveredAnalytics",
     "SecurityOperationsCenter",
     "recover_soc_state",

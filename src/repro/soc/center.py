@@ -399,14 +399,6 @@ class SecurityOperationsCenter:
             "max_lateness_s": self.max_lateness_s,
         }
 
-    def export_verdicts(self) -> List[CampaignDetection]:
-        """This region's campaign verdicts in fire order -- the payload
-        of the lightweight verdict-level federation path
-        (:meth:`~repro.soc.federation.FederationHub.adopt_verdicts`)."""
-        if self.merger is not None:
-            return list(self.merger.detections)
-        return list(self.correlator.detections)
-
     def adopt_amendments(self, amendments) -> Dict[str, int]:
         """Consume a hub's reconciliation feed
         (:meth:`~repro.soc.federation.FederationHub.export_amendments`)

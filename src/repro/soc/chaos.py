@@ -201,7 +201,7 @@ def _reference_snapshot(scene) -> str:
         list(scene.regions.keys()), runtime.center.federation_profile())
     for name, rt in scene.regions.items():
         receiver = hub.receivers[name]
-        for record in rt.store.log.tail(after_seq=0):
+        for record in rt.store.log.replay():
             receiver.buffer[record.seq] = record
     hub.finalize(0.0)
     return _canon(hub.analytics_snapshot())

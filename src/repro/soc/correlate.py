@@ -31,8 +31,8 @@ Fleet-scale fast path (the 10^7-vehicle E17 cell):
   :class:`ReferenceCorrelationEngine` (the original implementation,
   kept as the executable spec) pays per event;
 - :meth:`CorrelationEngine.observe_batch` consumes a whole dispatched
-  batch with hot state in locals, differential-tested equivalent to
-  per-event :meth:`~CorrelationEngine.observe`;
+  batch (one batch-sink call) as a loop over
+  :meth:`~CorrelationEngine.observe`;
 - dedup/duplicate bookkeeping is **bounded**: ids and per-vehicle
   timestamps older than the watermark minus the retention horizon are
   evicted, so memory is O(events in horizon), not O(events ever);
@@ -265,69 +265,10 @@ class CorrelationEngine:
     ) -> List[Optional[CampaignDetection]]:
         """Feed a dispatched batch; returns per-event verdicts.
 
-        Semantically identical to ``[self.observe(e) for e in events]``
-        (the Hypothesis differential pins detections, every counter, and
-        the watermark), but with the hot state in locals and one Python
-        call per *batch* instead of per event.
+        Exactly ``[self.observe(e) for e in events]``: the batch sinks
+        hand over one dispatched batch per call.
         """
-        out: List[Optional[CampaignDetection]] = []
-        append = out.append
-        seen = self._seen_ids
-        last_by_key = self._last_by_key
-        flagged = self._flagged
-        campaign_vehicles = self._campaign_vehicles
-        dirty = self._dirty
-        max_lateness = self.max_lateness_s
-        dedup_window = self.dedup_window_s
-        retention = self._retention_s
-        min_severity = self.min_severity
-        window_insert = self._window_insert
-
-        observed = duplicates = late = low = deduped = 0
-        for event in events:
-            observed += 1
-            t = event.time
-            eid = event.event_id
-            if eid in seen:
-                duplicates += 1
-                append(None)
-                continue
-            seen[eid] = t
-            if t < self.watermark - max_lateness:
-                late += 1
-                append(None)
-                continue
-            if t > self.watermark:
-                self.watermark = t
-                if t - self._last_sweep_wm >= retention:
-                    self._sweep()
-            if event.severity < min_severity:
-                low += 1
-                append(None)
-                continue
-            key = (event.vehicle_id, event.signature)
-            last = last_by_key.get(key)
-            if last is not None and abs(t - last) <= dedup_window:
-                deduped += 1
-                if t > last:
-                    last_by_key[key] = t
-                append(None)
-                continue
-            last_by_key[key] = t
-            sig = event.signature
-            if sig in flagged:
-                campaign_vehicles[sig].add(event.vehicle_id)
-                dirty.add(sig)
-                append(None)
-                continue
-            append(window_insert(sig, t, event.vehicle_id))
-
-        self.observed += observed
-        self.duplicate_ids += duplicates
-        self.late_dropped += late
-        self.low_severity_ignored += low
-        self.deduped += deduped
-        return out
+        return [self.observe(event) for event in events]
 
     # ------------------------------------------------------------------
     def _window_insert(

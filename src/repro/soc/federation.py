@@ -9,19 +9,23 @@ shipping the regions' **log-segment streams** -- the same self-framing
 CRC records PR 4 made the recovery substrate -- instead of in-process
 calls:
 
-- :class:`SegmentShipper` tails a region's log with the checkpoint-
-  seeking :meth:`~repro.soc.store.EventLog.tail` cursor and frames new
-  records into :class:`Shipment` wire blobs.  The durable log *is* the
-  retransmit buffer: a send refused by an outage window simply leaves
-  the cursor in place and retries next pump, and a shipper restarted
-  from seq 0 after a region kill re-ships history the receiver dedups.
+- :class:`SegmentShipper` tails a region's log through the checkpoint-
+  seeking :meth:`~repro.soc.store.EventLog.replay` ``(after_seq=cursor)``
+  and frames new records into :class:`Shipment` wire blobs.  The
+  durable log *is* the retransmit buffer: a send refused by an outage
+  window simply leaves the cursor in place and retries next pump, and a
+  shipper restarted from seq 0 after a region kill re-ships history the
+  receiver dedups.
 - :class:`ShippingChannel` models the WAN: configurable base lag,
   jitter (which reorders), duplication, and outage windows, all driven
   by a seeded RNG so every delivery schedule is reproducible.
-- :class:`SegmentReceiver` (one per region, inside the hub) verifies
-  each shipment's CRC framing, drops corrupt blobs whole, dedups
-  records by per-region sequence number, and buffers out-of-order
-  arrivals until they are contiguous.
+- :meth:`FederationHub.receive` decodes each blob once
+  (:func:`decode_shipment`, which verifies every frame's CRC), refuses
+  a torn or unroutable blob whole -- counted in
+  ``metrics()["corrupt_rejected"]`` -- and hands the :class:`Shipment`
+  to its region's :class:`SegmentReceiver`, which dedups records by
+  per-region sequence number and buffers out-of-order arrivals until
+  they are contiguous.
 - :class:`FederationHub` replays received records through replica
   engines and one :class:`~repro.soc.correlate.GlobalCampaignMerger`,
   gated by **per-region low-watermarks**: a record is applied only once
@@ -56,13 +60,12 @@ same shipments (the differential property in
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.soc.center import base_severity, merge_and_attribute
+from repro.soc.center import merge_and_attribute
 from repro.soc.correlate import (
     CampaignDetection,
     CorrelationEngine,
@@ -70,12 +73,12 @@ from repro.soc.correlate import (
 )
 from repro.soc.incident import Amendment, IncidentTracker
 from repro.soc.store import (
-    FRAME_HEADER,
     CorruptRecord,
     EventLog,
     LogRecord,
     canonical_dumps,
     frame_payload,
+    iter_frames,
     record_from_payload,
     record_payload,
 )
@@ -125,17 +128,11 @@ def decode_shipment(data: bytes) -> Shipment:
     """Parse + verify a shipment; raises :class:`CorruptRecord` on any
     framing/CRC/consistency damage (a bad blob is rejected whole)."""
     payloads: List[bytes] = []
-    offset = 0
-    while offset < len(data):
-        if len(data) - offset < FRAME_HEADER.size:
-            raise CorruptRecord("shipment: short frame header")
-        length, crc = FRAME_HEADER.unpack_from(data, offset)
-        start = offset + FRAME_HEADER.size
-        payload = data[start:start + length]
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            raise CorruptRecord("shipment: frame failed length/CRC check")
+    end = 0
+    for end, payload in iter_frames(data, None):
         payloads.append(payload)
-        offset = start + length
+    if end != len(data):
+        raise CorruptRecord("shipment: torn final frame")
     if not payloads:
         raise CorruptRecord("shipment: empty blob")
     head = json.loads(payloads[0].decode("utf-8"))
@@ -289,7 +286,7 @@ class SegmentShipper:
             # Don't even tail: the link is down and the cursor is safe.
             self.send_refused += 1
             return 0
-        records = list(self.log.tail(after_seq=self.shipped_seq))
+        records = list(self.log.replay(after_seq=self.shipped_seq))
         shipped = 0
         index = 0
         while index < len(records):
@@ -317,9 +314,10 @@ class SegmentShipper:
 # ----------------------------------------------------------------------
 
 class SegmentReceiver:
-    """Per-region arrival state inside the hub: CRC-checked decode,
-    seq dedup (duplication + re-ship after restart), and an out-of-order
-    buffer keyed by seq so only contiguous records ever apply."""
+    """Per-region arrival state inside the hub: seq dedup (duplication +
+    re-ship after restart) and an out-of-order buffer keyed by seq so
+    only contiguous records ever apply.  The hub decodes, verifies and
+    routes each blob before it gets here."""
 
     def __init__(self, region: str) -> None:
         self.region = region
@@ -328,19 +326,9 @@ class SegmentReceiver:
         self.shipments_received = 0
         self.records_received = 0
         self.duplicates = 0
-        self.corrupt_rejected = 0
 
-    def receive(self, data: bytes) -> bool:
-        """Ingest one wire blob; ``False`` if it was corrupt (counted
-        and rejected whole -- never half-applied)."""
-        try:
-            shipment = decode_shipment(data)
-        except CorruptRecord:
-            self.corrupt_rejected += 1
-            return False
-        if shipment.region != self.region:
-            self.corrupt_rejected += 1
-            return False
+    def receive(self, shipment: Shipment) -> None:
+        """Buffer one decoded shipment's new records."""
         self.shipments_received += 1
         for record in shipment.records:
             self.records_received += 1
@@ -348,7 +336,6 @@ class SegmentReceiver:
                 self.duplicates += 1
             else:
                 self.buffer[record.seq] = record
-        return True
 
     def next_ready(self) -> Optional[LogRecord]:
         """The next contiguous record, if it has arrived."""
@@ -484,7 +471,9 @@ class FederationHub:
         self.records_applied = 0
         self.pumps_applied = 0
         self.stalled_rounds = 0
-        self.corrupt_unrouted = 0
+        #: Blobs refused as torn (framing/CRC/consistency) or unroutable
+        #: (unknown region) -- transport damage is never silent.
+        self.corrupt_rejected = 0
         # --- partition observability + optimistic episodes ------------
         # _bound[r]: dispatch_t of r's last *contiguously known* record
         # (applied or buffered without gaps) -- the best provable lower
@@ -530,10 +519,6 @@ class FederationHub:
     def tracker(self) -> IncidentTracker:
         return self._state.tracker
 
-    @property
-    def _all_engines(self) -> List[CorrelationEngine]:
-        return self._state.all_engines
-
     @classmethod
     def from_profile(cls, regions: Sequence[str],
                      profile: Dict[str, object],
@@ -556,25 +541,27 @@ federation_profile` (regions in a federation share a configuration).
     # Arrival + watermark-gated apply
     # ------------------------------------------------------------------
     def receive(self, data: bytes) -> bool:
-        """Route one wire blob to its region's receiver (the shipment
-        header names the region; an unknown region rejects)."""
+        """Decode one wire blob once and hand the :class:`Shipment` to
+        its region's receiver.  ``False`` if it was refused: torn or
+        naming an unknown region (counted in ``corrupt_rejected``), or
+        from a declared-dead region (``dead_rejected``).  A refused blob
+        is never half-applied."""
         try:
-            region = decode_shipment(data).region
+            shipment = decode_shipment(data)
         except CorruptRecord:
-            # Can't even read the header: charge it to no region, but
-            # count it so transport damage is never silent.
-            self.corrupt_unrouted += 1
+            self.corrupt_rejected += 1
             return False
-        receiver = self.receivers.get(region)
+        receiver = self.receivers.get(shipment.region)
         if receiver is None:
-            self.corrupt_unrouted += 1
+            self.corrupt_rejected += 1
             return False
-        if region in self._dead:
+        if shipment.region in self._dead:
             # A declared-dead region's stream is truncated: late blobs
             # are refused whole so its applied prefix stays frozen.
             self.dead_rejected += 1
             return False
-        return receiver.receive(data)
+        receiver.receive(shipment)
+        return True
 
     def _note_progress(self) -> None:
         """Advance each region's contiguous-knowledge bound and stamp
@@ -857,35 +844,6 @@ federation_profile` (regions in a federation share a configuration).
         return self.advance(now)
 
     # ------------------------------------------------------------------
-    # Verdict-level federation (the lightweight alternative)
-    # ------------------------------------------------------------------
-    def adopt_verdicts(
-        self, detections: Sequence[CampaignDetection]
-    ) -> Tuple[int, int]:
-        """Adopt a region's exported verdicts without record replay.
-
-        This is the cheap federation mode -- regions ship conclusions,
-        not evidence -- so campaigns *below* every region's local ``k``
-        are invisible to it (the record-shipping path exists precisely
-        to catch those).  Returns ``(adopted, deduped)``; re-announced
-        campaigns union their spread but never re-open incidents.
-        """
-        adopted = deduped = 0
-        for detection in detections:
-            fresh = self.merger.adopt_campaign(detection)
-            if fresh is None:
-                deduped += 1
-                for vehicle in detection.vehicles:
-                    self.tracker.attach_vehicle(detection.signature, vehicle)
-                continue
-            adopted += 1
-            for engine in self._all_engines:
-                engine.adopt_campaign(detection)
-            self.tracker.open_from_detection(detection,
-                                             base_severity(detection))
-        return adopted, deduped
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def flagged_signatures(self) -> Set[str]:
@@ -937,8 +895,7 @@ federation_profile` (regions in a federation share a configuration).
             "incidents_open": float(len(self.tracker.incidents)),
             "receiver_duplicates": float(
                 sum(r.duplicates for r in self.receivers.values())),
-            "corrupt_rejected": float(
-                sum(r.corrupt_rejected for r in self.receivers.values())),
+            "corrupt_rejected": float(self.corrupt_rejected),
             "episodes": float(self.episodes),
             "reconciliations": float(self.reconciliations),
             "episode_active": float(self._episode_active),

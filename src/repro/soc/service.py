@@ -96,14 +96,13 @@ from repro.soc.fleet import FleetModel
 from repro.soc.ingest import TokenBucket
 from repro.soc.shard import ConservationAudit, stable_hash
 from repro.soc.store import (
-    FRAME_HEADER,
     SEGMENT_MAGIC,
     CorruptRecord,
     DurableStore,
     canonical_dumps,
     frame_payload,
+    iter_frames,
     scan_valid_prefix,
-    unframe_payload,
 )
 
 __all__ = [
@@ -336,7 +335,8 @@ class FrameStreamDecoder:
     raises :class:`~repro.soc.store.CorruptRecord`: on a TCP stream there
     is no resynchronization point after a bad header, so the connection
     must be dropped, mirroring how the log rejects a corrupt record
-    before the tail.
+    before the tail.  The parsing is :func:`~repro.soc.store.iter_frames`,
+    the one frame parser the log and the shipments use too.
     """
 
     def __init__(self, max_frame_bytes: int = 1 << 24) -> None:
@@ -359,30 +359,18 @@ class FrameStreamDecoder:
     def feed(self, data: bytes) -> List[bytes]:
         self._buf += data
         out: List[bytes] = []
-        buf = self._buf
-        hdr = FRAME_HEADER.size  # the log's record header
-        pos = 0
+        used = 0
         try:
-            while len(buf) - pos >= hdr:
-                length = int.from_bytes(buf[pos:pos + 4], "little")
-                if length > self.max_frame_bytes:
-                    raise CorruptRecord(
-                        f"frame length {length} exceeds "
-                        f"{self.max_frame_bytes}")
-                end = pos + hdr + length
-                if len(buf) < end:
-                    break
-                # unframe_payload re-checks length and CRC -- one code
-                # path for wire frames, log records, and shipments.
-                out.append(unframe_payload(bytes(buf[pos:end])))
-                self.frames_decoded += 1
-                pos = end
+            for used, payload in iter_frames(self._buf,
+                                             self.max_frame_bytes):
+                out.append(payload)
         except CorruptRecord:
             self.bytes_rejected += len(data)
             raise
         self.bytes_fed += len(data)
-        if pos:
-            del buf[:pos]
+        self.frames_decoded += len(out)
+        if used:
+            del self._buf[:used]
         return out
 
 

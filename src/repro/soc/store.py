@@ -41,16 +41,26 @@ its last whole record -- earlier records are never touched, and a CRC
 failure *before* the tail raises :class:`CorruptRecord` instead of
 guessing.
 
-Forensics: :meth:`EventLog.scan` answers
-``scan(signature=, vehicle_id=, t0=, t1=)`` without replaying the whole
-log.  Closed segments carry a sidecar **sparse time index**: the
-event-time min/max (whole-segment skip) plus every ``index_every``-th
-record's ``(offset, index, watermark)`` checkpoint, where ``watermark``
-is the running max event time.  Records before a checkpoint all have
-``time <= watermark``, so the scan seeks to the last checkpoint with
-``watermark < t0``; with a declared disorder bound (the correlator's
-``max_lateness_s``), it also stops early once the watermark passes
-``t1 + max_disorder_s``.
+Every frame -- a segment record here, a wire message in
+:mod:`repro.soc.service`, a shipment in :mod:`repro.soc.federation` --
+is parsed by one function, :func:`iter_frames`; files stream through
+it in fixed-size chunks, and :func:`scan_valid_prefix` is that file
+read's torn-tail-tolerant form.
+
+Reads: closed segments carry a sidecar **sparse time index**: the
+first seq and record count, the event-time min/max, plus every
+``index_every``-th record's ``(offset, index, watermark)`` checkpoint,
+where ``watermark`` is the running max event time.  One segment walk
+serves both readers.  :meth:`EventLog.replay` ``(after_seq)`` skips
+segments wholly at or before ``after_seq`` and seeks to the last
+checkpoint at or before the resume point, so recovery from a snapshot
+and the federation shipper's per-pump read cost the suffix, not the
+log.  Forensics, :meth:`EventLog.scan` ``(signature=, vehicle_id=,
+t0=, t1=)``, skips segments whose time range misses the window and
+seeks to the last checkpoint with ``watermark < t0`` (records before a
+checkpoint all have ``time <= watermark``); with a declared disorder
+bound (the correlator's ``max_lateness_s``), it also stops early once
+the watermark passes ``t1 + max_disorder_s``.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.soc.events import CorruptRecord, SecurityEvent, event_from_obj
 
@@ -89,19 +99,6 @@ def canonical_dumps(obj) -> bytes:
     rejected (they would break the sparse index's watermark order)."""
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False,
                       allow_nan=False).encode("utf-8")
-
-
-def encode_event(event: SecurityEvent) -> bytes:
-    """Canonical wire form of one event.  ``detail`` values must be JSON
-    scalars (everything the adapters in :mod:`repro.soc.events` emit)."""
-    return canonical_dumps(event)
-
-
-def decode_event(data: bytes) -> SecurityEvent:
-    """Inverse of :func:`encode_event`, validating (hypothesis-tested
-    byte-identical: ``encode(decode(b)) == b`` and
-    ``decode(encode(e)) == e``)."""
-    return event_from_obj(json.loads(data.decode("utf-8")))
 
 
 @dataclass(frozen=True)
@@ -160,17 +157,33 @@ def frame_payload(payload: bytes) -> bytes:
     return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def unframe_payload(data: bytes) -> bytes:
-    """Inverse of :func:`frame_payload`: verify framing + CRC, return
-    the payload.  Raises :class:`CorruptRecord` on any damage -- a
-    corrupted shipment is rejected whole, never half-applied."""
-    if len(data) < FRAME_HEADER.size:
-        raise CorruptRecord("short frame header")
-    length, crc = FRAME_HEADER.unpack(data[:FRAME_HEADER.size])
-    payload = data[FRAME_HEADER.size:]
-    if len(payload) != length or zlib.crc32(payload) != crc:
-        raise CorruptRecord("frame failed length/CRC check")
-    return payload
+def iter_frames(buf, max_frame_bytes: Optional[int],
+                ) -> Iterator[Tuple[int, bytes]]:
+    """The one frame parser (wire stream, shipment and segment file all
+    read through it).  Yields ``(end, payload)`` for each whole frame at
+    the front of ``buf`` -- ``end`` is the offset just past that frame --
+    and stops at a trailing partial frame: a torn frame is simply
+    *incomplete*, never delivered.  Damage that is provable (a CRC
+    mismatch, or a length field beyond a non-``None``
+    ``max_frame_bytes``) raises :class:`CorruptRecord`; there is no
+    resynchronization point after a bad header, so the reader must drop
+    the rest."""
+    header = FRAME_HEADER.size
+    size = len(buf)
+    pos = 0
+    while size - pos >= header:
+        length, crc = FRAME_HEADER.unpack_from(buf, pos)
+        if max_frame_bytes is not None and length > max_frame_bytes:
+            raise CorruptRecord(
+                f"frame length {length} exceeds {max_frame_bytes}")
+        end = pos + header + length
+        if end > size:
+            return
+        payload = bytes(buf[pos + header:end])
+        if zlib.crc32(payload) != crc:
+            raise CorruptRecord(f"frame at offset {pos} failed its CRC check")
+        yield end, payload
+        pos = end
 
 
 # ----------------------------------------------------------------------
@@ -195,48 +208,59 @@ def _segment_first_seq(path: Path) -> int:
     return int(path.stem.split("-")[1])
 
 
-def _iter_payloads(path: Path, start_offset: int = len(SEGMENT_MAGIC),
-                   stop_offset: Optional[int] = None,
-                   ) -> Iterator[Tuple[int, bytes]]:
-    """Yield ``(offset, payload)`` for whole, CRC-valid records.  Raises
-    :class:`CorruptRecord` on a framing/CRC failure (callers that expect
-    a recoverable torn tail use :func:`scan_valid_prefix` instead)."""
+#: Bytes per read when streaming a segment-format file.
+_READ_CHUNK = 1 << 16
+
+
+def _read_frames(path: Path, start_offset: int,
+                 stop_offset: Optional[int], *,
+                 tolerant: bool) -> Iterator[Tuple[int, bytes]]:
+    """Stream ``(end, payload)`` for the records of a segment-format file
+    from ``start_offset`` up to ``stop_offset`` (record boundaries;
+    ``None`` reads to the end), reading fixed-size chunks through
+    :func:`iter_frames`, so memory stays bounded by one chunk plus one
+    record.  A torn or CRC-failing record
+    raises :class:`CorruptRecord` -- or, with ``tolerant``, ends the
+    stream there (the torn-tail read :func:`scan_valid_prefix` does)."""
+    buf = b""
+    base = start_offset  # file offset of buf[0]
     with open(path, "rb") as fh:
         fh.seek(start_offset)
-        offset = start_offset
-        while stop_offset is None or offset < stop_offset:
-            header = fh.read(FRAME_HEADER.size)
-            if not header:
-                return
-            if len(header) < FRAME_HEADER.size:
-                raise CorruptRecord(f"{path.name}: short header at {offset}")
-            length, crc = FRAME_HEADER.unpack(header)
-            payload = fh.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                raise CorruptRecord(f"{path.name}: bad record at {offset}")
-            yield offset, payload
-            offset += FRAME_HEADER.size + length
+        while True:
+            want = _READ_CHUNK
+            if stop_offset is not None:
+                want = min(want, stop_offset - base - len(buf))
+            chunk = fh.read(want) if want > 0 else b""
+            if not chunk:
+                break
+            buf += chunk
+            used = 0
+            try:
+                for used, payload in iter_frames(buf, None):
+                    yield base + used, payload
+            except CorruptRecord:
+                if tolerant:
+                    return
+                raise CorruptRecord(
+                    f"{path.name}: bad record at {base + used}") from None
+            buf = buf[used:]
+            base += used
+    if buf and not tolerant:
+        raise CorruptRecord(f"{path.name}: torn record at {base}")
 
 
 def scan_valid_prefix(path: Path) -> Tuple[List[bytes], int]:
-    """Read a segment tolerating a torn tail: returns every whole valid
-    record plus the byte offset where validity ends (the truncate point)."""
+    """Read a segment-format file tolerating a torn tail: returns every
+    whole valid record plus the byte offset where validity ends (the
+    truncate point)."""
+    with open(path, "rb") as fh:
+        if fh.read(len(SEGMENT_MAGIC)) != SEGMENT_MAGIC:
+            return [], len(SEGMENT_MAGIC)
     payloads: List[bytes] = []
     good_end = len(SEGMENT_MAGIC)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SEGMENT_MAGIC))
-        if magic != SEGMENT_MAGIC:
-            return [], len(SEGMENT_MAGIC)
-        while True:
-            header = fh.read(FRAME_HEADER.size)
-            if len(header) < FRAME_HEADER.size:
-                break
-            length, crc = FRAME_HEADER.unpack(header)
-            payload = fh.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                break
-            payloads.append(payload)
-            good_end += FRAME_HEADER.size + length
+    for good_end, payload in _read_frames(path, len(SEGMENT_MAGIC), None,
+                                          tolerant=True):
+        payloads.append(payload)
     return payloads, good_end
 
 
@@ -282,7 +306,7 @@ class EventLog:
         self.truncated_bytes = 0     # torn tail dropped at open
         self.segments_rotated = 0
         self.last_scan_stats: Dict[str, int] = {}
-        self.last_tail_stats: Dict[str, int] = {}
+        self.last_replay_stats: Dict[str, int] = {}
 
         self._recover_or_create()
 
@@ -525,64 +549,80 @@ class EventLog:
                     path, idx["first_seq"], idx["count"],
                     idx["min_t"], idx["max_t"], idx["checkpoints"]))
             else:  # sidecar lost: fall back to an unindexed full scan
-                count = sum(1 for _ in _iter_payloads(path))
+                count = sum(1 for _ in _read_frames(
+                    path, len(SEGMENT_MAGIC), None, tolerant=False))
                 infos.append(_SegmentInfo(path, first_seq, count,
                                           None, None, []))
         return infos
 
-    def replay(self, after_seq: int = 0) -> Iterator[LogRecord]:
-        """Yield every record with ``seq > after_seq`` in append order
-        (batches *and* pump markers -- recovery replays both)."""
-        self._fh.flush()  # the active segment must be readable
-        for info in self._segment_infos():
-            if info.first_seq + info.count - 1 <= after_seq:
-                continue
-            for i, (_, payload) in enumerate(_iter_payloads(info.path)):
-                seq = info.first_seq + i
-                if seq <= after_seq:
-                    continue
-                yield record_from_payload(seq, payload)
+    def _walk(self, stats: Dict[str, int],
+              skip: Callable[[_SegmentInfo], bool],
+              seek_past: Callable[[int, Optional[float]], bool],
+              stop_after: Optional[float],
+              ) -> Iterator[Tuple[int, bytes]]:
+        """The one segment walk behind :meth:`replay` and :meth:`scan`;
+        yields ``(seq, payload)`` in append order.
 
-    def tail(self, after_seq: int = 0) -> Iterator[LogRecord]:
-        """Yield every record with ``seq > after_seq`` like
-        :meth:`replay`, but *seek* instead of rescan: segments wholly at
-        or before ``after_seq`` are skipped by their sidecar metadata,
-        and within the first overlapping segment the sparse index jumps
-        to the last checkpoint at or before the resume point.  This is
-        the shipper's read path -- called once per pump with a
-        monotonically advancing cursor, it reads O(new records +
-        ``index_every``) instead of O(segment size).
-
-        ``last_tail_stats`` records ``segments_skipped``,
-        ``records_read`` (records decoded, including up to
-        ``index_every - 1`` pre-cursor records after the checkpoint
-        seek), ``records_yielded``, and ``bytes_seeked`` (bytes the
-        checkpoint seek avoided reading) for the regression pin.
+        A segment with ``skip(info)`` is passed over whole on its sidecar
+        metadata.  Within the others the sparse index seeks to the last
+        checkpoint whose first record ``(seq, watermark)`` satisfies
+        ``seek_past`` (both grow with the record index, so the test holds
+        for a prefix of checkpoints), and reading stops at the first
+        checkpoint whose watermark exceeds ``stop_after``.  Records are
+        seq-contiguous, so a checkpoint's ``record_index`` maps directly
+        to seq.
         """
         self._fh.flush()  # the active segment must be readable
-        stats = {"segments_skipped": 0, "records_read": 0,
-                 "records_yielded": 0, "bytes_seeked": 0}
-        self.last_tail_stats = stats
         for info in self._segment_infos():
-            if info.first_seq + info.count - 1 <= after_seq:
+            stats["segments"] += 1
+            if skip(info):
                 stats["segments_skipped"] += 1
                 continue
             start_offset, start_index = len(SEGMENT_MAGIC), 0
-            # Records are seq-contiguous, so checkpoint ``record_index``
-            # maps directly to seq: seek to the last checkpoint whose
-            # first record is still <= the resume point.
-            for offset, index, _watermark in info.checkpoints:
-                if info.first_seq + int(index) <= after_seq + 1:
-                    start_offset, start_index = int(offset), int(index)
-                else:
+            for offset, index, watermark in info.checkpoints:
+                if not seek_past(info.first_seq + int(index), watermark):
                     break
+                start_offset, start_index = int(offset), int(index)
+            stop_offset: Optional[int] = None
+            if stop_after is not None:
+                stop_offset = next(
+                    (int(offset) for offset, _, watermark in info.checkpoints
+                     if watermark is not None and watermark > stop_after),
+                    None)
             stats["bytes_seeked"] += start_offset - len(SEGMENT_MAGIC)
-            for i, (_, payload) in enumerate(_iter_payloads(
-                    info.path, start_offset=start_offset)):
+            seq = info.first_seq + start_index
+            for _, payload in _read_frames(info.path, start_offset,
+                                           stop_offset, tolerant=False):
                 stats["records_read"] += 1
-                seq = info.first_seq + start_index + i
-                if seq <= after_seq:
-                    continue
+                yield seq, payload
+                seq += 1
+
+    def replay(self, after_seq: int = 0) -> Iterator[LogRecord]:
+        """Yield every record with ``seq > after_seq`` in append order
+        (batches *and* pump markers -- recovery replays both).
+
+        The read seeks instead of rescanning: segments wholly at or
+        before ``after_seq`` are skipped by their sidecar metadata, and
+        within the first overlapping segment the sparse index jumps to
+        the last checkpoint at or before the resume point.  Recovery
+        (``after_seq`` = the snapshot's ``log_seq``) and the federation
+        shipper (called once per pump with an advancing cursor) therefore
+        read O(new records + ``index_every``), not O(log size).
+
+        ``last_replay_stats`` records ``segments``,
+        ``segments_skipped``, ``records_read`` (records decoded,
+        including up to ``index_every - 1`` pre-cursor records after the
+        checkpoint seek), ``records_yielded`` and ``bytes_seeked`` (bytes
+        the checkpoint seek avoided reading).
+        """
+        stats = {"segments": 0, "segments_skipped": 0, "records_read": 0,
+                 "records_yielded": 0, "bytes_seeked": 0}
+        self.last_replay_stats = stats
+        for seq, payload in self._walk(
+                stats,
+                lambda info: info.first_seq + info.count - 1 <= after_seq,
+                lambda seq, _watermark: seq <= after_seq + 1, None):
+            if seq > after_seq:
                 stats["records_yielded"] += 1
                 yield record_from_payload(seq, payload)
 
@@ -601,56 +641,42 @@ class EventLog:
         out-of-order bound (the correlator's ``max_lateness_s``) -- also
         lets the scan stop early once the watermark passes ``t1 +
         max_disorder_s``; leave ``None`` to assume nothing.
+        ``last_scan_stats`` counts the work like ``last_replay_stats``.
         """
-        self._fh.flush()
         stats = {"segments": 0, "segments_skipped": 0, "records_read": 0,
                  "bytes_seeked": 0}
         self.last_scan_stats = stats
-        for info in self._segment_infos():
-            stats["segments"] += 1
-            if info.min_t is not None and (
-                    (t1 is not None and info.min_t > t1)
-                    or (t0 is not None and info.max_t is not None
-                        and info.max_t < t0)):
-                stats["segments_skipped"] += 1
+
+        def skip(info: _SegmentInfo) -> bool:
+            return info.min_t is not None and (
+                (t1 is not None and info.min_t > t1)
+                or (t0 is not None and info.max_t is not None
+                    and info.max_t < t0))
+
+        def seek_past(_seq: int, watermark: Optional[float]) -> bool:
+            # None = no events before this checkpoint, which vacuously
+            # proves the prefix is older than t0 too.
+            return t0 is not None and (watermark is None or watermark < t0)
+
+        stop_after = None
+        if t1 is not None and max_disorder_s is not None:
+            stop_after = t1 + max_disorder_s
+        for seq, payload in self._walk(stats, skip, seek_past, stop_after):
+            record = record_from_payload(seq, payload)
+            if record.kind != "batch":
                 continue
-            start_offset, start_index = len(SEGMENT_MAGIC), 0
-            stop_offset: Optional[int] = None
-            if t0 is not None:
-                for offset, index, watermark in info.checkpoints:
-                    # None = no events before this checkpoint, which
-                    # vacuously proves the prefix is older than t0 too.
-                    if watermark is None or watermark < t0:
-                        start_offset, start_index = int(offset), int(index)
-                    else:
-                        break
-            if t1 is not None and max_disorder_s is not None:
-                for offset, _, watermark in info.checkpoints:
-                    if watermark is not None and (
-                            watermark > t1 + max_disorder_s):
-                        stop_offset = int(offset)
-                        break
-            stats["bytes_seeked"] += start_offset - len(SEGMENT_MAGIC)
-            for i, (_, payload) in enumerate(_iter_payloads(
-                    info.path, start_offset=start_offset,
-                    stop_offset=stop_offset)):
-                stats["records_read"] += 1
-                record = record_from_payload(
-                    info.first_seq + start_index + i, payload)
-                if record.kind != "batch":
+            for event in record.events:
+                if signature is not None and event.signature != signature:
                     continue
-                for event in record.events:
-                    if signature is not None and event.signature != signature:
-                        continue
-                    if vehicle_id is not None and event.vehicle_id != vehicle_id:
-                        continue
-                    if t0 is not None and event.time < t0:
-                        continue
-                    if t1 is not None and event.time > t1:
-                        continue
-                    yield ScanHit(seq=record.seq,
-                                  dispatch_t=record.dispatch_t,
-                                  shard=record.shard, event=event)
+                if vehicle_id is not None and event.vehicle_id != vehicle_id:
+                    continue
+                if t0 is not None and event.time < t0:
+                    continue
+                if t1 is not None and event.time > t1:
+                    continue
+                yield ScanHit(seq=record.seq,
+                              dispatch_t=record.dispatch_t,
+                              shard=record.shard, event=event)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Tests for repro.soc.federation and the E18 federated topology.
 
-Covers the checkpoint-seeking ``EventLog.tail`` cursor (pinned across a
-segment roll), the shipment wire codec (round-trip + every-byte
-corruption rejection), the seeded WAN channel model, shipper restart /
-receiver dedup (at-least-once made exactly-once), the merger's
+Covers the shipper's checkpoint-seeking ``EventLog.replay(after_seq)``
+read (pinned across a segment roll and a lost sidecar), the shipment
+wire codec (round-trip + every-byte corruption rejection), the hub's
+one decode per blob and its published ``corrupt_rejected`` count, the
+seeded WAN channel model, shipper restart / receiver dedup
+(at-least-once made exactly-once), the merger's
 ``adopt_campaign`` re-adoption dedup, and the tentpole differentials:
 a federated hub at zero lag is byte-identical to a union replay and
 semantically identical to one global correlation engine fed the union
@@ -20,6 +22,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.soc.federation as federation
 from repro.core.safety import Asil
 from repro.soc import (
     CampaignDetection,
@@ -65,31 +68,44 @@ def _fill_log(log, n_batches, per_batch=2, mark_every=3):
 
 
 # ----------------------------------------------------------------------
-# Satellite: EventLog.tail
+# The shipper's tail read: EventLog.replay(after_seq) seeks
 # ----------------------------------------------------------------------
 class TestEventLogTail:
     def test_tail_matches_replay_at_every_cursor(self, tmp_path):
-        log = EventLog(tmp_path, segment_max_records=3, index_every=1)
+        """``replay(after_seq=c)`` is the full replay's suffix for every
+        cursor ``c``, across rotated segments."""
+        log = EventLog(tmp_path, segment_max_records=3, index_every=2)
         total = _fill_log(log, 10)
         assert log.segments_rotated >= 3
+        full = list(log.replay())
+        assert [r.seq for r in full] == list(range(1, total + 1))
         for cursor in range(total + 1):
-            assert list(log.tail(after_seq=cursor)) == \
-                list(log.replay(after_seq=cursor))
+            assert list(log.replay(after_seq=cursor)) == full[cursor:]
+        log.close()
+
+    def test_replay_suffix_survives_a_deleted_sidecar(self, tmp_path):
+        log = EventLog(tmp_path, segment_max_records=4, index_every=1)
+        total = _fill_log(log, 12)
+        full = list(log.replay())
+        log.segment_paths()[1].with_suffix(".idx.json").unlink()
+        for cursor in range(total + 1):
+            assert list(log.replay(after_seq=cursor)) == full[cursor:]
         log.close()
 
     def test_tail_seeks_past_closed_segments(self, tmp_path):
         log = EventLog(tmp_path, segment_max_records=3, index_every=1)
         total = _fill_log(log, 12)
-        tailed = list(log.tail(after_seq=total - 2))
+        tailed = list(log.replay(after_seq=total - 2))
         assert [r.seq for r in tailed] == [total - 1, total]
-        stats = log.last_tail_stats
+        stats = log.last_replay_stats
         assert stats["segments_skipped"] >= 2
         assert stats["records_read"] < total
         assert stats["records_yielded"] == 2
         # The in-segment checkpoint seek skipped real bytes too.
-        full = list(log.tail(after_seq=0))
+        full = list(log.replay(after_seq=0))
         assert len(full) == total
-        assert log.last_tail_stats["segments_skipped"] == 0
+        assert log.last_replay_stats["segments_skipped"] == 0
+        assert log.last_replay_stats["bytes_seeked"] == 0
         log.close()
 
     def test_tail_across_a_segment_roll(self, tmp_path):
@@ -98,20 +114,18 @@ class TestEventLogTail:
         log = EventLog(tmp_path, segment_max_records=4, index_every=1)
         _fill_log(log, 5)
         cursor = log.last_seq
-        assert list(log.tail(after_seq=cursor)) == []
+        assert list(log.replay(after_seq=cursor)) == []
         # Appends that roll into a new segment while the cursor waits.
         before = log.segments_rotated
         appended = _fill_log(log, 6)
         assert log.segments_rotated > before
-        fresh = list(log.tail(after_seq=cursor))
+        fresh = list(log.replay(after_seq=cursor))
         assert [r.seq for r in fresh] == \
             list(range(cursor + 1, cursor + appended + 1))
-        assert fresh == list(log.replay(after_seq=cursor))
         # A cursor at a closed segment's boundary skips that segment.
-        boundary = log._segment_infos()[0]
-        edge = boundary.first_seq + boundary.count - 1
-        list(log.tail(after_seq=edge))
-        assert log.last_tail_stats["segments_skipped"] >= 1
+        first = log.segment_paths()[1].stem.split("-")[1]
+        list(log.replay(after_seq=int(first) - 1))
+        assert log.last_replay_stats["segments_skipped"] == 1
         log.close()
 
 
@@ -259,7 +273,7 @@ class TestShipperAndReceiver:
         assert shipper.shipped_seq == total
         assert shipper.shipments_sent == -(-total // 3)
         for blob in chan.deliver(float("inf")):
-            assert receiver.receive(blob)
+            receiver.receive(decode_shipment(blob))
         assert sorted(receiver.buffer) == list(range(1, total + 1))
         assert receiver.records_received == total
         assert receiver.duplicates == 0
@@ -276,7 +290,7 @@ class TestShipperAndReceiver:
         assert shipper.shipped_seq == 0
         assert shipper.pump(12.0) == total
         for blob in chan.deliver(float("inf")):
-            receiver.receive(blob)
+            receiver.receive(decode_shipment(blob))
         assert len(receiver.buffer) == total
         log.close()
 
@@ -285,14 +299,14 @@ class TestShipperAndReceiver:
         total = _fill_log(log, 6)
         shipper.pump(0.0)
         for blob in chan.deliver(float("inf")):
-            receiver.receive(blob)
+            receiver.receive(decode_shipment(blob))
         # Region kill: only the durable log survives; the replacement
         # shipper restarts from seq 0 and re-ships all of history.
         replacement = SegmentShipper("region-a", log, chan,
                                      max_batch_records=3)
         assert replacement.pump(1.0) == total
         for blob in chan.deliver(float("inf")):
-            assert receiver.receive(blob)
+            receiver.receive(decode_shipment(blob))
         assert receiver.duplicates == total
         assert sorted(receiver.buffer) == list(range(1, total + 1))
         log.close()
@@ -300,13 +314,14 @@ class TestShipperAndReceiver:
     def test_receiver_rejects_corrupt_and_misrouted(self, tmp_path):
         shipment = _shipment_from_log(tmp_path, region="region-a")
         blob = encode_shipment(shipment)
-        receiver = SegmentReceiver("region-b")
-        assert not receiver.receive(blob)  # wrong region
+        hub = FederationHub(["region-b"], 1)
+        assert not hub.receive(blob)  # wrong region
         damaged = bytearray(blob)
         damaged[7] ^= 0xFF
-        assert not receiver.receive(bytes(damaged))
-        assert receiver.corrupt_rejected == 2
-        assert receiver.records_received == 0
+        assert not hub.receive(bytes(damaged))
+        assert hub.corrupt_rejected == 2
+        assert hub.metrics()["corrupt_rejected"] == 2.0
+        assert hub.receivers["region-b"].records_received == 0
 
     def test_out_of_order_buffering(self, tmp_path):
         log = EventLog(tmp_path, segment_max_records=64)
@@ -321,9 +336,9 @@ class TestShipperAndReceiver:
                                         records[-1].dispatch_t,
                                         tuple(records[1:])))
         receiver = SegmentReceiver("r")
-        assert receiver.receive(rest)
+        receiver.receive(decode_shipment(rest))
         assert receiver.next_ready() is None  # gap at seq 1
-        assert receiver.receive(one)
+        receiver.receive(decode_shipment(one))
         assert receiver.next_ready().seq == 1
 
     def test_shipper_rejects_bad_batch_size(self):
@@ -334,6 +349,20 @@ class TestShipperAndReceiver:
 # ----------------------------------------------------------------------
 # Hub units
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def shipped_pair(tmp_path_factory):
+    """Two consecutive region-a shipment blobs from one log."""
+    log = EventLog(tmp_path_factory.mktemp("pair"))
+    _fill_log(log, 6)
+    records = list(log.replay())
+    log.close()
+    half = len(records) // 2
+    return tuple(
+        encode_shipment(Shipment("region-a", chunk[0].seq, chunk[-1].seq,
+                                 chunk[-1].dispatch_t, tuple(chunk)))
+        for chunk in (records[:half], records[half:]))
+
+
 class TestFederationHubUnits:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -350,22 +379,62 @@ class TestFederationHubUnits:
         foreign = encode_shipment(
             _shipment_from_log(tmp_path / "other", "region-z"))
         assert not hub.receive(foreign)
-        assert hub.corrupt_unrouted == 2
+        assert hub.corrupt_rejected == 2
+        assert hub.metrics()["corrupt_rejected"] == 2.0
 
-    def test_adopt_verdicts_opens_once_and_unions_spread(self):
-        hub = FederationHub(["a", "b"], 1, k=3)
-        first = _detection(vehicles=("v1", "v2", "v3"))
-        assert hub.adopt_verdicts([first]) == (1, 0)
-        assert hub.flagged_signatures() == {"xr.sig"}
-        assert len(hub.tracker.incidents) == 1
-        for engine in hub._all_engines:
-            assert engine.is_flagged("xr.sig")
-        # The same campaign id from the second region dedups; its
-        # vehicles still attach to the open incident.
-        again = _detection(vehicles=("v7", "v8", "v9"))
-        assert hub.adopt_verdicts([again]) == (0, 1)
-        assert len(hub.tracker.incidents) == 1
-        assert hub.merger.campaign_vehicles("xr.sig") >= {"v7", "v8", "v9"}
+    def test_torn_shipment_counts_in_metrics(self, tmp_path):
+        """Regression: a torn blob the hub refuses must show in
+        ``metrics()["corrupt_rejected"]``, not only in a private tally."""
+        log = EventLog(tmp_path)
+        log.append_batch(0.5, 0, [ev("v1", "sig.0", 0.4, 1)])
+        chan = ShippingChannel(random.Random(0))
+        SegmentShipper("region-a", log, chan).pump(0.0)
+        log.close()
+        chan.corrupt_next(1)
+        (blob,) = chan.deliver(float("inf"))
+        hub = FederationHub(["region-a"], 1)
+        assert not hub.receive(blob)
+        assert hub.metrics()["corrupt_rejected"] == 1.0
+        assert hub.unapplied() == 0
+
+    def test_receive_decodes_each_blob_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(data):
+            calls.append(data)
+            return decode_shipment(data)
+
+        monkeypatch.setattr(federation, "decode_shipment", spy)
+        hub = FederationHub(["region-a"], 1)
+        blob = encode_shipment(_shipment_from_log(tmp_path, "region-a"))
+        foreign = encode_shipment(
+            _shipment_from_log(tmp_path / "other", "region-z"))
+        for data in (blob, blob[:-1], foreign, blob):
+            hub.receive(data)
+        assert calls == [blob, blob[:-1], foreign, blob]
+        assert hub.receivers["region-a"].shipments_received == 2
+
+    @given(offset=st.integers(min_value=0), mask=st.integers(1, 255))
+    @settings(max_examples=150, deadline=None)
+    def test_any_byte_flip_is_refused_whole(self, shipped_pair, offset,
+                                            mask):
+        """A blob with any single byte flipped is refused whole, counted
+        exactly once, and leaves the hub's analytic state untouched."""
+        first, second = shipped_pair
+        hub = FederationHub(["region-a"], 2)  # _fill_log uses 2 shards
+        assert hub.receive(first)
+        hub.advance(0.0)
+        before = _canon(hub.analytics_snapshot())
+        unapplied = hub.unapplied()
+        damaged = bytearray(second)
+        damaged[offset % len(damaged)] ^= mask
+        assert not hub.receive(bytes(damaged))
+        hub.advance(0.0)
+        assert hub.metrics()["corrupt_rejected"] == 1.0
+        assert hub.unapplied() == unapplied
+        assert _canon(hub.analytics_snapshot()) == before
+        # The retransmitted intact blob still applies.
+        assert hub.receive(second)
 
     def test_watermark_gate_stalls_on_silent_region(self, tmp_path):
         hub = FederationHub(["region-a", "region-b"], 2)
@@ -444,9 +513,6 @@ class TestFederatedDifferential:
                 "local_flagged": {
                     name: set(runtime.center.flagged_signatures())
                     for name, runtime in scene.regions.items()},
-                "local_verdicts": {
-                    name: runtime.center.export_verdicts()
-                    for name, runtime in scene.regions.items()},
             }
         finally:
             scene.close()
@@ -466,7 +532,7 @@ class TestFederatedDifferential:
         for name in scene.regions:
             assert not (r["local_flagged"][name]
                         & scene.campaign_signatures)
-            assert r["local_verdicts"][name] == []
+            assert r["local_flagged"][name] == set()
         flagged = scene.hub.flagged_signatures()
         assert scene.campaign_signatures <= flagged
         assert flagged == r["global_flagged"]

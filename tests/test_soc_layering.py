@@ -13,6 +13,10 @@ a class that itself assigns ``self._attr`` (or defines ``_attr`` in its
 body), so another class's private state is reached through a public
 property instead.  Same-class access on a second instance -- e.g. the
 writes ``from_snapshot`` makes on the object it builds -- passes.
+
+And a data format has one owner: the ``u32 len | u32 CRC32 | payload``
+frame is parsed only in ``store.py``, so no other module may name its
+``FRAME_HEADER`` (they call ``store.iter_frames`` and friends).
 """
 
 import ast
@@ -130,3 +134,35 @@ def test_attribute_guard_catches_foreign_reads(tmp_path):
         "    return soc._pump_no\n")
     assert foreign_private_reads(bad) == [
         "bad.py:11: soc._pump_no", "bad.py:13: soc._pump_no"]
+
+
+def frame_header_references(path: Path):
+    """Every import or use of ``FRAME_HEADER`` in ``path``, sorted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name == "FRAME_HEADER":
+            found.append((node.lineno, "import FRAME_HEADER"))
+        elif isinstance(node, ast.Name) and node.id == "FRAME_HEADER":
+            found.append((node.lineno, "FRAME_HEADER"))
+        elif (isinstance(node, ast.Attribute)
+              and node.attr == "FRAME_HEADER"):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+def test_only_store_parses_the_frame():
+    found = [hit for path in sorted(SOC.glob("*.py"))
+             if path.name != "store.py"
+             for hit in frame_header_references(path)]
+    assert found == []
+
+
+def test_frame_guard_catches_import_and_use(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from repro.soc.store import FRAME_HEADER\n"
+                   "import repro.soc.store as store\n"
+                   "n = FRAME_HEADER.size + store.FRAME_HEADER.size\n")
+    assert frame_header_references(bad) == [
+        "bad.py:1: import FRAME_HEADER", "bad.py:3: FRAME_HEADER",
+        "bad.py:3: store.FRAME_HEADER"]

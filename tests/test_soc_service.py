@@ -254,6 +254,33 @@ class TestWireCodec:
         assert decoder.frames_decoded == 4
         assert decoder.bytes_fed == len(stream)
 
+    @given(payloads=st.lists(st.binary(max_size=80), min_size=1, max_size=6),
+           cuts=st.lists(st.integers(min_value=0), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_frames_cut_anywhere_decode_exactly(self, payloads, cuts):
+        """Any payloads, framed and fed in pieces cut at arbitrary
+        points, come out exactly once and in order; ``bytes_fed``
+        counts every accepted byte and ``bytes_rejected`` only the data
+        that provoked a rejection."""
+        stream = b"".join(frame_payload(p) for p in payloads)
+        points = sorted({c % (len(stream) + 1) for c in cuts}
+                        | {0, len(stream)})
+        decoder = FrameStreamDecoder()
+        out = []
+        for start, end in zip(points, points[1:]):
+            out += decoder.feed(stream[start:end])
+            assert decoder.bytes_fed == end
+        assert out == payloads
+        assert decoder.frames_decoded == len(payloads)
+        assert decoder.pending_bytes == 0
+        assert decoder.bytes_rejected == 0
+        bad = bytearray(frame_payload(b"x" + payloads[0]))
+        bad[-1] ^= 0xFF
+        with pytest.raises(CorruptRecord):
+            decoder.feed(bytes(bad))
+        assert decoder.bytes_rejected == len(bad)
+        assert decoder.bytes_fed == len(stream)
+
 
 # ----------------------------------------------------------------------
 # Worker core
