@@ -9,9 +9,8 @@ There is one ingest pipeline (:class:`~repro.soc.ingest.IngestPipeline`,
 ``num_shards`` queues) and ``num_shards`` alone picks the correlation
 topology:
 
-- one shard: one :class:`~repro.soc.correlate.CorrelationEngine` fed
-  off the pipeline, one Python call per drained batch
-  (``add_batch_sink`` -> ``observe_batch``);
+- one shard: one :class:`~repro.soc.correlate.CorrelationEngine`; each
+  drained batch is observed and attributed to incidents at once;
 - more: one **shard-local** engine per ingest shard plus a
   :class:`~repro.soc.correlate.GlobalCampaignMerger` that stitches the
   local verdicts (and, under region sharding, sub-threshold cross-shard
@@ -19,11 +18,11 @@ topology:
   are adopted back into every engine so spread attribution stays exact
   and one event is never correlated twice.
 
-Incident attribution has one routine per topology --
-:func:`observe_and_attribute` (a drained batch on an unsharded engine)
-and :func:`merge_and_attribute` (one merge at a pump boundary) -- shared
-by the live sinks, crash recovery (:func:`recover_soc_state`) and the
-federation hub's replay, so replayed attribution cannot drift from live.
+:class:`AnalyticState` owns the engines, the optional merger and the
+incident tracker, and is the one place that knows how a batch record or
+a pump marker changes them.  The live centre, crash recovery
+(:func:`recover_soc_state`) and the federation hub's replay all apply
+records through it, so replayed attribution cannot drift from live.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from repro.soc.incident import AMENDMENT_KINDS, Amendment, IncidentTracker
 from repro.soc.ingest import IngestPipeline, ShedPolicy
 from repro.soc.respond import ResponseOrchestrator
 from repro.soc.shard import ConservationAudit, ShardKeyFn
-from repro.soc.store import DurableStore
+from repro.soc.store import DurableStore, LogRecord
 
 
 #: Opens (or finds) the incident for a verdict at a base severity.  The
@@ -57,67 +56,136 @@ from repro.soc.store import DurableStore
 OpenIncident = Callable[[CampaignDetection, Asil], object]
 
 
-def base_severity(detection: CampaignDetection) -> Asil:
-    """Merged detections carry no triggering event; recover the source
-    family from the signature namespace (same defaulting as a batch
-    verdict's triggering event)."""
-    source = source_for_signature(detection.signature)
-    if source is None:
-        return Asil.A
-    return DEFAULT_SOURCE_SEVERITY.get(source, Asil.A)
+class AnalyticState:
+    """The replayable analytic core: a flat list of correlation engines,
+    an optional :class:`GlobalCampaignMerger` and the incident tracker.
 
+    Without a merger there is exactly one engine and a verdict fires the
+    moment its batch is observed.  With one, engines observe shard-local
+    batches and verdicts surface at :meth:`merge`, once per pump.  The
+    engine order is part of the state: merger cursors index engines by
+    position.
 
-def observe_and_attribute(engine: CorrelationEngine,
-                          events: List[SecurityEvent],
-                          tracker: IncidentTracker,
-                          open_incident: OpenIncident) -> None:
-    """Observe one drained batch on an unsharded engine and attribute
-    it: a verdict opens an incident at its triggering event's source
-    severity; an event of an already-flagged signature attaches its
-    vehicle to that incident."""
-    attach = tracker.attach_vehicle
-    is_flagged = engine.is_flagged
-    for event, detection in zip(events, engine.observe_batch(events)):
-        if detection is not None:
-            open_incident(detection,
-                          DEFAULT_SOURCE_SEVERITY.get(event.source, Asil.A))
-        elif is_flagged(event.signature):
-            attach(event.signature, event.vehicle_id)
+    Every lookup of an engine, the merger or the tracker happens at call
+    time, so a caller may wrap their methods after construction.
+    """
 
+    def __init__(self, engines: Sequence[CorrelationEngine],
+                 merger: Optional[GlobalCampaignMerger],
+                 tracker: IncidentTracker) -> None:
+        self.engines: List[CorrelationEngine] = list(engines)
+        self.merger = merger
+        self.tracker = tracker
 
-def merge_and_attribute(merger: GlobalCampaignMerger,
-                        engines: Sequence[CorrelationEngine],
-                        tracker: IncidentTracker,
-                        open_incident: OpenIncident
-                        ) -> List[CampaignDetection]:
-    """One pump-boundary merge: stitch the engines, adopt each new
-    fleet-wide verdict back into every engine (so they track spread
-    exactly from here on and never re-fire), open its incident, then
-    attach newly attributed vehicles in sorted order.  Returns the new
-    verdicts."""
-    new_detections, new_vehicles = merger.merge(engines)
-    for detection in new_detections:
-        for engine in engines:
-            engine.adopt_campaign(detection)
-        open_incident(detection, base_severity(detection))
-    for signature in sorted(new_vehicles):
-        for vehicle in sorted(new_vehicles[signature]):
-            tracker.attach_vehicle(signature, vehicle)
-    return new_detections
+    @classmethod
+    def fresh(cls, num_engines: int, *, sharded: bool, window_s: float,
+              k: int, dedup_window_s: float,
+              max_lateness_s: float) -> "AnalyticState":
+        engines = [CorrelationEngine(
+                       window_s=window_s, k=k, dedup_window_s=dedup_window_s,
+                       max_lateness_s=max_lateness_s)
+                   for _ in range(num_engines)]
+        merger = (GlobalCampaignMerger(window_s=window_s, k=k)
+                  if sharded else None)
+        return cls(engines, merger, IncidentTracker())
 
+    @classmethod
+    def from_snapshot(cls, state: Dict[str, object]) -> "AnalyticState":
+        """Inverse of :meth:`snapshot` (extra keys are ignored)."""
+        return cls(
+            [CorrelationEngine.from_snapshot(s) for s in state["engines"]],
+            (GlobalCampaignMerger.from_snapshot(state["merger"])
+             if state["merger"] is not None else None),
+            IncidentTracker.from_snapshot(state["tracker"]))
 
-def _analytics_snapshot(pump_no: int, log_seq: int,
-                        engines: Sequence[CorrelationEngine],
-                        merger: Optional[GlobalCampaignMerger],
-                        tracker: IncidentTracker) -> Dict[str, object]:
-    return {
-        "pump_no": pump_no,
-        "log_seq": log_seq,
-        "sharded": merger is not None,
-        "engines": [e.snapshot() for e in engines],
-        "merger": merger.snapshot() if merger else None,
-        "tracker": tracker.snapshot(),
-    }
+    def snapshot(self) -> Dict[str, object]:
+        """Canonical dump, keys in a fixed order (the canonical encoder
+        does not sort them)."""
+        return {
+            "sharded": self.merger is not None,
+            "engines": [e.snapshot() for e in self.engines],
+            "merger": self.merger.snapshot() if self.merger else None,
+            "tracker": self.tracker.snapshot(),
+        }
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def base_severity(detection: CampaignDetection) -> Asil:
+        """Merged detections carry no triggering event; recover the
+        source family from the signature namespace (same defaulting as a
+        batch verdict's triggering event)."""
+        source = source_for_signature(detection.signature)
+        if source is None:
+            return Asil.A
+        return DEFAULT_SOURCE_SEVERITY.get(source, Asil.A)
+
+    def observe(self, shard: int, events: Sequence[SecurityEvent],
+                open_incident: OpenIncident) -> None:
+        """Observe one drained batch on engine ``shard``.  Without a
+        merger it is attributed at once: a verdict opens an incident at
+        its triggering event's source severity, and an event of an
+        already-flagged signature attaches its vehicle to that incident.
+        With a merger, verdicts wait for :meth:`merge`."""
+        engine = self.engines[shard]
+        if self.merger is not None:
+            engine.observe_batch(events)
+            return
+        attach = self.tracker.attach_vehicle
+        is_flagged = engine.is_flagged
+        for event, detection in zip(events, engine.observe_batch(events)):
+            if detection is not None:
+                base = DEFAULT_SOURCE_SEVERITY.get(event.source, Asil.A)
+                open_incident(detection, base)
+            elif is_flagged(event.signature):
+                attach(event.signature, event.vehicle_id)
+
+    def merge(self, open_incident: OpenIncident) -> List[CampaignDetection]:
+        """One pump-boundary merge: stitch the engines, adopt each new
+        fleet-wide verdict back into every engine (so they track spread
+        exactly from here on and never re-fire), open its incident, then
+        attach newly attributed vehicles in sorted order.  Returns the
+        new verdicts (none without a merger)."""
+        if self.merger is None:
+            return []
+        new_detections, new_vehicles = self.merger.merge(self.engines)
+        for detection in new_detections:
+            for engine in self.engines:
+                engine.adopt_campaign(detection)
+            open_incident(detection, self.base_severity(detection))
+        attach = self.tracker.attach_vehicle
+        for signature in sorted(new_vehicles):
+            for vehicle in sorted(new_vehicles[signature]):
+                attach(signature, vehicle)
+        return new_detections
+
+    def apply(self, shard: int, record: LogRecord,
+              open_incident: OpenIncident) -> List[CampaignDetection]:
+        """Replay one log record: a batch is observed on engine
+        ``shard``, a pump marker re-runs the merge the live run made
+        there.  Returns the fleet-wide verdicts a merge produced."""
+        if record.kind == "batch":
+            self.observe(shard, record.events, open_incident)
+            return []
+        return self.merge(open_incident)
+
+    # ------------------------------------------------------------------
+    def flagged_signatures(self) -> Set[str]:
+        if self.merger is not None:
+            return set(self.merger.flagged_signatures)
+        return set(self.engines[0].flagged_signatures)
+
+    def metrics(self) -> Dict[str, float]:
+        if self.merger is None:
+            return self.engines[0].metrics()
+        merged: Dict[str, float] = {}
+        for engine in self.engines:
+            for key, value in engine.metrics().items():
+                merged[key] = merged.get(key, 0.0) + value
+        # Campaign count is a fleet-level fact: adopted local flags would
+        # count one campaign once per shard.
+        merged["campaigns_flagged"] = float(
+            len(self.merger.flagged_signatures))
+        return merged
 
 
 class SecurityOperationsCenter:
@@ -127,10 +195,10 @@ class SecurityOperationsCenter:
     E17 baseline: everything is ingested and correlated, but no incident
     ever reaches containment -- the fleet burns.
 
-    Drained batches reach the correlators through batch sinks only
-    (``observe_batch``, one call per batch).  With ``num_shards > 1``
-    every ingest shard has its own correlator, stitched by a
-    :class:`GlobalCampaignMerger` each pump.
+    Drained batches reach the analytic state (:attr:`state`) through
+    batch sinks only (``observe_batch``, one call per batch).  With
+    ``num_shards > 1`` every ingest shard has its own correlator,
+    stitched by a :class:`GlobalCampaignMerger` each pump.
     """
 
     def __init__(
@@ -186,32 +254,14 @@ class SecurityOperationsCenter:
             for index, shard in enumerate(self.pipeline.shards):
                 shard.add_batch_sink(self._archive_handler(index))
 
-        def _engine() -> CorrelationEngine:
-            return CorrelationEngine(
-                window_s=window_s, k=k,
-                dedup_window_s=dedup_window_s, max_lateness_s=max_lateness_s,
-            )
+        self.state = AnalyticState.fresh(
+            num_shards, sharded=num_shards > 1, window_s=window_s, k=k,
+            dedup_window_s=dedup_window_s, max_lateness_s=max_lateness_s)
+        for index, shard in enumerate(self.pipeline.shards):
+            shard.add_batch_sink(self._observe_handler(index))
 
-        if num_shards > 1:
-            self.correlators: List[CorrelationEngine] = [
-                _engine() for _ in range(num_shards)
-            ]
-            self.correlator: Optional[CorrelationEngine] = None
-            self.merger: Optional[GlobalCampaignMerger] = (
-                GlobalCampaignMerger(window_s=window_s, k=k)
-            )
-            for index, shard in enumerate(self.pipeline.shards):
-                shard.add_batch_sink(self._shard_batch_handler(index))
-        else:
-            self.correlator = _engine()
-            self.correlators = [self.correlator]
-            self.merger = None
-            self.pipeline.add_batch_sink(self._on_batch)
-
-        self.tracker = IncidentTracker()
         self.responder: Optional[ResponseOrchestrator] = (
-            ResponseOrchestrator(sim, self.tracker, fleet,
-                                 ota_sample=ota_sample)
+            ResponseOrchestrator(sim, fleet, ota_sample=ota_sample)
             if respond else None
         )
         self._started = False
@@ -238,7 +288,7 @@ class SecurityOperationsCenter:
         the wall-clock handoff time instead."""
         if self.audit is not None:
             self.audit.check(self.pipeline)
-        self._merge_campaigns()
+        self.state.merge(self._open_incident)
         if self.store is not None:
             self._pump_no += 1
             self.store.log.append_mark(
@@ -314,19 +364,29 @@ class SecurityOperationsCenter:
             self._finish_pump()
 
     # ------------------------------------------------------------------
-    # Correlation sinks
+    # Analytic state
     # ------------------------------------------------------------------
-    def _on_batch(self, now: float, events: List[SecurityEvent]) -> None:
-        observe_and_attribute(self.correlator, events, self.tracker,
-                              self._open_incident)
+    @property
+    def correlators(self) -> List[CorrelationEngine]:
+        """One correlation engine per ingest shard."""
+        return self.state.engines
 
-    def _shard_batch_handler(self, index: int):
-        """Shard-local batched observe; verdicts surface at merge time.
-        Binds the shard *index*, not the engine object, so adopting
-        recovered engines (:meth:`adopt_analytics`) rewires the sinks."""
-        def handle(now: float, events: List[SecurityEvent]) -> None:
-            self.correlators[index].observe_batch(events)
-        return handle
+    @property
+    def merger(self) -> Optional[GlobalCampaignMerger]:
+        """The cross-shard merger (``None`` with one shard)."""
+        return self.state.merger
+
+    @property
+    def tracker(self) -> IncidentTracker:
+        return self.state.tracker
+
+    def _observe_handler(self, index: int):
+        """Batch sink for ingest shard ``index``.  It looks
+        :attr:`state` up on every batch, so adopting recovered state
+        (:meth:`adopt_analytics`) rewires the sinks."""
+        def observe(now: float, events: List[SecurityEvent]) -> None:
+            self.state.observe(index, events, self._open_incident)
+        return observe
 
     def _archive_handler(self, index: int):
         """Batch-sink tap appending each dispatched batch to the log."""
@@ -335,11 +395,6 @@ class SecurityOperationsCenter:
         def archive(now: float, events: List[SecurityEvent]) -> None:
             log.append_batch(now, index, events)
         return archive
-
-    def _merge_campaigns(self) -> None:
-        if self.merger is not None:
-            merge_and_attribute(self.merger, self.correlators, self.tracker,
-                                self._open_incident)
 
     def _open_incident(self, detection: CampaignDetection,
                        base: Asil) -> None:
@@ -357,9 +412,11 @@ class SecurityOperationsCenter:
         bytes under ``json.dumps(..., sort_keys=True)`` -- the equality
         the crash-recovery differential tests compare on.
         """
-        return _analytics_snapshot(
-            self._pump_no, self.store.log.last_seq if self.store else 0,
-            self.correlators, self.merger, self.tracker)
+        return {
+            "pump_no": self._pump_no,
+            "log_seq": self.store.log.last_seq if self.store else 0,
+            **self.state.snapshot(),
+        }
 
     def save_snapshot(self):
         """Persist the analytic state; the log is synced first so a
@@ -370,18 +427,19 @@ class SecurityOperationsCenter:
     def adopt_analytics(self, recovered: "RecoveredAnalytics") -> None:
         """Swap recovered analytic state into this (running) center.
 
-        The correlator sinks resolve engines through ``self.correlators``
-        at call time, so adoption rewires them without touching the
-        pipeline; the ingest tier (queues, counters) is not part of the
-        recovery contract and keeps running as-is.
+        The correlator sinks resolve :attr:`state` at call time, so
+        adoption rewires them without touching the pipeline; the ingest
+        tier (queues, counters) is not part of the recovery contract and
+        keeps running as-is.  Raises :class:`ValueError`, leaving this
+        center unchanged, when the recovered state has a different
+        engine count than this center has ingest shards.
         """
-        self.correlators = list(recovered.engines)
-        self.correlator = (
-            None if recovered.merger is not None else self.correlators[0])
-        self.merger = recovered.merger
-        self.tracker = recovered.tracker
-        if self.responder is not None:
-            self.responder.tracker = recovered.tracker
+        engines = len(recovered.state.engines)
+        if engines != self.pipeline.num_shards:
+            raise ValueError(
+                f"recovered state has {engines} engines; this center has "
+                f"{self.pipeline.num_shards} ingest shards")
+        self.state = recovered.state
         self._pump_no = recovered.pump_no
 
     # ------------------------------------------------------------------
@@ -420,9 +478,7 @@ class SecurityOperationsCenter:
 
     # ------------------------------------------------------------------
     def flagged_signatures(self) -> Set[str]:
-        if self.merger is not None:
-            return set(self.merger.flagged_signatures)
-        return set(self.correlator.flagged_signatures)
+        return self.state.flagged_signatures()
 
     def precision_recall(self) -> Dict[str, float]:
         """Score flagged signatures against the fleet's ground truth."""
@@ -435,23 +491,10 @@ class SecurityOperationsCenter:
                 "true_positives": float(tp),
                 "false_positives": float(len(flagged) - tp)}
 
-    def _correlator_metrics(self) -> Dict[str, float]:
-        if self.merger is None:
-            return self.correlator.metrics()
-        merged: Dict[str, float] = {}
-        for engine in self.correlators:
-            for key, value in engine.metrics().items():
-                merged[key] = merged.get(key, 0.0) + value
-        # Campaign count is a fleet-level fact: adopted local flags would
-        # count one campaign once per shard.
-        merged["campaigns_flagged"] = float(
-            len(self.merger.flagged_signatures))
-        return merged
-
     def metrics(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         out.update(self.pipeline.metrics())
-        out.update(self._correlator_metrics())
+        out.update(self.state.metrics())
         out.update(self.precision_recall())
         out["incidents_open"] = float(len(self.tracker.incidents))
         out["mean_time_to_containment_s"] = self.tracker.mean_time_to_containment_s()
@@ -476,38 +519,39 @@ class RecoveredAnalytics:
     a live center, or inspect it directly for post-mortem forensics.
     """
 
-    engines: List[CorrelationEngine]
-    merger: Optional[GlobalCampaignMerger]
-    tracker: IncidentTracker
+    state: AnalyticState
     pump_no: int
     log_seq: int
     replayed_batches: int = 0
     replayed_events: int = 0
     replayed_pumps: int = 0
 
+    @property
+    def tracker(self) -> IncidentTracker:
+        return self.state.tracker
+
     def flagged_signatures(self) -> Set[str]:
-        if self.merger is not None:
-            return set(self.merger.flagged_signatures)
-        return set(self.engines[0].flagged_signatures)
+        return self.state.flagged_signatures()
 
     def analytics_snapshot(self) -> Dict[str, object]:
         """Same canonical shape as
         :meth:`SecurityOperationsCenter.analytics_snapshot`."""
-        return _analytics_snapshot(self.pump_no, self.log_seq, self.engines,
-                                   self.merger, self.tracker)
+        return {"pump_no": self.pump_no, "log_seq": self.log_seq,
+                **self.state.snapshot()}
 
 
 def recover_soc_state(store: DurableStore) -> RecoveredAnalytics:
     """Rebuild the analytic state a dead SOC process would have had.
 
-    Loads the latest valid snapshot, then replays every log record after
-    the snapshot's ``log_seq``: batch records feed ``observe_batch`` on
-    the owning shard's engine (with the exact batch boundaries and
-    incident attribution of the live dispatch path), and each pump marker
-    re-runs the campaign merge, reproducing the live pump/merge cadence.
-    The result is byte-identical (under :meth:`RecoveredAnalytics.\
-analytics_snapshot`) to the uninterrupted run at the same pump boundary
-    -- the tentpole differential in ``tests/test_soc_store.py``.
+    Loads the latest valid snapshot, then applies every log record after
+    the snapshot's ``log_seq`` through :meth:`AnalyticState.apply`: batch
+    records are observed on the owning shard's engine (with the exact
+    batch boundaries and incident attribution of the live dispatch
+    path), and each pump marker re-runs the campaign merge, reproducing
+    the live pump/merge cadence.  The result is byte-identical (under
+    :meth:`RecoveredAnalytics.analytics_snapshot`) to the uninterrupted
+    run at the same pump boundary -- the tentpole differential in
+    ``tests/test_soc_store.py``.
 
     A worker restart (:class:`~repro.soc.service.WorkerCore` with
     ``recover=True``) first calls
@@ -522,10 +566,8 @@ analytics_snapshot`) to the uninterrupted run at the same pump boundary
             "no recoverable snapshot: the center writes snapshot 0 at "
             "start(), so an empty snapshot store means this DurableStore "
             "never backed a running SOC")
-    engines = [CorrelationEngine.from_snapshot(s) for s in snap["engines"]]
-    merger = (GlobalCampaignMerger.from_snapshot(snap["merger"])
-              if snap["merger"] is not None else None)
-    tracker = IncidentTracker.from_snapshot(snap["tracker"])
+    state = AnalyticState.from_snapshot(snap)
+    open_incident = state.tracker.open_from_detection
     pump_no = snap["pump_no"]
     last_seq = snap["log_seq"]
     batches = events_replayed = pumps = 0
@@ -534,21 +576,12 @@ analytics_snapshot`) to the uninterrupted run at the same pump boundary
         if record.kind == "batch":
             batches += 1
             events_replayed += len(record.events)
-            batch = list(record.events)
-            if merger is None:
-                observe_and_attribute(engines[0], batch, tracker,
-                                      tracker.open_from_detection)
-            else:
-                engines[record.shard].observe_batch(batch)
         else:  # pump marker: the live run merged campaigns here
             pumps += 1
             pump_no = record.pump_no
-            if merger is not None:
-                merge_and_attribute(merger, engines, tracker,
-                                    tracker.open_from_detection)
+        state.apply(record.shard, record, open_incident)
 
     return RecoveredAnalytics(
-        engines=engines, merger=merger, tracker=tracker,
-        pump_no=pump_no, log_seq=last_seq,
+        state=state, pump_no=pump_no, log_seq=last_seq,
         replayed_batches=batches, replayed_events=events_replayed,
         replayed_pumps=pumps)

@@ -21,14 +21,18 @@ calls:
   by a seeded RNG so every delivery schedule is reproducible.
 - :meth:`FederationHub.receive` decodes each blob once
   (:func:`decode_shipment`, which verifies every frame's CRC), refuses
-  a torn or unroutable blob whole -- counted in
+  a torn or unroutable blob (unknown region, or a batch naming a shard
+  the hub does not have) whole -- counted in
   ``metrics()["corrupt_rejected"]`` -- and hands the :class:`Shipment`
   to its region's :class:`SegmentReceiver`, which dedups records by
   per-region sequence number and buffers out-of-order arrivals until
   they are contiguous.
-- :class:`FederationHub` replays received records through replica
-  engines and one :class:`~repro.soc.correlate.GlobalCampaignMerger`,
-  gated by **per-region low-watermarks**: a record is applied only once
+- :class:`FederationHub` applies received records to one
+  :class:`~repro.soc.center.AnalyticState` -- replica engines for every
+  (region, shard), one :class:`~repro.soc.correlate.GlobalCampaignMerger`
+  and an incident tracker, changed by a record exactly as the region's
+  own centre and its crash recovery change theirs -- gated by
+  **per-region low-watermarks**: a record is applied only once
   every other region's frontier proves no earlier record can still
   arrive.  The applied sequence is therefore exactly the global
   ``(dispatch_t, region, seq)`` sort of all regions' streams --
@@ -43,7 +47,7 @@ partition heals (the hub cannot prove order without it).  E18's
 partition/heal cell measures exactly that trade -- and
 ``consistency="optimistic"`` buys the availability back.  When every
 region blocking the gate has been stale past ``staleness_budget_s``
-the hub freezes a **reconciliation frontier** (snapshots of the
+the hub freezes a **reconciliation frontier** (a snapshot of the
 analytic state at the last provably-ordered point), keeps applying the
 healthy regions' records beyond it, and tags the resulting verdicts
 ``provisional=True``.  When the laggard catches up -- or is declared
@@ -65,12 +69,8 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.soc.center import merge_and_attribute
-from repro.soc.correlate import (
-    CampaignDetection,
-    CorrelationEngine,
-    GlobalCampaignMerger,
-)
+from repro.soc.center import AnalyticState
+from repro.soc.correlate import CampaignDetection, GlobalCampaignMerger
 from repro.soc.incident import Amendment, IncidentTracker
 from repro.soc.store import (
     CorruptRecord,
@@ -342,72 +342,6 @@ class SegmentReceiver:
         return self.buffer.get(self.applied_seq + 1)
 
 
-class _AnalyticState:
-    """The hub's replayable analytic core: replica engines per
-    (region, shard), the global merger, and the incident tracker.
-
-    Bundling these three makes the optimistic mode's central move --
-    *snapshot, replay into a shadow, swap* -- a first-class operation
-    instead of parallel bookkeeping across hub fields.  The engine list
-    is flattened in fixed (region, shard) order: merger cursors index by
-    engine position, so that order is part of the state contract.
-    """
-
-    def __init__(self, regions: Sequence[str],
-                 engines: Dict[str, List[CorrelationEngine]],
-                 merger: GlobalCampaignMerger,
-                 tracker: IncidentTracker) -> None:
-        self.regions = list(regions)
-        self.engines = engines
-        self.all_engines: List[CorrelationEngine] = [
-            e for r in self.regions for e in engines[r]]
-        self.merger = merger
-        self.tracker = tracker
-
-    @classmethod
-    def fresh(cls, regions: Sequence[str], num_shards: int, *,
-              window_s: float, k: int, dedup_window_s: float,
-              max_lateness_s: float) -> "_AnalyticState":
-        engines = {
-            r: [CorrelationEngine(
-                    window_s=window_s, k=k, dedup_window_s=dedup_window_s,
-                    max_lateness_s=max_lateness_s)
-                for _ in range(num_shards)]
-            for r in regions}
-        return cls(regions, engines,
-                   GlobalCampaignMerger(window_s=window_s, k=k),
-                   IncidentTracker())
-
-    @classmethod
-    def from_snapshots(cls, regions: Sequence[str],
-                       base: Dict[str, object]) -> "_AnalyticState":
-        """Rebuild from the frozen snapshots of a reconciliation base
-        (the same restore path ``recover_soc_state`` trusts)."""
-        engines = {
-            r: [CorrelationEngine.from_snapshot(s)
-                for s in base["engines"][r]]
-            for r in regions}
-        return cls(regions, engines,
-                   GlobalCampaignMerger.from_snapshot(base["merger"]),
-                   IncidentTracker.from_snapshot(base["tracker"]))
-
-    def apply(self, region: str, record: LogRecord, *,
-              provisional: bool = False) -> List[CampaignDetection]:
-        """Apply one log record; returns the fleet-wide detections it
-        produced (empty for batch records)."""
-        if record.kind == "batch":
-            self.engines[region][record.shard].observe_batch(
-                list(record.events))
-            return []
-        # Pump marker: the region merged campaigns here; the hub merges
-        # fleet-wide through the routine `recover_soc_state` replays
-        # markers with.
-        tracker = self.tracker
-        return merge_and_attribute(
-            self.merger, self.all_engines, tracker,
-            partial(tracker.open_from_detection, provisional=provisional))
-
-
 class FederationHub:
     """The fleet-wide view: replica engines per (region, shard), one
     global merger, one incident tracker, and the watermark gate.
@@ -458,9 +392,14 @@ class FederationHub:
         self.staleness_budget_s = staleness_budget_s
         self.receivers: Dict[str, SegmentReceiver] = {
             r: SegmentReceiver(r) for r in self.regions}
-        self._state = _AnalyticState.fresh(
-            self.regions, num_shards, window_s=window_s, k=k,
-            dedup_window_s=dedup_window_s, max_lateness_s=max_lateness_s)
+        #: Replica engines flattened region-major (engine
+        #: ``region_index * num_shards + shard``), the global merger --
+        #: kept even for one region and one shard -- and the tracker.
+        #: Swapped wholesale at reconciliation.
+        self.state = AnalyticState.fresh(
+            len(self.regions) * num_shards, sharded=True,
+            window_s=window_s, k=k, dedup_window_s=dedup_window_s,
+            max_lateness_s=max_lateness_s)
         self._region_index: Dict[str, int] = {
             r: i for i, r in enumerate(self.regions)}
         self._frontier: Dict[str, float] = {r: _NEG_INF for r in self.regions}
@@ -472,7 +411,7 @@ class FederationHub:
         self.pumps_applied = 0
         self.stalled_rounds = 0
         #: Blobs refused as torn (framing/CRC/consistency) or unroutable
-        #: (unknown region) -- transport damage is never silent.
+        #: (unknown region or shard) -- transport damage is never silent.
         self.corrupt_rejected = 0
         # --- partition observability + optimistic episodes ------------
         # _bound[r]: dispatch_t of r's last *contiguously known* record
@@ -505,19 +444,13 @@ class FederationHub:
         self.dead_rejected = 0
         self.dead_dropped = 0
 
-    # -- analytic state is swapped wholesale at reconciliation; expose
-    # -- the live pieces under their historical names.
-    @property
-    def engines(self) -> Dict[str, List[CorrelationEngine]]:
-        return self._state.engines
-
     @property
     def merger(self) -> GlobalCampaignMerger:
-        return self._state.merger
+        return self.state.merger
 
     @property
     def tracker(self) -> IncidentTracker:
-        return self._state.tracker
+        return self.state.tracker
 
     @classmethod
     def from_profile(cls, regions: Sequence[str],
@@ -543,7 +476,8 @@ federation_profile` (regions in a federation share a configuration).
     def receive(self, data: bytes) -> bool:
         """Decode one wire blob once and hand the :class:`Shipment` to
         its region's receiver.  ``False`` if it was refused: torn or
-        naming an unknown region (counted in ``corrupt_rejected``), or
+        unroutable -- an unknown region, or a batch of a shard outside
+        ``range(num_shards)`` (counted in ``corrupt_rejected``) -- or
         from a declared-dead region (``dead_rejected``).  A refused blob
         is never half-applied."""
         try:
@@ -552,7 +486,9 @@ federation_profile` (regions in a federation share a configuration).
             self.corrupt_rejected += 1
             return False
         receiver = self.receivers.get(shipment.region)
-        if receiver is None:
+        if receiver is None or any(
+                not 0 <= record.shard < self.num_shards
+                for record in shipment.records):
             self.corrupt_rejected += 1
             return False
         if shipment.region in self._dead:
@@ -669,8 +605,12 @@ federation_profile` (regions in a federation share a configuration).
         self.records_applied += 1
         if record.kind != "batch":
             self.pumps_applied += 1
-        new_detections = self._state.apply(
-            region, record, provisional=self._episode_active)
+        open_incident = self.state.tracker.open_from_detection
+        if self._episode_active:
+            open_incident = partial(open_incident, provisional=True)
+        new_detections = self.state.apply(
+            self._region_index[region] * self.num_shards + record.shard,
+            record, open_incident)
         if self._episode_active:
             self._suffix.append((region, record))
             key = (record.dispatch_t, self._region_index[region])
@@ -693,13 +633,8 @@ federation_profile` (regions in a federation share a configuration).
         :meth:`_reconcile` is provisional."""
         self._episode_active = True
         self.episodes += 1
-        self._base = {
-            "engines": {r: [e.snapshot() for e in self._state.engines[r]]
-                        for r in self.regions},
-            "merger": self._state.merger.snapshot(),
-            "tracker": self._state.tracker.snapshot(),
-            "detection_log_len": len(self.detection_log),
-        }
+        self._base = {**self.state.snapshot(),
+                      "detection_log_len": len(self.detection_log)}
         self._suffix = []
         self._provisional = []
         self._hi_by_region = {}
@@ -747,12 +682,15 @@ federation_profile` (regions in a federation share a configuration).
             self._suffix,
             key=lambda item: (item[1].dispatch_t, order[item[0]],
                               item[1].seq))
-        shadow = _AnalyticState.from_snapshots(self.regions, self._base)
+        shadow = AnalyticState.from_snapshot(self._base)
+        open_incident = shadow.tracker.open_from_detection
         shadow_detections: List[CampaignDetection] = []
         for region, record in suffix:
-            shadow_detections.extend(shadow.apply(region, record))
+            shadow_detections.extend(shadow.apply(
+                order[region] * self.num_shards + record.shard, record,
+                open_incident))
         shadow_by_sig = {d.signature: d for d in shadow_detections}
-        old_tracker = self._state.tracker
+        old_tracker = self.state.tracker
         fresh: List[Amendment] = []
         kept: List[Tuple[float, CampaignDetection]] = []
         for t_prov, d_prov in self._provisional:
@@ -796,7 +734,7 @@ federation_profile` (regions in a federation share a configuration).
         for amendment in fresh:
             shadow.tracker.record_amendment(amendment)
         self.amendments.extend(fresh)
-        self._state = shadow
+        self.state = shadow
         self._episode_active = False
         self._base = None
         self._suffix = []
@@ -859,13 +797,15 @@ federation_profile` (regions in a federation share a configuration).
         under ``json.dumps(..., sort_keys=True)`` -- transport statistics
         (duplicates, corrupt counts) are deliberately excluded because
         they describe the journey, not the state."""
+        state = self.state.snapshot()
+        engines, n = state["engines"], self.num_shards
         return {
             "regions": list(self.regions),
-            "num_shards": self.num_shards,
-            "engines": {r: [e.snapshot() for e in self.engines[r]]
-                        for r in self.regions},
-            "merger": self.merger.snapshot(),
-            "tracker": self.tracker.snapshot(),
+            "num_shards": n,
+            "engines": {r: engines[i * n:(i + 1) * n]
+                        for i, r in enumerate(self.regions)},
+            "merger": state["merger"],
+            "tracker": state["tracker"],
             "frontiers": {r: _enc_time(self._frontier[r])
                           for r in self.regions},
             "applied_seq": {r: self.receivers[r].applied_seq

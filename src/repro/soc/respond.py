@@ -36,7 +36,7 @@ from repro.ecu.firmware import FirmwareImage, FirmwareStore
 from repro.ota import DirectorRepository, ImageRepository, UptaneClient
 from repro.sim import Simulator
 from repro.soc.fleet import FleetModel
-from repro.soc.incident import Incident, IncidentState, IncidentTracker
+from repro.soc.incident import Incident, IncidentState
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class ResponseOrchestrator:
     def __init__(
         self,
         sim: Simulator,
-        tracker: IncidentTracker,
         fleet: FleetModel,
         update_key: bytes = b"soc-policy-key!!",
         triage_delay_s: float = 0.5,
@@ -69,7 +68,6 @@ class ResponseOrchestrator:
         ota_sample: int = 1,
     ) -> None:
         self.sim = sim
-        self.tracker = tracker
         self.fleet = fleet
         self.triage_delay_s = triage_delay_s
         self.containment_delay_s = containment_delay_s

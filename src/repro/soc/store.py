@@ -17,9 +17,10 @@ the step after the 10^7-vehicle scale-out:
 - :class:`DurableStore` -- the two side by side under one root.
 
 Recovery contract (differential-tested byte-identical in
-``tests/test_soc_store.py``): load the latest valid snapshot, replay the
-log suffix after the snapshot's ``log_seq`` through ``observe_batch``,
-re-running the campaign merge at every pump marker.  The recovered
+``tests/test_soc_store.py``): load the latest valid snapshot, apply the
+log suffix after the snapshot's ``log_seq`` through
+:meth:`~repro.soc.center.AnalyticState.apply` -- batches observed, the
+campaign merge re-run at every pump marker.  The recovered
 correlator/merger/tracker state equals an uninterrupted run's state at
 the kill point, at 1 and N shards.
 

@@ -495,7 +495,7 @@ class TestResponseLoop:
                                   5.0)
         fleet = FleetModel(10, [campaign])
         tracker = IncidentTracker()
-        orchestrator = ResponseOrchestrator(sim, tracker, fleet, ota_sample=1)
+        orchestrator = ResponseOrchestrator(sim, fleet, ota_sample=1)
         detection = CampaignDetection(campaign.signature, 1.0, 0.5,
                                       ("v000000", "v000001", "v000002"), 8.0, 3)
         incident = tracker.open_from_detection(detection, Asil.D)
@@ -522,7 +522,7 @@ class TestResponseLoop:
         # bundle never reaches the vehicle-side engine's policy.
         sim = Simulator()
         fleet = FleetModel(5, [])
-        orchestrator = ResponseOrchestrator(sim, IncidentTracker(), fleet)
+        orchestrator = ResponseOrchestrator(sim, fleet)
         current = orchestrator.oem_engine.policy
         candidate = SecurityPolicy(version=current.version + 1,
                                    rules=list(current.rules),
@@ -564,8 +564,7 @@ class TestResponseLoop:
             tuple(FleetModel.vehicle_id(i) for i in range(10)), 5.0)
         fleet = FleetModel(10, [campaign])
         tracker = IncidentTracker()
-        orchestrator = WrongRootOrchestrator(sim, tracker, fleet,
-                                             ota_sample=3)
+        orchestrator = WrongRootOrchestrator(sim, fleet, ota_sample=3)
         detection = CampaignDetection(campaign.signature, 1.0, 0.5,
                                       ("v000000", "v000001", "v000002"),
                                       8.0, 3)

@@ -17,6 +17,11 @@ writes ``from_snapshot`` makes on the object it builds -- passes.
 And a data format has one owner: the ``u32 len | u32 CRC32 | payload``
 frame is parsed only in ``store.py``, so no other module may name its
 ``FRAME_HEADER`` (they call ``store.iter_frames`` and friends).
+
+So does the analytic rule: how a batch or a pump marker changes the
+engines, the merger and the incident tracker lives in
+``center.AnalyticState``.  No other module calls ``observe_batch``,
+``.merge(`` on a merger, or ``from_snapshot`` of those three classes.
 """
 
 import ast
@@ -166,3 +171,57 @@ def test_frame_guard_catches_import_and_use(tmp_path):
     assert frame_header_references(bad) == [
         "bad.py:1: import FRAME_HEADER", "bad.py:3: FRAME_HEADER",
         "bad.py:3: store.FRAME_HEADER"]
+
+
+#: Classes whose snapshots only ``center.AnalyticState`` restores.
+ANALYTIC_CLASSES = {"CorrelationEngine", "GlobalCampaignMerger",
+                    "IncidentTracker"}
+
+
+def analytic_calls(path: Path):
+    """Every call in ``path`` that applies or restores analytic state --
+    ``observe_batch``, ``<merger>.merge(`` and ``<class>.from_snapshot``
+    of :data:`ANALYTIC_CLASSES` -- sorted by line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        attr, owner = node.func.attr, node.func.value
+        owner_name = (owner.attr if isinstance(owner, ast.Attribute)
+                      else getattr(owner, "id", ""))
+        if (attr == "observe_batch"
+                or (attr == "merge" and owner_name.endswith("merger"))
+                or (attr == "from_snapshot"
+                    and owner_name in ANALYTIC_CLASSES)):
+            found.append((node.lineno, ast.unparse(node.func)))
+    return [f"{path.name}:{line}: {call}" for line, call in sorted(found)]
+
+
+def test_only_center_applies_analytic_state():
+    found = [hit for path in sorted(SOC.glob("*.py"))
+             if path.name != "center.py"
+             for hit in analytic_calls(path)]
+    assert found == []
+
+
+def test_analytic_guard_catches_apply_and_restore(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from repro.soc import correlate\n"
+        "from repro.soc.incident import IncidentTracker\n"
+        "def replay(hub, merger, snap, events):\n"
+        "    hub.engines[0].observe_batch(events)\n"
+        "    merger.merge(hub.engines)\n"
+        "    hub.state.merger.merge([])\n"
+        "    correlate.CorrelationEngine.from_snapshot(snap)\n"
+        "    IncidentTracker.from_snapshot(snap)\n"
+        "    hub.state.from_snapshot(snap)\n"
+        "    return {}.merge(snap)\n")
+    assert analytic_calls(bad) == [
+        "bad.py:4: hub.engines[0].observe_batch",
+        "bad.py:5: merger.merge",
+        "bad.py:6: hub.state.merger.merge",
+        "bad.py:7: correlate.CorrelationEngine.from_snapshot",
+        "bad.py:8: IncidentTracker.from_snapshot"]
