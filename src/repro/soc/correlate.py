@@ -667,8 +667,6 @@ class GlobalCampaignMerger:
         self._cursors: List[int] = []
         self.detections: List[CampaignDetection] = []
         self.merges = 0
-        self.adopted = 0
-        self.adoptions_deduped = 0
 
     # ------------------------------------------------------------------
     def merge(
@@ -771,28 +769,6 @@ class GlobalCampaignMerger:
             known |= delta
             new_vehicles.setdefault(signature, set()).update(delta)
 
-    def adopt_campaign(
-        self, detection: CampaignDetection
-    ) -> Optional[CampaignDetection]:
-        """Accept an externally-proven verdict (a federated peer region
-        announcing a campaign it already fired).
-
-        Idempotent across regions: the *first* adoption of a signature
-        flags it and appends to ``detections`` (returning the adopted
-        verdict); a re-adoption of the same campaign id arriving from a
-        second region only unions its vehicle attribution into the known
-        spread and counts ``adoptions_deduped`` -- it never re-fires,
-        re-appends, or double-pages an incident tracker.
-        """
-        sig = detection.signature
-        if sig in self._flagged:
-            self.adoptions_deduped += 1
-            self._campaign_vehicles[sig].update(detection.vehicles)
-            return None
-        self.adopted += 1
-        self._fire(detection, set(detection.vehicles))
-        return detection
-
     # ------------------------------------------------------------------
     # Snapshot / restore
     # ------------------------------------------------------------------
@@ -811,8 +787,6 @@ class GlobalCampaignMerger:
             "cursors": list(self._cursors),
             "detections": [d.as_dict() for d in self.detections],
             "merges": self.merges,
-            "adopted": self.adopted,
-            "adoptions_deduped": self.adoptions_deduped,
         }
 
     @classmethod
@@ -829,9 +803,6 @@ class GlobalCampaignMerger:
         merger.detections = [CampaignDetection.from_dict(d)
                              for d in state["detections"]]
         merger.merges = state["merges"]
-        # Pre-federation snapshots lack the adoption counters.
-        merger.adopted = state.get("adopted", 0)
-        merger.adoptions_deduped = state.get("adoptions_deduped", 0)
         return merger
 
     # ------------------------------------------------------------------
@@ -848,11 +819,3 @@ class GlobalCampaignMerger:
 
     def spread(self, signature: str) -> int:
         return len(self._campaign_vehicles.get(signature, ()))
-
-    def metrics(self) -> Dict[str, float]:
-        return {
-            "campaigns_flagged": float(len(self._flagged)),
-            "campaign_merges": float(self.merges),
-            "campaigns_adopted": float(self.adopted),
-            "adoptions_deduped": float(self.adoptions_deduped),
-        }
