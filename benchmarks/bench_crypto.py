@@ -4,7 +4,8 @@ These numbers calibrate the simulation's cost models: the E6 station
 ``verify_rate`` is the measured ECDSA verify throughput of the platform
 (here: this pure-Python implementation; on automotive silicon, the SHE /
 HSM datasheet figure), E13's boot-time curve comes from the CMAC
-throughput, and the 1 KiB CMAC case is the VSOC's per-batch tag.
+throughput, the 1 KiB CMAC case is the VSOC's per-batch tag, and the
+session-key derive is the per-connection cost of its handshake.
 """
 
 import pytest
@@ -22,6 +23,7 @@ from repro.crypto import (
     sha256,
     SHE_KEY_UPDATE_ENC_C,
 )
+from repro.soc import derive_session_key
 
 KEY16 = bytes(range(16))
 BLOCK = bytes(range(16, 32))
@@ -58,6 +60,17 @@ def test_cmac_1k_sealed_batch(benchmark):
 def test_cmac_4k_firmware(benchmark):
     image = bytes(4096)
     benchmark(aes_cmac, KEY16, image)
+
+
+def test_session_key_derive(benchmark):
+    """HKDF-SHA256 from the cached fleet-key PRK: one per connection, on
+    both the frontend and the owning worker."""
+    benchmark(derive_session_key, KEY16, "veh-0-0001")
+
+
+def test_sha256_one_block(benchmark):
+    """A message that pads to one 64-byte block: one compression."""
+    benchmark(sha256, bytes(55))
 
 
 def test_sha256_1k(benchmark):

@@ -17,7 +17,12 @@ MTTR with a byte-identical differential twin), writes a fresh
   ``--tolerance`` (default 30 %) below the committed figure.  The floor
   is on the *authenticated* eps, not the overhead fraction: the plain
   cell's speed is E19's gate, and a fraction would pass if both modes
-  got uniformly slower.
+  got uniformly slower.  Both figures are host-speed scaled
+  (``scaled_eps``): the host's vCPUs drop to about half speed in
+  stretches of a fraction of a second to minutes, so the cell runs
+  seven times with a reading of each vCPU's speed before, between and
+  after the runs, and the fastest run's eps is divided by the mean
+  reading -- the eps it would have reached at full speed.
 - **Goodput-ratio floor (self-arming)**: honest goodput under attack
   must stay >= ``--goodput-floor`` (default 0.95) of the hostile-free
   baseline run -- the quota layer's whole point.
@@ -36,13 +41,76 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
 
 from repro.experiments import e20_hardening
 
 SMOKE_CLIENTS = 40
 SMOKE_ROUNDS = 5
 MTTR_GRACE_S = 0.100
+
+#: Seconds :func:`calibration_s` takes on one vCPU of the reference host
+#: (a 2-vCPU KVM guest, CPython 3.11) at full speed.
+REFERENCE_CALIBRATION_S = 1.66e-3
+#: Calls of the calibration loop per vCPU and reading.  A slow stretch
+#: slows some calls and not others, so their mean counts.
+CALIBRATION_CALLS = 8
+#: Runs of the authenticated cell; the gate reads the fastest one.
+AUTH_REPEATS = 7
+
+
+def calibration_s() -> float:
+    """Seconds for a fixed pure-Python loop of about 2 ms."""
+    t0 = time.perf_counter()
+    table = {}
+    for i in range(6000):
+        key = "k%d" % (i % 499)
+        table[key] = table.get(key, 0) + i
+    return time.perf_counter() - t0
+
+
+def host_speed() -> float:
+    """Mean speed of the vCPUs this process may run on, each read with
+    the calibration loop pinned to it; 1.0 is the reference host's full
+    speed."""
+    allowed = os.sched_getaffinity(0)
+    speeds = []
+    try:
+        for cpu in sorted(allowed):
+            os.sched_setaffinity(0, {cpu})
+            cal = sum(calibration_s() for _ in range(CALIBRATION_CALLS))
+            speeds.append(REFERENCE_CALIBRATION_S * CALIBRATION_CALLS / cal)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    return sum(speeds) / len(speeds)
+
+
+def scaled_auth_cell(**kw):
+    """The authenticated throughput cell, run :data:`AUTH_REPEATS` times
+    with a host-speed reading before, between and after the runs.
+
+    Returns the fastest run with ``host_speed`` (the mean of all the
+    readings) and ``scaled_eps`` (its eps divided by that mean: the eps
+    it would have reached at full speed) added.  Interference from other
+    tenants only ever slows a run, so the fastest run is the least
+    disturbed one; a single ~50 ms reading is itself noisy, so the scale
+    is the mean over the whole series, which follows the slow stretches
+    that last seconds to minutes."""
+    speeds = [host_speed()]
+    best = None
+    for _ in range(AUTH_REPEATS):
+        cell = e20_hardening.auth_cell(True, **kw)
+        speeds.append(host_speed())
+        print(f"  authenticated run: {cell['eps']:,.0f} eps (host speed "
+              f"{speeds[-2]:.2f} before, {speeds[-1]:.2f} after)")
+        if best is None or cell["eps"] > best["eps"]:
+            best = cell
+    best["host_speed"] = sum(speeds) / len(speeds)
+    best["scaled_eps"] = best["eps"] / best["host_speed"]
+    best["repeats"] = float(AUTH_REPEATS)
+    return best
 
 
 def main(argv=None) -> int:
@@ -67,8 +135,16 @@ def main(argv=None) -> int:
 
     failures = []
 
-    cells = e20_hardening.all_cells(seed=0, n_clients=args.clients,
+    plain = e20_hardening.auth_cell(False, seed=0, n_clients=args.clients,
                                     rounds=SMOKE_ROUNDS)
+    authed = scaled_auth_cell(seed=0, n_clients=args.clients,
+                              rounds=SMOKE_ROUNDS)
+    cells = {
+        "overhead": {"plain": plain, "authenticated": authed,
+                     "overhead_frac": 1.0 - authed["eps"] / plain["eps"]},
+        "quota": e20_hardening.quota_cell(seed=0),
+        "mttr": e20_hardening.mttr_cell(seed=0),
+    }
     payload = e20_hardening.write_bench_json(args.out, cells)
     over, quota, mttr = (cells["overhead"], cells["quota"], cells["mttr"])
     print(f"wrote {args.out} (host cpus: {payload['cpu_count']})")
@@ -76,6 +152,9 @@ def main(argv=None) -> int:
           f"{over['authenticated']['eps']:,.0f} eps "
           f"(overhead {over['overhead_frac']:.0%} -- pure-Python "
           "per-batch CMAC)")
+    print(f"  authenticated at full host speed: {authed['scaled_eps']:,.0f} "
+          f"eps (fastest of {AUTH_REPEATS} runs, mean host speed "
+          f"{authed['host_speed']:.2f})")
     print(f"  quota: honest goodput ratio {quota['goodput_ratio']:.3f} "
           f"({quota['quota_refused']:.0f} hostile batches refused, "
           f"{quota['quota_disconnects']:.0f} disconnect)")
@@ -104,15 +183,21 @@ def main(argv=None) -> int:
     if args.baseline:
         with open(args.baseline) as fh:
             baseline = json.load(fh)
-        committed = baseline["cells"]["overhead"]["authenticated"]["eps"]
-        floor = committed * (1.0 - args.tolerance)
-        authed = over["authenticated"]["eps"]
-        print(f"  committed authenticated eps: {committed:,.0f} "
-              f"(floor at -{args.tolerance:.0%}: {floor:,.0f})")
-        if authed < floor:
-            failures.append(
-                f"authenticated ingest regressed >{args.tolerance:.0%}: "
-                f"{authed:,.0f} eps vs committed {committed:,.0f}")
+        committed = baseline["cells"]["overhead"]["authenticated"].get(
+            "scaled_eps")
+        if committed is None:
+            failures.append("committed baseline lacks the host-speed "
+                            "scaled authenticated eps (scaled_eps)")
+        else:
+            floor = committed * (1.0 - args.tolerance)
+            print(f"  committed authenticated eps at full host speed: "
+                  f"{committed:,.0f} (floor at -{args.tolerance:.0%}: "
+                  f"{floor:,.0f})")
+            if authed["scaled_eps"] < floor:
+                failures.append(
+                    f"authenticated ingest regressed >{args.tolerance:.0%}: "
+                    f"{authed['scaled_eps']:,.0f} scaled eps vs committed "
+                    f"{committed:,.0f}")
         committed_mttr = baseline["cells"]["mttr"]["mttr_max_s"]
         ceiling = max(committed_mttr * (1.0 + args.mttr_tolerance),
                       committed_mttr + MTTR_GRACE_S)

@@ -288,6 +288,8 @@ def decode_message(payload: bytes) -> Tuple:
         if tag == _T_ACK:
             return (_T_ACK, int(obj[1]), int(obj[2]), int(obj[3]))
         if tag == _T_HELLO:
+            if not isinstance(obj[1], str):
+                raise CorruptRecord(f"HELLO client id {obj[1]!r} is not a string")
             return (_T_HELLO, obj[1], int(obj[2]))
         if tag == _T_WELCOME:
             return (_T_WELCOME, int(obj[1]), int(obj[2]), int(obj[3]))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import (
     AES,
+    HmacDrbg,
     MaskedAES,
     aes_cmac,
     cbc_decrypt,
@@ -25,6 +26,7 @@ from repro.crypto import (
     SHE_KEY_UPDATE_MAC_C,
 )
 from repro.crypto.util import pkcs7_pad, pkcs7_unpad
+from repro.soc import derive_session_key
 
 
 class TestAesVectors:
@@ -143,6 +145,14 @@ class TestSha256:
     def test_property_matches_hashlib(self, data):
         assert sha256(data) == hashlib.sha256(data).digest()
 
+    @pytest.mark.parametrize("length", [55, 56, 63, 64, 65, 119, 120])
+    def test_padding_boundaries(self, length):
+        """55 is the longest message whose padding fits its own block, 56
+        the shortest that spills into a second; 64 and 120 are the same
+        edges one block on."""
+        data = bytes(i % 251 for i in range(length))
+        assert sha256(data) == hashlib.sha256(data).digest()
+
 
 class TestHmac:
     def test_rfc4231_case1(self):
@@ -150,6 +160,27 @@ class TestHmac:
         assert hmac_sha256(key, b"Hi There").hex() == (
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         )
+
+    @pytest.mark.parametrize("key, data, tag_hex", [
+        (b"Jefe", b"what do ya want for nothing?",
+         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+        (b"\xaa" * 20, b"\xdd" * 50,
+         "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+        (bytes(range(1, 26)), b"\xcd" * 50,
+         "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+        (b"\x0c" * 20, b"Test With Truncation",
+         "a3b6167473100ee06e0c796c2955552b"),
+        (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+         "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+        (b"\xaa" * 131,
+         b"This is a test using a larger than block-size key and a larger "
+         b"than block-size data. The key needs to be hashed before being "
+         b"used by the HMAC algorithm.",
+         "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+    ], ids=["case2", "case3", "case4", "case5-truncated", "case6", "case7"])
+    def test_rfc4231_cases_2_to_7(self, key, data, tag_hex):
+        # Case 5 publishes only the leading 128 bits of the tag.
+        assert hmac_sha256(key, data).hex()[:len(tag_hex)] == tag_hex
 
     def test_long_key_is_hashed(self):
         key = b"k" * 200
@@ -356,6 +387,18 @@ class TestModes:
         assert cbc_decrypt(self.KEY, self.IV, cbc_encrypt(self.KEY, self.IV, pt)) == pt
 
 
+def _reference_hkdf(ikm: bytes, length: int, salt: bytes, info: bytes) -> bytes:
+    """RFC 5869 on the standard library's HMAC: shares no code with ``hkdf``."""
+    prk = std_hmac.new(salt or bytes(32), ikm, hashlib.sha256).digest()
+    okm = block = b""
+    counter = 1
+    while len(okm) < length:
+        block = std_hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        okm += block
+        counter += 1
+    return okm[:length]
+
+
 class TestKdf:
     def test_hkdf_rfc5869_case1(self):
         ikm = b"\x0b" * 22
@@ -367,6 +410,56 @@ class TestKdf:
             "2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865"
         )
+
+    def test_hkdf_rfc5869_case2_long_inputs(self):
+        """80-byte salt, ikm and info; L=82 takes three Expand blocks."""
+        okm = hkdf(bytes(range(0x00, 0x50)), 82, salt=bytes(range(0x60, 0xB0)),
+                   info=bytes(range(0xB0, 0x100)))
+        assert okm.hex() == (
+            "b11e398dc80327a1c8e7f78c596a4934"
+            "4f012eda2d4efad8a050cc4c19afa97c"
+            "59045a99cac7827271cb41c65e590e09"
+            "da3275600c2f09b8367793a9aca3db71"
+            "cc30c58179ec3e87c14c01d5c1f3434f"
+            "1d87"
+        )
+
+    def test_hkdf_rfc5869_case3_empty_salt_and_info(self):
+        okm = hkdf(b"\x0b" * 22, 42)
+        assert okm.hex() == (
+            "8da4e775a563c18f715f802a063c5a31"
+            "b8a11f5c5ee1879ec3454e5f3c738d2d"
+            "9d201395faa4b61a96c8"
+        )
+
+    @given(st.binary(max_size=100), st.binary(max_size=80), st.binary(max_size=80),
+           st.integers(1, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_stdlib_reference(self, ikm, salt, info, length):
+        assert hkdf(ikm, length, salt=salt, info=info) == _reference_hkdf(
+            ikm, length, salt, info)
+
+    @given(st.lists(st.tuples(st.binary(min_size=1, max_size=40),
+                              st.binary(min_size=1, max_size=40)),
+                    min_size=2, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_mutated_bytearray_inputs_never_share_cached_state(self, pairs):
+        """One ``bytearray`` salt and ikm, overwritten between calls: each
+        derive must see the bytes it was given, not a cached earlier PRK."""
+        salt, ikm = bytearray(), bytearray()
+        for new_salt, new_ikm in pairs:
+            salt[:] = new_salt
+            ikm[:] = new_ikm
+            assert hkdf(ikm, 16, salt=salt, info=b"veh-1") == _reference_hkdf(
+                bytes(ikm), 16, bytes(salt), b"veh-1")
+
+    def test_session_key_pinned(self):
+        """Recorded before the PRK midstate cache and the inlined
+        rotations; the handshake's keys must not move."""
+        assert derive_session_key(b"\x42" * 16, "veh-1").hex() == (
+            "7c46065a10cdf2be4ac56bbea61a2cd0")
+        assert derive_session_key(bytes(range(16)), "veh-1").hex() == (
+            "3a7bc1369daf45848f551afc16dc61e2")
 
     def test_hkdf_no_salt(self):
         assert len(hkdf(b"ikm", 64)) == 64
@@ -388,6 +481,14 @@ class TestKdf:
     def test_she_kdf_requires_16_bytes(self):
         with pytest.raises(ValueError):
             she_kdf(b"short", SHE_KEY_UPDATE_ENC_C)
+
+
+class TestDrbg:
+    def test_output_pinned(self):
+        """Recorded before HMAC moved onto SHA-256 midstates."""
+        assert HmacDrbg(b"calibration").generate(64).hex() == (
+            "e2b56b45f8f66c05c3bd10acc5a90e2b8f47a14386dc8eac19e0a1182371c02a"
+            "5535a381e7c180e95f9eb4e9c1b5152e91045e05b5890b3d57c223ea11eb047c")
 
 
 class TestUtil:

@@ -543,6 +543,44 @@ class TestAuthHandshake:
         assert svc.half_open_rejected == 1
 
 
+class TestNonStringClientIdRegression:
+    """A HELLO whose client id was not a string used to reach
+    ``stable_hash`` (plain) or ``derive_session_key`` (authenticated)
+    and crash the handshake coroutine with an ``AttributeError``: asyncio
+    logged it as unhandled and no counter moved.  ``decode_message`` now
+    refuses the HELLO as a ``CorruptRecord``, the handshake's counted
+    protocol-fault path."""
+
+    @pytest.mark.parametrize("client_id", [5, ["x"], None])
+    @pytest.mark.parametrize("fleet_key", [None, FLEET_KEY],
+                             ids=["plain", "authenticated"])
+    def test_refused_and_counted(self, tmp_path, client_id, fleet_key):
+        unhandled = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            svc = IngestService(1, mode="inline", root=tmp_path,
+                                config=ServiceConfig(fleet_key=fleet_key),
+                                handshake_timeout_s=2.0)
+            server = await serve(svc)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(frame_payload(canonical_dumps(["h", client_id, 1])))
+            await writer.drain()
+            got = await asyncio.wait_for(reader.read(), timeout=10.0)
+            writer.close()
+            await server.stop()
+            return got, svc
+
+        got, svc = asyncio.run(main())
+        assert got == b""  # closed without a CHALLENGE or WELCOME
+        assert svc.protocol_errors == 1
+        assert svc.auth_failures == 0
+        assert svc.metrics()["connections"] == 0
+        assert unhandled == []
+
+
 # ----------------------------------------------------------------------
 # Per-client quotas
 # ----------------------------------------------------------------------
