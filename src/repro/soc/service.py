@@ -1,10 +1,8 @@
 """Multiprocess network ingest service: asyncio frontend + shard workers.
 
-Until now every event entered the VSOC through in-process Python calls;
-this module is the front door ROADMAP names ("Live ingest service
-frontend"): an :mod:`asyncio` TCP server that thousands of vehicle
-connections report into, feeding a pool of **shard worker processes**
-so the GIL stops being the scaling wall.
+The VSOC's network front door: an :mod:`asyncio` TCP server that
+thousands of vehicle connections report into, feeding a pool of **shard
+worker processes** so the GIL stops being the scaling wall.
 
 Topology::
 
@@ -20,6 +18,12 @@ Topology::
         |                            -> IncidentTracker -> EventLog+snapshots
         |                                         |
         +------------- completion reports --------+
+
+:class:`ConnProtocol` is the only place a protocol decision is made:
+handshake order, pre-auth limits, quota refusals, BYE and the counted
+``protocol_errors`` drop.  In a session it accepts a payload starting
+``["e"`` (a BATCH, routed undecoded) and the exact BYE bytes; anything
+else drops the client.  :class:`IngestServer` runs one per connection.
 
 Design rules, each load-bearing for the >=3x multiprocess scaling:
 
@@ -52,20 +56,16 @@ Design rules, each load-bearing for the >=3x multiprocess scaling:
   overrun the service faster than workers drain, and the ACK round-trip
   is the honest per-batch ingest-latency measurement E19 reports p99 of.
 
-Every worker owns a full single-shard analytic stack -- ingest pipeline,
-:class:`~repro.soc.correlate.CorrelationEngine`, incident tracker, and a
-:class:`~repro.soc.store.DurableStore` -- driven through
-:meth:`~repro.soc.center.SecurityOperationsCenter.service_pump`, so the
-PR 4 recovery contract holds **per worker**: SIGKILL a worker process,
-then :func:`recover_worker` (snapshot + log-suffix replay) rebuilds its
-correlator state byte-identically (``tests/test_soc_service.py``).
+Every worker owns a full single-shard analytic stack with its own
+:class:`~repro.soc.store.DurableStore`, driven through
+:meth:`~repro.soc.center.SecurityOperationsCenter.service_pump`, so a
+SIGKILLed worker's state is rebuilt byte-identically by
+:func:`recover_worker` (snapshot + log-suffix replay).
 
 ``mode="inline"`` is the deterministic single-process fallback: the same
-wire path, buffers and worker cores, with handoffs executed synchronously
-in the caller's process.  It is differential-tested byte-identical (final
-analytics snapshot *and* log bytes) to driving the existing in-process
-pipeline directly, so the network layer is a transport, never a
-semantics change.
+wire path, buffers and worker cores, with handoffs run synchronously in
+the caller.  It is differential-tested byte-identical (analytics
+snapshot *and* log bytes) to driving the in-process pipeline directly.
 """
 
 from __future__ import annotations
@@ -238,11 +238,19 @@ def derive_session_key(fleet_key: bytes, client_id: str) -> bytes:
                 info=client_id.encode("utf-8"))
 
 
+def _auth_message(client_id: str, nonce: bytes) -> bytes:
+    """The bytes a handshake proof covers (signed and verified alike)."""
+    return AUTH_CONTEXT + b"|" + client_id.encode("utf-8") + b"|" + nonce
+
+
+def _batch_message(client_id: str, batch_id: int, payload: bytes) -> bytes:
+    """The bytes a batch tag covers (signed and verified alike)."""
+    return client_id.encode("utf-8") + b"|%d|" % batch_id + payload
+
+
 def auth_tag(session_key: bytes, client_id: str, nonce: bytes) -> bytes:
     """Handshake proof: CMAC over ``context|client_id|nonce``."""
-    return aes_cmac(session_key,
-                    AUTH_CONTEXT + b"|" + client_id.encode("utf-8")
-                    + b"|" + nonce)
+    return aes_cmac(session_key, _auth_message(client_id, nonce))
 
 
 def batch_tag(session_key: bytes, client_id: str, batch_id: int,
@@ -251,9 +259,7 @@ def batch_tag(session_key: bytes, client_id: str, batch_id: int,
     ``client_id|batch_id|payload`` -- binds the batch to the session
     *and* to its flow-control slot, so a tag cannot be replayed onto
     another client's (or another batch id's) payload."""
-    return aes_cmac(session_key,
-                    client_id.encode("utf-8")
-                    + b"|%d|" % batch_id + payload)
+    return aes_cmac(session_key, _batch_message(client_id, batch_id, payload))
 
 
 def seal_payload(session_key: bytes, client_id: str,
@@ -315,9 +321,8 @@ def batch_id_of(payload: bytes) -> int:
 
     A malformed payload (missing comma, non-integer id) raises
     :class:`~repro.soc.store.CorruptRecord`, never a bare
-    ``ValueError``: the frontend's one deliberate drop-the-connection
-    path classifies it, instead of an unclassified error killing the
-    reader coroutine."""
+    ``ValueError``, so :class:`ConnProtocol` counts it as a protocol
+    error and drops the client."""
     try:
         first = payload.index(b",")
         return int(payload[first + 1:payload.index(b",", first + 1)])
@@ -404,7 +409,7 @@ Center.service_pump` flushes after every handoff, so a worker *process*
     fsync: str = "never"
     audit: bool = True
     #: Fleet key material for CMAC-authenticated sessions.  ``None``
-    #: (default) keeps the PR 7 plain protocol; set, the handshake
+    #: (default) keeps the plain protocol; set, the handshake
     #: becomes HELLO -> CHALLENGE -> AUTH -> WELCOME and every BATCH
     #: payload must carry a :func:`batch_tag` trailer the owning worker
     #: verifies (the per-vehicle session key is re-derived on both
@@ -560,11 +565,8 @@ class WorkerCore:
         if key is None:
             key = self._session_keys[client_id] = derive_session_key(
                 self.config.fleet_key, client_id)
-        if not cmac_verify(key,
-                           client_id.encode("utf-8") + b"|%d|" % batch_id
-                           + body, tag):
-            return None
-        return body
+        message = _batch_message(client_id, batch_id, body)
+        return body if cmac_verify(key, message, tag) else None
 
     def ingest_handoff(self, t_send: float,
                        items: Sequence[Tuple[int, str, int, bytes]],
@@ -937,11 +939,9 @@ class _Conn:
     conn_id: int
     client_id: str
     shard: int
-    writer: asyncio.StreamWriter
+    writer: Optional[asyncio.Transport]
     suppressed: bool = False
     batches: int = 0
-    events_offered: int = 0
-    events_accepted: int = 0
     bucket: Optional[TokenBucket] = None
     quota_suppressed: bool = False
     quota_refused: int = 0
@@ -953,7 +953,7 @@ class IngestService:
 
     Usable without any network at all (the differential and recovery
     tests drive :meth:`route` / :meth:`flush` / :meth:`poll_completions`
-    directly); :class:`IngestServer` adds the asyncio transport on top.
+    directly); one :class:`ConnProtocol` per connection drives it.
 
     ``suppress_after`` / ``resume_below`` bound the *outstanding
     handoffs* per shard -- the frontend's own watermark on top of the
@@ -1075,7 +1075,7 @@ class IngestService:
 
     # -- connection lifecycle ------------------------------------------
     def open_conn(self, client_id: str,
-                  writer: Optional[asyncio.StreamWriter] = None) -> _Conn:
+                  writer: Optional[asyncio.Transport] = None) -> _Conn:
         conn = _Conn(self._next_conn, client_id,
                      shard_for_client(client_id, self.num_workers), writer)
         self._next_conn += 1
@@ -1350,15 +1350,175 @@ class IngestService:
         }
 
 
+#: The session accept rule: a BATCH payload starts with these bytes,
+#: and a BYE payload is exactly these.
+_BATCH_PREFIX = b'["e"'
+_BYE = encode_bye()
+
+
+class ConnProtocol(asyncio.Protocol):
+    """One client connection's protocol state machine: the only place
+    the front door makes a protocol decision, and none waits on I/O.
+    Bytes come in through :meth:`data_received`, clock readings through
+    the service's ``mono_clock``; frames go out to the transport, and
+    ``open_conn``/``route``/``maybe_flush``/``close_conn`` calls to the
+    service.  Tests drive it with a fake transport and no loop.
+
+    States: ``hello`` -> (``auth``, after a CHALLENGE) -> ``session``
+    -> ``closed``.  Before ``session`` the connection holds a half-open
+    slot, at most ``max_preauth_bytes`` are accepted, and WELCOME must
+    come within ``handshake_timeout_s`` of accept.  In ``session`` a
+    payload starting ``["e"`` is a BATCH, routed undecoded; the exact
+    BYE bytes are answered and closed; anything else is a protocol
+    fault.  Each refusal moves one counter: ``half_open_rejected``,
+    ``preauth_overflows``, ``handshake_timeouts``, ``auth_failures``,
+    ``quota_refused`` (and ``quota_disconnects``), or
+    ``protocol_errors`` for any :class:`~repro.soc.store.CorruptRecord`.
+    EOF, a peer reset and its own close all end in
+    :meth:`connection_lost`.
+    """
+
+    def __init__(self, service: IngestService) -> None:
+        self.service = service
+        self.decoder = FrameStreamDecoder()
+        self.transport: Optional[asyncio.Transport] = None
+        self.state = "hello"
+        self.conn: Optional[_Conn] = None
+        self.client_id = ""
+        self.nonce = b""
+        self.deadline = service.mono_clock() + service.handshake_timeout_s
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        service = self.service
+        if service.half_open >= service.max_half_open:
+            # Too many connections parked pre-auth: refuse at accept,
+            # before this one can hold handshake state open.
+            service.half_open_rejected += 1
+            self.state = "closed"
+            transport.close()
+            return
+        service.half_open += 1
+
+    def data_received(self, data: bytes) -> None:
+        if self.state == "closed" or self.tick():
+            return
+        service = self.service
+        try:
+            payloads = self.decoder.feed(data)
+            if (self.state != "session"
+                    and self.decoder.bytes_fed > service.max_preauth_bytes):
+                service.preauth_overflows += 1
+                self._close()
+                return
+            for payload in payloads:
+                if self.state == "session":
+                    self._session(payload)
+                else:
+                    self._handshake(payload)
+                if self.state == "closed":
+                    return
+        except CorruptRecord:
+            # The one counted protocol-fault path: a bad frame, an
+            # undecodable or out-of-order handshake message, a malformed
+            # BATCH, or a session payload the accept rule refuses.
+            service.protocol_errors += 1
+            self._close()
+
+    def tick(self) -> bool:
+        """Clock reading in: a handshake still open at its deadline is
+        reaped and counted.  Returns whether this call reaped it."""
+        if (self.state in ("hello", "auth")
+                and self.service.mono_clock() >= self.deadline):
+            self.service.handshake_timeouts += 1
+            self._close()
+            return True
+        return False
+
+    def _handshake(self, payload: bytes) -> None:
+        msg = decode_message(payload)
+        fleet_key = self.service.config.fleet_key
+        if msg[0] == _T_HELLO and self.state == "hello":
+            self.client_id = msg[1]
+            if fleet_key is None:
+                self._welcome()
+                return
+            self.nonce = os.urandom(16)
+            self.state = "auth"
+            self.transport.write(frame_payload(encode_challenge(self.nonce)))
+        elif msg[0] == _T_AUTH and self.state == "auth":
+            try:
+                tag = bytes.fromhex(msg[1])
+            except ValueError:
+                tag = b""
+            key = derive_session_key(fleet_key, self.client_id)
+            if len(tag) == BATCH_TAG_LEN and cmac_verify(
+                    key, _auth_message(self.client_id, self.nonce), tag):
+                self._welcome()
+            else:
+                self.service.auth_failures += 1
+                self._close()
+        else:
+            # BATCH before HELLO, a second HELLO, AUTH without a
+            # challenge.
+            raise CorruptRecord(f"{msg[0]!r} out of handshake order")
+
+    def _welcome(self) -> None:
+        """Open the session: WELCOME with the credit grant, then SUPPRESS
+        if the connection starts out suppressed."""
+        service = self.service
+        service.half_open -= 1
+        self.state = "session"
+        self.conn = conn = service.open_conn(self.client_id, self.transport)
+        self.transport.write(frame_payload(encode_welcome(
+            conn.shard, service.num_workers, service.initial_credits)))
+        if conn.suppressed:
+            self.transport.write(frame_payload(encode_suppress()))
+
+    def _session(self, payload: bytes) -> None:
+        service, conn = self.service, self.conn
+        if payload[:4] == _BATCH_PREFIX:
+            if service.route(conn, payload):
+                service.maybe_flush(conn.shard)
+                return
+            # Over quota: hard-refuse, and return the credit so the
+            # client's ledger stays live.
+            self.transport.write(frame_payload(
+                encode_refused(batch_id_of(payload), 1)))
+            limit = service.quota_disconnect_after
+            if limit is not None and conn.quota_refused >= limit:
+                service.quota_disconnects += 1
+                self._close()
+        elif payload == _BYE:
+            # Closing the transport still sends what was written to it.
+            self.transport.write(frame_payload(_BYE))
+            self._close()
+        else:
+            raise CorruptRecord("session payload is neither BATCH nor BYE")
+
+    def _close(self) -> None:
+        """Release the half-open slot or the session, then close the
+        transport."""
+        if self.state == "session":
+            self.service.close_conn(self.conn.conn_id)
+        elif self.state != "closed":
+            self.service.half_open -= 1
+        self.state = "closed"
+        self.transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.state != "closed":
+            self._close()
+
+
 class IngestServer:
     """The asyncio TCP frontend over an :class:`IngestService`.
 
-    One reader coroutine per connection (HELLO -> WELCOME, then BATCH
-    frames routed to shard buffers); one pump task flushing buffers
-    every ``flush_interval_s`` and fanning completed handoffs back out
-    as ACK frames.  In process mode a collector thread blocks on the
-    workers' completion queue and wakes the loop, so ACK latency is not
-    quantized to the flush interval.
+    One :class:`ConnProtocol` per connection; one pump task flushing
+    buffers every ``flush_interval_s`` and fanning completed handoffs
+    back out as ACK frames.  In process mode a collector thread blocks
+    on the workers' completion queues and wakes the loop, so ACK latency
+    is not quantized to the flush interval.
     """
 
     def __init__(self, service: IngestService, host: str = "127.0.0.1",
@@ -1371,43 +1531,43 @@ class IngestServer:
         self._pump_task: Optional[asyncio.Task] = None
         self._collector: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        self._conn_writers: set = set()
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port)
+        loop = asyncio.get_running_loop()
+        service = self.service
+
+        def accept() -> ConnProtocol:
+            protocol = ConnProtocol(service)
+            # A silent client never reaches data_received's deadline check.
+            loop.call_later(service.handshake_timeout_s, protocol.tick)
+            return protocol
+
+        self._server = await loop.create_server(accept, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._pump_task = asyncio.create_task(self._pump())
-        if self.service.mode == "process":
-            loop = asyncio.get_running_loop()
+        if service.mode == "process":
             self._collector = threading.Thread(
                 target=self._collect, args=(loop,), daemon=True)
             self._collector.start()
 
     def _collect(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Blocking completion-queue reader (thread): parks reports on
-        the service and nudges the loop's pump task."""
-        backend = self.service.backend
+        """Blocking completion-queue reader (thread): the loop applies
+        each report to the service and writes its ACKs."""
+        service = self.service
         while not self._stop.is_set():
-            report = backend.get_report(timeout=0.05)
+            report = service.backend.get_report(timeout=0.05)
             if report is not None:
-                loop.call_soon_threadsafe(self._ack_report, report)
-
-    def _ack_report(self, report: WorkerReport) -> None:
-        self._write_acks(self.service.apply_report(report))
+                loop.call_soon_threadsafe(lambda r=report: self._write_acks(
+                    service.apply_report(r)))
 
     def _write_acks(self, items: List[Tuple[_Conn, int, int, int]]) -> None:
-        service = self.service
-        for conn, batch_id, offered, accepted in items:
+        for conn, batch_id, _, accepted in items:
             if accepted < 0:
                 # Undecodable (-1) or tampered (-2) payload: protocol
                 # fault, drop the client.
                 conn.writer.close()
-                service.close_conn(conn.conn_id)
-                continue
-            conn.events_offered += offered
-            conn.events_accepted += accepted
-            if not conn.writer.is_closing():
+                self.service.close_conn(conn.conn_id)
+            elif not conn.writer.is_closing():
                 conn.writer.write(frame_payload(
                     encode_ack(batch_id, accepted, 1)))
 
@@ -1420,152 +1580,11 @@ class IngestServer:
             if service.mode == "inline":
                 self._write_acks(service.poll_completions())
 
-    async def _handshake(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter,
-                         decoder: FrameStreamDecoder
-                         ) -> Tuple[Optional[_Conn], List[bytes]]:
-        """Run the pre-session handshake under its limits (read
-        deadline, pre-auth byte cap): plain ``HELLO -> WELCOME``, or --
-        when the service holds a fleet key -- ``HELLO -> CHALLENGE ->
-        AUTH -> WELCOME`` with a CMAC challenge-response proof.  Returns
-        ``(conn, leftover_payloads)``; ``conn is None`` means refuse the
-        connection (already counted)."""
-        service = self.service
-        fleet_key = service.config.fleet_key
-        deadline = service.mono_clock() + service.handshake_timeout_s
-        client_id: Optional[str] = None
-        nonce = b""
-        pending: List[bytes] = []
-        while True:
-            while pending:
-                payload = pending.pop(0)
-                try:
-                    msg = decode_message(payload)
-                except CorruptRecord:
-                    service.protocol_errors += 1
-                    return None, []
-                if msg[0] == _T_HELLO and client_id is None:
-                    client_id = msg[1]
-                    if fleet_key is None:
-                        conn = service.open_conn(client_id, writer)
-                        writer.write(frame_payload(encode_welcome(
-                            conn.shard, service.num_workers,
-                            service.initial_credits)))
-                        if conn.suppressed:
-                            writer.write(frame_payload(encode_suppress()))
-                        return conn, pending
-                    nonce = os.urandom(16)
-                    writer.write(frame_payload(encode_challenge(nonce)))
-                elif msg[0] == _T_AUTH and client_id is not None:
-                    key = derive_session_key(fleet_key, client_id)
-                    try:
-                        tag = bytes.fromhex(msg[1])
-                    except ValueError:
-                        tag = b""
-                    if len(tag) != BATCH_TAG_LEN or not cmac_verify(
-                            key, AUTH_CONTEXT + b"|"
-                            + client_id.encode("utf-8") + b"|" + nonce, tag):
-                        service.auth_failures += 1
-                        return None, []
-                    conn = service.open_conn(client_id, writer)
-                    writer.write(frame_payload(encode_welcome(
-                        conn.shard, service.num_workers,
-                        service.initial_credits)))
-                    if conn.suppressed:
-                        writer.write(frame_payload(encode_suppress()))
-                    return conn, pending
-                else:
-                    # Anything else pre-session (BATCH before HELLO,
-                    # duplicate HELLO, AUTH without challenge) is a
-                    # protocol fault.
-                    service.protocol_errors += 1
-                    return None, []
-            try:
-                data = await asyncio.wait_for(
-                    reader.read(1 << 16),
-                    timeout=deadline - service.mono_clock())
-            except (asyncio.TimeoutError, ValueError):
-                service.handshake_timeouts += 1
-                return None, []
-            if not data:
-                return None, []
-            try:
-                pending = decoder.feed(data)
-            except CorruptRecord:
-                service.protocol_errors += 1
-                return None, []
-            if decoder.bytes_fed > service.max_preauth_bytes:
-                service.preauth_overflows += 1
-                return None, []
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        service = self.service
-        if service.half_open >= service.max_half_open:
-            # Too many connections parked pre-auth: refuse at accept,
-            # before this one can hold handshake state open.
-            service.half_open_rejected += 1
-            writer.close()
-            return
-        decoder = FrameStreamDecoder()
-        service.half_open += 1
-        self._conn_writers.add(writer)
-        try:
-            try:
-                conn, pending = await self._handshake(reader, writer,
-                                                      decoder)
-            finally:
-                service.half_open -= 1
-            if conn is None:
-                writer.close()
-                return
-            await self._conn_loop(service, conn, reader, writer, decoder,
-                                  pending)
-        finally:
-            self._conn_writers.discard(writer)
-
-    async def _conn_loop(self, service, conn, reader, writer, decoder,
-                         pending) -> None:
-        try:
-            while True:
-                for payload in pending:
-                    if payload[:4] == b'["e"':
-                        # route() raises CorruptRecord on a malformed
-                        # BATCH payload -- same deliberate drop path as
-                        # an undecodable frame stream.
-                        if service.route(conn, payload):
-                            service.maybe_flush(conn.shard)
-                            continue
-                        # Over quota: hard-refuse, return the credit so
-                        # the client's ledger stays live.
-                        writer.write(frame_payload(
-                            encode_refused(batch_id_of(payload), 1)))
-                        threshold = service.quota_disconnect_after
-                        if (threshold is not None
-                                and conn.quota_refused >= threshold):
-                            service.quota_disconnects += 1
-                            return
-                        continue
-                    msg = decode_message(payload)
-                    if msg[0] == _T_BYE:
-                        writer.write(frame_payload(encode_bye()))
-                        await writer.drain()
-                        return
-                data = await reader.read(1 << 16)
-                if not data:
-                    break
-                pending = decoder.feed(data)
-        except CorruptRecord:
-            # The one deliberate protocol-fault path: undecodable frame
-            # stream OR malformed BATCH payload -- count it, drop them.
-            service.protocol_errors += 1
-        finally:
-            service.close_conn(conn.conn_id)
-            writer.close()
-
     async def stop(self) -> List[Dict[str, float]]:
         """Quiesce: flush + await outstanding handoffs, stop workers,
-        close the listener.  Returns final per-worker metrics."""
+        close the listener and the sessions the caller left open (an
+        unfinished handshake ends at its deadline).  Returns final
+        per-worker metrics."""
         if self._pump_task is not None:
             self._pump_task.cancel()
         self._stop.set()
@@ -1576,11 +1595,10 @@ class IngestServer:
             None, self.service.drain_and_close)
         if self._server is not None:
             self._server.close()
+            for conn in list(self.service.conns.values()):
+                if conn.writer is not None:
+                    conn.writer.close()
             await self._server.wait_closed()
-        # Close connections the caller left open so their handler tasks
-        # exit via EOF instead of being cancelled at loop teardown.
-        for writer in list(self._conn_writers):
-            writer.close()
         await asyncio.sleep(0)
         return metrics
 
@@ -1624,12 +1642,12 @@ class VehicleClient:
         self.shard = -1
         self.credits = 0
         self.suppressed = False
-        self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._decoder = FrameStreamDecoder()
         self._next_batch = 0
         self._pending: Dict[int, Tuple[float, int]] = {}
+        self._welcomed = asyncio.Event()
         self._credit_evt = asyncio.Event()
         self._ack_evt = asyncio.Event()
         self.batches_sent = 0
@@ -1649,42 +1667,22 @@ class VehicleClient:
         return seal_payload(self.session_key, self.client_id, payload)
 
     async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
+        reader, self._writer = await asyncio.open_connection(
             self.host, self.port)
         self._writer.write(frame_payload(encode_hello(self.client_id)))
-        # The handshake (CHALLENGE? -> WELCOME) completes before any
-        # ACK/SUPPRESS can arrive; read it synchronously.
-        pending: List[bytes] = []
-        while True:
-            while pending:
-                msg = decode_message(pending.pop(0))
-                if msg[0] == _T_CHALLENGE:
-                    if self.session_key is None:
-                        raise CorruptRecord(
-                            "server requires authentication but this "
-                            "client has no session key")
-                    tag = auth_tag(self.session_key, self.client_id,
-                                   bytes.fromhex(msg[1]))
-                    self._writer.write(frame_payload(encode_auth(tag)))
-                    continue
-                if msg[0] != _T_WELCOME:
-                    raise CorruptRecord("expected WELCOME")
-                self.shard, _, self.credits = msg[1], msg[2], msg[3]
-                if self.credits > 0:
-                    self._credit_evt.set()
-                for extra in pending:
-                    self._on_payload(extra)
-                self._reader_task = asyncio.create_task(self._read_loop())
-                return
-            data = await self._reader.read(1 << 16)
-            if not data:
-                raise ConnectionError("server closed during handshake")
-            pending = self._decoder.feed(data)
+        self._reader_task = asyncio.create_task(self._read_loop(reader))
+        await self._welcomed.wait()
+        if self.shard < 0:
+            # The read loop ended before WELCOME: hang up, and re-raise
+            # what ended it (e.g. a CHALLENGE a keyless client can't answer).
+            self._writer.close()
+            await self._reader_task
+            raise ConnectionError("server closed during handshake")
 
-    async def _read_loop(self) -> None:
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         try:
             while True:
-                data = await self._reader.read(1 << 16)
+                data = await reader.read(1 << 16)
                 if not data:
                     break
                 for payload in self._decoder.feed(data):
@@ -1693,37 +1691,48 @@ class VehicleClient:
             pass
         finally:
             self.closed = True
+            self._welcomed.set()
             self._ack_evt.set()
             self._credit_evt.set()
 
     def _on_payload(self, payload: bytes) -> None:
         msg = decode_message(payload)
         if msg[0] == _T_ACK:
-            _, batch_id, accepted, credits = msg
-            sent = self._pending.pop(batch_id, None)
+            sent = self._settle(msg[1], msg[3])
             if sent is not None:
                 self.rtts_s.append(self.clock() - sent[0])
-                self.events_accepted += accepted
-            self.credits += credits
-            if self.credits > 0:
-                self._credit_evt.set()
-            self._ack_evt.set()
+                self.events_accepted += msg[2]
         elif msg[0] == _T_REFUSED:
-            # Quota hard-refusal: the batch was NOT admitted; reclaim
-            # the credit and count the loss explicitly.
-            _, batch_id, credits = msg
-            sent = self._pending.pop(batch_id, None)
+            # Quota hard-refusal: the batch was NOT admitted; count the
+            # loss explicitly.
+            sent = self._settle(msg[1], msg[2])
             if sent is not None:
                 self.batches_refused += 1
                 self.events_refused_quota += sent[1]
-            self.credits += credits
-            if self.credits > 0:
-                self._credit_evt.set()
-            self._ack_evt.set()
         elif msg[0] == _T_SUPPRESS:
             self.suppressed = True
         elif msg[0] == _T_RESUME:
             self.suppressed = False
+        elif msg[0] == _T_CHALLENGE:
+            if self.session_key is None:
+                raise CorruptRecord("server requires authentication but "
+                                    "this client has no session key")
+            self._writer.write(frame_payload(encode_auth(auth_tag(
+                self.session_key, self.client_id, bytes.fromhex(msg[1])))))
+        elif msg[0] == _T_WELCOME:
+            self.shard = msg[1]
+            self._settle(None, msg[3])
+            self._welcomed.set()
+
+    def _settle(self, batch_id: Optional[int], credits: int
+                ) -> Optional[Tuple[float, int]]:
+        """Take ``credits`` flow-control credits back (WELCOME, ACK and
+        REFUSED alike); pops and returns ``batch_id``'s send record."""
+        self.credits += credits
+        if self.credits > 0:
+            self._credit_evt.set()
+        self._ack_evt.set()
+        return self._pending.pop(batch_id, None)
 
     async def send_events(self, events: Sequence[SecurityEvent]
                           ) -> Optional[int]:
@@ -1736,20 +1745,10 @@ class VehicleClient:
             if not kept:
                 return None
             events = kept
-        while self.credits <= 0 and not self.closed:
-            self._credit_evt.clear()
-            await self._credit_evt.wait()
-        if self.closed or self._writer.is_closing():
-            raise ConnectionError("connection closed")
-        self.credits -= 1
         batch_id = self._next_batch
         self._next_batch += 1
-        self._pending[batch_id] = (self.clock(), len(events))
-        self._writer.write(frame_payload(
-            self.seal(encode_batch(batch_id, events))))
-        self.batches_sent += 1
-        self.events_sent += len(events)
-        return batch_id
+        return await self.send_payload(
+            self.seal(encode_batch(batch_id, events)), len(events))
 
     async def send_payload(self, payload: bytes, n_events: int = 0) -> int:
         """Send a pre-encoded BATCH payload (the zero-copy path the

@@ -12,8 +12,11 @@ closing-transport write guard.
 """
 
 import asyncio
+import gc
 import inspect
 import json
+import socket
+import struct
 import time
 
 import pytest
@@ -579,6 +582,112 @@ class TestNonStringClientIdRegression:
         assert svc.auth_failures == 0
         assert svc.metrics()["connections"] == 0
         assert unhandled == []
+
+
+# ----------------------------------------------------------------------
+# Pinned regression: the session accept rule
+# ----------------------------------------------------------------------
+async def _open_session(port, client_id="veh-1"):
+    """Raw socket through HELLO -> WELCOME (plain service)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(frame_payload(encode_hello(client_id)))
+    decoder = FrameStreamDecoder()
+    while not decoder.feed(await reader.read(1 << 16)):
+        pass
+    return reader, writer
+
+
+class TestSessionAcceptRuleRegression:
+    """A session payload without the ``["e"`` prefix used to go through
+    ``decode_message``, and every result but BYE was ignored: no ACK, no
+    REFUSED, no counter, and the client's credit was gone.  A batch with
+    one extra space also had its events JSON-decoded by the frontend.
+    In a session only a BATCH and the exact BYE bytes are accepted;
+    anything else is a counted protocol error that drops the client."""
+
+    @pytest.mark.parametrize("payload", [
+        b'[ "e",0,[]]',
+        b'[ "e",0,[["x",1.0,"v","ids","s",2,[]]]]',
+        encode_hello("veh-1"),
+        canonical_dumps(["q", 0]),
+        canonical_dumps(["a", 0, 1, 1]),
+    ], ids=["spaced-batch", "spaced-batch-with-event", "second-hello",
+            "bye-with-field", "client-sent-ack"])
+    def test_refused_payload_is_counted_and_dropped(self, tmp_path, payload):
+        async def main():
+            svc = IngestService(1, mode="inline", root=tmp_path)
+            server = await serve(svc)
+            reader, writer = await _open_session(server.port)
+            writer.write(frame_payload(payload))
+            await writer.drain()
+            try:
+                got = await asyncio.wait_for(reader.read(), timeout=2.0)
+            finally:
+                writer.close()
+                await server.stop()
+            return got, svc
+
+        got, svc = asyncio.run(main())
+        assert got == b""  # no ACK, no REFUSED: the server hung up
+        assert svc.protocol_errors == 1
+        assert svc.batches_routed == 0
+        assert svc.metrics()["connections"] == 0
+
+
+# ----------------------------------------------------------------------
+# Pinned regression: a peer reset is an ordinary disconnect
+# ----------------------------------------------------------------------
+def _reset(writer):
+    """Close with SO_LINGER 0, so the peer sees an RST, not a FIN."""
+    sock = writer.get_extra_info("socket")
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    writer.transport.abort()
+
+
+class TestPeerResetRegression:
+    """An RST during the handshake, or mid-frame in a session, raised
+    ``ConnectionResetError`` out of the connection's reader coroutine
+    into the loop's exception handler.  It now arrives as
+    ``connection_lost`` and releases the connection like any close."""
+
+    def test_reset_reaches_no_exception_handler(self, tmp_path):
+        unhandled = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            svc = IngestService(1, mode="inline", root=tmp_path)
+            server = await serve(svc)
+            _, half_open = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            half_open.write(b"\x05")  # a torn frame header
+            await half_open.drain()
+            _, session = await _open_session(server.port)
+            session.write(frame_payload(batch("veh-1", 0))[:-5])
+            await session.drain()
+            for _ in range(100):
+                if svc.half_open == 1 and len(svc.conns) == 1:
+                    break
+                await asyncio.sleep(0.01)
+            _reset(half_open)
+            _reset(session)
+            for _ in range(200):
+                if svc.half_open == 0 and not svc.conns:
+                    break
+                await asyncio.sleep(0.01)
+            gc.collect()  # an orphaned failed task reports when collected
+            await asyncio.sleep(0.05)
+            state = (svc.half_open, len(svc.conns))
+            await server.stop()
+            return svc, state
+
+        svc, state = asyncio.run(main())
+        assert unhandled == []
+        assert state == (0, 0)
+        assert svc.protocol_errors == 0
+        svc.audit_conservation()
 
 
 # ----------------------------------------------------------------------
