@@ -59,6 +59,7 @@ from repro.soc import (
     recover_soc_state,
     seeded_campaigns,
 )
+from repro.soc.center import PUMP_TICK_S
 from repro.core.safety import Asil
 
 #: (fleet size, attack prevalence) grid; prevalence shrinks with scale so
@@ -411,7 +412,7 @@ def crash_recovery_cell(
         sim, soc, store = _durable_scene(seed, n_vehicles, prevalence,
                                          num_shards, capacity_eps,
                                          crash_root, snapshot_every_pumps)
-        sim.run_until(kill_pump * soc.pump_tick_s)
+        sim.run_until(kill_pump * PUMP_TICK_S)
         live_mid = json.dumps(soc.analytics_snapshot(), sort_keys=True)
         t0 = time.perf_counter()
         recovered = recover_soc_state(store)

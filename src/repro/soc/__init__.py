@@ -11,9 +11,11 @@ out.  This package is that backend:
   decoder) plus adapters from every on-vehicle alert source (IDS, V2X
   misbehavior, gateway quarantine, UDS SecurityAccess failures).
 - :mod:`repro.soc.ingest` -- bounded-queue ingestion with batching,
-  explicit load-shedding policies, and a backpressure signal: one
-  pipeline of N shard queues drained round-robin from a worker pool
-  with a shared capacity budget (N=1 by default).
+  explicit load shedding under one severity-aware eviction rule (a full
+  queue never drops an actionable alert for less severe chatter), and a
+  backpressure signal: one pipeline of N shard queues drained
+  round-robin from a worker pool with a shared capacity budget (N=1 by
+  default).
 - :mod:`repro.soc.shard` -- the pluggable per-signature/per-region
   shard keys, plus the :class:`~repro.soc.shard.ConservationAudit` that
   re-proves the shed/backpressure accounting per shard and globally
@@ -48,12 +50,6 @@ out.  This package is that backend:
   during a partition for provisional verdicts plus a deterministic
   reconciliation (confirm/amend/retract amendments) that restores
   byte-identity with the strict gate.
-- :mod:`repro.soc.chaos` -- seeded fault injection: a declarative
-  :class:`~repro.soc.chaos.FaultPlan` (region outages, WAN degradation,
-  torn shipments, worker SIGKILLs) driven against a live federated
-  scene or ingest service with conservation / byte-identity /
-  zero-ACK-loss invariant probes at every heal point.
-
 - :mod:`repro.soc.service` -- the network front door: an asyncio TCP
   ingest server speaking the log's ``u32len|CRC32`` frame codec, with
   explicit SUPPRESS/RESUME backpressure and credit-based flow control
@@ -91,20 +87,16 @@ from repro.soc.events import (
     from_misbehavior_report,
     from_uds_security_failure,
     make_event,
-    make_event_id,
     source_for_signature,
 )
 from repro.soc.ingest import (
     BoundedQueue,
     IngestPipeline,
-    ShedPolicy,
-    StageStats,
     TokenBucket,
 )
 from repro.soc.shard import (
     ConservationAudit,
     ConservationError,
-    ShardKeyFn,
     region_shard_key,
     signature_shard_key,
 )
@@ -124,9 +116,8 @@ from repro.soc.incident import (
     IncidentTracker,
     InvalidTransition,
 )
-from repro.soc.respond import RemediationOutcome, ResponseOrchestrator
+from repro.soc.respond import ResponseOrchestrator
 from repro.soc.fleet import (
-    VECTORIZE_THRESHOLD,
     AttackCampaign,
     FleetModel,
     FleetWorkloadGenerator,
@@ -137,11 +128,9 @@ from repro.soc.store import (
     DurableStore,
     EventLog,
     LogRecord,
-    ScanHit,
     SnapshotStore,
 )
 from repro.soc.center import (
-    RecoveredAnalytics,
     SecurityOperationsCenter,
     recover_soc_state,
 )
@@ -153,14 +142,6 @@ from repro.soc.federation import (
     ShippingChannel,
     decode_shipment,
     encode_shipment,
-)
-from repro.soc.chaos import (
-    FAULT_KINDS,
-    ChaosInvariantViolation,
-    Fault,
-    FaultPlan,
-    FederationChaosRunner,
-    ServiceChaosRunner,
 )
 from repro.soc.service import (
     BATCH_TAG_LEN,
@@ -188,16 +169,12 @@ __all__ = [
     "from_misbehavior_report",
     "from_uds_security_failure",
     "make_event",
-    "make_event_id",
     "source_for_signature",
     "BoundedQueue",
     "IngestPipeline",
-    "ShedPolicy",
-    "StageStats",
     "TokenBucket",
     "ConservationAudit",
     "ConservationError",
-    "ShardKeyFn",
     "region_shard_key",
     "signature_shard_key",
     "StringInterner",
@@ -213,9 +190,7 @@ __all__ = [
     "IncidentState",
     "IncidentTracker",
     "InvalidTransition",
-    "RemediationOutcome",
     "ResponseOrchestrator",
-    "VECTORIZE_THRESHOLD",
     "AttackCampaign",
     "FleetModel",
     "FleetWorkloadGenerator",
@@ -225,9 +200,7 @@ __all__ = [
     "DurableStore",
     "EventLog",
     "LogRecord",
-    "ScanHit",
     "SnapshotStore",
-    "RecoveredAnalytics",
     "SecurityOperationsCenter",
     "recover_soc_state",
     "FederationHub",
@@ -237,12 +210,6 @@ __all__ = [
     "ShippingChannel",
     "decode_shipment",
     "encode_shipment",
-    "FAULT_KINDS",
-    "ChaosInvariantViolation",
-    "Fault",
-    "FaultPlan",
-    "FederationChaosRunner",
-    "ServiceChaosRunner",
     "BATCH_TAG_LEN",
     "FrameStreamDecoder",
     "IngestServer",

@@ -44,11 +44,14 @@ from repro.soc.events import (
 )
 from repro.soc.fleet import FleetModel
 from repro.soc.incident import AMENDMENT_KINDS, Amendment, IncidentTracker
-from repro.soc.ingest import IngestPipeline, ShedPolicy
+from repro.soc.ingest import IngestPipeline
 from repro.soc.respond import ResponseOrchestrator
 from repro.soc.shard import ConservationAudit, ShardKeyFn
 from repro.soc.store import DurableStore, LogRecord
 
+
+#: Simulated seconds between scheduled pumps of a started centre.
+PUMP_TICK_S = 0.25
 
 #: Opens (or finds) the incident for a verdict at a base severity.  The
 #: live centre also pages its responder; replay paths open on the
@@ -208,23 +211,19 @@ class SecurityOperationsCenter:
         capacity_eps: float = 250.0,
         queue_capacity: int = 2048,
         batch_size: int = 64,
-        shed_policy: ShedPolicy = ShedPolicy.LOWEST_SEVERITY,
         window_s: float = 8.0,
         k: int = 3,
         dedup_window_s: float = 4.0,
         max_lateness_s: float = 2.0,
         respond: bool = True,
         ota_sample: int = 1,
-        pump_tick_s: float = 0.25,
         num_shards: int = 1,
         shard_key: Optional[ShardKeyFn] = None,
-        audit: bool = True,
         store: Optional[DurableStore] = None,
         snapshot_every_pumps: int = 0,
     ) -> None:
         self.sim = sim
         self.fleet = fleet
-        self.pump_tick_s = pump_tick_s
         self.store = store
         self.snapshot_every_pumps = snapshot_every_pumps
         self._pump_no = 0
@@ -240,13 +239,10 @@ class SecurityOperationsCenter:
             capacity_eps=capacity_eps,
             queue_capacity=queue_capacity,
             batch_size=batch_size,
-            shed_policy=shed_policy,
             num_shards=num_shards,
             shard_key=shard_key,
         )
-        self.audit: Optional[ConservationAudit] = (
-            ConservationAudit() if audit else None
-        )
+        self.audit = ConservationAudit()
 
         # Archival taps go in *before* the correlator sinks (write-ahead:
         # by the time analytics sees a batch it is already in the log).
@@ -274,20 +270,19 @@ class SecurityOperationsCenter:
                 # Snapshot 0: recovery always has a base state to restore,
                 # even if the process dies before the first periodic one.
                 self.save_snapshot()
-            self.sim.schedule(self.pump_tick_s, self._pump)
+            self.sim.schedule(PUMP_TICK_S, self._pump)
 
     def _pump(self) -> None:
         self.pipeline.pump(self.sim.now)
         self._finish_pump()
-        self.sim.schedule(self.pump_tick_s, self._pump)
+        self.sim.schedule(PUMP_TICK_S, self._pump)
 
     def _finish_pump(self, now: Optional[float] = None) -> None:
         """Post-dispatch bookkeeping every pump shares: audit, campaign
         merge, the durable pump marker, and the periodic snapshot.
         ``now`` defaults to simulation time; service drive mode passes
         the wall-clock handoff time instead."""
-        if self.audit is not None:
-            self.audit.check(self.pipeline)
+        self.audit.check(self.pipeline)
         self.state.merge(self._open_incident)
         if self.store is not None:
             self._pump_no += 1
@@ -502,8 +497,7 @@ class SecurityOperationsCenter:
             out.update(self.responder.metrics())
         out["fleet_compromised"] = float(self.fleet.total_compromised())
         out["fleet_targets"] = float(self.fleet.total_targets())
-        if self.audit is not None:
-            out["audit_checks"] = float(self.audit.checks)
+        out["audit_checks"] = float(self.audit.checks)
         return out
 
 

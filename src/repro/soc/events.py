@@ -111,11 +111,6 @@ class SecurityEvent(NamedTuple):
     def detail_dict(self) -> dict:
         return dict(self.detail)
 
-    @property
-    def is_actionable(self) -> bool:
-        """QM telemetry is observability noise, never incident input."""
-        return self.severity > Asil.QM
-
 
 _SOURCES: Dict[str, EventSource] = {s.value: s for s in EventSource}
 _SEVERITIES: Dict[int, Asil] = {int(a): a for a in Asil}
@@ -243,7 +238,7 @@ def from_gateway_record(vehicle_id: str, record: Any, seq: int,
 
 
 def from_uds_security_failure(vehicle_id: str, time: float, nrc: int,
-                              seq: int, target_ecu: str = "?",
+                              seq: int,
                               severity: Optional[Asil] = None) -> SecurityEvent:
     """Normalize a UDS SecurityAccess failure (0x27 invalidKey / lockout).
 
@@ -255,5 +250,5 @@ def from_uds_security_failure(vehicle_id: str, time: float, nrc: int,
     return make_event(
         vehicle_id, EventSource.DIAG, signature, time, seq,
         severity=severity,
-        detail={"nrc": nrc, "target_ecu": target_ecu},
+        detail={"nrc": nrc, "target_ecu": "?"},
     )

@@ -210,6 +210,22 @@ class FleetModel:
 #: E17 cells published.
 VECTORIZE_THRESHOLD = 200_000
 
+#: Simulated seconds between generator ticks.
+TICK_S = 0.5
+#: Shared ambient (ASIL B) telemetry per vehicle per second.
+AMBIENT_RATE_EPS = 0.0001
+#: Re-emissions per compromised, unpatched vehicle per second.
+REEMIT_RATE_EPS = 0.25
+
+#: :func:`seeded_campaigns` plants this many campaigns, each with at
+#: least ``CAMPAIGN_K_FLOOR`` targets, starting ``CAMPAIGN_START_S`` into
+#: the run (2 s apart) and reaching their targets in about
+#: ``CAMPAIGN_SPREAD_S``.
+N_CAMPAIGNS = 3
+CAMPAIGN_K_FLOOR = 5
+CAMPAIGN_START_S = 4.0
+CAMPAIGN_SPREAD_S = 15.0
+
 
 class FleetWorkloadGenerator:
     """Drives the fleet on the simulation kernel, feeding the pipeline.
@@ -235,18 +251,12 @@ class FleetWorkloadGenerator:
         fleet: FleetModel,
         pipeline: IngestPipeline,
         benign_rate_eps: float = 0.004,   # per vehicle per second, ASIL A
-        ambient_rate_eps: float = 0.0001,  # per vehicle per second, ASIL B
-        reemit_rate_eps: float = 0.25,    # per compromised, unpatched vehicle
-        tick_s: float = 0.5,
         vectorized: Optional[bool] = None,
     ) -> None:
         self.sim = sim
         self.fleet = fleet
         self.pipeline = pipeline
         self.benign_rate_eps = benign_rate_eps
-        self.ambient_rate_eps = ambient_rate_eps
-        self.reemit_rate_eps = reemit_rate_eps
-        self.tick_s = tick_s
         # Shared "ambient" signatures: benign-but-actionable patterns that
         # recur fleet-wide (a flaky infotainment build tripping its own
         # IDS, garage RF noise).  The pool grows with the fleet -- more
@@ -275,7 +285,7 @@ class FleetWorkloadGenerator:
         return self._seq
 
     def start(self) -> None:
-        self.sim.schedule(self.tick_s, self._tick)
+        self.sim.schedule(TICK_S, self._tick)
 
     # ------------------------------------------------------------------
     def _offer(self, event: SecurityEvent) -> None:
@@ -294,7 +304,7 @@ class FleetWorkloadGenerator:
         else:
             self._benign_traffic(now)
         self._attack_traffic(now)
-        self.sim.schedule(self.tick_s, self._tick)
+        self.sim.schedule(TICK_S, self._tick)
 
     def _benign_traffic_vectorized(self, now: float) -> None:
         """Numpy batch form of :meth:`_benign_traffic`.
@@ -307,12 +317,12 @@ class FleetWorkloadGenerator:
         rng = self._np_rng
         n = self.fleet.n_vehicles
         # Per-vehicle one-off noise (ASIL A): volume, never correlates.
-        k = int(rng.poisson(n * self.benign_rate_eps * self.tick_s))
+        k = int(rng.poisson(n * self.benign_rate_eps * TICK_S))
         if k and self.pipeline.fully_congested:
             self.suppressed_at_source += k
         elif k:
             vehicles = rng.integers(0, n, size=k)
-            jitters = rng.uniform(-self.tick_s, 0.0, size=k)
+            jitters = rng.uniform(-TICK_S, 0.0, size=k)
             variants = rng.integers(0, 4, size=k)
             for index, jitter, variant in zip(vehicles, jitters, variants):
                 vehicle = self.fleet.vid(int(index))
@@ -324,10 +334,10 @@ class FleetWorkloadGenerator:
                 ))
         # Shared ambient patterns (ASIL B): actionable-looking, so they
         # reach the correlator -- never bulk-suppressed.
-        k = int(rng.poisson(n * self.ambient_rate_eps * self.tick_s))
+        k = int(rng.poisson(n * AMBIENT_RATE_EPS * TICK_S))
         if k:
             vehicles = rng.integers(0, n, size=k)
-            jitters = rng.uniform(-self.tick_s, 0.0, size=k)
+            jitters = rng.uniform(-TICK_S, 0.0, size=k)
             patterns = rng.integers(0, self.ambient_pool, size=k)
             for index, jitter, pattern in zip(vehicles, jitters, patterns):
                 self._offer(make_event(
@@ -341,10 +351,10 @@ class FleetWorkloadGenerator:
         rng = self._benign_rng
         n = self.fleet.n_vehicles
         # Per-vehicle one-off noise (ASIL A): volume, never correlates.
-        lam = n * self.benign_rate_eps * self.tick_s
+        lam = n * self.benign_rate_eps * TICK_S
         for _ in range(poisson_draw(rng, lam)):
             vehicle = self.fleet.vid(rng.randrange(n))
-            jitter = rng.uniform(-self.tick_s, 0.0)
+            jitter = rng.uniform(-TICK_S, 0.0)
             sig = f"noise.{vehicle}:{rng.randrange(4)}"
             self._offer(make_event(
                 vehicle, EventSource.V2X, sig, max(0.0, now + jitter),
@@ -352,10 +362,10 @@ class FleetWorkloadGenerator:
             ))
         # Shared ambient patterns (ASIL B): actionable-looking, so they
         # reach the correlator -- the precision measurement's denominator.
-        lam = n * self.ambient_rate_eps * self.tick_s
+        lam = n * AMBIENT_RATE_EPS * TICK_S
         for _ in range(poisson_draw(rng, lam)):
             vehicle = self.fleet.vid(rng.randrange(n))
-            jitter = rng.uniform(-self.tick_s, 0.0)
+            jitter = rng.uniform(-TICK_S, 0.0)
             sig = f"ambient.telemetry:{rng.randrange(self.ambient_pool):04d}"
             self._offer(make_event(
                 vehicle, EventSource.GATEWAY, sig, max(0.0, now + jitter),
@@ -365,7 +375,7 @@ class FleetWorkloadGenerator:
     def _attack_traffic(self, now: float) -> None:
         rng = self._attack_rng
         # Fresh compromises: a detection burst from the victim itself.
-        for campaign, vehicle in self.fleet.step(now, self.tick_s, rng):
+        for campaign, vehicle in self.fleet.step(now, TICK_S, rng):
             self._offer(campaign.emit(vehicle, now, self._next_seq()))
         # Re-emissions from still-compromised, unpatched vehicles.
         for sig, campaign in self.fleet.campaigns.items():
@@ -375,7 +385,7 @@ class FleetWorkloadGenerator:
             ]
             if not victims:
                 continue
-            lam = len(victims) * self.reemit_rate_eps * self.tick_s
+            lam = len(victims) * REEMIT_RATE_EPS * TICK_S
             for _ in range(poisson_draw(rng, lam)):
                 vehicle = victims[rng.randrange(len(victims))]
                 self._offer(campaign.emit(vehicle, now, self._next_seq()))
@@ -385,23 +395,20 @@ def seeded_campaigns(
     rng: RngStreams,
     n_vehicles: int,
     prevalence: float,
-    k_floor: int = 5,
-    n_campaigns: int = 3,
-    start_s: float = 4.0,
-    spread_duration_s: float = 15.0,
     id_base: int = 0,
 ) -> List[AttackCampaign]:
-    """Deterministically plant ``n_campaigns`` class-breaks.
+    """Deterministically plant :data:`N_CAMPAIGNS` class-breaks.
 
-    Target counts honor ``prevalence`` but never drop below ``k_floor``
-    per campaign (a campaign that cannot reach the correlator's k would
-    make recall unmeasurable at toy fleet sizes).  ``id_base`` matches
+    Target counts honor ``prevalence`` but never drop below
+    :data:`CAMPAIGN_K_FLOOR` per campaign (a campaign that cannot reach
+    the correlator's k would make recall unmeasurable at toy fleet
+    sizes).  ``id_base`` matches
     the owning :class:`FleetModel`'s offset so campaign targets land in
     that region's id space.
     """
     picker = rng.get("soc.campaigns")
-    per = max(k_floor, int(prevalence * n_vehicles / n_campaigns))
-    per = min(per, max(1, n_vehicles // n_campaigns))
+    per = max(CAMPAIGN_K_FLOOR, int(prevalence * n_vehicles / N_CAMPAIGNS))
+    per = min(per, max(1, n_vehicles // N_CAMPAIGNS))
     kinds = [
         (EventSource.IDS, {"can_id": 0x0C9, "detector": "spec"}),
         (EventSource.DIAG, {"nrc": 0x35}),
@@ -413,15 +420,15 @@ def seeded_campaigns(
     # exact same vehicles as a materialized list -- and a 10^7-vehicle
     # fleet never allocates 10^7 int objects just to pick a few hundred.
     pool = range(n_vehicles)
-    for i in range(n_campaigns):
+    for i in range(N_CAMPAIGNS):
         source, extra = kinds[i % len(kinds)]
         indices = picker.sample(pool, per)
         campaigns.append(AttackCampaign(
             name=f"campaign-{i}",
             source=source,
-            start_s=start_s + 2.0 * i,
+            start_s=CAMPAIGN_START_S + 2.0 * i,
             targets=tuple(FleetModel.vehicle_id(id_base + j) for j in indices),
-            rate_per_s=max(0.5, per / spread_duration_s),
+            rate_per_s=max(0.5, per / CAMPAIGN_SPREAD_S),
             **extra,
         ))
     return campaigns

@@ -286,22 +286,9 @@ class IncidentTracker:
         return tracker
 
     # ------------------------------------------------------------------
-    def count_by_state(self) -> Dict[str, int]:
-        counts = {state.value: 0 for state in IncidentState}
-        for incident in self.incidents.values():
-            counts[incident.state.value] += 1
-        return counts
-
     def mean_time_to_containment_s(self) -> float:
         times = [
             i.time_to_containment_s for i in self.incidents.values()
             if i.time_to_containment_s is not None
-        ]
-        return sum(times) / len(times) if times else 0.0
-
-    def mean_time_to_remediation_s(self) -> float:
-        times = [
-            i.time_to_remediation_s for i in self.incidents.values()
-            if i.time_to_remediation_s is not None
         ]
         return sum(times) / len(times) if times else 0.0

@@ -3,14 +3,14 @@
 The VSOC front door.  Design constraints taken from the ROADMAP
 north-star ("heavy traffic from millions of users"): admission must be
 O(1), memory must be bounded regardless of offered load, and overload
-must degrade *explicitly* -- every shed event is counted and attributed
-to a policy decision, never silently lost.
+must degrade *explicitly* -- every shed event is counted as a refusal
+or an eviction, never silently lost.
 
 One :class:`IngestPipeline` holds ``num_shards`` :class:`IngestShard`
 objects (one by default).  Each shard is one path through three stages:
 
 ``admit``     schema/timestamp sanity validation, severity floor;
-``queue``     a :class:`BoundedQueue` with a pluggable :class:`ShedPolicy`;
+``queue``     a :class:`BoundedQueue` that sheds by severity;
 ``dispatch``  batch drain to the shard's registered sinks
               (the correlation engine, archival taps, ...).
 
@@ -19,7 +19,7 @@ with one shard no key is computed.  The pipeline owns the one backend
 capacity budget, in *simulation time*: each ``pump(now)`` may dispatch
 at most ``capacity_eps * dt`` events, handed out round-robin one batch
 per shard per turn, so a fleet offering more than the backend sustains
-visibly grows the queues until the shed policy engages -- the
+visibly grows the queues until shedding engages -- the
 backpressure signal (:meth:`IngestPipeline.congested_for`) that workload
 sources use to throttle low-severity telemetry at origin.
 """
@@ -28,20 +28,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.safety import Asil
 from repro.soc.events import SecurityEvent
 from repro.soc.shard import ShardKeyFn, signature_shard_key
-
-
-class ShedPolicy(Enum):
-    """What to drop when the queue is full."""
-
-    DROP_NEWEST = "drop-newest"      # refuse the arriving event
-    DROP_OLDEST = "drop-oldest"      # evict the head (stale-first)
-    LOWEST_SEVERITY = "lowest-severity"  # evict the least-severe queued event
 
 
 class TokenBucket:
@@ -108,10 +99,15 @@ class BoundedQueue:
 
     Entries are ``(enqueue_time, event)`` pairs kept in one deque per
     ASIL level; drain order is highest severity first, FIFO within a
-    level, which makes LOWEST_SEVERITY eviction O(1) instead of an O(n)
-    scan.  Each entry carries its own copy's enqueue time, so an event
+    level.  Each entry carries its own copy's enqueue time, so an event
     redelivered while a copy is still queued keeps both waits, whichever
     way (dispatch or eviction) each copy leaves.
+
+    A full queue has one eviction rule: an arrival strictly more severe
+    than the lowest queued level evicts that level's head (the stalest
+    of the least severe events, found in O(1)); any other arrival is
+    refused.  Actionable alerts are never dropped to make room for
+    chatter, which the class-break correlator downstream depends on.
 
     Accounting is conservation-complete: every offered event ends up in
     exactly one of ``shed`` (refused at the door), ``evicted`` (accepted,
@@ -124,11 +120,10 @@ class BoundedQueue:
     :class:`~repro.soc.shard.ConservationAudit` machine-check.
     """
 
-    def __init__(self, capacity: int, policy: ShedPolicy = ShedPolicy.DROP_OLDEST) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.policy = policy
         self._buckets: Dict[Asil, Deque[Tuple[float, SecurityEvent]]] = {
             level: deque() for level in Asil
         }
@@ -160,11 +155,12 @@ class BoundedQueue:
         self.offered += 1
         victim: Optional[SecurityEvent] = None
         if self._size >= self.capacity:
-            bucket = self._victim_bucket(event.severity)
-            if bucket is None:
+            # A full queue has a non-empty lowest level.
+            level = next(level for level in Asil if self._buckets[level])
+            if level >= event.severity:
                 self.shed += 1
                 return event
-            victim = bucket.popleft()[1]
+            victim = self._buckets[level].popleft()[1]
             self.evicted += 1
         else:
             self._size += 1
@@ -173,20 +169,6 @@ class BoundedQueue:
         self._buckets[event.severity].append((now, event))
         self.accepted += 1
         return victim
-
-    def _victim_bucket(self, severity: Asil
-                       ) -> Optional[Deque[Tuple[float, SecurityEvent]]]:
-        """The bucket whose head a full queue evicts for an arrival of
-        ``severity``, or ``None`` to refuse the arrival instead."""
-        if self.policy is ShedPolicy.DROP_NEWEST:
-            return None
-        # Both eviction policies take the head of the lowest non-empty
-        # bucket (a full queue has one): stale low-severity telemetry
-        # goes before fresh critical alerts.
-        level = next(level for level in Asil if self._buckets[level])
-        if self.policy is ShedPolicy.LOWEST_SEVERITY and level >= severity:
-            return None  # never evict to admit something even less severe
-        return self._buckets[level]
 
     def drain(self, limit: int) -> List[Tuple[float, SecurityEvent]]:
         """Dequeue up to ``limit`` ``(enqueue_time, event)`` entries,
@@ -205,26 +187,25 @@ class BoundedQueue:
         return out
 
 
+#: Queue fill fraction at which a shard reports :attr:`IngestShard.congested`.
+CONGESTION_WATERMARK = 0.5
+
+
 class IngestShard:
     """One queue's admit -> queue -> dispatch path, with its accounting.
 
     Everything here is per queue; batch size and the capacity budget
     that decides how much to dispatch belong to the owning
     :class:`IngestPipeline`.
-    ``congestion_watermark`` is the queue fill fraction above which
-    :attr:`congested` turns on.
+    :attr:`congested` turns on once the queue is
+    :data:`CONGESTION_WATERMARK` full.
     """
 
-    def __init__(
-        self,
-        queue_capacity: int,
-        shed_policy: ShedPolicy,
-        min_severity: Asil,
-        congestion_watermark: float,
-    ) -> None:
+    def __init__(self, queue_capacity: int, min_severity: Asil) -> None:
         self.min_severity = min_severity
-        self.queue = BoundedQueue(queue_capacity, shed_policy)
-        self._congestion_depth = max(1, int(queue_capacity * congestion_watermark))
+        self.queue = BoundedQueue(queue_capacity)
+        self._congestion_depth = max(
+            1, int(queue_capacity * CONGESTION_WATERMARK))
         self._batch_sinks: List[Callable[[float, List[SecurityEvent]], None]] = []
         self.stats = {
             "admit": StageStats("admit"),
@@ -341,9 +322,7 @@ class IngestPipeline:
         capacity_eps: float = 250.0,
         queue_capacity: int = 2048,
         batch_size: int = 64,
-        shed_policy: ShedPolicy = ShedPolicy.LOWEST_SEVERITY,
         min_severity: Asil = Asil.QM,
-        congestion_watermark: float = 0.5,
         num_shards: int = 1,
         shard_key: Optional[ShardKeyFn] = None,
     ) -> None:
@@ -356,8 +335,7 @@ class IngestPipeline:
         self.capacity_eps = capacity_eps
         self.batch_size = batch_size
         self.shards: List[IngestShard] = [
-            IngestShard(queue_capacity, shed_policy, min_severity,
-                        congestion_watermark)
+            IngestShard(queue_capacity, min_severity)
             for _ in range(num_shards)
         ]
         if num_shards == 1:

@@ -4,14 +4,14 @@ Scalas & Giacinto's point (PAPERS.md): on-board detection only pays off
 when it closes the loop into response.  The orchestrator walks each
 incident through the lifecycle on the simulation clock:
 
-1. **triage** (analyst latency, ``triage_delay_s``);
-2. **containment** (``containment_delay_s``): author a DENY rule for the
+1. **triage** (analyst latency, :data:`TRIAGE_DELAY_S`);
+2. **containment** (:data:`CONTAINMENT_DELAY_S`): author a DENY rule for the
    campaign signature, version-bump the central
    :class:`~repro.core.policy.SecurityPolicy`, export it as a
    CMAC-authenticated bundle and apply it through a real vehicle-side
    :class:`~repro.core.policy.PolicyEngine` (rollback-protected, exactly
    the §7 centralized-policy path), then halt the campaign's spread;
-3. **remediation** (``remediation_delay_s``): cut a patched firmware
+3. **remediation** (:data:`REMEDIATION_DELAY_S`): cut a patched firmware
    image and run an Uptane campaign -- full metadata verification via
    :mod:`repro.ota` for a sample of vehicles, modelled bookkeeping for
    the rest of the affected set.
@@ -38,6 +38,12 @@ from repro.sim import Simulator
 from repro.soc.fleet import FleetModel
 from repro.soc.incident import Incident, IncidentState
 
+#: Simulated seconds from detection to triage, triage to containment,
+#: and containment to remediation.
+TRIAGE_DELAY_S = 0.5
+CONTAINMENT_DELAY_S = 1.5
+REMEDIATION_DELAY_S = 6.0
+
 
 @dataclass(frozen=True)
 class RemediationOutcome:
@@ -62,16 +68,10 @@ class ResponseOrchestrator:
         sim: Simulator,
         fleet: FleetModel,
         update_key: bytes = b"soc-policy-key!!",
-        triage_delay_s: float = 0.5,
-        containment_delay_s: float = 1.5,
-        remediation_delay_s: float = 6.0,
         ota_sample: int = 1,
     ) -> None:
         self.sim = sim
         self.fleet = fleet
-        self.triage_delay_s = triage_delay_s
-        self.containment_delay_s = containment_delay_s
-        self.remediation_delay_s = remediation_delay_s
         self.ota_sample = ota_sample
 
         base = SecurityPolicy(version=1, rules=[
@@ -97,13 +97,13 @@ class ResponseOrchestrator:
     # Lifecycle hooks
     # ------------------------------------------------------------------
     def on_detection(self, incident: Incident) -> None:
-        self.sim.schedule(self.triage_delay_s, self._triage, incident)
+        self.sim.schedule(TRIAGE_DELAY_S, self._triage, incident)
 
     def _triage(self, incident: Incident) -> None:
         if incident.state is not IncidentState.OPEN:
             return
         incident.advance(self.sim.now, IncidentState.TRIAGED)
-        self.sim.schedule(self.containment_delay_s, self._contain, incident)
+        self.sim.schedule(CONTAINMENT_DELAY_S, self._contain, incident)
 
     def _contain(self, incident: Incident) -> None:
         if incident.state is not IncidentState.TRIAGED:
@@ -111,7 +111,7 @@ class ResponseOrchestrator:
         self._push_policy_block(incident.signature)
         self.fleet.contain(incident.signature, self.sim.now)
         incident.advance(self.sim.now, IncidentState.CONTAINED)
-        self.sim.schedule(self.remediation_delay_s, self._remediate, incident)
+        self.sim.schedule(REMEDIATION_DELAY_S, self._remediate, incident)
 
     def _remediate(self, incident: Incident) -> None:
         if incident.state is not IncidentState.CONTAINED:

@@ -349,7 +349,6 @@ class FrameStreamDecoder:
     def __init__(self, max_frame_bytes: int = 1 << 24) -> None:
         self.max_frame_bytes = max_frame_bytes
         self._buf = bytearray()
-        self.frames_decoded = 0
         #: Bytes this decoder *accepted* (delivered or buffered toward a
         #: frame).  Data that provoked a CorruptRecord is counted in
         #: ``bytes_rejected`` instead -- an attacker's oversized-header
@@ -375,7 +374,6 @@ class FrameStreamDecoder:
             self.bytes_rejected += len(data)
             raise
         self.bytes_fed += len(data)
-        self.frames_decoded += len(out)
         if used:
             del self._buf[:used]
         return out
@@ -407,7 +405,6 @@ Center.service_pump` flushes after every handoff, so a worker *process*
     batch_size: int = 256
     snapshot_every_pumps: int = 256
     fsync: str = "never"
-    audit: bool = True
     #: Fleet key material for CMAC-authenticated sessions.  ``None``
     #: (default) keeps the plain protocol; set, the handshake
     #: becomes HELLO -> CHALLENGE -> AUTH -> WELCOME and every BATCH
@@ -530,7 +527,7 @@ class WorkerCore:
             window_s=config.window_s, k=config.k,
             dedup_window_s=config.dedup_window_s,
             max_lateness_s=config.max_lateness_s,
-            respond=False, num_shards=1, audit=config.audit,
+            respond=False, num_shards=1,
             store=store,
             snapshot_every_pumps=config.snapshot_every_pumps,
         )
@@ -928,6 +925,11 @@ def shard_for_client(client_id: str, num_workers: int) -> int:
 # The asyncio frontend
 # ----------------------------------------------------------------------
 
+#: Seconds :meth:`IngestService.drain_and_close` waits for completions
+#: per polling round.
+DRAIN_POLL_S = 0.01
+
+
 @dataclass
 class _Conn:
     """Frontend-side connection state.
@@ -1297,8 +1299,8 @@ class IngestService:
         return restarted
 
     # -- shutdown / observability --------------------------------------
-    def drain_and_close(self, poll_interval_s: float = 0.01,
-                        timeout_s: float = 30.0) -> List[Dict[str, float]]:
+    def drain_and_close(self, timeout_s: float = 30.0
+                        ) -> List[Dict[str, float]]:
         """Flush every buffer, wait for all outstanding handoffs, then
         stop the workers; returns their final metrics dicts.  The
         deadline is monotonic -- a wall-clock step (NTP slew, operator
@@ -1309,7 +1311,7 @@ class IngestService:
         while self.buffered() or any(self._inflight):
             self.check_workers()
             self.flush()
-            self.poll_completions(timeout=poll_interval_s)
+            self.poll_completions(timeout=DRAIN_POLL_S)
             if self.mono_clock() > deadline:  # pragma: no cover - backstop
                 break
         self._final_metrics = self.backend.close()

@@ -28,7 +28,6 @@ from repro.soc import (
     InvalidTransition,
     ResponseOrchestrator,
     SecurityOperationsCenter,
-    ShedPolicy,
     from_gateway_record,
     from_ids_alert,
     from_misbehavior_report,
@@ -106,23 +105,8 @@ class TestEventAdapters:
 # Ingestion
 # ----------------------------------------------------------------------
 class TestBoundedQueue:
-    def test_drop_newest_refuses_arrival(self):
-        q = BoundedQueue(2, ShedPolicy.DROP_NEWEST)
-        e1, e2, e3 = (ev("v1", "s", 0.0), ev("v2", "s", 0.1), ev("v3", "s", 0.2))
-        assert q.offer(0.0, e1) is None and q.offer(0.1, e2) is None
-        assert q.offer(0.2, e3) is e3
-        assert q.shed == 1 and len(q) == 2
-
-    def test_drop_oldest_evicts_head(self):
-        q = BoundedQueue(2, ShedPolicy.DROP_OLDEST)
-        e1, e2, e3 = (ev("v1", "s", 0.0), ev("v2", "s", 0.1), ev("v3", "s", 0.2))
-        q.offer(0.0, e1), q.offer(0.1, e2)
-        victim = q.offer(0.2, e3)
-        assert victim is e1
-        assert [e.vehicle_id for _, e in q.drain(10)] == ["v2", "v3"]
-
     def test_lowest_severity_eviction(self):
-        q = BoundedQueue(2, ShedPolicy.LOWEST_SEVERITY)
+        q = BoundedQueue(2)
         low = ev("v1", "s", 0.0, severity=Asil.A)
         high = ev("v2", "s", 0.1, severity=Asil.D)
         incoming = ev("v3", "s", 0.2, severity=Asil.C)
@@ -132,23 +116,33 @@ class TestBoundedQueue:
         lower = ev("v4", "s", 0.3, severity=Asil.A)
         assert q.offer(0.3, lower) is lower
 
-    def test_arrival_evicting_its_own_queued_copy_is_conserved(self):
-        # Redelivering the very object at the eviction head used to count
-        # as a refusal after the head was already popped: the event
-        # vanished and len(q) != accepted - drained - evicted.
-        q = BoundedQueue(1, ShedPolicy.DROP_OLDEST)
+    def test_redelivery_into_full_queue_is_refused_and_conserved(self):
+        # A redelivered object has its queued copy's severity, so a full
+        # queue refuses it (it can never evict its own queued copy) and
+        # the queued copy keeps its own timestamp.
+        q = BoundedQueue(1)
         e = ev("v1", "s", 0.0)
         assert q.offer(0.0, e) is None
-        assert q.offer(1.0, e) is e            # its older copy made room
-        assert (len(q), q.accepted, q.evicted, q.shed) == (1, 2, 1, 0)
-        assert q.drain(10) == [(1.0, e)]
-        pipe = IngestPipeline(queue_capacity=1,
-                              shed_policy=ShedPolicy.DROP_OLDEST)
-        assert pipe.offer(0.0, e) and pipe.offer(1.0, e)   # both queued
+        assert q.offer(1.0, e) is e            # refused at the door
+        assert (len(q), q.offered, q.accepted, q.evicted, q.shed) == (
+            1, 2, 1, 0, 1)
+        assert q.offered == q.accepted + q.shed
+        assert len(q) == q.accepted - q.drained - q.evicted
+        assert q.drain(10) == [(0.0, e)]
+        pipe = IngestPipeline(queue_capacity=1)
+        assert pipe.offer(0.0, e) and not pipe.offer(1.0, e)
         ConservationAudit().check(pipe)
 
+    def test_full_queue_refuses_equal_severity_arrival(self):
+        q = BoundedQueue(2)
+        e1, e2, e3 = (ev("v1", "s", 0.0), ev("v2", "s", 0.1), ev("v3", "s", 0.2))
+        assert q.offer(0.0, e1) is None and q.offer(0.1, e2) is None
+        assert q.offer(0.2, e3) is e3
+        assert q.shed == 1 and q.evicted == 0
+        assert [e.vehicle_id for _, e in q.drain(10)] == ["v1", "v2"]
+
     def test_drain_is_severity_then_fifo(self):
-        q = BoundedQueue(8, ShedPolicy.DROP_OLDEST)
+        q = BoundedQueue(8)
         a1 = ev("v1", "s", 0.0, severity=Asil.A)
         d1 = ev("v2", "s", 0.1, severity=Asil.D)
         a2 = ev("v3", "s", 0.2, severity=Asil.A)
@@ -179,8 +173,7 @@ class TestIngestPipeline:
         assert metrics["dispatched"] == pipe.shards[0].stats["dispatch"].exited
 
     def test_sheds_when_full_and_reports_rate(self):
-        pipe = IngestPipeline(capacity_eps=1.0, queue_capacity=8,
-                              shed_policy=ShedPolicy.DROP_NEWEST)
+        pipe = IngestPipeline(capacity_eps=1.0, queue_capacity=8)
         for i in range(20):
             pipe.offer(0.0, ev(f"v{i}", "s", 0.0))
         assert len(pipe.shards[0].queue) == 8
@@ -271,22 +264,22 @@ class TestIngestAccountingRegressions:
             3.5 / 3)
 
     def test_eviction_forgets_oldest_copy_timestamp(self):
-        pipe = IngestPipeline(queue_capacity=2, capacity_eps=100.0,
-                              shed_policy=ShedPolicy.DROP_OLDEST)
+        pipe = IngestPipeline(queue_capacity=2, capacity_eps=100.0)
         event = ev("v1", "s", 0.0)
         assert pipe.offer(0.0, event)
         assert pipe.offer(1.0, event)
-        assert pipe.offer(2.0, ev("v2", "s", 1.5))  # evicts the oldest copy
+        # A more severe arrival evicts the oldest copy.
+        assert pipe.offer(2.0, ev("v2", "s", 1.5, severity=Asil.D))
         assert pipe.dispatch(3.0, 2) == 2
         # Survivors: the t=1.0 copy (waited 2.0) and v2 (waited 1.0).
         assert pipe.shards[0].stats["dispatch"].latency_sum_s == pytest.approx(3.0)
 
     def test_refused_arrival_does_not_steal_queued_timestamp(self):
-        pipe = IngestPipeline(queue_capacity=1, capacity_eps=100.0,
-                              shed_policy=ShedPolicy.DROP_NEWEST)
+        pipe = IngestPipeline(queue_capacity=1, capacity_eps=100.0)
         event = ev("v1", "s", 0.0)
         assert pipe.offer(0.0, event)
-        assert not pipe.offer(1.0, event)      # refused at the door
+        # An equal-severity redelivery is refused at the door.
+        assert not pipe.offer(1.0, event)
         assert pipe.dispatch(2.0, 1) == 1
         assert pipe.shards[0].stats["dispatch"].latency_sum_s == pytest.approx(2.0)
 

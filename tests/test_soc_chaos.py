@@ -1,4 +1,5 @@
-"""Tests for repro.soc.chaos and the optimistic federation mode.
+"""Tests for the chaos harness (``tests/soc_chaos.py``) and the
+optimistic federation mode.
 
 Covers the :class:`FaultPlan` schema (validation, seeded generation
 determinism, federation/service split), the torn-shipment corruption
@@ -28,26 +29,28 @@ from repro.soc import (
     AMENDMENT_KINDS,
     Amendment,
     CampaignDetection,
-    ChaosInvariantViolation,
     EventLog,
     EventSource,
-    FAULT_KINDS,
-    Fault,
-    FaultPlan,
-    FederationChaosRunner,
     FederationHub,
     FleetModel,
     IncidentState,
     IncidentTracker,
     LogRecord,
     SecurityOperationsCenter,
-    ServiceChaosRunner,
     Shipment,
     ShippingChannel,
     encode_shipment,
     make_event,
 )
 from repro.experiments.e18_federation import build_federated_scene
+from tests.soc_chaos import (
+    FAULT_KINDS,
+    ChaosInvariantViolation,
+    Fault,
+    FaultPlan,
+    FederationChaosRunner,
+    ServiceChaosRunner,
+)
 
 
 def _canon(obj):

@@ -22,12 +22,20 @@ So does the analytic rule: how a batch or a pump marker changes the
 engines, the merger and the incident tracker lives in
 ``center.AnalyticState``.  No other module calls ``observe_batch``,
 ``.merge(`` on a merger, or ``from_snapshot`` of those three classes.
+
+The export list stays honest: every name in ``repro.soc.__all__`` is
+imported by some file outside ``src/repro/soc`` (tests count), and no
+module under ``src/repro`` imports from ``tests`` -- test harnesses such
+as ``tests/soc_chaos.py`` live there and stay out of the library.
 """
 
 import ast
 from pathlib import Path
 
-SOC = Path(__file__).resolve().parents[1] / "src" / "repro" / "soc"
+import repro.soc
+
+ROOT = Path(__file__).resolve().parents[1]
+SOC = ROOT / "src" / "repro" / "soc"
 
 
 def _private(name: str) -> bool:
@@ -225,3 +233,77 @@ def test_analytic_guard_catches_apply_and_restore(tmp_path):
         "bad.py:6: hub.state.merger.merge",
         "bad.py:7: correlate.CorrelationEngine.from_snapshot",
         "bad.py:8: IncidentTracker.from_snapshot"]
+
+
+def soc_imports(path: Path):
+    """Names ``path`` imports from ``repro.soc`` or one of its modules."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and (node.module == "repro.soc"
+                 or node.module.startswith("repro.soc."))
+            for alias in node.names}
+
+
+def unused_exports(exported, paths):
+    """The names of ``exported`` that no file of ``paths`` imports."""
+    used = set().union(*(soc_imports(path) for path in paths))
+    return [name for name in exported if name not in used]
+
+
+def outside_users():
+    """Every Python file that may use ``repro.soc``'s exports: the rest
+    of ``src``, the tests, benchmarks, perfbench and examples."""
+    paths = [path for path in sorted((ROOT / "src").rglob("*.py"))
+             if SOC not in path.parents]
+    for directory in ("tests", "benchmarks", "perfbench", "examples"):
+        paths += sorted((ROOT / directory).rglob("*.py"))
+    return paths
+
+
+def test_every_export_has_an_outside_user():
+    assert len(repro.soc.__all__) == len(set(repro.soc.__all__))
+    assert unused_exports(repro.soc.__all__, outside_users()) == []
+
+
+def test_export_guard_catches_unused_name(tmp_path):
+    user = tmp_path / "user.py"
+    user.write_text("from repro.soc import Alpha\n"
+                    "from repro.soc.store import Beta\n"
+                    "from repro.social import Gamma\n"
+                    "import repro.soc\n"
+                    "x = repro.soc.Gamma, 'Delta'\n")
+    assert unused_exports(["Alpha", "Beta", "Gamma", "Delta"],
+                          [user]) == ["Gamma", "Delta"]
+
+
+def imports_of_tests(path: Path):
+    """Every import of the ``tests`` package in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                  if name == "tests" or name.startswith("tests.")]
+    return found
+
+
+def test_library_imports_nothing_from_tests():
+    paths = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in imports_of_tests(path)] == []
+
+
+def test_tests_import_guard_catches_both_forms(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from tests.soc_chaos import FaultPlan\n"
+                   "import tests\n"
+                   "from testsuite import x\n"
+                   "import repro.tests_like\n")
+    assert imports_of_tests(bad) == ["bad.py:1: tests.soc_chaos",
+                                 "bad.py:2: tests"]

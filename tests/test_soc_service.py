@@ -251,7 +251,6 @@ class TestWireCodec:
             out += decoder.feed(stream[pos:pos + size])
             pos += size
         assert out == payloads
-        assert decoder.frames_decoded == 4
         assert decoder.bytes_fed == len(stream)
 
     @given(payloads=st.lists(st.binary(max_size=80), min_size=1, max_size=6),
@@ -271,7 +270,6 @@ class TestWireCodec:
             out += decoder.feed(stream[start:end])
             assert decoder.bytes_fed == end
         assert out == payloads
-        assert decoder.frames_decoded == len(payloads)
         assert decoder.pending_bytes == 0
         assert decoder.bytes_rejected == 0
         bad = bytearray(frame_payload(b"x" + payloads[0]))

@@ -5,8 +5,8 @@ Three layers of machine-checked accounting:
 - Hypothesis property tests prove the :class:`BoundedQueue` conservation
   invariants (``offered == accepted + shed``,
   ``len(q) == accepted - drained - evicted``) under arbitrary
-  offer/drain interleavings for all three shed policies, including the
-  LOWEST_SEVERITY "never evict to admit less-severe" edge;
+  offer/drain interleavings under the one eviction rule, including its
+  "never evict to admit less-severe" edge;
 - differential tests prove an ``IngestPipeline`` with ``num_shards=1``
   is byte-identical to the single-queue pipeline it replaced (a golden
   recorded from that class on the same deterministic stream), and that
@@ -33,7 +33,6 @@ from repro.soc import (
     FleetWorkloadGenerator,
     IngestPipeline,
     SecurityOperationsCenter,
-    ShedPolicy,
     make_event,
     region_shard_key,
     seeded_campaigns,
@@ -93,10 +92,10 @@ QUEUE_OPS = st.lists(
 
 
 class TestBoundedQueueConservation:
-    @given(policy=st.sampled_from(list(ShedPolicy)), ops=QUEUE_OPS)
+    @given(ops=QUEUE_OPS)
     @settings(max_examples=120, deadline=None)
-    def test_invariants_under_interleavings(self, policy, ops):
-        q = BoundedQueue(4, policy)
+    def test_invariants_under_interleavings(self, ops):
+        q = BoundedQueue(4)
         shadow = []  # model of the queue's contents
         seq = 0
         for op, arg in ops:
@@ -110,23 +109,18 @@ class TestBoundedQueueConservation:
                     assert not was_full
                     shadow.append(event)
                 elif victim is event:
-                    # Arrival refused at the door.
+                    # Arrival refused at the door, only because nothing
+                    # queued is less severe: the "never evict to admit
+                    # less-severe" edge.
                     assert was_full
-                    if policy is ShedPolicy.LOWEST_SEVERITY:
-                        # ...only because nothing queued is less severe:
-                        # the "never evict to admit less-severe" edge.
-                        assert min_before >= event.severity
-                    else:
-                        assert policy is ShedPolicy.DROP_NEWEST
+                    assert min_before >= event.severity
                 else:
                     # A queued event was evicted to admit the arrival.
                     assert was_full
-                    assert policy is not ShedPolicy.DROP_NEWEST
                     shadow.remove(victim)
                     shadow.append(event)
-                    if policy is ShedPolicy.LOWEST_SEVERITY:
-                        assert victim.severity == min_before
-                        assert victim.severity < event.severity
+                    assert victim.severity == min_before
+                    assert victim.severity < event.severity
             else:
                 out = [event for _, event in q.drain(arg)]
                 assert len(out) <= arg
@@ -146,10 +140,10 @@ class TestBoundedQueueConservation:
     @given(ops=QUEUE_OPS)
     @settings(max_examples=60, deadline=None)
     def test_lowest_severity_offers_never_lower_the_queue_max(self, ops):
-        # Under LOWEST_SEVERITY an offer may only evict something strictly
-        # less severe than the arrival, so the most severe queued level is
-        # monotone under offers -- only drain may take it out.
-        q = BoundedQueue(3, ShedPolicy.LOWEST_SEVERITY)
+        # An offer may only evict something strictly less severe than
+        # the arrival, so the most severe queued level is monotone under
+        # offers -- only drain may take it out.
+        q = BoundedQueue(3)
         shadow = []
         seq = 0
         for op, arg in ops:
@@ -423,25 +417,25 @@ class TestMergedRefusalCounters:
     only metrics dicts)."""
 
     @staticmethod
-    def _overloaded(policy):
+    def _overloaded(mixed_severity):
         # 4 shards x capacity 8: route vehicles round-robin, overfill two
-        # shards so both refusal kinds occur, then drain everything.
+        # shards, then drain everything.  Equal severities give only
+        # refusals; mixed ones give both loss kinds.
         sharded = IngestPipeline(
             num_shards=4, capacity_eps=40.0, queue_capacity=8, batch_size=4,
-            shed_policy=policy,
             shard_key=lambda e, n: int(e.vehicle_id[1:]) % n)
         for seq in range(24):                    # shards 0/1 get 12 each
-            sev = Asil.A if seq % 3 else Asil.D  # mixed, so eviction can pick
+            sev = Asil.D if mixed_severity and seq % 3 == 0 else Asil.A
             sharded.offer(0.0, ev(f"v{seq % 2}", "s", 0.0, seq, severity=sev))
         sharded.drain_all(1.0)
         return sharded
 
-    def test_refusals_surface_and_conserve_drop_newest(self):
-        sharded = self._overloaded(ShedPolicy.DROP_NEWEST)
+    def test_refusals_surface_and_conserve(self):
+        sharded = self._overloaded(mixed_severity=False)
         merged = sharded.metrics()
         per_shard = [s.metrics() for s in sharded.shards]
-        # Pinned: 24 offered, 8+8 fit, 4+4 refused at the door, none
-        # evicted (DROP_NEWEST never removes queued events).
+        # Pinned: 24 offered, 8+8 fit, 4+4 equal-severity arrivals
+        # refused at the door, none evicted.
         assert merged["admitted"] == 24.0
         assert merged["queue_refused"] == 8.0
         assert merged["queue_evicted"] == 0.0
@@ -459,10 +453,10 @@ class TestMergedRefusalCounters:
         ConservationAudit().check(sharded)
 
     def test_evictions_surface_and_conserve_lowest_severity(self):
-        sharded = self._overloaded(ShedPolicy.LOWEST_SEVERITY)
+        sharded = self._overloaded(mixed_severity=True)
         merged = sharded.metrics()
-        # Same overload, severity-aware policy: ASIL-D arrivals evict
-        # queued ASIL-A noise; ASIL-A arrivals into full queues of equal
+        # Same overload, mixed severities: ASIL-D arrivals evict queued
+        # ASIL-A noise; ASIL-A arrivals into full queues of equal
         # severity are refused.  Both kinds are published and the split
         # still sums to the total loss.
         assert merged["queue_evicted"] > 0.0
@@ -474,7 +468,7 @@ class TestMergedRefusalCounters:
         ConservationAudit().check(sharded)
 
     def test_audit_detects_cooked_refusal_counter(self):
-        sharded = self._overloaded(ShedPolicy.DROP_NEWEST)
+        sharded = self._overloaded(mixed_severity=False)
         audit = ConservationAudit()
         audit.check(sharded)
         sharded.shards[0].queue.shed -= 1         # hide one refusal

@@ -39,6 +39,7 @@ from repro.soc import (
     recover_soc_state,
     seeded_campaigns,
 )
+from repro.soc.center import PUMP_TICK_S
 from repro.soc.events import event_from_obj
 from repro.soc.service import encode_batch
 from repro.soc.store import (
@@ -604,7 +605,7 @@ class TestCrashRecoveryDifferential:
 
         sim, soc, store = _durable_scene(tmp_path / "crash",
                                          num_shards=num_shards)
-        sim.run_until(kill_pump * soc.pump_tick_s)
+        sim.run_until(kill_pump * PUMP_TICK_S)
         live_mid = _canon(soc.analytics_snapshot())
         recovered = recover_soc_state(store)
         # 1. The rebuilt state equals the live state at the kill point.
