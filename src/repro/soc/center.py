@@ -6,20 +6,16 @@ and aggregates every stage's counters into a single flat ``metrics()``
 dict (the shape E17 publishes and the determinism tests pin).
 
 There is one ingest pipeline (:class:`~repro.soc.ingest.IngestPipeline`,
-``num_shards`` queues) and ``num_shards`` alone picks the correlation
-topology:
+``num_shards`` queues) and one correlation topology at every shard
+count: one **shard-local** :class:`~repro.soc.correlate.CorrelationEngine`
+per ingest shard plus a :class:`~repro.soc.correlate.GlobalCampaignMerger`
+that stitches the local verdicts (and, under region sharding,
+sub-threshold cross-shard windows) into fleet-wide campaigns after every
+pump.  Merged campaigns are adopted back into every engine so spread
+attribution stays exact and one event is never correlated twice.
 
-- one shard: one :class:`~repro.soc.correlate.CorrelationEngine`; each
-  drained batch is observed and attributed to incidents at once;
-- more: one **shard-local** engine per ingest shard plus a
-  :class:`~repro.soc.correlate.GlobalCampaignMerger` that stitches the
-  local verdicts (and, under region sharding, sub-threshold cross-shard
-  windows) into fleet-wide campaigns after every pump.  Merged campaigns
-  are adopted back into every engine so spread attribution stays exact
-  and one event is never correlated twice.
-
-:class:`AnalyticState` owns the engines, the optional merger and the
-incident tracker, and is the one place that knows how a batch record or
+:class:`AnalyticState` owns the engines, the merger and the incident
+tracker, and is the one place that knows how a batch record or
 a pump marker changes them.  The live centre, crash recovery
 (:func:`recover_soc_state`) and the federation hub's replay all apply
 records through it, so replayed attribution cannot drift from live.
@@ -61,11 +57,12 @@ OpenIncident = Callable[[CampaignDetection, Asil], object]
 
 class AnalyticState:
     """The replayable analytic core: a flat list of correlation engines,
-    an optional :class:`GlobalCampaignMerger` and the incident tracker.
+    the :class:`GlobalCampaignMerger` that stitches them and the incident
+    tracker.
 
-    Without a merger there is exactly one engine and a verdict fires the
-    moment its batch is observed.  With one, engines observe shard-local
-    batches and verdicts surface at :meth:`merge`, once per pump.  The
+    Engines observe shard-local batches; verdicts and spread surface at
+    :meth:`merge`, once per pump, whatever the engine count -- so a
+    one-shard worker and a hub replaying its log attribute alike.  The
     engine order is part of the state: merger cursors index engines by
     position.
 
@@ -74,82 +71,69 @@ class AnalyticState:
     """
 
     def __init__(self, engines: Sequence[CorrelationEngine],
-                 merger: Optional[GlobalCampaignMerger],
+                 merger: GlobalCampaignMerger,
                  tracker: IncidentTracker) -> None:
         self.engines: List[CorrelationEngine] = list(engines)
         self.merger = merger
         self.tracker = tracker
 
     @classmethod
-    def fresh(cls, num_engines: int, *, sharded: bool, window_s: float,
-              k: int, dedup_window_s: float,
+    def fresh(cls, num_engines: int, *, window_s: float, k: int,
+              dedup_window_s: float,
               max_lateness_s: float) -> "AnalyticState":
         engines = [CorrelationEngine(
                        window_s=window_s, k=k, dedup_window_s=dedup_window_s,
                        max_lateness_s=max_lateness_s)
                    for _ in range(num_engines)]
-        merger = (GlobalCampaignMerger(window_s=window_s, k=k)
-                  if sharded else None)
-        return cls(engines, merger, IncidentTracker())
+        return cls(engines, GlobalCampaignMerger(window_s=window_s, k=k),
+                   IncidentTracker())
 
     @classmethod
     def from_snapshot(cls, state: Dict[str, object]) -> "AnalyticState":
-        """Inverse of :meth:`snapshot` (extra keys are ignored)."""
+        """Inverse of :meth:`snapshot` (extra keys are ignored).  Raises
+        :class:`ValueError` on a snapshot without a merger: one-shard
+        centres once attributed without one, and their engines' flags
+        cannot be turned into the merger state the next merge needs."""
+        if not state["merger"]:
+            raise ValueError(
+                "snapshot has no campaign merger: it was written by a "
+                "one-shard centre that attributed verdicts without one, "
+                "and cannot be resumed by a centre that always merges")
         return cls(
             [CorrelationEngine.from_snapshot(s) for s in state["engines"]],
-            (GlobalCampaignMerger.from_snapshot(state["merger"])
-             if state["merger"] is not None else None),
+            GlobalCampaignMerger.from_snapshot(state["merger"]),
             IncidentTracker.from_snapshot(state["tracker"]))
 
     def snapshot(self) -> Dict[str, object]:
         """Canonical dump, keys in a fixed order (the canonical encoder
         does not sort them)."""
         return {
-            "sharded": self.merger is not None,
             "engines": [e.snapshot() for e in self.engines],
-            "merger": self.merger.snapshot() if self.merger else None,
+            "merger": self.merger.snapshot(),
             "tracker": self.tracker.snapshot(),
         }
 
     # ------------------------------------------------------------------
     @staticmethod
     def base_severity(detection: CampaignDetection) -> Asil:
-        """Merged detections carry no triggering event; recover the
-        source family from the signature namespace (same defaulting as a
-        batch verdict's triggering event)."""
+        """A verdict's base severity: the source family its signature
+        namespace names, ASIL A for a namespace no adapter uses."""
         source = source_for_signature(detection.signature)
         if source is None:
             return Asil.A
         return DEFAULT_SOURCE_SEVERITY.get(source, Asil.A)
 
-    def observe(self, shard: int, events: Sequence[SecurityEvent],
-                open_incident: OpenIncident) -> None:
-        """Observe one drained batch on engine ``shard``.  Without a
-        merger it is attributed at once: a verdict opens an incident at
-        its triggering event's source severity, and an event of an
-        already-flagged signature attaches its vehicle to that incident.
-        With a merger, verdicts wait for :meth:`merge`."""
-        engine = self.engines[shard]
-        if self.merger is not None:
-            engine.observe_batch(events)
-            return
-        attach = self.tracker.attach_vehicle
-        is_flagged = engine.is_flagged
-        for event, detection in zip(events, engine.observe_batch(events)):
-            if detection is not None:
-                base = DEFAULT_SOURCE_SEVERITY.get(event.source, Asil.A)
-                open_incident(detection, base)
-            elif is_flagged(event.signature):
-                attach(event.signature, event.vehicle_id)
+    def observe(self, shard: int, events: Sequence[SecurityEvent]) -> None:
+        """Observe one drained batch on engine ``shard``; its verdicts
+        and spread wait for :meth:`merge`."""
+        self.engines[shard].observe_batch(events)
 
     def merge(self, open_incident: OpenIncident) -> List[CampaignDetection]:
         """One pump-boundary merge: stitch the engines, adopt each new
         fleet-wide verdict back into every engine (so they track spread
         exactly from here on and never re-fire), open its incident, then
         attach newly attributed vehicles in sorted order.  Returns the
-        new verdicts (none without a merger)."""
-        if self.merger is None:
-            return []
+        new verdicts."""
         new_detections, new_vehicles = self.merger.merge(self.engines)
         for detection in new_detections:
             for engine in self.engines:
@@ -167,19 +151,15 @@ class AnalyticState:
         ``shard``, a pump marker re-runs the merge the live run made
         there.  Returns the fleet-wide verdicts a merge produced."""
         if record.kind == "batch":
-            self.observe(shard, record.events, open_incident)
+            self.observe(shard, record.events)
             return []
         return self.merge(open_incident)
 
     # ------------------------------------------------------------------
     def flagged_signatures(self) -> Set[str]:
-        if self.merger is not None:
-            return set(self.merger.flagged_signatures)
-        return set(self.engines[0].flagged_signatures)
+        return set(self.merger.flagged_signatures)
 
     def metrics(self) -> Dict[str, float]:
-        if self.merger is None:
-            return self.engines[0].metrics()
         merged: Dict[str, float] = {}
         for engine in self.engines:
             for key, value in engine.metrics().items():
@@ -199,9 +179,9 @@ class SecurityOperationsCenter:
     ever reaches containment -- the fleet burns.
 
     Drained batches reach the analytic state (:attr:`state`) through
-    batch sinks only (``observe_batch``, one call per batch).  With
-    ``num_shards > 1`` every ingest shard has its own correlator,
-    stitched by a :class:`GlobalCampaignMerger` each pump.
+    batch sinks only (``observe_batch``, one call per batch).  Every
+    ingest shard has its own correlator, stitched by a
+    :class:`GlobalCampaignMerger` each pump.
     """
 
     def __init__(
@@ -216,7 +196,6 @@ class SecurityOperationsCenter:
         dedup_window_s: float = 4.0,
         max_lateness_s: float = 2.0,
         respond: bool = True,
-        ota_sample: int = 1,
         num_shards: int = 1,
         shard_key: Optional[ShardKeyFn] = None,
         store: Optional[DurableStore] = None,
@@ -251,14 +230,13 @@ class SecurityOperationsCenter:
                 shard.add_batch_sink(self._archive_handler(index))
 
         self.state = AnalyticState.fresh(
-            num_shards, sharded=num_shards > 1, window_s=window_s, k=k,
+            num_shards, window_s=window_s, k=k,
             dedup_window_s=dedup_window_s, max_lateness_s=max_lateness_s)
         for index, shard in enumerate(self.pipeline.shards):
             shard.add_batch_sink(self._observe_handler(index))
 
         self.responder: Optional[ResponseOrchestrator] = (
-            ResponseOrchestrator(sim, fleet, ota_sample=ota_sample)
-            if respond else None
+            ResponseOrchestrator(sim, fleet) if respond else None
         )
         self._started = False
 
@@ -367,8 +345,8 @@ class SecurityOperationsCenter:
         return self.state.engines
 
     @property
-    def merger(self) -> Optional[GlobalCampaignMerger]:
-        """The cross-shard merger (``None`` with one shard)."""
+    def merger(self) -> GlobalCampaignMerger:
+        """The merger that turns engine state into fleet-wide verdicts."""
         return self.state.merger
 
     @property
@@ -380,7 +358,7 @@ class SecurityOperationsCenter:
         :attr:`state` up on every batch, so adopting recovered state
         (:meth:`adopt_analytics`) rewires the sinks."""
         def observe(now: float, events: List[SecurityEvent]) -> None:
-            self.state.observe(index, events, self._open_incident)
+            self.state.observe(index, events)
         return observe
 
     def _archive_handler(self, index: int):

@@ -124,11 +124,11 @@ class CampaignDetection:
 
 
 #: float("-inf") is not valid strict JSON; snapshots encode it as None.
-def _enc_time(t: float) -> Optional[float]:
+def enc_time(t: float) -> Optional[float]:
     return None if t == float("-inf") else t
 
 
-def _dec_time(t: Optional[float]) -> float:
+def dec_time(t: Optional[float]) -> float:
     return float("-inf") if t is None else t
 
 
@@ -367,15 +367,15 @@ class CorrelationEngine:
                 "max_lateness_s": self.max_lateness_s,
                 "min_severity": int(self.min_severity),
             },
-            "watermark": _enc_time(self.watermark),
-            "last_sweep_wm": _enc_time(self._last_sweep_wm),
+            "watermark": enc_time(self.watermark),
+            "last_sweep_wm": enc_time(self._last_sweep_wm),
             "seen_ids": sorted([eid, t] for eid, t in self._seen_ids.items()),
             "last_by_key": sorted(
                 [v, s, t] for (v, s), t in self._last_by_key.items()),
             "windows": sorted(
                 [sig, {"heap": sorted([t, v] for t, v in w.heap),
                        "counts": sorted([v, c] for v, c in w.counts.items()),
-                       "newest": _enc_time(w.newest)}]
+                       "newest": enc_time(w.newest)}]
                 for sig, w in self._by_signature.items()),
             "flagged": [self._flagged[s].as_dict()
                         for s in sorted(self._flagged)],
@@ -407,8 +407,8 @@ class CorrelationEngine:
             max_lateness_s=cfg["max_lateness_s"],
             min_severity=Asil(cfg["min_severity"]),
         )
-        engine.watermark = _dec_time(state["watermark"])
-        engine._last_sweep_wm = _dec_time(state["last_sweep_wm"])
+        engine.watermark = dec_time(state["watermark"])
+        engine._last_sweep_wm = dec_time(state["last_sweep_wm"])
         engine._seen_ids = {eid: t for eid, t in state["seen_ids"]}
         engine._last_by_key = {(v, s): t for v, s, t in state["last_by_key"]}
         for sig, wobj in state["windows"]:
@@ -416,7 +416,7 @@ class CorrelationEngine:
             # A sorted list satisfies the heap invariant as-is.
             w.heap = [(t, v) for t, v in wobj["heap"]]
             w.counts = {v: c for v, c in wobj["counts"]}
-            w.newest = _dec_time(wobj["newest"])
+            w.newest = dec_time(wobj["newest"])
             engine._by_signature[sig] = w
         for dobj in state["flagged"]:
             detection = CampaignDetection.from_dict(dobj)
@@ -441,8 +441,9 @@ class CorrelationEngine:
     # ------------------------------------------------------------------
     # Shard-local merge support
     # ------------------------------------------------------------------
-    def is_flagged(self, signature: str) -> bool:
-        return signature in self._flagged
+    def has_window(self, signature: str) -> bool:
+        """Whether an un-flagged window for ``signature`` is live here."""
+        return signature in self._by_signature
 
     def pop_dirty(self) -> Set[str]:
         """Signatures whose window/campaign state changed since the last
@@ -692,9 +693,10 @@ class GlobalCampaignMerger:
         #    verdict with other shards' in-window pending vehicles (only
         #    relevant under region sharding; empty under signature
         #    sharding, where the merged detection equals the local one).
+        #    Vehicles the engine attributed after its detection stay
+        #    dirty, so step 2 attributes them in this same merge.
         for local in local_detections:
             sig = local.signature
-            dirty.discard(sig)
             if sig in self._flagged:
                 self._attribute(sig, set(local.vehicles), new_vehicles)
                 continue
@@ -713,8 +715,13 @@ class GlobalCampaignMerger:
             self._fire(merged, vehicles | {v for _, v in entries})
             new_detections.append(merged)
 
-        # 2. Dirty signatures without a local verdict: the cross-shard
-        #    sub-threshold stitch region sharding needs.
+        # 2. Dirty signatures: new spread of flagged campaigns, and the
+        #    cross-shard sub-threshold stitch region sharding needs.  An
+        #    engine fires on its own at k, so one engine's window is
+        #    always below k: only a signature windowed on two or more
+        #    engines can cross k here, and a lone engine has none.
+        if len(engines) == 1:
+            dirty = dirty.intersection(self._flagged)
         for sig in sorted(dirty):
             if sig in self._flagged:
                 combined: Set[str] = set()
@@ -723,9 +730,10 @@ class GlobalCampaignMerger:
                     combined |= engine.pending_vehicles(sig)
                 self._attribute(sig, combined, new_vehicles)
                 continue
-            entries = self._pending(engines, sig)
-            if not entries:
+            holders = [e for e in engines if e.has_window(sig)]
+            if len(holders) < 2:
                 continue
+            entries = self._pending(holders, sig)
             newest = max(t for t, _ in entries)
             cutoff = newest - self.window_s
             in_window = [(t, v) for t, v in entries if t >= cutoff]
@@ -806,9 +814,6 @@ class GlobalCampaignMerger:
         return merger
 
     # ------------------------------------------------------------------
-    def is_flagged(self, signature: str) -> bool:
-        return signature in self._flagged
-
     @property
     def flagged_signatures(self) -> Tuple[str, ...]:
         return tuple(self._flagged)

@@ -71,8 +71,8 @@ _SIGNATURE_SOURCE_PREFIXES: Tuple[Tuple[str, "EventSource"], ...] = (
 
 def source_for_signature(signature: str) -> Optional["EventSource"]:
     """Recover the producing :class:`EventSource` from a signature's
-    namespace prefix; ``None`` for unknown namespaces (callers fall back
-    to the most conservative severity)."""
+    namespace prefix; ``None`` for unknown namespaces (a verdict's base
+    severity then falls back to ASIL A)."""
     for prefix, source in _SIGNATURE_SOURCE_PREFIXES:
         if signature.startswith(prefix):
             return source

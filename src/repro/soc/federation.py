@@ -70,7 +70,11 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.soc.center import AnalyticState
-from repro.soc.correlate import CampaignDetection, GlobalCampaignMerger
+from repro.soc.correlate import (
+    CampaignDetection,
+    GlobalCampaignMerger,
+    enc_time,
+)
 from repro.soc.incident import Amendment, IncidentTracker
 from repro.soc.store import (
     CorruptRecord,
@@ -84,10 +88,6 @@ from repro.soc.store import (
 )
 
 _NEG_INF = float("-inf")
-
-
-def _enc_time(t: float) -> Optional[float]:
-    return None if t == _NEG_INF else t
 
 
 # ----------------------------------------------------------------------
@@ -393,13 +393,11 @@ class FederationHub:
         self.receivers: Dict[str, SegmentReceiver] = {
             r: SegmentReceiver(r) for r in self.regions}
         #: Replica engines flattened region-major (engine
-        #: ``region_index * num_shards + shard``), the global merger --
-        #: kept even for one region and one shard -- and the tracker.
-        #: Swapped wholesale at reconciliation.
+        #: ``region_index * num_shards + shard``), the global merger and
+        #: the tracker.  Swapped wholesale at reconciliation.
         self.state = AnalyticState.fresh(
-            len(self.regions) * num_shards, sharded=True,
-            window_s=window_s, k=k, dedup_window_s=dedup_window_s,
-            max_lateness_s=max_lateness_s)
+            len(self.regions) * num_shards, window_s=window_s, k=k,
+            dedup_window_s=dedup_window_s, max_lateness_s=max_lateness_s)
         self._region_index: Dict[str, int] = {
             r: i for i, r in enumerate(self.regions)}
         self._frontier: Dict[str, float] = {r: _NEG_INF for r in self.regions}
@@ -806,7 +804,7 @@ federation_profile` (regions in a federation share a configuration).
                         for i, r in enumerate(self.regions)},
             "merger": state["merger"],
             "tracker": state["tracker"],
-            "frontiers": {r: _enc_time(self._frontier[r])
+            "frontiers": {r: enc_time(self._frontier[r])
                           for r in self.regions},
             "applied_seq": {r: self.receivers[r].applied_seq
                             for r in self.regions},

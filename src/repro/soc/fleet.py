@@ -395,16 +395,13 @@ def seeded_campaigns(
     rng: RngStreams,
     n_vehicles: int,
     prevalence: float,
-    id_base: int = 0,
 ) -> List[AttackCampaign]:
     """Deterministically plant :data:`N_CAMPAIGNS` class-breaks.
 
     Target counts honor ``prevalence`` but never drop below
     :data:`CAMPAIGN_K_FLOOR` per campaign (a campaign that cannot reach
     the correlator's k would make recall unmeasurable at toy fleet
-    sizes).  ``id_base`` matches
-    the owning :class:`FleetModel`'s offset so campaign targets land in
-    that region's id space.
+    sizes).
     """
     picker = rng.get("soc.campaigns")
     per = max(CAMPAIGN_K_FLOOR, int(prevalence * n_vehicles / N_CAMPAIGNS))
@@ -427,7 +424,7 @@ def seeded_campaigns(
             name=f"campaign-{i}",
             source=source,
             start_s=CAMPAIGN_START_S + 2.0 * i,
-            targets=tuple(FleetModel.vehicle_id(id_base + j) for j in indices),
+            targets=tuple(FleetModel.vehicle_id(j) for j in indices),
             rate_per_s=max(0.5, per / CAMPAIGN_SPREAD_S),
             **extra,
         ))

@@ -374,7 +374,8 @@ class TestGlobalCampaignMerger:
         detections, _ = merger.merge([e1, e2])
         for engine in (e1, e2):
             engine.adopt_campaign(detections[0])
-        assert e1.is_flagged("ids.sig:x") and e2.is_flagged("ids.sig:x")
+        assert merger.flagged_signatures == ("ids.sig:x",)
+        assert e1.flagged_signatures == e2.flagged_signatures == ("ids.sig:x",)
         # Adoption folds the pending window into the campaign set...
         assert e1.campaign_vehicles("ids.sig:x") == {"v1", "v2"}
         # ...and later events attribute spread without re-firing.
@@ -433,10 +434,10 @@ def _centre_scene(num_shards):
 
 
 class _PerEventTwin:
-    """The centre's topology rebuilt by hand: the same pipeline, but
-    every drained event goes through ``observe`` one at a time, and
-    incidents open/attach directly on the tracker (with the responder
-    paged on each open)."""
+    """The centre's topology rebuilt by hand: the same pipeline, engines
+    and merger at every shard count, but every drained event goes
+    through ``observe`` one at a time, and each merge opens/attaches
+    directly on the tracker (with the responder paged on each open)."""
 
     def __init__(self, sim, fleet, num_shards):
         kw = dict(capacity_eps=SCENE_KW["capacity_eps"], queue_capacity=2048,
@@ -446,43 +447,25 @@ class _PerEventTwin:
                          max_lateness_s=2.0)
         self.tracker = IncidentTracker()
         self.responder = ResponseOrchestrator(sim, fleet)
-        if num_shards == 1:
-            self.pipeline = IngestPipeline(**kw)
-            self.engines = [CorrelationEngine(**engine_kw)]
-            self.merger = None
-            self.pipeline.add_batch_sink(self._single)
-        else:
-            self.pipeline = IngestPipeline(
-                num_shards=num_shards, shard_key=signature_shard_key, **kw)
-            self.engines = [CorrelationEngine(**engine_kw)
-                            for _ in range(num_shards)]
-            self.merger = GlobalCampaignMerger(window_s=8.0, k=SCENE_KW["k"])
-            for index, shard in enumerate(self.pipeline.shards):
-                shard.add_batch_sink(self._sharded(index))
+        self.pipeline = IngestPipeline(
+            num_shards=num_shards, shard_key=signature_shard_key, **kw)
+        self.engines = [CorrelationEngine(**engine_kw)
+                        for _ in range(num_shards)]
+        self.merger = GlobalCampaignMerger(window_s=8.0, k=SCENE_KW["k"])
+        for index, shard in enumerate(self.pipeline.shards):
+            shard.add_batch_sink(self._observer(index))
 
     def _open(self, detection, base):
         self.responder.on_detection(
             self.tracker.open_from_detection(detection, base))
 
-    def _single(self, now, events):
-        engine = self.engines[0]
-        for e in events:
-            detection = engine.observe(e)
-            if detection is not None:
-                self._open(detection,
-                           DEFAULT_SOURCE_SEVERITY.get(e.source, Asil.A))
-            elif engine.is_flagged(e.signature):
-                self.tracker.attach_vehicle(e.signature, e.vehicle_id)
-
-    def _sharded(self, index):
+    def _observer(self, index):
         def handle(now, events):
             for e in events:
                 self.engines[index].observe(e)
         return handle
 
     def _merge(self):
-        if self.merger is None:
-            return
         detections, new_vehicles = self.merger.merge(self.engines)
         for detection in detections:
             for engine in self.engines:
@@ -534,9 +517,8 @@ class TestCenterBatchedDifferential:
         assert centre.pipeline.metrics() == twin.pipeline.metrics()
         assert ([canon(e) for e in centre.correlators]
                 == [canon(e) for e in twin.engines])
-        if num_shards > 1:
-            assert (json.dumps(centre.merger.snapshot(), sort_keys=True)
-                    == json.dumps(twin.merger.snapshot(), sort_keys=True))
+        assert (json.dumps(centre.merger.snapshot(), sort_keys=True)
+                == json.dumps(twin.merger.snapshot(), sort_keys=True))
         assert centre.flagged_signatures()
         assert (json.dumps(centre.tracker.snapshot(), sort_keys=True)
                 == json.dumps(twin.tracker.snapshot(), sort_keys=True))

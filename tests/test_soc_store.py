@@ -12,6 +12,7 @@ byte-identical to an uninterrupted run at 1 and 4 shards.
 
 import hashlib
 import json
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,9 @@ from repro.soc import (
     encode_shipment,
     make_event,
     recover_soc_state,
+    region_shard_key,
     seeded_campaigns,
+    signature_shard_key,
 )
 from repro.soc.center import PUMP_TICK_S
 from repro.soc.events import event_from_obj
@@ -162,8 +165,9 @@ class TestGoldenBytes:
     tuples: wire batch, on-disk segment, record payloads, a federation
     shipment, and a sharded centre's analytics snapshot and log.  The
     snapshot digest was re-recorded when the merger's two adoption
-    counters left the snapshot: it is the old snapshot's bytes with
-    exactly those two keys deleted."""
+    counters left the snapshot, and again when the ``"sharded"`` key
+    did (every analytic state has a merger): each time it is the old
+    snapshot's bytes with exactly those keys deleted."""
 
     def test_codec_bytes_match_recorded_digests(self, tmp_path):
         events = _golden_events()
@@ -197,7 +201,7 @@ class TestGoldenBytes:
         sim.run_until(6.0)
         assert soc.metrics()["dispatched"] > 0
         assert _sha(canonical_dumps(soc.analytics_snapshot())) == (
-            "d459b76d208b941fb9f3cffac7ff686b1fdfee4a1562c6510f1fc5f58c599771")
+            "72d2612a01c23188be94c4f57a42b46bb893f5624f1fd5bfc282d0b9a9f6c5be")
         soc.store.close()
         assert _sha(b"".join(p.read_bytes()
                              for p in soc.store.log.segment_paths())) == (
@@ -588,6 +592,27 @@ def _canon(snapshot):
     return json.dumps(snapshot, sort_keys=True)
 
 
+def _hub_replay(soc, store):
+    """A fresh one-region hub, built from ``soc``'s profile, that has
+    applied ``store``'s whole log."""
+    records = tuple(store.log.replay())
+    hub = FederationHub.from_profile(["r"], soc.federation_profile())
+    assert hub.receive(encode_shipment(Shipment(
+        "r", 1, records[-1].seq, records[-1].dispatch_t, records)))
+    hub.finalize(0.0)
+    assert hub.unapplied() == 0
+    return hub
+
+
+def _analytic_dumps(snap, engines_key=None):
+    """Engines, merger and tracker of an analytics snapshot, canonical;
+    ``engines_key`` picks one region out of a hub snapshot."""
+    engines = snap["engines"]
+    if engines_key is not None:
+        engines = engines[engines_key]
+    return [_canon(engines), _canon(snap["merger"]), _canon(snap["tracker"])]
+
+
 class TestCrashRecoveryDifferential:
     DURATION = 12.0
 
@@ -677,33 +702,18 @@ class TestCrashRecoveryDifferential:
             self, tmp_path, num_shards):
         """The live centre, recovery from snapshot 0 and a one-region
         hub fed the same log reach the same engines, merger and tracker
-        bytes.  (A hub always merges, so at one shard its engines adopt
-        verdicts a lone engine never does: live == recovered only.)"""
+        bytes."""
         sim, soc, store = _durable_scene(tmp_path, num_shards=num_shards,
                                          snapshot_every_pumps=0)
         sim.run_until(self.DURATION)
         soc.final_drain()
 
-        def state(snap):
-            return [_canon(snap[key])
-                    for key in ("engines", "merger", "tracker")]
-
-        live = state(soc.analytics_snapshot())
+        live = _analytic_dumps(soc.analytics_snapshot())
         recovered = recover_soc_state(store)
         assert recovered.replayed_pumps == soc.pump_no
-        assert state(recovered.analytics_snapshot()) == live
-        if num_shards == 1:
-            return
-        records = tuple(store.log.replay())
-        hub = FederationHub.from_profile(["r"], soc.federation_profile())
-        assert hub.receive(encode_shipment(Shipment(
-            "r", 1, records[-1].seq, records[-1].dispatch_t, records)))
-        hub.finalize(0.0)
-        assert hub.unapplied() == 0
-        snap = hub.analytics_snapshot()
-        assert state({"engines": snap["engines"]["r"],
-                      "merger": snap["merger"],
-                      "tracker": snap["tracker"]}) == live
+        assert _analytic_dumps(recovered.analytics_snapshot()) == live
+        hub = _hub_replay(soc, store)
+        assert _analytic_dumps(hub.analytics_snapshot(), "r") == live
 
     def test_empty_store_refuses_recovery(self, tmp_path):
         store = DurableStore(tmp_path)
@@ -736,3 +746,126 @@ class TestCrashRecoveryDifferential:
         assert stats["byte_identical"] == 1.0
         assert stats["replayed_pumps"] > 0
         assert stats["events_logged"] > 0
+
+
+# ----------------------------------------------------------------------
+# One attribution rule: a worker and the hub replaying its log agree
+# ----------------------------------------------------------------------
+def _service_centre(num_shards=1, store=None, shard_key=None):
+    """A centre in service drive mode over an attack-free fleet: the
+    test offers events and calls ``service_pump`` as a worker would."""
+    soc = SecurityOperationsCenter(
+        Simulator(), FleetModel(8, []), k=3, respond=False,
+        num_shards=num_shards, shard_key=shard_key, store=store)
+    soc.start_service()
+    return soc
+
+
+def _assert_spread_attributed(state):
+    """After a merge the merger holds every vehicle any engine has
+    attributed to a flagged campaign -- none waits for a later pump."""
+    for sig in state.merger.flagged_signatures:
+        held = set()
+        for engine in state.engines:
+            held |= engine.campaign_vehicles(sig)
+        assert state.merger.campaign_vehicles(sig) == held, sig
+
+
+#: Adapter namespaces and ones no adapter uses (scored ASIL A).
+_MODEL_SIGNATURES = ("ids.sig:a", "diag.sig:b", "e20.sig:c", "sig-d")
+
+#: One handoff: a wall-clock gap since the previous one, a burst of
+#: distinct vehicles reporting one signature, then events as (vehicle,
+#: signature, time offset in quarter seconds, severity, source).
+_model_handoff = st.tuples(
+    st.sampled_from([0.25, 2.0, 9.0]),
+    st.tuples(st.sampled_from(_MODEL_SIGNATURES), st.integers(0, 6)),
+    st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_MODEL_SIGNATURES),
+                       st.integers(-10, 0), st.sampled_from(list(Asil)),
+                       st.sampled_from(list(EventSource))),
+             max_size=10))
+
+
+class TestAttributionModel:
+    """The live centre, recovery from snapshot 0 and a one-region hub fed
+    the same log agree on engines, merger and tracker -- each incident's
+    vehicles and severity included -- at every shard count, on short
+    random streams where several vehicles of one signature often land
+    in the handoff that detects it.  CI reruns this under
+    ``--hypothesis-seed`` 1..5."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(handoffs=st.lists(_model_handoff, min_size=1, max_size=8),
+           num_shards=st.sampled_from([1, 2, 4]),
+           by_vehicle=st.booleans())
+    def test_live_recovered_and_hub_attribute_alike(
+            self, handoffs, num_shards, by_vehicle):
+        with tempfile.TemporaryDirectory() as root:
+            store = DurableStore(root)
+            soc = _service_centre(
+                num_shards, store,
+                region_shard_key if by_vehicle else signature_shard_key)
+            now, seq = 0.0, 0
+            for gap, (burst_sig, burst), rows in handoffs:
+                now += gap
+                rows = [(v, burst_sig, 0, Asil.C, EventSource.IDS)
+                        for v in range(burst)] + rows
+                for vehicle, sig, offset, severity, source in rows:
+                    seq += 1
+                    soc.pipeline.offer(now, make_event(
+                        f"v{vehicle}", source, sig, now + offset * 0.25,
+                        seq, severity=severity))
+                soc.service_pump(now)
+                _assert_spread_attributed(soc.state)
+
+            live = _analytic_dumps(soc.analytics_snapshot())
+            recovered = recover_soc_state(store)
+            assert _analytic_dumps(recovered.analytics_snapshot()) == live
+            hub = _hub_replay(soc, store)
+            assert _analytic_dumps(hub.analytics_snapshot(), "r") == live
+            store.close()
+
+
+class TestOneAttributionRule:
+    def test_same_handoff_spread_reaches_the_hub(self, tmp_path):
+        """Regression: six vehicles of one signature in one handoff gave
+        a one-shard worker a six-vehicle incident but the hub replaying
+        its log only the three that tripped the rule -- the merger
+        dropped vehicles attributed after a detection in the same
+        pump."""
+        soc = _service_centre(store=DurableStore(tmp_path))
+        for i in range(6):
+            assert soc.pipeline.offer(
+                2.0, ev(f"v{i}", "ids.sig:x", 1.0 + 0.1 * i, i))
+        soc.service_pump(2.0)
+        hub = _hub_replay(soc, soc.store)
+        assert hub.merger.spread("ids.sig:x") == 6
+        assert soc.merger.spread("ids.sig:x") == 6
+        assert len(soc.tracker.incident_for("ids.sig:x").vehicles) == 6
+        assert _canon(hub.tracker.snapshot()) == _canon(soc.tracker.snapshot())
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_base_severity_follows_the_signature_namespace(self, num_shards):
+        """Every verdict is scored by its signature's namespace, the
+        same at one shard as at many: IDS events under a namespace no
+        adapter uses open at ASIL A, not at the IDS default."""
+        soc = _service_centre(num_shards)
+        seq = 0
+        for sig in ("ids.sig:x", "e20.sig:y"):
+            for i in range(3):
+                seq += 1
+                assert soc.pipeline.offer(1.0, ev(f"v{i}", sig, 1.0, seq))
+        soc.service_pump(1.0)
+        assert soc.tracker.incident_for("ids.sig:x").base_severity == Asil.D
+        assert soc.tracker.incident_for("e20.sig:y").base_severity == Asil.A
+
+    def test_snapshot_without_a_merger_is_refused(self, tmp_path):
+        """A one-shard snapshot from before every state merged has
+        ``"merger": null``; recovery refuses it loudly rather than
+        resuming without a merger."""
+        sim, soc, store = _durable_scene(tmp_path)
+        sim.run_until(1.0)
+        store.snapshots.save(
+            dict(soc.analytics_snapshot(), sharded=False, merger=None))
+        with pytest.raises(ValueError, match="no campaign merger"):
+            recover_soc_state(store)
