@@ -651,9 +651,9 @@ class GlobalCampaignMerger:
     costs O(changed signatures), not O(all signatures ever seen).
 
     :meth:`merge` returns ``(new_detections, new_vehicles)`` where
-    ``new_vehicles`` maps already-flagged signatures to vehicles newly
-    attributed since the previous merge -- the spread-accounting delta an
-    incident tracker consumes without rescanning whole campaigns.
+    ``new_vehicles`` maps flagged signatures to vehicles attributed
+    since the previous merge beyond a verdict's own -- the spread delta
+    an incident tracker consumes without rescanning whole campaigns.
     """
 
     def __init__(self, window_s: float = 8.0, k: int = 3) -> None:
@@ -712,7 +712,8 @@ class GlobalCampaignMerger:
                 window_s=self.window_s,
                 k=self.k,
             )
-            self._fire(merged, vehicles | {v for _, v in entries})
+            self._fire(merged)
+            self._attribute(sig, {v for _, v in entries}, new_vehicles)
             new_detections.append(merged)
 
         # 2. Dirty signatures: new spread of flagged campaigns, and the
@@ -748,7 +749,8 @@ class GlobalCampaignMerger:
                 window_s=self.window_s,
                 k=self.k,
             )
-            self._fire(detection, {v for _, v in entries})
+            self._fire(detection)
+            self._attribute(sig, {v for _, v in entries}, new_vehicles)
             new_detections.append(detection)
         return new_detections, new_vehicles
 
@@ -762,9 +764,9 @@ class GlobalCampaignMerger:
             entries.extend(engine.pending_entries(signature))
         return entries
 
-    def _fire(self, detection: CampaignDetection, vehicles: Set[str]) -> None:
+    def _fire(self, detection: CampaignDetection) -> None:
         self._flagged[detection.signature] = detection
-        self._campaign_vehicles[detection.signature] = set(vehicles)
+        self._campaign_vehicles[detection.signature] = set(detection.vehicles)
         self.detections.append(detection)
 
     def _attribute(

@@ -66,6 +66,11 @@ SIGKILLed worker's state is rebuilt byte-identically by
 wire path, buffers and worker cores, with handoffs run synchronously in
 the caller.  It is differential-tested byte-identical (analytics
 snapshot *and* log bytes) to driving the in-process pipeline directly.
+
+Behind :class:`IngestServer` one thread calls the service, the event
+loop's: it reads the workers' completion pipes, and its ``stop()``
+stops intake before it drains, so every routed batch is acked and its
+ACK written before the sessions close.
 """
 
 from __future__ import annotations
@@ -76,11 +81,10 @@ import multiprocessing as mp
 import multiprocessing.connection
 import os
 import queue as queue_mod
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.safety import Asil
 from repro.crypto.cmac import aes_cmac, cmac_verify
@@ -713,13 +717,14 @@ class _InlineBackend:
     which is what keeps the byte-identity differential tests meaningful.
     """
 
-    mode = "inline"
-
     def __init__(self, num_workers: int, root, config: ServiceConfig) -> None:
         self.root = root
         self.config = config
         self.cores = [WorkerCore(i, root, config) for i in range(num_workers)]
         self._reports: List[WorkerReport] = []
+
+    def watch(self, loop, on_report: Callable[[], object]) -> None:
+        """No pipe to watch: the pump applies reports after its flush."""
 
     def submit(self, shard: int, seq: int, t_send: float,
                t_mono: Optional[float],
@@ -799,8 +804,6 @@ class _ProcessBackend:
     lock; on a shared queue that lock is never released, and every
     other worker's reports stall behind it for good."""
 
-    mode = "process"
-
     def __init__(self, num_workers: int, root, config: ServiceConfig,
                  queue_max_handoffs: int = 16) -> None:
         self.root = root
@@ -818,13 +821,9 @@ class _ProcessBackend:
         ]
         for proc in self.procs:
             proc.start()
-        # Completion queues of dead workers.  The collector thread may
-        # still be waiting on one when ``restart`` swaps it out, so they
-        # are closed only at ``close``.
-        self._retired: List["mp.Queue"] = []
+        self._watch: Optional[Tuple] = None
         self._next_shard = 0
         self._final: Dict[int, Dict[str, float]] = {}
-        self._stopping = False
 
     def submit(self, shard: int, seq: int, t_send: float,
                t_mono: Optional[float],
@@ -836,6 +835,13 @@ class _ProcessBackend:
             return True
         except queue_mod.Full:
             return False
+
+    def watch(self, loop, on_report: Callable[[], object]) -> None:
+        """Run ``on_report`` on ``loop`` whenever a completion pipe is
+        readable (moved at :meth:`restart`, removed at :meth:`close`)."""
+        self._watch = (loop, on_report)
+        for q in self.out_qs:
+            loop.add_reader(q._reader.fileno(), on_report)
 
     def get_report(self, timeout: float = 0.0) -> Optional[WorkerReport]:
         deadline = time.monotonic() + timeout
@@ -867,8 +873,6 @@ class _ProcessBackend:
         self.procs[shard].join()
 
     def dead_workers(self) -> List[int]:
-        if self._stopping:
-            return []
         return [i for i, proc in enumerate(self.procs)
                 if not proc.is_alive() and proc.exitcode is not None]
 
@@ -883,11 +887,17 @@ class _ProcessBackend:
         old_q = self.in_qs[shard]
         old_q.close()
         old_q.cancel_join_thread()
-        self._retired.append(self.out_qs[shard])
+        old_out = self.out_qs[shard]
         ctx = mp.get_context()
         self.in_qs[shard] = ctx.Queue(
             maxsize=max(self.queue_max_handoffs, min_capacity))
         self.out_qs[shard] = ctx.Queue()
+        if self._watch is not None:
+            # Off the old pipe before it closes and its fd is reused.
+            loop, on_report = self._watch
+            loop.remove_reader(old_out._reader.fileno())
+            loop.add_reader(self.out_qs[shard]._reader.fileno(), on_report)
+        old_out.close()
         self.procs[shard] = ctx.Process(
             target=_worker_main,
             args=(shard, self.root, self.config, self.in_qs[shard],
@@ -896,7 +906,10 @@ class _ProcessBackend:
         self.procs[shard].start()
 
     def close(self) -> List[Dict[str, float]]:
-        self._stopping = True
+        if self._watch is not None:
+            for q in self.out_qs:
+                self._watch[0].remove_reader(q._reader.fileno())
+            self._watch = None
         expected = 0
         for shard, proc in enumerate(self.procs):
             if proc.is_alive():
@@ -910,8 +923,6 @@ class _ProcessBackend:
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - hung worker backstop
                 proc.kill()
-        for q in self._retired:
-            q.close()
         return [self._final.get(i, {}) for i in range(len(self.procs))]
 
 
@@ -1001,7 +1012,6 @@ class IngestService:
         if mode not in ("process", "inline"):
             raise ValueError("mode must be 'process' or 'inline'")
         self.num_workers = num_workers
-        self.mode = mode
         self.config = config or ServiceConfig()
         self.handoff_batch = handoff_batch
         self.suppress_after = suppress_after
@@ -1069,7 +1079,8 @@ class IngestService:
         self.auth_failures = 0
         self.handshake_timeouts = 0
         self.preauth_overflows = 0
-        self.half_open = 0
+        #: Connections still in their handshake (half-open slots).
+        self.handshakes: Set["ConnProtocol"] = set()
         self.half_open_rejected = 0
         self.protocol_errors = 0
         self.closed = False
@@ -1171,11 +1182,11 @@ class IngestService:
 
     def apply_report(self, report: WorkerReport
                      ) -> List[Tuple[_Conn, int, int, int]]:
-        """Account one finished handoff; returns per-batch ack work
-        items ``(conn, batch_id, offered, accepted)`` for live
-        connections (the caller sends the ACK frames -- or drops the
-        connection where ``accepted < 0`` flags an undecodable
-        (``-1``) or tampered (``-2``) payload).
+        """Account one finished handoff and, after any SUPPRESS/RESUME,
+        write each live connection's ACK frames -- or drop it where
+        ``accepted < 0`` flags an undecodable (``-1``) or tampered
+        (``-2``) payload.  Returns the per-batch items ``(conn,
+        batch_id, offered, accepted)`` for live connections.
 
         A report whose ledger entry is already gone is a duplicate --
         a pre-crash report surfacing after the supervisor resubmitted
@@ -1199,6 +1210,15 @@ class IngestService:
             if conn is not None:
                 out.append((conn, batch_id, offered, accepted))
         self._update_suppression(report.shard)
+        for conn, batch_id, _, accepted in out:
+            writer = conn.writer
+            if writer is None or writer.is_closing():
+                continue
+            if accepted < 0:
+                writer.close()
+                self.close_conn(conn.conn_id)
+            else:
+                writer.write(frame_payload(encode_ack(batch_id, accepted, 1)))
         return out
 
     def poll_completions(self, timeout: float = 0.0
@@ -1301,8 +1321,9 @@ class IngestService:
     # -- shutdown / observability --------------------------------------
     def drain_and_close(self, timeout_s: float = 30.0
                         ) -> List[Dict[str, float]]:
-        """Flush every buffer, wait for all outstanding handoffs, then
-        stop the workers; returns their final metrics dicts.  The
+        """Flush every buffer, wait for all outstanding handoffs (each
+        report writes its ACKs), then stop the workers; returns their
+        final metrics dicts.  The
         deadline is monotonic -- a wall-clock step (NTP slew, operator
         `date`) must never cut a drain short or hang it."""
         if self.closed:
@@ -1393,14 +1414,15 @@ class ConnProtocol(asyncio.Protocol):
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
         service = self.service
-        if service.half_open >= service.max_half_open:
-            # Too many connections parked pre-auth: refuse at accept,
-            # before this one can hold handshake state open.
-            service.half_open_rejected += 1
+        full = len(service.handshakes) >= service.max_half_open
+        if full or service.closed:
+            # Refuse at accept: too many connections parked pre-auth
+            # (counted), or one accepted as the server stopped.
+            service.half_open_rejected += full
             self.state = "closed"
             transport.close()
             return
-        service.half_open += 1
+        service.handshakes.add(self)
 
     def data_received(self, data: bytes) -> None:
         if self.state == "closed" or self.tick():
@@ -1411,7 +1433,7 @@ class ConnProtocol(asyncio.Protocol):
             if (self.state != "session"
                     and self.decoder.bytes_fed > service.max_preauth_bytes):
                 service.preauth_overflows += 1
-                self._close()
+                self.close()
                 return
             for payload in payloads:
                 if self.state == "session":
@@ -1425,7 +1447,7 @@ class ConnProtocol(asyncio.Protocol):
             # undecodable or out-of-order handshake message, a malformed
             # BATCH, or a session payload the accept rule refuses.
             service.protocol_errors += 1
-            self._close()
+            self.close()
 
     def tick(self) -> bool:
         """Clock reading in: a handshake still open at its deadline is
@@ -1433,7 +1455,7 @@ class ConnProtocol(asyncio.Protocol):
         if (self.state in ("hello", "auth")
                 and self.service.mono_clock() >= self.deadline):
             self.service.handshake_timeouts += 1
-            self._close()
+            self.close()
             return True
         return False
 
@@ -1459,7 +1481,7 @@ class ConnProtocol(asyncio.Protocol):
                 self._welcome()
             else:
                 self.service.auth_failures += 1
-                self._close()
+                self.close()
         else:
             # BATCH before HELLO, a second HELLO, AUTH without a
             # challenge.
@@ -1469,7 +1491,7 @@ class ConnProtocol(asyncio.Protocol):
         """Open the session: WELCOME with the credit grant, then SUPPRESS
         if the connection starts out suppressed."""
         service = self.service
-        service.half_open -= 1
+        service.handshakes.discard(self)
         self.state = "session"
         self.conn = conn = service.open_conn(self.client_id, self.transport)
         self.transport.write(frame_payload(encode_welcome(
@@ -1490,37 +1512,40 @@ class ConnProtocol(asyncio.Protocol):
             limit = service.quota_disconnect_after
             if limit is not None and conn.quota_refused >= limit:
                 service.quota_disconnects += 1
-                self._close()
+                self.close()
         elif payload == _BYE:
             # Closing the transport still sends what was written to it.
             self.transport.write(frame_payload(_BYE))
-            self._close()
+            self.close()
         else:
             raise CorruptRecord("session payload is neither BATCH nor BYE")
 
-    def _close(self) -> None:
+    def close(self) -> None:
         """Release the half-open slot or the session, then close the
         transport."""
         if self.state == "session":
             self.service.close_conn(self.conn.conn_id)
-        elif self.state != "closed":
-            self.service.half_open -= 1
+        else:
+            self.service.handshakes.discard(self)
         self.state = "closed"
         self.transport.close()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         if self.state != "closed":
-            self._close()
+            self.close()
 
 
 class IngestServer:
-    """The asyncio TCP frontend over an :class:`IngestService`.
+    """The asyncio TCP frontend over an :class:`IngestService`, and the
+    one thread that calls it: the event loop.
 
-    One :class:`ConnProtocol` per connection; one pump task flushing
-    buffers every ``flush_interval_s`` and fanning completed handoffs
-    back out as ACK frames.  In process mode a collector thread blocks
-    on the workers' completion queues and wakes the loop, so ACK latency
-    is not quantized to the flush interval.
+    One :class:`ConnProtocol` per connection; one pump task that runs
+    the supervisor tick, flushes buffers every ``flush_interval_s`` and
+    applies finished handoffs.  In process mode the loop also reads each
+    worker's completion pipe as soon as it is readable, so ACK latency
+    is not quantized to the flush interval.  Applying a report
+    (:meth:`IngestService.apply_report`) writes its ACK, SUPPRESS and
+    RESUME frames.
     """
 
     def __init__(self, service: IngestService, host: str = "127.0.0.1",
@@ -1529,10 +1554,6 @@ class IngestServer:
         self.host = host
         self.port = port
         self.flush_interval_s = flush_interval_s
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._pump_task: Optional[asyncio.Task] = None
-        self._collector: Optional[threading.Thread] = None
-        self._stop = threading.Event()
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
@@ -1546,32 +1567,8 @@ class IngestServer:
 
         self._server = await loop.create_server(accept, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        service.backend.watch(loop, service.poll_completions)
         self._pump_task = asyncio.create_task(self._pump())
-        if service.mode == "process":
-            self._collector = threading.Thread(
-                target=self._collect, args=(loop,), daemon=True)
-            self._collector.start()
-
-    def _collect(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Blocking completion-queue reader (thread): the loop applies
-        each report to the service and writes its ACKs."""
-        service = self.service
-        while not self._stop.is_set():
-            report = service.backend.get_report(timeout=0.05)
-            if report is not None:
-                loop.call_soon_threadsafe(lambda r=report: self._write_acks(
-                    service.apply_report(r)))
-
-    def _write_acks(self, items: List[Tuple[_Conn, int, int, int]]) -> None:
-        for conn, batch_id, _, accepted in items:
-            if accepted < 0:
-                # Undecodable (-1) or tampered (-2) payload: protocol
-                # fault, drop the client.
-                conn.writer.close()
-                self.service.close_conn(conn.conn_id)
-            elif not conn.writer.is_closing():
-                conn.writer.write(frame_payload(
-                    encode_ack(batch_id, accepted, 1)))
 
     async def _pump(self) -> None:
         service = self.service
@@ -1579,28 +1576,28 @@ class IngestServer:
             await asyncio.sleep(self.flush_interval_s)
             service.check_workers()
             service.flush()
-            if service.mode == "inline":
-                self._write_acks(service.poll_completions())
+            service.poll_completions()
 
     async def stop(self) -> List[Dict[str, float]]:
-        """Quiesce: flush + await outstanding handoffs, stop workers,
-        close the listener and the sessions the caller left open (an
-        unfinished handshake ends at its deadline).  Returns final
-        per-worker metrics."""
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-        self._stop.set()
-        if self._collector is not None:
-            self._collector.join(timeout=2.0)
-        # Drain remaining completions so every acked batch is accounted.
-        metrics = await asyncio.get_running_loop().run_in_executor(
-            None, self.service.drain_and_close)
-        if self._server is not None:
-            self._server.close()
-            for conn in list(self.service.conns.values()):
-                if conn.writer is not None:
-                    conn.writer.close()
-            await self._server.wait_closed()
+        """Quiesce, in this order: cancel the pump; close the listener;
+        stop intake (sessions stop being read, and each unfinished
+        handshake is closed without counting a timeout); drain on the
+        loop, which acks every routed batch and writes each ACK, then
+        stops the workers; close the sessions.  Returns final per-worker
+        metrics."""
+        service = self.service
+        self._pump_task.cancel()
+        self._server.close()
+        sessions = [conn.writer for conn in service.conns.values()
+                    if conn.writer is not None]
+        for transport in sessions:
+            transport.pause_reading()
+        for protocol in list(service.handshakes):
+            protocol.close()
+        metrics = service.drain_and_close()
+        for transport in sessions:
+            transport.close()
+        await self._server.wait_closed()
         await asyncio.sleep(0)
         return metrics
 

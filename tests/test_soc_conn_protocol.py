@@ -36,7 +36,6 @@ from repro.soc import EventSource, make_event
 from repro.soc.service import (
     ConnProtocol,
     FrameStreamDecoder,
-    IngestServer,
     IngestService,
     ServiceConfig,
     auth_tag,
@@ -137,7 +136,6 @@ class ConnModel(RuleBasedStateMachine):
             handshake_timeout_s=TIMEOUT_S, max_preauth_bytes=PREAUTH_CAP,
             max_half_open=HALF_OPEN_CAP,
             clock=lambda: 1000.0, mono_clock=lambda: self.now[0])
-        self.server = IngestServer(self.svc)  # unstarted: its ACK writer
         self.peers: List[Peer] = []
         self.answered: Dict[str, List[int]] = {}
 
@@ -429,7 +427,7 @@ class ConnModel(RuleBasedStateMachine):
 
     @rule()
     def poll_completions(self):
-        self.server._write_acks(self.svc.poll_completions())
+        self.svc.poll_completions()
         self.loop_turn()
 
     @rule()
@@ -450,7 +448,7 @@ class ConnModel(RuleBasedStateMachine):
     def states_match_the_model(self):
         for peer in self.peers:
             assert peer.proto.state == peer.state, peer.client_id
-        assert self.svc.half_open == sum(
+        assert len(self.svc.handshakes) == sum(
             p.state in PRE for p in self.peers)
         assert sorted(c.client_id for c in self.svc.conns.values()) == \
             sorted(p.client_id for p in self.peers if p.state == "session")
@@ -508,6 +506,24 @@ TestPlainConnModel = PlainModel.TestCase
 TestPlainConnModel.settings = MODEL_SETTINGS
 TestAuthenticatedConnModel = AuthenticatedModel.TestCase
 TestAuthenticatedConnModel.settings = MODEL_SETTINGS
+
+
+def test_connection_accepted_after_the_drain_is_refused(tmp_path):
+    """A connection the listener accepted just before ``stop()`` reaches
+    ``connection_made`` only after the drain: it is closed at once,
+    holding no slot and moving no counter, so nothing it sends can be
+    routed into the closed service (inline, a route there would write
+    to the closed handoff journal from ``data_received``)."""
+    svc = IngestService(1, mode="inline", root=tmp_path, handoff_batch=1)
+    svc.drain_and_close()
+    before = front_counts(svc)
+    transport = FakeTransport()
+    proto = ConnProtocol(svc)
+    proto.connection_made(transport)
+    proto.data_received(frame_payload(encode_hello("veh-late")))
+    assert transport.closing and not transport.messages
+    assert proto.state == "closed" and not svc.handshakes and not svc.conns
+    assert front_counts(svc) == before
 
 
 # ----------------------------------------------------------------------
@@ -685,18 +701,17 @@ class TestHostileCatalogue:
         svc = IngestService(1, mode="inline",
                             config=ServiceConfig(fleet_key=FLEET_KEY),
                             clock=lambda: 1000.0, mono_clock=lambda: 50.0)
-        server = IngestServer(svc)
         proto, transport = _open_sans_io(svc, row.stage)
         before = len(transport.messages)
         proto.data_received(row.wire)
         svc.flush()
-        server._write_acks(svc.poll_completions())
+        svc.poll_completions()
         if transport.closing:
             proto.connection_lost(None)
         replies = _answers(transport.messages[before:])
         if row.outcome == "dropped":
             assert transport.closing and replies == []
-            assert svc.half_open == 0 and not svc.conns
+            assert len(svc.handshakes) == 0 and not svc.conns
         else:
             assert not transport.closing
             assert replies == [("a", 0, 0, 1)]
@@ -773,5 +788,5 @@ class TestHostileCatalogue:
             assert totals[name] == sum(row.counter == name
                                        for row in CATALOGUE), name
         assert svc.batches_cmac_rejected == totals["service_cmac_rejected"]
-        assert svc.half_open == 0 and not svc.conns
+        assert len(svc.handshakes) == 0 and not svc.conns
         svc.audit_conservation()

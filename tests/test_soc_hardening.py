@@ -42,9 +42,12 @@ from repro.soc.service import (
     batch_id_of,
     batch_tag,
     derive_session_key,
+    encode_ack,
     encode_auth,
     encode_batch,
     encode_hello,
+    encode_resume,
+    encode_suppress,
     seal_payload,
     worker_root,
 )
@@ -316,9 +319,11 @@ class TestSuppressWriteGuard:
         # The dying conn's *state* still flipped; only the write skipped.
         assert conn_dying.suppressed and not dying.writes
         assert conn_live.suppressed and len(live.writes) == 1
-        svc.poll_completions()  # RESUME
+        svc.poll_completions()  # RESUME, then the batch's ACK
         assert not conn_dying.suppressed and not dying.writes
-        assert len(live.writes) == 2
+        assert live.writes == [
+            frame_payload(encode_suppress()), frame_payload(encode_resume()),
+            frame_payload(encode_ack(0, svc.events_acked, 1))]
         svc.drain_and_close()
 
     def test_quota_suppress_skips_closing_transport(self):
@@ -504,7 +509,7 @@ class TestAuthHandshake:
         got, svc = asyncio.run(main())
         assert got == b""
         assert svc.handshake_timeouts == 1
-        assert svc.half_open == 0  # slot released
+        assert len(svc.handshakes) == 0  # slot released
 
     def test_preauth_byte_cap(self, tmp_path):
         async def main():
@@ -668,18 +673,18 @@ class TestPeerResetRegression:
             session.write(frame_payload(batch("veh-1", 0))[:-5])
             await session.drain()
             for _ in range(100):
-                if svc.half_open == 1 and len(svc.conns) == 1:
+                if len(svc.handshakes) == 1 and len(svc.conns) == 1:
                     break
                 await asyncio.sleep(0.01)
             _reset(half_open)
             _reset(session)
             for _ in range(200):
-                if svc.half_open == 0 and not svc.conns:
+                if len(svc.handshakes) == 0 and not svc.conns:
                     break
                 await asyncio.sleep(0.01)
             gc.collect()  # an orphaned failed task reports when collected
             await asyncio.sleep(0.05)
-            state = (svc.half_open, len(svc.conns))
+            state = (len(svc.handshakes), len(svc.conns))
             await server.stop()
             return svc, state
 

@@ -8,12 +8,15 @@ chunkings, worker-core admission/ACK accounting, the tentpole
 differentials (inline service mode byte-identical to driving the
 in-process pipeline directly, log bytes included), SUPPRESS/RESUME
 backpressure propagation, credit-based client flow control, the asyncio
-server end-to-end over real sockets, multiprocess worker scaling, and
-kill-a-worker crash recovery via ``recover_worker``.
+server end-to-end over real sockets, multiprocess worker scaling,
+kill-a-worker crash recovery via ``recover_worker``, and shutdown: every
+service call on the loop thread, nothing stranded or un-ACKed by stop.
 """
 
 import asyncio
 import json
+import threading
+import time
 import zlib
 
 import pytest
@@ -24,6 +27,7 @@ from repro.soc import (
     CorruptRecord,
     EventSource,
     FrameStreamDecoder,
+    IngestServer,
     IngestService,
     SecurityEvent,
     ServiceConfig,
@@ -683,3 +687,142 @@ class TestServicePlumbing:
                             clock=lambda: 100.0)
         first = svc.drain_and_close()
         assert svc.drain_and_close() is first or svc.drain_and_close() == first
+
+
+# ----------------------------------------------------------------------
+# Shutdown: one thread owns the front door, and stop strands nothing
+# ----------------------------------------------------------------------
+#: A flush interval no test outlives: the pump never ticks, so an ACK
+#: can come only from a worker report the loop reads, or from stop.
+IDLE_PUMP_S = 3600.0
+
+SPIED = ("route", "flush", "apply_report", "check_workers")
+
+
+def _stop_while_sending(root, mode, handoff_batch):
+    """Serve one client that streams batches and call ``stop()`` as soon
+    as the first batch is routed.  Returns the service, the client and
+    ``(method, thread id)`` for every call to a :data:`SPIED` method."""
+    calls = []
+
+    async def main():
+        svc = IngestService(1, mode=mode, root=root,
+                            handoff_batch=handoff_batch)
+        routed = asyncio.Event()
+        for name in SPIED:
+            def spy(*args, _real=getattr(svc, name), _name=name):
+                calls.append((_name, threading.get_ident()))
+                if _name == "route":
+                    routed.set()
+                return _real(*args)
+            setattr(svc, name, spy)
+        server = IngestServer(svc, flush_interval_s=IDLE_PUMP_S)
+        await server.start()
+        client = VehicleClient("veh-1", port=server.port)
+        await client.connect()
+
+        async def send():
+            try:
+                for rnd in range(40):
+                    await client.send_events(
+                        [ev("veh-1", f"sig.{rnd % 3}", 0.1 * rnd, rnd)])
+            except ConnectionError:
+                pass  # stop closed the session
+
+        sender = asyncio.create_task(send())
+        await routed.wait()
+        await server.stop()
+        # Returns once every batch is acked or the server's close has
+        # reached the client, after every frame sent before it.
+        await asyncio.wait_for(client.drain(), timeout=30.0)
+        await asyncio.wait_for(sender, timeout=30.0)
+        await client.close()
+        return svc, client
+
+    svc, client = asyncio.run(main())
+    return svc, client, calls
+
+
+MODES_AND_HANDOFFS = [("inline", 1), ("inline", 64),
+                      ("process", 1), ("process", 64)]
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("mode,handoff_batch", MODES_AND_HANDOFFS)
+    def test_stop_while_sending_acks_every_routed_batch(
+            self, tmp_path, mode, handoff_batch):
+        """Regression: stop() drained on an executor thread while the
+        loop kept reading the session, and the drain wrote no ACK.  The
+        conservation audit failed inline (the loop appended to a buffer
+        the drain was handing off), and routed batches were acked by the
+        service but never answered on the wire."""
+        svc, client, _ = _stop_while_sending(tmp_path, mode, handoff_batch)
+        svc.audit_conservation()
+        assert svc.buffered() == svc.inflight_batches() == 0
+        assert svc.batches_routed >= 1
+        assert svc.batches_acked == svc.batches_routed
+        assert len(client.rtts_s) == svc.batches_routed
+        assert client.events_accepted == svc.events_acked
+
+    @pytest.mark.parametrize("mode,handoff_batch", MODES_AND_HANDOFFS)
+    def test_every_service_call_runs_on_the_loop_thread(
+            self, tmp_path, mode, handoff_batch):
+        """Regression: a collector thread read worker reports, and
+        stop() ran ``drain_and_close`` -- flush, apply_report,
+        check_workers -- on an executor thread, writing SUPPRESS/RESUME
+        to transports from there."""
+        _, _, calls = _stop_while_sending(tmp_path, mode, handoff_batch)
+        assert {name for name, _ in calls} == set(SPIED)
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+
+    def test_silent_client_before_hello_does_not_delay_stop(self, tmp_path):
+        """Regression (Python 3.12, whose ``Server.wait_closed`` waits
+        for every connection): a client silent before HELLO held stop()
+        until its handshake deadline and counted a timeout."""
+        async def main():
+            svc = IngestService(1, mode="inline", root=tmp_path)
+            server = await serve(svc)
+            _, silent = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            # Connections are accepted in order: once a later client is
+            # welcomed, the silent one holds its half-open slot.
+            client = VehicleClient("veh-1", port=server.port)
+            await client.connect()
+            assert len(svc.handshakes) == 1
+            t0 = time.monotonic()
+            await server.stop()
+            elapsed = time.monotonic() - t0
+            silent.close()
+            await client.close()
+            return svc, elapsed
+
+        svc, elapsed = asyncio.run(main())
+        assert elapsed < 1.0
+        assert svc.handshake_timeouts == 0
+        assert not svc.handshakes and not svc.conns
+
+    def test_loop_reads_reports_across_a_worker_restart(self, tmp_path):
+        """With the pump idle only the loop's reader on a worker's
+        completion pipe can deliver an ACK; after the supervisor
+        restarts the worker, the reader follows it to the fresh pipe."""
+        async def main():
+            svc = IngestService(1, mode="process", root=tmp_path,
+                                handoff_batch=1)
+            server = IngestServer(svc, flush_interval_s=IDLE_PUMP_S)
+            await server.start()
+            client = VehicleClient("veh-1", port=server.port)
+            await client.connect()
+            await client.send_events([ev("veh-1", "sig.0", 1.0, 1)])
+            await asyncio.wait_for(client.drain(), timeout=30.0)
+            svc.sigkill_worker(0)
+            assert svc.check_workers() == 1
+            await client.send_events([ev("veh-1", "sig.0", 2.0, 2)])
+            await asyncio.wait_for(client.drain(), timeout=30.0)
+            await client.close()
+            await server.stop()
+            return svc, client
+
+        svc, client = asyncio.run(main())
+        assert len(client.rtts_s) == 2
+        assert svc.batches_acked == svc.batches_routed == 2
+        assert svc.worker_restarts == 1

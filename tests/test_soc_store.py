@@ -15,7 +15,7 @@ import json
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.safety import Asil
 from repro.sim import RngStreams, Simulator
@@ -763,12 +763,15 @@ def _service_centre(num_shards=1, store=None, shard_key=None):
 
 def _assert_spread_attributed(state):
     """After a merge the merger holds every vehicle any engine has
-    attributed to a flagged campaign -- none waits for a later pump."""
+    attributed to a flagged campaign -- none waits for a later pump --
+    and the campaign's incident holds exactly those vehicles."""
     for sig in state.merger.flagged_signatures:
         held = set()
         for engine in state.engines:
             held |= engine.campaign_vehicles(sig)
         assert state.merger.campaign_vehicles(sig) == held, sig
+        assert (state.tracker.incident_for(sig).vehicles
+                == state.merger.campaign_vehicles(sig)), sig
 
 
 #: Adapter namespaces and ones no adapter uses (scored ASIL A).
@@ -798,6 +801,14 @@ class TestAttributionModel:
     @given(handoffs=st.lists(_model_handoff, min_size=1, max_size=8),
            num_shards=st.sampled_from([1, 2, 4]),
            by_vehicle=st.booleans())
+    # Regression: v4 (shard 0) reports, then v0..v2 (shard 1) 9 s later
+    # trip the rule on shard 1.  The merger counted the out-of-window v4
+    # (spread 4) but the incident opened with the verdict's 3 vehicles,
+    # and no later delta ever added v4.
+    @example(handoffs=[
+        (0.25, ("ids.sig:a", 0), [(4, "ids.sig:a", 0, Asil.C,
+                                   EventSource.IDS)]),
+        (9.0, ("ids.sig:a", 3), [])], num_shards=2, by_vehicle=True)
     def test_live_recovered_and_hub_attribute_alike(
             self, handoffs, num_shards, by_vehicle):
         with tempfile.TemporaryDirectory() as root:
