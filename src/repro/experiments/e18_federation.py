@@ -14,10 +14,11 @@ one region offline mid-campaign: the hub's watermark gate (the price of
 byte-deterministic verdicts) stalls the *global* merge until the
 partition heals, and the cell records the catch-up.
 ``availability_cell`` prices the alternative under the *same* outage:
-an ``optimistic`` hub pages provisionally at the no-partition twin's
-latency and then reconciles -- the cell asserts the reconciled snapshot
-is byte-identical to the strict gate's and that the amendment counters
-tie out, and reports the latency ratios the smoke gate enforces.
+an optimistic hub (one given a ``staleness_budget_s``) pages
+provisionally at the no-partition twin's latency and then reconciles --
+the cell asserts the reconciled snapshot is byte-identical to the
+strict gate's and that the amendment counters tie out, and reports the
+latency ratios the smoke gate enforces.
 
 All scenes are deterministic for a fixed seed (per-region
 :class:`~repro.sim.RngStreams` derived by region name; channel delivery
@@ -198,8 +199,7 @@ def build_federated_scene(
     outages: Optional[Dict[str, Sequence[Tuple[float, float]]]] = None,
     root=None,
     max_batch_records: int = 256,
-    consistency: str = "strict",
-    staleness_budget_s: float = 2.0,
+    staleness_budget_s: Optional[float] = None,
 ) -> FederatedScene:
     """Wire M regional SOCs, their shipping legs, and the hub.
 
@@ -207,9 +207,10 @@ def build_federated_scene(
     vehicle-id space (``id_base``), a :class:`DurableStore` under
     ``root``, and a seeded :class:`ShippingChannel` with the given lag /
     jitter / duplication; ``outages`` maps region name to link-down
-    windows.  Scene-level determinism: same seed, same verdicts --
-    regardless of the channel parameters (the differential tests hold
-    the hub to that).
+    windows; ``staleness_budget_s`` makes the hub optimistic (``None``
+    keeps the strict gate).  Scene-level determinism: same seed, same
+    verdicts -- regardless of the channel parameters (the differential
+    tests hold the hub to that).
     """
     owns_root = root is None
     base = Path(root) if root is not None else Path(tempfile.mkdtemp())
@@ -248,7 +249,6 @@ def build_federated_scene(
             profile = center.federation_profile()
 
     hub = FederationHub.from_profile(list(region_names), profile,
-                                     consistency=consistency,
                                      staleness_budget_s=staleness_budget_s)
     return FederatedScene(sim=sim, hub=hub, regions=regions,
                           root=base, _owns_root=owns_root,
@@ -408,22 +408,20 @@ def partition_heal_cell(
 
 def _outage_run(
     seed: int,
-    consistency: str,
+    staleness_budget_s: Optional[float],
     outage: Optional[Tuple[float, float]],
     partitioned_region: str,
     lag_s: float,
-    staleness_budget_s: float,
     duration_s: float,
     n_per_region: int,
 ) -> Dict[str, object]:
-    """One federated run (optionally partitioned) in one consistency
-    mode; returns latency stats, the canonical analytic snapshot, and
-    the hub's amendment counters."""
+    """One federated run (optionally partitioned), strict with a
+    ``None`` budget and optimistic otherwise; returns latency stats, the
+    canonical analytic snapshot, and the hub's amendment counters."""
     scene = build_federated_scene(
         seed=seed, lag_s=lag_s,
         outages=({partitioned_region: (outage,)} if outage else None),
-        n_per_region=n_per_region, consistency=consistency,
-        staleness_budget_s=staleness_budget_s)
+        n_per_region=n_per_region, staleness_budget_s=staleness_budget_s)
     try:
         scene.start()
         scene.run(duration_s)
@@ -472,14 +470,13 @@ def availability_cell(
     CI-gated availability figure (strict's same ratio is reported
     alongside as the price of the gate).
     """
-    twin = _outage_run(seed, "strict", None, partitioned_region, lag_s,
-                       staleness_budget_s, duration_s, n_per_region)
-    strict = _outage_run(seed, "strict", outage, partitioned_region,
-                         lag_s, staleness_budget_s, duration_s,
-                         n_per_region)
-    optimistic = _outage_run(seed, "optimistic", outage,
-                             partitioned_region, lag_s,
-                             staleness_budget_s, duration_s, n_per_region)
+    twin = _outage_run(seed, None, None, partitioned_region, lag_s,
+                       duration_s, n_per_region)
+    strict = _outage_run(seed, None, outage, partitioned_region, lag_s,
+                         duration_s, n_per_region)
+    optimistic = _outage_run(seed, staleness_budget_s, outage,
+                             partitioned_region, lag_s, duration_s,
+                             n_per_region)
     if optimistic["snapshot"] != strict["snapshot"]:
         raise AssertionError(
             "optimistic reconciliation diverged from the strict gate")

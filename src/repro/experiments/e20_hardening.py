@@ -52,6 +52,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.sweep import SweepResult
 from repro.core.safety import Asil
+from repro.experiments.e19_service import BENCH_CONFIG
 from repro.soc import EventSource, ServiceConfig, make_event
 from repro.soc.service import (
     IngestService,
@@ -73,12 +74,6 @@ N_SIGNATURES = 32
 MTTR_WORKERS = 2
 MTTR_ROUNDS = 14
 MTTR_CLIENTS = 3
-
-#: Same analytic shape as the E19 bench cells: deep queue, lateness
-#: bound wide enough that cross-client interleaving never trips the
-#: hygiene drop (the cells assert acked == sent).
-BENCH_CONFIG = ServiceConfig(max_lateness_s=120.0, snapshot_every_pumps=0,
-                             queue_capacity=1 << 17, batch_size=512)
 
 
 def _client_id(seed: int, i: int) -> str:

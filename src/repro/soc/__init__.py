@@ -46,10 +46,10 @@ out.  This package is that backend:
   :class:`~repro.soc.federation.FederationHub` whose watermark-gated
   replay makes the fleet-wide campaign verdicts independent of delivery
   interleaving -- differential-tested identical to a single global SOC
-  fed the union stream.  ``consistency="optimistic"`` trades the stall
-  during a partition for provisional verdicts plus a deterministic
-  reconciliation (confirm/amend/retract amendments) that restores
-  byte-identity with the strict gate.
+  fed the union stream.  A ``staleness_budget_s`` (``None``: strict)
+  trades the stall during a partition for provisional verdicts plus a
+  deterministic reconciliation (confirm/amend/retract amendments) that
+  restores byte-identity with the strict gate.
 - :mod:`repro.soc.service` -- the network front door: an asyncio TCP
   ingest server speaking the log's ``u32len|CRC32`` frame codec, with
   explicit SUPPRESS/RESUME backpressure and credit-based flow control

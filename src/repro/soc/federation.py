@@ -44,12 +44,12 @@ calls:
 The price of that determinism is strict consistency: a partitioned
 region freezes its frontier, which stalls the *global* merge until the
 partition heals (the hub cannot prove order without it).  E18's
-partition/heal cell measures exactly that trade -- and
-``consistency="optimistic"`` buys the availability back.  When every
-region blocking the gate has been stale past ``staleness_budget_s``
-the hub freezes a **reconciliation frontier** (a snapshot of the
-analytic state at the last provably-ordered point), keeps applying the
-healthy regions' records beyond it, and tags the resulting verdicts
+partition/heal cell measures exactly that trade -- and a
+``staleness_budget_s`` buys the availability back.  When every region
+blocking the gate has been stale past that budget the hub freezes a
+**reconciliation frontier** (a snapshot of the analytic state at the
+last provably-ordered point), keeps applying the healthy regions'
+records beyond it, and tags the resulting verdicts
 ``provisional=True``.  When the laggard catches up -- or is declared
 dead -- a deterministic reconciliation pass replays the frontier-to-now
 union in canonical ``(dispatch_t, region, seq)`` order into a shadow
@@ -266,15 +266,14 @@ class SegmentShipper:
 
     def __init__(self, region: str, log: EventLog,
                  channel: ShippingChannel, *,
-                 max_batch_records: int = 256,
-                 shipped_seq: int = 0) -> None:
+                 max_batch_records: int = 256) -> None:
         if max_batch_records < 1:
             raise ValueError("max_batch_records must be >= 1")
         self.region = region
         self.log = log
         self.channel = channel
         self.max_batch_records = max_batch_records
-        self.shipped_seq = shipped_seq
+        self.shipped_seq = 0
         self.shipments_sent = 0
         self.records_shipped = 0
         self.send_refused = 0
@@ -353,16 +352,18 @@ class FederationHub:
     :meth:`SecurityOperationsCenter.federation_profile` exports exactly
     this shape (:meth:`from_profile` consumes it).
 
-    ``consistency`` picks the partition behavior:
+    ``staleness_budget_s`` picks the partition behavior:
 
-    - ``"strict"`` (default): the watermark gate stalls the global merge
-      until order is provable.  Verdicts are final the moment they fire.
-    - ``"optimistic"``: when *every* region blocking the gate has made
-      no watermark progress for longer than ``staleness_budget_s``, the
-      hub freezes the reconciliation base and keeps applying the healthy
-      regions' records provisionally (an **episode**).  Verdicts fired
-      inside an episode open ``provisional=True`` incidents and are
-      journaled in :attr:`provisional_log`.  Once every live region's
+    - ``None`` (default, *strict*): the watermark gate stalls the global
+      merge until order is provable.  Verdicts are final the moment
+      they fire.
+    - a number of seconds (*optimistic*): when *every* region blocking
+      the gate has made no watermark progress for longer than
+      ``staleness_budget_s``, the hub freezes the reconciliation base
+      and keeps applying the healthy regions' records provisionally (an
+      **episode**).  Verdicts fired inside an episode open
+      ``provisional=True`` incidents and are journaled in
+      :attr:`provisional_log`.  Once every live region's
       watermark provably passes the episode's records (or at
       :meth:`finalize`), :meth:`_reconcile` replays the episode suffix
       in canonical order into a shadow built from the frozen base,
@@ -376,19 +377,15 @@ class FederationHub:
                  window_s: float = 8.0, k: int = 3,
                  dedup_window_s: float = 4.0,
                  max_lateness_s: float = 2.0,
-                 consistency: str = "strict",
-                 staleness_budget_s: float = 2.0) -> None:
+                 staleness_budget_s: Optional[float] = None) -> None:
         if not regions:
             raise ValueError("a federation needs at least one region")
         if len(set(regions)) != len(regions):
             raise ValueError("region names must be unique")
-        if consistency not in ("strict", "optimistic"):
-            raise ValueError(f"unknown consistency mode {consistency!r}")
-        if staleness_budget_s < 0:
+        if staleness_budget_s is not None and staleness_budget_s < 0:
             raise ValueError("staleness_budget_s must be >= 0")
         self.regions: List[str] = list(regions)
         self.num_shards = num_shards
-        self.consistency = consistency
         self.staleness_budget_s = staleness_budget_s
         self.receivers: Dict[str, SegmentReceiver] = {
             r: SegmentReceiver(r) for r in self.regions}
@@ -453,19 +450,17 @@ class FederationHub:
     @classmethod
     def from_profile(cls, regions: Sequence[str],
                      profile: Dict[str, object],
-                     consistency: str = "strict",
-                     staleness_budget_s: float = 2.0) -> "FederationHub":
+                     staleness_budget_s: Optional[float] = None,
+                     ) -> "FederationHub":
         """Build a hub from one region's
         :meth:`~repro.soc.center.SecurityOperationsCenter.\
 federation_profile` (regions in a federation share a configuration).
-        ``consistency`` and ``staleness_budget_s`` are hub-local (how
-        *this* process rides out partitions), not part of the shared
-        profile."""
+        ``staleness_budget_s`` is hub-local (how *this* process rides
+        out partitions), not part of the shared profile."""
         return cls(regions, int(profile["num_shards"]),
                    window_s=profile["window_s"], k=profile["k"],
                    dedup_window_s=profile["dedup_window_s"],
                    max_lateness_s=profile["max_lateness_s"],
-                   consistency=consistency,
                    staleness_budget_s=staleness_budget_s)
 
     # ------------------------------------------------------------------
@@ -540,8 +535,8 @@ federation_profile` (regions in a federation share a configuration).
         the frontier must stall: an announced frontier ``t`` still
         admits a future record *at* ``t``.
 
-        In ``optimistic`` mode a stall where every blocking region has
-        exceeded ``staleness_budget_s`` opens an episode instead of
+        With a ``staleness_budget_s``, a stall where every blocking
+        region has exceeded it opens an episode instead of
         stalling: the base state is frozen and records apply
         provisionally (unordered across regions, still seq-ordered
         within each).  The episode closes via :meth:`_reconcile` once
@@ -577,7 +572,7 @@ federation_profile` (regions in a federation share a configuration).
                     if (self._frontier[region], index) <= best_key:
                         blockers.append(region)
                 if blockers:
-                    if (self.consistency == "optimistic"
+                    if (self.staleness_budget_s is not None
                             and all(self.stall_age_s(r)
                                     > self.staleness_budget_s
                                     for r in blockers)):

@@ -9,7 +9,7 @@ or an eviction, never silently lost.
 One :class:`IngestPipeline` holds ``num_shards`` :class:`IngestShard`
 objects (one by default).  Each shard is one path through three stages:
 
-``admit``     schema/timestamp sanity validation, severity floor;
+``admit``     schema/timestamp sanity validation;
 ``queue``     a :class:`BoundedQueue` that sheds by severity;
 ``dispatch``  batch drain to the shard's registered sinks
               (the correlation engine, archival taps, ...).
@@ -80,9 +80,9 @@ class TokenBucket:
 
 @dataclass
 class StageStats:
-    """Per-stage throughput/latency counters."""
+    """Per-stage counters: admit counts arrivals in ``entered``,
+    dispatch counts departures in ``exited`` with batches and waits."""
 
-    name: str
     entered: int = 0
     exited: int = 0
     batches: int = 0
@@ -201,18 +201,16 @@ class IngestShard:
     :data:`CONGESTION_WATERMARK` full.
     """
 
-    def __init__(self, queue_capacity: int, min_severity: Asil) -> None:
-        self.min_severity = min_severity
+    def __init__(self, queue_capacity: int) -> None:
         self.queue = BoundedQueue(queue_capacity)
         self._congestion_depth = max(
             1, int(queue_capacity * CONGESTION_WATERMARK))
         self._batch_sinks: List[Callable[[float, List[SecurityEvent]], None]] = []
         self.stats = {
-            "admit": StageStats("admit"),
-            "dispatch": StageStats("dispatch"),
+            "admit": StageStats(),
+            "dispatch": StageStats(),
         }
         self.rejected_invalid = 0
-        self.rejected_severity = 0
 
     def add_batch_sink(
         self, sink: Callable[[float, List[SecurityEvent]], None]
@@ -238,16 +236,10 @@ class IngestShard:
         """Admit one event; returns True if it made it into the queue.
         A time outside ``[0, now]`` -- NaN and infinities included -- is
         invalid."""
-        admit = self.stats["admit"]
-        admit.entered += 1
+        self.stats["admit"].entered += 1
         if not event.vehicle_id or not 0.0 <= event.time <= now + 1e-9:
             self.rejected_invalid += 1
             return False
-        if event.severity < self.min_severity:
-            self.rejected_severity += 1
-            return False
-        admit.exited += 1
-
         queue = self.queue
         shed = queue.shed
         queue.offer(now, event)
@@ -269,7 +261,6 @@ class IngestShard:
             if wait > dispatch.latency_max_s:
                 dispatch.latency_max_s = wait
             batch.append(event)
-        dispatch.entered += len(batch)
         dispatch.exited += len(batch)
         for batch_sink in self._batch_sinks:
             batch_sink(now, batch)
@@ -280,7 +271,6 @@ class IngestShard:
         return {
             "offered": float(self.stats["admit"].entered),
             "rejected_invalid": float(self.rejected_invalid),
-            "rejected_severity": float(self.rejected_severity),
             "admitted": float(self.queue.offered),
             "queued_shed": float(self.queue.lost),
             "queue_refused": float(self.queue.shed),
@@ -322,7 +312,6 @@ class IngestPipeline:
         capacity_eps: float = 250.0,
         queue_capacity: int = 2048,
         batch_size: int = 64,
-        min_severity: Asil = Asil.QM,
         num_shards: int = 1,
         shard_key: Optional[ShardKeyFn] = None,
     ) -> None:
@@ -335,7 +324,7 @@ class IngestPipeline:
         self.capacity_eps = capacity_eps
         self.batch_size = batch_size
         self.shards: List[IngestShard] = [
-            IngestShard(queue_capacity, min_severity)
+            IngestShard(queue_capacity)
             for _ in range(num_shards)
         ]
         if num_shards == 1:

@@ -156,6 +156,20 @@ _T_CHALLENGE = "c"
 _T_AUTH = "u"
 _T_REFUSED = "n"
 
+#: Front-door limits no program varies (read where used; tests patch them).
+MAX_FRAME_BYTES = 1 << 24   # a longer frame length is provable damage
+HANDOFF_BATCH = 64          # buffered batches that make a shard's handoff
+QUEUE_MAX_HANDOFFS = 16     # handoffs a worker's feed queue holds
+SUPPRESS_AFTER = 8          # outstanding handoffs that SUPPRESS a shard
+RESUME_BELOW = 2            # ... and below which it RESUMEs
+HANDSHAKE_TIMEOUT_S = 5.0   # accept to WELCOME
+MAX_PREAUTH_BYTES = 4096    # bytes a connection may send before WELCOME
+MAX_HALF_OPEN = 1024        # connections in their handshake at once
+FLUSH_INTERVAL_S = 0.002    # IngestServer's pump period
+DRAIN_POLL_S = 0.01         # drain_and_close's wait per polling round
+DRAIN_TIMEOUT_S = 30.0      # ... and in all
+JOURNAL_KEEP = 256          # handoff-journal entries a rewrite keeps
+
 
 # ----------------------------------------------------------------------
 # Wire codec: canonical JSON payloads in the log's u32len|CRC32 envelope
@@ -342,7 +356,7 @@ class FrameStreamDecoder:
     ``feed(data)`` returns every whole, CRC-valid payload completed by
     ``data`` (zero or more) and buffers any trailing partial frame -- a
     torn frame is simply *incomplete*, never delivered.  Damage that is
-    provable (CRC mismatch, or a length field beyond ``max_frame_bytes``)
+    provable (CRC mismatch, or a length beyond :data:`MAX_FRAME_BYTES`)
     raises :class:`~repro.soc.store.CorruptRecord`: on a TCP stream there
     is no resynchronization point after a bad header, so the connection
     must be dropped, mirroring how the log rejects a corrupt record
@@ -350,8 +364,7 @@ class FrameStreamDecoder:
     the one frame parser the log and the shipments use too.
     """
 
-    def __init__(self, max_frame_bytes: int = 1 << 24) -> None:
-        self.max_frame_bytes = max_frame_bytes
+    def __init__(self) -> None:
         self._buf = bytearray()
         #: Bytes this decoder *accepted* (delivered or buffered toward a
         #: frame).  Data that provoked a CorruptRecord is counted in
@@ -371,8 +384,7 @@ class FrameStreamDecoder:
         out: List[bytes] = []
         used = 0
         try:
-            for used, payload in iter_frames(self._buf,
-                                             self.max_frame_bytes):
+            for used, payload in iter_frames(self._buf, MAX_FRAME_BYTES):
                 out.append(payload)
         except CorruptRecord:
             self.bytes_rejected += len(data)
@@ -446,9 +458,8 @@ class _HandoffJournal:
     ledger is shallow), so old entries are dead weight.
     """
 
-    def __init__(self, path, keep: int = 256) -> None:
+    def __init__(self, path) -> None:
         self.path = Path(path)
-        self.keep = keep
         self.entries: Dict[int, Tuple[Tuple[int, int, int, int], ...]] = {}
         if self.path.exists():
             payloads, _ = scan_valid_prefix(self.path)
@@ -472,11 +483,11 @@ class _HandoffJournal:
         # as the pump marker it precedes (the log's fsync policy knob
         # governs machine-crash durability for both).
         self._fh.flush()
-        if len(self.entries) > 2 * self.keep:
+        if len(self.entries) > 2 * JOURNAL_KEEP:
             self._rewrite()
 
     def _rewrite(self) -> None:
-        recent = sorted(self.entries)[-self.keep:]
+        recent = sorted(self.entries)[-JOURNAL_KEEP:]
         self.entries = {seq: self.entries[seq] for seq in recent}
         self._fh.close()
         tmp = self.path.with_suffix(".tmp")
@@ -804,13 +815,11 @@ class _ProcessBackend:
     lock; on a shared queue that lock is never released, and every
     other worker's reports stall behind it for good."""
 
-    def __init__(self, num_workers: int, root, config: ServiceConfig,
-                 queue_max_handoffs: int = 16) -> None:
+    def __init__(self, num_workers: int, root, config: ServiceConfig) -> None:
         self.root = root
         self.config = config
-        self.queue_max_handoffs = queue_max_handoffs
         ctx = mp.get_context()
-        self.in_qs = [ctx.Queue(maxsize=queue_max_handoffs)
+        self.in_qs = [ctx.Queue(maxsize=QUEUE_MAX_HANDOFFS)
                       for _ in range(num_workers)]
         self.out_qs = [ctx.Queue() for _ in range(num_workers)]
         self.procs = [
@@ -890,7 +899,7 @@ class _ProcessBackend:
         old_out = self.out_qs[shard]
         ctx = mp.get_context()
         self.in_qs[shard] = ctx.Queue(
-            maxsize=max(self.queue_max_handoffs, min_capacity))
+            maxsize=max(QUEUE_MAX_HANDOFFS, min_capacity))
         self.out_qs[shard] = ctx.Queue()
         if self._watch is not None:
             # Off the old pipe before it closes and its fd is reused.
@@ -936,11 +945,6 @@ def shard_for_client(client_id: str, num_workers: int) -> int:
 # The asyncio frontend
 # ----------------------------------------------------------------------
 
-#: Seconds :meth:`IngestService.drain_and_close` waits for completions
-#: per polling round.
-DRAIN_POLL_S = 0.01
-
-
 @dataclass
 class _Conn:
     """Frontend-side connection state.
@@ -968,10 +972,10 @@ class IngestService:
     tests drive :meth:`route` / :meth:`flush` / :meth:`poll_completions`
     directly); one :class:`ConnProtocol` per connection drives it.
 
-    ``suppress_after`` / ``resume_below`` bound the *outstanding
-    handoffs* per shard -- the frontend's own watermark on top of the
-    worker-sampled queue-congestion signal; crossing either raises
-    SUPPRESS to every connection on the shard.
+    :data:`SUPPRESS_AFTER` / :data:`RESUME_BELOW` bound the
+    *outstanding handoffs* per shard -- the frontend's own watermark on
+    top of the worker-sampled queue-congestion signal; crossing either
+    raises SUPPRESS to every connection on the shard.
 
     Three hardening layers ride on top of the plain service:
 
@@ -996,15 +1000,10 @@ class IngestService:
 
     def __init__(self, num_workers: int = 1, *, mode: str = "process",
                  root=None, config: Optional[ServiceConfig] = None,
-                 handoff_batch: int = 64, queue_max_handoffs: int = 16,
-                 suppress_after: int = 8, resume_below: int = 2,
                  initial_credits: int = 8,
                  quota_bytes_per_s: Optional[float] = None,
                  quota_burst_bytes: Optional[float] = None,
                  quota_disconnect_after: Optional[int] = None,
-                 handshake_timeout_s: float = 5.0,
-                 max_preauth_bytes: int = 4096,
-                 max_half_open: int = 1024,
                  clock: Callable[[], float] = time.time,
                  mono_clock: Callable[[], float] = time.monotonic) -> None:
         if num_workers < 1:
@@ -1013,9 +1012,6 @@ class IngestService:
             raise ValueError("mode must be 'process' or 'inline'")
         self.num_workers = num_workers
         self.config = config or ServiceConfig()
-        self.handoff_batch = handoff_batch
-        self.suppress_after = suppress_after
-        self.resume_below = resume_below
         self.initial_credits = initial_credits
         self.quota_bytes_per_s = quota_bytes_per_s
         self.quota_burst_bytes = (
@@ -1023,9 +1019,6 @@ class IngestService:
             else (4.0 * quota_bytes_per_s
                   if quota_bytes_per_s is not None else None))
         self.quota_disconnect_after = quota_disconnect_after
-        self.handshake_timeout_s = handshake_timeout_s
-        self.max_preauth_bytes = max_preauth_bytes
-        self.max_half_open = max_half_open
         # ``clock`` stays wall-clock: workers compare *event* timestamps
         # against t_send for lateness admission.  Deadlines, ACK latency
         # and quota buckets use ``mono_clock`` so a wall-clock step never
@@ -1035,8 +1028,7 @@ class IngestService:
         self.backend = (
             _InlineBackend(num_workers, root, self.config)
             if mode == "inline" else
-            _ProcessBackend(num_workers, root, self.config,
-                            queue_max_handoffs=queue_max_handoffs))
+            _ProcessBackend(num_workers, root, self.config))
         self._buffers: List[List[Tuple[int, str, int, bytes]]] = [
             [] for _ in range(num_workers)]
         # In-flight ledger: per shard, seq -> (t_send, t_mono, items) for
@@ -1175,8 +1167,8 @@ class IngestService:
         return submitted
 
     def maybe_flush(self, shard: int) -> int:
-        """Flush one shard iff its buffer reached ``handoff_batch``."""
-        if len(self._buffers[shard]) >= self.handoff_batch:
+        """Flush one shard iff its buffer reached :data:`HANDOFF_BATCH`."""
+        if len(self._buffers[shard]) >= HANDOFF_BATCH:
             return self.flush(shard)
         return 0
 
@@ -1253,13 +1245,13 @@ class IngestService:
         handoff watermark OR the worker's own congestion signal."""
         outstanding = len(self._inflight[shard])
         if self._suppressed[shard]:
-            want = (outstanding >= self.resume_below
-                    or len(self._buffers[shard]) >= self.handoff_batch
+            want = (outstanding >= RESUME_BELOW
+                    or len(self._buffers[shard]) >= HANDOFF_BATCH
                     or self._congested[shard])
         else:
-            want = (outstanding >= self.suppress_after
+            want = (outstanding >= SUPPRESS_AFTER
                     or len(self._buffers[shard])
-                    >= self.handoff_batch * self.suppress_after
+                    >= HANDOFF_BATCH * SUPPRESS_AFTER
                     or self._congested[shard])
         if want != self._suppressed[shard]:
             self._suppressed[shard] = want
@@ -1319,16 +1311,15 @@ class IngestService:
         return restarted
 
     # -- shutdown / observability --------------------------------------
-    def drain_and_close(self, timeout_s: float = 30.0
-                        ) -> List[Dict[str, float]]:
+    def drain_and_close(self) -> List[Dict[str, float]]:
         """Flush every buffer, wait for all outstanding handoffs (each
         report writes its ACKs), then stop the workers; returns their
-        final metrics dicts.  The
+        final metrics dicts.  The :data:`DRAIN_TIMEOUT_S`
         deadline is monotonic -- a wall-clock step (NTP slew, operator
         `date`) must never cut a drain short or hang it."""
         if self.closed:
             return self._final_metrics or []
-        deadline = self.mono_clock() + timeout_s
+        deadline = self.mono_clock() + DRAIN_TIMEOUT_S
         while self.buffered() or any(self._inflight):
             self.check_workers()
             self.flush()
@@ -1388,9 +1379,9 @@ class ConnProtocol(asyncio.Protocol):
     service.  Tests drive it with a fake transport and no loop.
 
     States: ``hello`` -> (``auth``, after a CHALLENGE) -> ``session``
-    -> ``closed``.  Before ``session`` the connection holds a half-open
-    slot, at most ``max_preauth_bytes`` are accepted, and WELCOME must
-    come within ``handshake_timeout_s`` of accept.  In ``session`` a
+    -> ``closed``.  Before ``session`` it holds one of ``MAX_HALF_OPEN``
+    half-open slots, at most ``MAX_PREAUTH_BYTES`` are accepted, and
+    WELCOME must come within ``HANDSHAKE_TIMEOUT_S``.  In ``session`` a
     payload starting ``["e"`` is a BATCH, routed undecoded; the exact
     BYE bytes are answered and closed; anything else is a protocol
     fault.  Each refusal moves one counter: ``half_open_rejected``,
@@ -1409,18 +1400,20 @@ class ConnProtocol(asyncio.Protocol):
         self.conn: Optional[_Conn] = None
         self.client_id = ""
         self.nonce = b""
-        self.deadline = service.mono_clock() + service.handshake_timeout_s
+        self.deadline = service.mono_clock() + HANDSHAKE_TIMEOUT_S
+        #: The server's deadline timer, cancelled when the handshake ends
+        #: so that it does not keep this protocol and the service alive.
+        self.timer: Optional[asyncio.TimerHandle] = None
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
         service = self.service
-        full = len(service.handshakes) >= service.max_half_open
+        full = len(service.handshakes) >= MAX_HALF_OPEN
         if full or service.closed:
             # Refuse at accept: too many connections parked pre-auth
             # (counted), or one accepted as the server stopped.
             service.half_open_rejected += full
-            self.state = "closed"
-            transport.close()
+            self.close()
             return
         service.handshakes.add(self)
 
@@ -1431,7 +1424,7 @@ class ConnProtocol(asyncio.Protocol):
         try:
             payloads = self.decoder.feed(data)
             if (self.state != "session"
-                    and self.decoder.bytes_fed > service.max_preauth_bytes):
+                    and self.decoder.bytes_fed > MAX_PREAUTH_BYTES):
                 service.preauth_overflows += 1
                 self.close()
                 return
@@ -1491,7 +1484,7 @@ class ConnProtocol(asyncio.Protocol):
         """Open the session: WELCOME with the credit grant, then SUPPRESS
         if the connection starts out suppressed."""
         service = self.service
-        service.handshakes.discard(self)
+        self._end_handshake()
         self.state = "session"
         self.conn = conn = service.open_conn(self.client_id, self.transport)
         self.transport.write(frame_payload(encode_welcome(
@@ -1520,13 +1513,20 @@ class ConnProtocol(asyncio.Protocol):
         else:
             raise CorruptRecord("session payload is neither BATCH nor BYE")
 
+    def _end_handshake(self) -> None:
+        """Release the half-open slot and cancel the deadline timer."""
+        self.service.handshakes.discard(self)
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
     def close(self) -> None:
         """Release the half-open slot or the session, then close the
         transport."""
         if self.state == "session":
             self.service.close_conn(self.conn.conn_id)
         else:
-            self.service.handshakes.discard(self)
+            self._end_handshake()
         self.state = "closed"
         self.transport.close()
 
@@ -1540,7 +1540,7 @@ class IngestServer:
     one thread that calls it: the event loop.
 
     One :class:`ConnProtocol` per connection; one pump task that runs
-    the supervisor tick, flushes buffers every ``flush_interval_s`` and
+    the supervisor tick, flushes buffers every :data:`FLUSH_INTERVAL_S` and
     applies finished handoffs.  In process mode the loop also reads each
     worker's completion pipe as soon as it is readable, so ACK latency
     is not quantized to the flush interval.  Applying a report
@@ -1549,11 +1549,10 @@ class IngestServer:
     """
 
     def __init__(self, service: IngestService, host: str = "127.0.0.1",
-                 port: int = 0, flush_interval_s: float = 0.002) -> None:
+                 port: int = 0) -> None:
         self.service = service
         self.host = host
         self.port = port
-        self.flush_interval_s = flush_interval_s
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
@@ -1561,8 +1560,8 @@ class IngestServer:
 
         def accept() -> ConnProtocol:
             protocol = ConnProtocol(service)
-            # A silent client never reaches data_received's deadline check.
-            loop.call_later(service.handshake_timeout_s, protocol.tick)
+            protocol.timer = loop.call_later(HANDSHAKE_TIMEOUT_S,
+                                             protocol.tick)
             return protocol
 
         self._server = await loop.create_server(accept, self.host, self.port)
@@ -1573,7 +1572,7 @@ class IngestServer:
     async def _pump(self) -> None:
         service = self.service
         while True:
-            await asyncio.sleep(self.flush_interval_s)
+            await asyncio.sleep(FLUSH_INTERVAL_S)
             service.check_workers()
             service.flush()
             service.poll_completions()
@@ -1603,12 +1602,10 @@ class IngestServer:
 
 
 async def serve(service: IngestService, host: str = "127.0.0.1",
-                port: int = 0, flush_interval_s: float = 0.002
-                ) -> IngestServer:
+                port: int = 0) -> IngestServer:
     """Start an :class:`IngestServer` for ``service``; returns it with
     ``.port`` resolved (port 0 picks a free one)."""
-    server = IngestServer(service, host, port,
-                          flush_interval_s=flush_interval_s)
+    server = IngestServer(service, host, port)
     await server.start()
     return server
 

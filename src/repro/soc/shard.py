@@ -19,8 +19,7 @@ attacks; a sharded drop is even easier to lose than a single-queue one.
 :class:`ConservationAudit` therefore re-proves, after every pump, for
 every shard *and* the global merge, the flow-conservation identity
 
-    offered == rejected_invalid + rejected_severity + shed
-               + dispatched + still_queued
+    offered == rejected_invalid + shed + dispatched + still_queued
 
 (where ``shed`` counts queue refusals plus evictions), plus the
 queue-internal invariants ``offered == accepted + shed`` and
@@ -67,7 +66,7 @@ class ConservationAudit:
 
     Checks, for each shard of an :class:`~repro.soc.ingest.IngestPipeline`::
 
-        offered == rejected_invalid + rejected_severity
+        offered == rejected_invalid
                    + (queue.shed + queue.evicted)   # all queue losses
                    + dispatched + len(queue)
 
@@ -101,8 +100,7 @@ class ConservationAudit:
         offered = shard.stats["admit"].entered
         dispatched = shard.stats["dispatch"].exited
         accounted = (
-            shard.rejected_invalid + shard.rejected_severity
-            + q.shed + q.evicted + dispatched + len(q)
+            shard.rejected_invalid + q.shed + q.evicted + dispatched + len(q)
         )
         if offered != accounted:
             self._fail(label, "offered != rejected + shed + dispatched + queued",
@@ -119,17 +117,14 @@ class ConservationAudit:
 
     def _check_published(self, label: str, m: Dict[str, float]) -> None:
         """The same identity, provable from *published* metrics alone:
-        offered splits into the two admit rejections plus everything the
+        offered splits into the invalid rejections plus everything the
         queues ever accepted (admitted = queue.offered), and admitted
         splits into refused at the door, evicted later, dispatched, or
         still queued."""
-        published = (
-            m["rejected_invalid"] + m["rejected_severity"] + m["admitted"]
-        )
+        published = m["rejected_invalid"] + m["admitted"]
         if m["offered"] != published:
             self._fail(label,
-                       "metrics offered != rejected_invalid"
-                       " + rejected_severity + admitted",
+                       "metrics offered != rejected_invalid + admitted",
                        int(m["offered"]), int(published))
         admitted_split = (
             m["queue_refused"] + m["queue_evicted"]

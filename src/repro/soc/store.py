@@ -50,7 +50,7 @@ read's torn-tail-tolerant form.
 
 Reads: closed segments carry a sidecar **sparse time index**: the
 first seq and record count, the event-time min/max, plus every
-``index_every``-th record's ``(offset, index, watermark)`` checkpoint,
+:data:`INDEX_EVERY`-th record's ``(offset, index, watermark)`` checkpoint,
 where ``watermark`` is the running max event time.  One segment walk
 serves both readers.  :meth:`EventLog.replay` ``(after_seq)`` skips
 segments wholly at or before ``after_seq`` and seeks to the last
@@ -86,6 +86,12 @@ FRAME_HEADER = struct.Struct("<II")
 #: the default; a snapshot always syncs first), ``always`` (after every
 #: append call -- the paranoid setting the fsync microbench prices).
 FSYNC_POLICIES = ("never", "rotate", "always")
+#: Sparse-index granularity: every ``INDEX_EVERY``-th record of a
+#: segment gets an ``(offset, index, watermark)`` checkpoint.
+INDEX_EVERY = 64
+#: Snapshots a :class:`SnapshotStore` keeps on disk (the log, not the
+#: snapshot chain, is the durable history).
+SNAPSHOT_KEEP = 4
 
 
 # ----------------------------------------------------------------------
@@ -270,8 +276,8 @@ class EventLog:
 
     ``segment_max_records`` bounds segment size (rotation closes the
     active segment, writes its sidecar index, fsyncs per policy, and
-    opens the next); ``index_every`` sets the sparse-index granularity;
-    ``fsync`` is one of :data:`FSYNC_POLICIES`.
+    opens the next; :data:`INDEX_EVERY` sets the sparse-index
+    granularity); ``fsync`` is one of :data:`FSYNC_POLICIES`.
 
     Opening an existing root re-enters the log: closed segments are
     trusted (their records re-verify by CRC on every read), the tail
@@ -280,17 +286,14 @@ class EventLog:
     """
 
     def __init__(self, root, *, segment_max_records: int = 4096,
-                 index_every: int = 64, fsync: str = "rotate") -> None:
+                 fsync: str = "rotate") -> None:
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
-        if index_every < 1:
-            raise ValueError("index_every must be >= 1")
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"fsync must be one of {FSYNC_POLICIES}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.segment_max_records = segment_max_records
-        self.index_every = index_every
         self.fsync = fsync
 
         self._fh = None
@@ -382,7 +385,7 @@ class EventLog:
 
     def _note_record(self, payload: bytes) -> None:
         """Advance the active segment's index state for one record."""
-        if self._count % self.index_every == 0:
+        if self._count % INDEX_EVERY == 0:
             self._checkpoints.append(
                 [self._offset, self._count,
                  self._watermark if self._watermark is not None else None])
@@ -396,7 +399,7 @@ class EventLog:
                         event_times: Sequence[float]) -> int:
         if self._count >= self.segment_max_records:
             self.rotate()
-        if self._count % self.index_every == 0:
+        if self._count % INDEX_EVERY == 0:
             self._checkpoints.append(
                 [self._offset, self._count,
                  self._watermark if self._watermark is not None else None])
@@ -608,11 +611,11 @@ class EventLog:
         the last checkpoint at or before the resume point.  Recovery
         (``after_seq`` = the snapshot's ``log_seq``) and the federation
         shipper (called once per pump with an advancing cursor) therefore
-        read O(new records + ``index_every``), not O(log size).
+        read O(new records + :data:`INDEX_EVERY`), not O(log size).
 
         ``last_replay_stats`` records ``segments``,
         ``segments_skipped``, ``records_read`` (records decoded,
-        including up to ``index_every - 1`` pre-cursor records after the
+        including up to ``INDEX_EVERY - 1`` pre-cursor records after the
         checkpoint seek), ``records_yielded`` and ``bytes_seeked`` (bytes
         the checkpoint seek avoided reading).
         """
@@ -690,16 +693,13 @@ class SnapshotStore:
     Files are written atomically (tmp + rename + fsync); ``load_latest``
     walks newest-first and silently skips corrupt or torn snapshots, so
     a crash mid-snapshot costs at most one snapshot interval of replay,
-    never the recovery itself.  ``keep`` bounds on-disk retention (the
-    log, not the snapshot chain, is the durable history).
+    never the recovery itself.  :data:`SNAPSHOT_KEEP` bounds on-disk
+    retention.
     """
 
-    def __init__(self, root, keep: int = 4) -> None:
-        if keep < 1:
-            raise ValueError("keep must be >= 1")
+    def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
         existing = self._paths()
         self._next = (
             int(existing[-1].stem.split("-")[1]) + 1 if existing else 1)
@@ -720,7 +720,7 @@ class SnapshotStore:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         self._next += 1
-        for stale in self._paths()[:-self.keep]:
+        for stale in self._paths()[:-SNAPSHOT_KEEP]:
             stale.unlink()
         return path
 
@@ -745,11 +745,11 @@ class DurableStore:
     """
 
     def __init__(self, root, *, segment_max_records: int = 4096,
-                 index_every: int = 64, fsync: str = "rotate") -> None:
+                 fsync: str = "rotate") -> None:
         self.root = Path(root)
         self.log = EventLog(self.root / "log",
                             segment_max_records=segment_max_records,
-                            index_every=index_every, fsync=fsync)
+                            fsync=fsync)
         self.snapshots = SnapshotStore(self.root / "snapshots")
 
     def close(self) -> None:

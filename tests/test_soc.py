@@ -209,35 +209,22 @@ class TestIngestPipeline:
 # Ingest accounting: pinned regressions
 # ----------------------------------------------------------------------
 class TestIngestAccountingRegressions:
-    """Each test pins one of the three accounting bugfixes: the
-    ``rejected_severity`` metrics hole, the enqueue-time clobbering under
-    at-least-once redelivery, and the single-pump ``final_drain``."""
-
-    def test_metrics_publish_rejected_severity_identity(self):
-        # metrics() used to omit rejected_severity entirely, so the
-        # published admit-stage identity could not even be stated.
-        pipe = IngestPipeline(min_severity=Asil.B, capacity_eps=100.0)
-        assert pipe.offer(1.0, ev("v1", "s", 0.5))
-        assert not pipe.offer(1.0, ev("v2", "s", 0.5, severity=Asil.QM))
-        assert not pipe.offer(1.0, ev("", "s", 0.5))        # invalid
-        m = pipe.metrics()
-        assert m["rejected_severity"] == 1.0
-        assert m["offered"] == (m["rejected_invalid"]
-                                + m["rejected_severity"] + m["admitted"])
-        ConservationAudit().check(pipe)
+    """Each test pins one of the accounting bugfixes: the published
+    admit identity, the enqueue-time clobbering under at-least-once
+    redelivery, and the single-pump ``final_drain``."""
 
     def test_audit_catches_metrics_underreporting(self):
-        # The audit must now prove the *published* admit identity, not
-        # just the internal counters: a pipeline whose metrics drop the
-        # severity rejections (the pre-fix shape) fails the check.
+        # The audit must prove the *published* admit identity, not just
+        # the internal counters: a pipeline whose metrics drop the
+        # invalid rejections fails the check.
         class Lying(IngestPipeline):
             def metrics(self):
                 m = super().metrics()
-                m["rejected_severity"] = 0.0
+                m["rejected_invalid"] = 0.0
                 return m
 
-        pipe = Lying(min_severity=Asil.B)
-        pipe.offer(1.0, ev("v1", "s", 0.5, severity=Asil.QM))
+        pipe = Lying()
+        pipe.offer(1.0, ev("", "s", 0.5))                   # invalid
         with pytest.raises(ConservationError):
             ConservationAudit().check(pipe)
 

@@ -292,16 +292,12 @@ def _campaign_blob(region, vehicles, sig="chaos.sig", t0=0.25,
 
 class TestOptimisticHub:
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="unknown consistency"):
-            FederationHub(["a"], 1, consistency="eventual")
         with pytest.raises(ValueError, match="staleness_budget_s"):
-            FederationHub(["a"], 1, consistency="optimistic",
-                          staleness_budget_s=-1.0)
+            FederationHub(["a"], 1, staleness_budget_s=-1.0)
 
     def _stalled_hub(self, budget=0.5):
         """region-a has a full campaign buffered; region-b is silent."""
         hub = FederationHub(["region-a", "region-b"], 1,
-                            consistency="optimistic",
                             staleness_budget_s=budget)
         hub.receive(_campaign_blob("region-a", ["v1", "v2", "v3"]))
         return hub
@@ -322,8 +318,7 @@ class TestOptimisticHub:
         assert hub.metrics()["episode_active"] == 1.0
 
     def test_strict_hub_never_opens_an_episode(self):
-        hub = FederationHub(["region-a", "region-b"], 1,
-                            staleness_budget_s=0.5)
+        hub = FederationHub(["region-a", "region-b"], 1)
         hub.receive(_campaign_blob("region-a", ["v1", "v2", "v3"]))
         hub.advance(0.0)
         hub.advance(100.0)
@@ -377,7 +372,6 @@ class TestOptimisticHub:
         blob_b = _campaign_blob("region-b", ["v2", "v3", "v4"],
                                 sig="chaos.sig", t0=0.1)
         optimistic = FederationHub(["region-a", "region-b"], 1,
-                                   consistency="optimistic",
                                    staleness_budget_s=0.5)
         optimistic.receive(blob_a)
         optimistic.advance(0.0)
@@ -502,8 +496,7 @@ class TestOptimisticDifferential:
                 arrivals.append(arrivals[i] + rng.uniform(0.0, 1.0))
         end = max(arrivals) + 1.0
         hub = FederationHub.from_profile(
-            names, chaos_corpus["profile"], consistency="optimistic",
-            staleness_budget_s=0.5)
+            names, chaos_corpus["profile"], staleness_budget_s=0.5)
         _drive_schedule(hub, shipments, arrivals, end)
         assert hub.unapplied() == 0
         assert not hub.episode_active
@@ -529,8 +522,7 @@ class TestOptimisticDifferential:
             arrivals.append(arrival)
         end = max(arrivals) + 1.0
         hub = FederationHub.from_profile(
-            names, chaos_corpus["profile"],
-            consistency="optimistic", staleness_budget_s=0.5)
+            names, chaos_corpus["profile"], staleness_budget_s=0.5)
         _drive_schedule(hub, shipments, arrivals, end)
         assert hub.episodes >= 1
         assert hub.provisional_verdicts >= 1
@@ -555,12 +547,12 @@ class TestFederationChaosRunner:
             Fault(kind="torn_shipment", at_s=8.0, target=regions[1]),
         ])
 
-    @pytest.mark.parametrize("consistency", ["strict", "optimistic"])
-    def test_full_plan_runs_clean(self, tmp_path, consistency):
+    @pytest.mark.parametrize("staleness_budget_s", [None, 1.0],
+                             ids=["strict", "optimistic"])
+    def test_full_plan_runs_clean(self, tmp_path, staleness_budget_s):
         scene = build_federated_scene(
             seed=1, n_per_region=250, lag_s=0.5, jitter_s=0.3,
-            root=tmp_path, consistency=consistency,
-            staleness_budget_s=1.0)
+            root=tmp_path, staleness_budget_s=staleness_budget_s)
         try:
             runner = FederationChaosRunner(scene, self._plan(
                 list(scene.regions)))
@@ -574,7 +566,7 @@ class TestFederationChaosRunner:
         assert len(report["probes"]) == len(runner.plan.heal_points()) + 1
         assert all(p["ok"] for p in report["probes"])
         assert report["hub_metrics"]["records_applied"] > 0
-        if consistency == "optimistic":
+        if staleness_budget_s is not None:
             # The five-second outage with a one-second budget must have
             # tripped at least one episode -- and it still converged.
             assert report["hub_metrics"]["episodes"] >= 1
@@ -582,7 +574,6 @@ class TestFederationChaosRunner:
     def test_generated_plan_runs_clean(self, tmp_path):
         scene = build_federated_scene(seed=2, n_per_region=250, lag_s=0.5,
                                       root=tmp_path,
-                                      consistency="optimistic",
                                       staleness_budget_s=1.0)
         try:
             plan = FaultPlan.generate(

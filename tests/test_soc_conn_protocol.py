@@ -33,6 +33,7 @@ from hypothesis.stateful import (
 
 from repro.core.safety import Asil
 from repro.soc import EventSource, make_event
+from repro.soc import service
 from repro.soc.service import (
     ConnProtocol,
     FrameStreamDecoder,
@@ -99,6 +100,11 @@ PREAUTH_CAP = 512
 HALF_OPEN_CAP = 3
 DISCONNECT_AFTER = 4
 TIMEOUT_S = 5.0
+#: The front-door limits the model runs under, small enough that a
+#: short rule sequence reaches every watermark and cap.
+MODEL_LIMITS = dict(HANDOFF_BATCH=3, SUPPRESS_AFTER=2, RESUME_BELOW=1,
+                    HANDSHAKE_TIMEOUT_S=TIMEOUT_S,
+                    MAX_PREAUTH_BYTES=PREAUTH_CAP, MAX_HALF_OPEN=HALF_OPEN_CAP)
 PICK = st.integers(0, 63)
 CUTS = st.lists(st.integers(0, 999), max_size=3)
 
@@ -125,16 +131,17 @@ class ConnModel(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
+        # Patched for the machine's lifetime; teardown() undoes it.
+        self.patches = pytest.MonkeyPatch()
+        for name, value in MODEL_LIMITS.items():
+            self.patches.setattr(service, name, value)
         self.root = tempfile.mkdtemp(prefix="conn-model-")
         self.now = [50.0]
         self.svc = IngestService(
             2, mode="inline", root=self.root,
             config=ServiceConfig(fleet_key=self.fleet_key),
-            handoff_batch=3, suppress_after=2, resume_below=1,
             quota_bytes_per_s=300.0, quota_burst_bytes=1500.0,
             quota_disconnect_after=DISCONNECT_AFTER,
-            handshake_timeout_s=TIMEOUT_S, max_preauth_bytes=PREAUTH_CAP,
-            max_half_open=HALF_OPEN_CAP,
             clock=lambda: 1000.0, mono_clock=lambda: self.now[0])
         self.peers: List[Peer] = []
         self.answered: Dict[str, List[int]] = {}
@@ -490,6 +497,7 @@ class ConnModel(RuleBasedStateMachine):
             self.svc.drain_and_close()
         finally:
             shutil.rmtree(self.root, ignore_errors=True)
+            self.patches.undo()
 
 
 class PlainModel(ConnModel):
@@ -508,13 +516,15 @@ TestAuthenticatedConnModel = AuthenticatedModel.TestCase
 TestAuthenticatedConnModel.settings = MODEL_SETTINGS
 
 
-def test_connection_accepted_after_the_drain_is_refused(tmp_path):
+def test_connection_accepted_after_the_drain_is_refused(tmp_path,
+                                                        monkeypatch):
     """A connection the listener accepted just before ``stop()`` reaches
     ``connection_made`` only after the drain: it is closed at once,
     holding no slot and moving no counter, so nothing it sends can be
     routed into the closed service (inline, a route there would write
     to the closed handoff journal from ``data_received``)."""
-    svc = IngestService(1, mode="inline", root=tmp_path, handoff_batch=1)
+    monkeypatch.setattr(service, "HANDOFF_BATCH", 1)
+    svc = IngestService(1, mode="inline", root=tmp_path)
     svc.drain_and_close()
     before = front_counts(svc)
     transport = FakeTransport()

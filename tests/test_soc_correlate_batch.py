@@ -239,8 +239,7 @@ class TestBoundedLedgers:
 # ----------------------------------------------------------------------
 # Batch sinks: same events, same order as per-event sinks
 # ----------------------------------------------------------------------
-PIPE_KW = dict(capacity_eps=40.0, queue_capacity=32, batch_size=8,
-               min_severity=Asil.A)
+PIPE_KW = dict(capacity_eps=40.0, queue_capacity=32, batch_size=8)
 
 
 def _drive(pipeline):

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.soc.federation as federation
+import repro.soc.store as store
 from repro.core.safety import Asil
 from repro.soc import (
     CorrelationEngine,
@@ -69,10 +70,12 @@ def _fill_log(log, n_batches, per_batch=2, mark_every=3):
 # The shipper's tail read: EventLog.replay(after_seq) seeks
 # ----------------------------------------------------------------------
 class TestEventLogTail:
-    def test_tail_matches_replay_at_every_cursor(self, tmp_path):
+    def test_tail_matches_replay_at_every_cursor(self, tmp_path,
+                                                 monkeypatch):
         """``replay(after_seq=c)`` is the full replay's suffix for every
         cursor ``c``, across rotated segments."""
-        log = EventLog(tmp_path, segment_max_records=3, index_every=2)
+        monkeypatch.setattr(store, "INDEX_EVERY", 2)
+        log = EventLog(tmp_path, segment_max_records=3)
         total = _fill_log(log, 10)
         assert log.segments_rotated >= 3
         full = list(log.replay())
@@ -81,8 +84,10 @@ class TestEventLogTail:
             assert list(log.replay(after_seq=cursor)) == full[cursor:]
         log.close()
 
-    def test_replay_suffix_survives_a_deleted_sidecar(self, tmp_path):
-        log = EventLog(tmp_path, segment_max_records=4, index_every=1)
+    def test_replay_suffix_survives_a_deleted_sidecar(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(store, "INDEX_EVERY", 1)
+        log = EventLog(tmp_path, segment_max_records=4)
         total = _fill_log(log, 12)
         full = list(log.replay())
         log.segment_paths()[1].with_suffix(".idx.json").unlink()
@@ -90,8 +95,9 @@ class TestEventLogTail:
             assert list(log.replay(after_seq=cursor)) == full[cursor:]
         log.close()
 
-    def test_tail_seeks_past_closed_segments(self, tmp_path):
-        log = EventLog(tmp_path, segment_max_records=3, index_every=1)
+    def test_tail_seeks_past_closed_segments(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store, "INDEX_EVERY", 1)
+        log = EventLog(tmp_path, segment_max_records=3)
         total = _fill_log(log, 12)
         tailed = list(log.replay(after_seq=total - 2))
         assert [r.seq for r in tailed] == [total - 1, total]
@@ -106,10 +112,11 @@ class TestEventLogTail:
         assert log.last_replay_stats["bytes_seeked"] == 0
         log.close()
 
-    def test_tail_across_a_segment_roll(self, tmp_path):
+    def test_tail_across_a_segment_roll(self, tmp_path, monkeypatch):
         """Regression pin: a cursor parked exactly at a closed segment's
         last record resumes at the next segment's first record."""
-        log = EventLog(tmp_path, segment_max_records=4, index_every=1)
+        monkeypatch.setattr(store, "INDEX_EVERY", 1)
+        log = EventLog(tmp_path, segment_max_records=4)
         _fill_log(log, 5)
         cursor = log.last_seq
         assert list(log.replay(after_seq=cursor)) == []

@@ -34,6 +34,7 @@ from repro.soc import (
     recover_worker,
     serve,
 )
+from repro.soc import service
 from repro.soc.ingest import TokenBucket
 from repro.soc.service import (
     _HandoffJournal,
@@ -164,8 +165,9 @@ class TestDecoderRejectedBytes:
     letting an attacker's oversized-header probe inflate the accepted-
     byte accounting the pre-auth cap reads."""
 
-    def test_rejected_bytes_counted_separately(self):
-        decoder = FrameStreamDecoder(max_frame_bytes=64)
+    def test_rejected_bytes_counted_separately(self, monkeypatch):
+        monkeypatch.setattr(service, "MAX_FRAME_BYTES", 64)
+        decoder = FrameStreamDecoder()
         probe = (1 << 20).to_bytes(4, "little") + b"\0\0\0\0"
         with pytest.raises(CorruptRecord):
             decoder.feed(probe)
@@ -184,15 +186,16 @@ class TestDecoderRejectedBytes:
 # Pinned regression: a worker kill never leaves stale suppression
 # ----------------------------------------------------------------------
 class TestKillWorkerSuppressionRegression:
-    def test_no_stale_suppress_after_crash(self, tmp_path):
+    def test_no_stale_suppress_after_crash(self, tmp_path, monkeypatch):
         """A lossy kill once zeroed the outstanding-handoff count without
         recomputing SUPPRESS, so survivors of a worker crash stayed muted
         until unrelated traffic next touched the shard.  The watermark
         reads the in-flight ledger: the dead worker's handoff keeps
         the shard suppressed until the restarted worker reports it, and
         that report alone lifts SUPPRESS."""
+        monkeypatch.setattr(service, "SUPPRESS_AFTER", 1)
+        monkeypatch.setattr(service, "RESUME_BELOW", 1)
         svc = IngestService(1, mode="inline", root=tmp_path,
-                            suppress_after=1, resume_below=1,
                             clock=lambda: 100.0)
         conn = svc.open_conn("veh-1")
         assert svc.route(conn, batch("veh-1", 0))
@@ -257,15 +260,17 @@ class TestMonotonicClocks:
             src = inspect.getsource(func)
             assert "time.time()" not in src, func.__qualname__
 
-    def test_drain_deadline_immune_to_wall_clock_step(self, tmp_path):
+    def test_drain_deadline_immune_to_wall_clock_step(self, tmp_path,
+                                                      monkeypatch):
         # A wall clock jumped 10 years into the future: the monotonic
         # drain deadline must not fire early.
+        monkeypatch.setattr(service, "DRAIN_TIMEOUT_S", 5.0)
         svc = IngestService(1, mode="inline", root=tmp_path,
                             clock=lambda: time.time() + 315_360_000)
         conn = svc.open_conn("veh-1")
         assert svc.route(conn, encode_batch(0, [
             ev("veh-1", "s", time.time() + 315_360_000 - 1.0, 1)]))
-        metrics = svc.drain_and_close(timeout_s=5.0)
+        metrics = svc.drain_and_close()
         assert svc.batches_acked == 1
         assert metrics[0]["service_handoffs"] == 1.0
 
@@ -305,16 +310,18 @@ class _ClosingWriter:
 
 
 class TestSuppressWriteGuard:
-    def test_shard_transition_skips_closing_transport(self, tmp_path):
+    def test_shard_transition_skips_closing_transport(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(service, "SUPPRESS_AFTER", 1)
+        monkeypatch.setattr(service, "RESUME_BELOW", 1)
         svc = IngestService(1, mode="inline", root=tmp_path,
-                            suppress_after=1, resume_below=1,
                             clock=lambda: 100.0)
         live, dying = _ClosingWriter(), _ClosingWriter()
         conn_live = svc.open_conn("veh-live", live)
         conn_dying = svc.open_conn("veh-dying", dying)
         dying.closing = True  # transport close raced the transition
         assert svc.route(conn_live, batch("veh-live", 0))
-        svc.flush()  # outstanding=1 >= suppress_after: SUPPRESS
+        svc.flush()  # outstanding=1 >= SUPPRESS_AFTER: SUPPRESS
         assert svc.suppressed(0)
         # The dying conn's *state* still flipped; only the write skipped.
         assert conn_dying.suppressed and not dying.writes
@@ -397,11 +404,9 @@ class TestSessionCrypto:
 
 
 class TestAuthHandshake:
-    def _serve(self, tmp_path, **svc_kwargs):
+    def _serve(self, tmp_path):
         config = ServiceConfig(fleet_key=FLEET_KEY)
-        svc = IngestService(1, mode="inline", root=tmp_path, config=config,
-                            **svc_kwargs)
-        return svc
+        return IngestService(1, mode="inline", root=tmp_path, config=config)
 
     def test_authenticated_round_trip(self, tmp_path):
         async def main():
@@ -494,9 +499,11 @@ class TestAuthHandshake:
         assert got == b""
         assert svc.auth_failures == 1
 
-    def test_handshake_read_deadline(self, tmp_path):
+    def test_handshake_read_deadline(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service, "HANDSHAKE_TIMEOUT_S", 0.1)
+
         async def main():
-            svc = self._serve(tmp_path, handshake_timeout_s=0.1)
+            svc = self._serve(tmp_path)
             server = await serve(svc)
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
@@ -511,9 +518,11 @@ class TestAuthHandshake:
         assert svc.handshake_timeouts == 1
         assert len(svc.handshakes) == 0  # slot released
 
-    def test_preauth_byte_cap(self, tmp_path):
+    def test_preauth_byte_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service, "MAX_PREAUTH_BYTES", 256)
+
         async def main():
-            svc = self._serve(tmp_path, max_preauth_bytes=256)
+            svc = self._serve(tmp_path)
             server = await serve(svc)
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
@@ -531,10 +540,11 @@ class TestAuthHandshake:
         assert got == b""
         assert svc.preauth_overflows == 1
 
-    def test_half_open_cap_refuses_at_accept(self, tmp_path):
+    def test_half_open_cap_refuses_at_accept(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service, "MAX_HALF_OPEN", 1)
+
         async def main():
-            svc = self._serve(tmp_path, max_half_open=1,
-                              handshake_timeout_s=5.0)
+            svc = self._serve(tmp_path)
             server = await serve(svc)
             # First connection parks in the handshake (never speaks).
             _, w1 = await asyncio.open_connection("127.0.0.1", server.port)
@@ -562,15 +572,16 @@ class TestNonStringClientIdRegression:
     @pytest.mark.parametrize("client_id", [5, ["x"], None])
     @pytest.mark.parametrize("fleet_key", [None, FLEET_KEY],
                              ids=["plain", "authenticated"])
-    def test_refused_and_counted(self, tmp_path, client_id, fleet_key):
+    def test_refused_and_counted(self, tmp_path, monkeypatch, client_id,
+                                 fleet_key):
+        monkeypatch.setattr(service, "HANDSHAKE_TIMEOUT_S", 2.0)
         unhandled = []
 
         async def main():
             asyncio.get_running_loop().set_exception_handler(
                 lambda loop, context: unhandled.append(context))
             svc = IngestService(1, mode="inline", root=tmp_path,
-                                config=ServiceConfig(fleet_key=fleet_key),
-                                handshake_timeout_s=2.0)
+                                config=ServiceConfig(fleet_key=fleet_key))
             server = await serve(svc)
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
@@ -829,16 +840,18 @@ class TestHandoffJournal:
         assert j2.lookup(2) == ()  # torn entry dropped whole
         j2.close()
 
-    def test_bounded_rewrite_keeps_recent_entries(self, tmp_path):
+    def test_bounded_rewrite_keeps_recent_entries(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(service, "JOURNAL_KEEP", 4)
         path = tmp_path / "handoff-journal.log"
-        j = _HandoffJournal(path, keep=4)
+        j = _HandoffJournal(path)
         for seq in range(1, 20):
             j.record(seq, [(1, seq, 1, 1)])
         assert len(j.entries) <= 2 * 4 + 1
         assert j.lookup(19) == ((1, 19, 1, 1),)
         assert j.lookup(1) == ()  # aged out
         j.close()
-        j2 = _HandoffJournal(path, keep=4)
+        j2 = _HandoffJournal(path)
         assert j2.lookup(19) == ((1, 19, 1, 1),)
         j2.close()
 
@@ -1217,15 +1230,18 @@ class TestAutoRestart:
         assert r3.acks == ((1, 1, 3, 3),)
         core2.close()
 
-    def test_process_server_survives_sigkill_under_live_load(self, tmp_path):
+    def test_process_server_survives_sigkill_under_live_load(self, tmp_path,
+                                                             monkeypatch):
         """End-to-end over real sockets: SIGKILL both workers while
         clients are streaming; every admitted batch is still ACKed."""
+        monkeypatch.setattr(service, "FLUSH_INTERVAL_S", 0.005)
+
         async def main():
             config = ServiceConfig(max_lateness_s=7200.0,
                                    fleet_key=FLEET_KEY)
             svc = IngestService(2, mode="process", root=tmp_path,
                                 config=config)
-            server = await serve(svc, flush_interval_s=0.005)
+            server = await serve(svc)
             clients = []
             for i in range(3):
                 cid = f"veh-{i}"

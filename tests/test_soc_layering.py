@@ -307,3 +307,159 @@ def test_tests_import_guard_catches_both_forms(tmp_path):
                    "import repro.tests_like\n")
     assert imports_of_tests(bad) == ["bad.py:1: tests.soc_chaos",
                                  "bad.py:2: tests"]
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool):
+    """``(name, positional index or None)`` of ``fn``'s defaulted
+    parameters; a bound method's index skips ``self``/``cls``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(arg.arg, index - bound)
+             for index, arg in enumerate(positional) if index >= first]
+    found += [(arg.arg, None)
+              for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return found
+
+
+def soc_settings(path: Path):
+    """``(label, callee, parameter, index)`` for every defaulted
+    parameter of a public function, or of ``__init__`` or a public
+    method of a public class, in ``path``.  ``callee`` is the name a
+    call site uses: the class for ``__init__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")):
+            found += [(node.name, node.name, name, index)
+                      for name, index in _defaulted(node, False)]
+        elif isinstance(node, ast.ClassDef) and not _private(node.name):
+            for fn in node.body:
+                if (not isinstance(fn, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                        or fn.name != "__init__" and fn.name.startswith("_")):
+                    continue
+                bound = not any(getattr(d, "id", "") == "staticmethod"
+                                for d in fn.decorator_list)
+                callee = node.name if fn.name == "__init__" else fn.name
+                found += [(f"{node.name}.{fn.name}", callee, name, index)
+                          for name, index in _defaulted(fn, bound)]
+    return [(f"{path.stem}.{label}({name}=)", callee, name, index)
+            for label, callee, name, index in found]
+
+
+def setting_calls(path: Path, in_package: bool):
+    """Every call in ``path`` as ``(callee name, call, pass-through
+    names)``.  Inside ``repro.soc`` an argument that only forwards the
+    enclosing function's same-named parameter sets nothing, so those
+    parameter names ride along; ``cls(...)`` is its class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, cls, params):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                found.append((cls if name == "cls" else name, child, params))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                visit(child, cls, {arg.arg for arg in a.posonlyargs + a.args
+                                   + a.kwonlyargs} if in_package else set())
+            else:
+                visit(child, child.name if isinstance(child, ast.ClassDef)
+                      else cls, params)
+
+    visit(tree, None, set())
+    return found
+
+
+def _sets(call, params, name: str, index, own: bool) -> bool:
+    """Whether one call sets parameter ``name``: by keyword on any call
+    (like a grep for ``name=``), or -- on a call of the callable's own
+    name (``own``) -- at its positional ``index`` or through a
+    ``*``/``**`` splat."""
+    def forwards(value):
+        return isinstance(value, ast.Name) and value.id in params
+    if any(k.arg == name and not forwards(k.value) for k in call.keywords):
+        return True
+    return own and (any(k.arg is None for k in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (index is not None and len(call.args) > index
+                        and not forwards(call.args[index])))
+
+
+def unset_settings(soc_paths, program_paths):
+    """Labels of the defaulted public parameters that no call sets."""
+    calls = [c for p in program_paths for c in setting_calls(p, False)]
+    calls += [c for p in soc_paths for c in setting_calls(p, True)]
+    return [label for path in soc_paths
+            for label, callee, name, index in soc_settings(path)
+            if not any(_sets(call, params, name, index, called == callee)
+                       for called, call, params in calls)]
+
+
+def program_paths():
+    """The programs: :func:`outside_users` but the tests, whose
+    settings are no program's."""
+    return [path for path in outside_users()
+            if ROOT / "tests" not in path.parents]
+
+
+#: Defaulted public parameters no program sets, each kept for a reason.
+SETTINGS_ALLOWLIST = {
+    "service.IngestService.__init__(mono_clock=)":
+        "fake-clock seam: deadline and quota tests inject a monotonic clock",
+    "fleet.FleetWorkloadGenerator.__init__(benign_rate_eps=)":
+        "test-only limit: test_soc_shard overloads a tiny backend with it",
+    "respond.ResponseOrchestrator.__init__(ota_sample=)":
+        "test-only limit: test_soc pushes OTA to 1-3 vehicles with it",
+    "center.SecurityOperationsCenter.__init__(shard_key=)":
+        "shard-key choice: tests partition by vehicle for cross-shard "
+        "campaigns",
+    "ingest.IngestPipeline.__init__(shard_key=)":
+        "shard-key choice: the centre forwards its own",
+    "federation.FederationHub.export_amendments(after=)":
+        "feed cursor: a poller passes how much of the feed it has read",
+    "store.EventLog.scan(vehicle_id=)":
+        "forensics query filter, like signature= and the time window",
+    "service.IngestServer.__init__(host=)":
+        "listen address, not a limit: every caller uses loopback",
+    "service.serve(host=)": "listen address, as IngestServer's",
+    "service.VehicleClient.__init__(host=)": "server address, as serve's",
+}
+
+
+def test_every_public_setting_has_a_setter_or_a_reason():
+    found = unset_settings(sorted(SOC.glob("*.py")), program_paths())
+    assert sorted(set(found) - set(SETTINGS_ALLOWLIST)) == []
+    # A stale entry would hide the next unset parameter of that name.
+    assert sorted(set(SETTINGS_ALLOWLIST) - set(found)) == []
+
+
+def test_settings_guard_catches_an_unset_parameter(tmp_path):
+    soc = tmp_path / "mod.py"
+    soc.write_text(
+        "class Box:\n"
+        "    def __init__(self, a, b=1, *, c=2, d=3, e=4):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def make(cls, b=1, f=5):\n"
+        "        return cls(0, b, c=f)\n"
+        "    def _hidden(self, g=6):\n"
+        "        pass\n"
+        "def build(h=7, i=8):\n"
+        "    return Box(0, d=h)\n"
+        "class _Private:\n"
+        "    def __init__(self, j=9):\n"
+        "        pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("Box(0, e=5)\n"
+                    "build(1)\n"
+                    "other(i=2)\n"
+                    "Box.make(*args)\n")
+    assert unset_settings([soc], [user]) == [
+        "mod.Box.__init__(b=)", "mod.Box.__init__(c=)",
+        "mod.Box.__init__(d=)"]

@@ -14,9 +14,11 @@ service call on the loop thread, nothing stranded or un-ACKed by stop.
 """
 
 import asyncio
+import gc
 import json
 import threading
 import time
+import weakref
 import zlib
 
 import pytest
@@ -38,6 +40,7 @@ from repro.soc import (
     serve,
     shard_for_client,
 )
+from repro.soc import service
 from repro.soc.service import (
     batch_id_of,
     decode_message,
@@ -183,8 +186,9 @@ class TestWireCodec:
             with pytest.raises(CorruptRecord):
                 decoder.feed(bytes(blob))
 
-    def test_oversize_length_field_rejected(self):
-        decoder = FrameStreamDecoder(max_frame_bytes=64)
+    def test_oversize_length_field_rejected(self, monkeypatch):
+        monkeypatch.setattr(service, "MAX_FRAME_BYTES", 64)
+        decoder = FrameStreamDecoder()
         header = (1 << 20).to_bytes(4, "little") + b"\0\0\0\0"
         with pytest.raises(CorruptRecord):
             decoder.feed(header)
@@ -211,33 +215,35 @@ class TestWireCodec:
                 assert not self.closing, "write to a closing transport"
                 self.frames += 1
 
-        svc = IngestService(1, mode="inline", suppress_after=1,
-                            resume_below=1, clock=lambda: 100.0)
-        live_w, dying_w = _Writer(), _Writer()
-        live = svc.open_conn("veh-live", live_w)
-        dying = svc.open_conn("veh-dying", dying_w)
-        steps = data.draw(st.lists(
-            st.sampled_from(["route", "flush", "poll", "disconnect"]),
-            min_size=1, max_size=24), label="steps")
-        batch_no = 0
-        for step in steps:
-            if step == "route":
-                conn = data.draw(st.sampled_from([live, dying]),
-                                 label="conn")
-                svc.route(conn, encode_batch(
-                    batch_no, [ev(conn.client_id, "s", 1.0, batch_no)]))
-                batch_no += 1
-            elif step == "flush":
-                svc.flush()
-            elif step == "poll":
-                svc.poll_completions()
-            else:
-                dying_w.closing = True
-        # The survivor's wire state tracks the shard; the dying conn
-        # was never written to after closing (asserted in _Writer).
-        assert live.suppressed == svc.suppressed(0)
-        assert svc.batches_routed == (svc.batches_acked + svc.buffered()
-                                      + svc.inflight_batches())
+        with pytest.MonkeyPatch.context() as patches:
+            patches.setattr(service, "SUPPRESS_AFTER", 1)
+            patches.setattr(service, "RESUME_BELOW", 1)
+            svc = IngestService(1, mode="inline", clock=lambda: 100.0)
+            live_w, dying_w = _Writer(), _Writer()
+            live = svc.open_conn("veh-live", live_w)
+            dying = svc.open_conn("veh-dying", dying_w)
+            steps = data.draw(st.lists(
+                st.sampled_from(["route", "flush", "poll", "disconnect"]),
+                min_size=1, max_size=24), label="steps")
+            batch_no = 0
+            for step in steps:
+                if step == "route":
+                    conn = data.draw(st.sampled_from([live, dying]),
+                                     label="conn")
+                    svc.route(conn, encode_batch(
+                        batch_no, [ev(conn.client_id, "s", 1.0, batch_no)]))
+                    batch_no += 1
+                elif step == "flush":
+                    svc.flush()
+                elif step == "poll":
+                    svc.poll_completions()
+                else:
+                    dying_w.closing = True
+            # The survivor's wire state tracks the shard; the dying conn
+            # was never written to after closing (asserted in _Writer).
+            assert live.suppressed == svc.suppressed(0)
+            assert svc.batches_routed == (svc.batches_acked + svc.buffered()
+                                          + svc.inflight_batches())
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -421,17 +427,19 @@ class TestInlineDifferential:
 # Backpressure: SUPPRESS/RESUME propagation + client-side shedding
 # ----------------------------------------------------------------------
 class TestBackpressure:
-    def test_outstanding_watermark_trips_and_clears(self, tmp_path):
+    def test_outstanding_watermark_trips_and_clears(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(service, "SUPPRESS_AFTER", 1)
+        monkeypatch.setattr(service, "RESUME_BELOW", 1)
         svc = IngestService(1, mode="inline", root=tmp_path,
-                            suppress_after=1, resume_below=1,
                             clock=lambda: 100.0)
         conn = svc.open_conn("veh-1")
         svc.route(conn, encode_batch(0, [ev("v1", "sig.a", 1.0, 1)]))
         svc.flush()
-        # One outstanding handoff >= suppress_after=1: shard suppressed.
+        # One outstanding handoff >= SUPPRESS_AFTER=1: shard suppressed.
         assert svc.suppressed(0) and conn.suppressed
         svc.poll_completions()
-        # Outstanding back under resume_below: resumed.
+        # Outstanding back under RESUME_BELOW: resumed.
         assert not svc.suppressed(0) and not conn.suppressed
         assert svc.suppress_transitions == 2
         svc.drain_and_close()
@@ -455,9 +463,10 @@ class TestBackpressure:
         assert not svc.suppressed(0)
         svc.drain_and_close()
 
-    def test_late_joiner_inherits_suppression(self, tmp_path):
+    def test_late_joiner_inherits_suppression(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service, "SUPPRESS_AFTER", 1)
         svc = IngestService(1, mode="inline", root=tmp_path,
-                            suppress_after=1, clock=lambda: 100.0)
+                            clock=lambda: 100.0)
         first = svc.open_conn("veh-1")
         svc.route(first, encode_batch(0, [ev("v1", "sig.a", 1.0, 1)]))
         svc.flush()
@@ -596,10 +605,11 @@ class TestEndToEnd:
 class TestKillRecovery:
     @pytest.mark.parametrize("mode", ["inline", "process"])
     def test_killed_worker_recovers_to_identical_state(
-            self, tmp_path, mode):
+            self, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(service, "QUEUE_MAX_HANDOFFS", 4)
         config = ServiceConfig(snapshot_every_pumps=2)
         svc = IngestService(2, mode=mode, root=tmp_path / "svc",
-                            config=config, queue_max_handoffs=4)
+                            config=config)
         twin = WorkerCore(0, tmp_path / "twin", config)
         conn = svc.open_conn("veh-000")
         victim = conn.shard
@@ -671,9 +681,11 @@ class TestServicePlumbing:
         svc.poll_completions()
         svc.drain_and_close()
 
-    def test_handoff_batch_threshold_triggers_flush(self, tmp_path):
+    def test_handoff_batch_threshold_triggers_flush(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(service, "HANDOFF_BATCH", 2)
         svc = IngestService(1, mode="inline", root=tmp_path,
-                            handoff_batch=2, clock=lambda: 100.0)
+                            clock=lambda: 100.0)
         conn = svc.open_conn("veh-1")
         svc.route(conn, encode_batch(0, [ev("v1", "s", 1.0, 1)]))
         assert svc.maybe_flush(conn.shard) == 0  # below threshold
@@ -699,15 +711,16 @@ IDLE_PUMP_S = 3600.0
 SPIED = ("route", "flush", "apply_report", "check_workers")
 
 
-def _stop_while_sending(root, mode, handoff_batch):
+def _stop_while_sending(monkeypatch, root, mode, handoff_batch):
     """Serve one client that streams batches and call ``stop()`` as soon
     as the first batch is routed.  Returns the service, the client and
     ``(method, thread id)`` for every call to a :data:`SPIED` method."""
     calls = []
+    monkeypatch.setattr(service, "HANDOFF_BATCH", handoff_batch)
+    monkeypatch.setattr(service, "FLUSH_INTERVAL_S", IDLE_PUMP_S)
 
     async def main():
-        svc = IngestService(1, mode=mode, root=root,
-                            handoff_batch=handoff_batch)
+        svc = IngestService(1, mode=mode, root=root)
         routed = asyncio.Event()
         for name in SPIED:
             def spy(*args, _real=getattr(svc, name), _name=name):
@@ -716,7 +729,7 @@ def _stop_while_sending(root, mode, handoff_batch):
                     routed.set()
                 return _real(*args)
             setattr(svc, name, spy)
-        server = IngestServer(svc, flush_interval_s=IDLE_PUMP_S)
+        server = IngestServer(svc)
         await server.start()
         client = VehicleClient("veh-1", port=server.port)
         await client.connect()
@@ -750,13 +763,14 @@ MODES_AND_HANDOFFS = [("inline", 1), ("inline", 64),
 class TestShutdown:
     @pytest.mark.parametrize("mode,handoff_batch", MODES_AND_HANDOFFS)
     def test_stop_while_sending_acks_every_routed_batch(
-            self, tmp_path, mode, handoff_batch):
+            self, tmp_path, monkeypatch, mode, handoff_batch):
         """Regression: stop() drained on an executor thread while the
         loop kept reading the session, and the drain wrote no ACK.  The
         conservation audit failed inline (the loop appended to a buffer
         the drain was handing off), and routed batches were acked by the
         service but never answered on the wire."""
-        svc, client, _ = _stop_while_sending(tmp_path, mode, handoff_batch)
+        svc, client, _ = _stop_while_sending(monkeypatch, tmp_path, mode,
+                                             handoff_batch)
         svc.audit_conservation()
         assert svc.buffered() == svc.inflight_batches() == 0
         assert svc.batches_routed >= 1
@@ -766,12 +780,13 @@ class TestShutdown:
 
     @pytest.mark.parametrize("mode,handoff_batch", MODES_AND_HANDOFFS)
     def test_every_service_call_runs_on_the_loop_thread(
-            self, tmp_path, mode, handoff_batch):
+            self, tmp_path, monkeypatch, mode, handoff_batch):
         """Regression: a collector thread read worker reports, and
         stop() ran ``drain_and_close`` -- flush, apply_report,
         check_workers -- on an executor thread, writing SUPPRESS/RESUME
         to transports from there."""
-        _, _, calls = _stop_while_sending(tmp_path, mode, handoff_batch)
+        _, _, calls = _stop_while_sending(monkeypatch, tmp_path, mode,
+                                          handoff_batch)
         assert {name for name, _ in calls} == set(SPIED)
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
@@ -801,14 +816,42 @@ class TestShutdown:
         assert svc.handshake_timeouts == 0
         assert not svc.handshakes and not svc.conns
 
-    def test_loop_reads_reports_across_a_worker_restart(self, tmp_path):
+    def test_stop_releases_the_service(self, tmp_path):
+        """Regression: the server armed a handshake-deadline timer per
+        accepted connection and never cancelled it, so every
+        ``ConnProtocol`` -- and through it the whole service -- stayed
+        reachable for ``HANDSHAKE_TIMEOUT_S`` after ``stop()``."""
+        async def main():
+            svc = IngestService(1, mode="inline", root=tmp_path)
+            server = await serve(svc)
+            _, silent = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            client = VehicleClient("veh-1", port=server.port)
+            await client.connect()
+            await client.send_events([ev("veh-1", "sig.0", 1.0, 1)])
+            await asyncio.wait_for(client.drain(), timeout=30.0)
+            await client.close()
+            assert len(svc.handshakes) == 1    # the silent handshake
+            await server.stop()
+            silent.close()
+            ref = weakref.ref(svc)
+            del svc, server
+            gc.collect()
+            return ref()
+
+        assert asyncio.run(main()) is None
+
+    def test_loop_reads_reports_across_a_worker_restart(self, tmp_path,
+                                                        monkeypatch):
         """With the pump idle only the loop's reader on a worker's
         completion pipe can deliver an ACK; after the supervisor
         restarts the worker, the reader follows it to the fresh pipe."""
+        monkeypatch.setattr(service, "HANDOFF_BATCH", 1)
+        monkeypatch.setattr(service, "FLUSH_INTERVAL_S", IDLE_PUMP_S)
+
         async def main():
-            svc = IngestService(1, mode="process", root=tmp_path,
-                                handoff_batch=1)
-            server = IngestServer(svc, flush_interval_s=IDLE_PUMP_S)
+            svc = IngestService(1, mode="process", root=tmp_path)
+            server = IngestServer(svc)
             await server.start()
             client = VehicleClient("veh-1", port=server.port)
             await client.connect()

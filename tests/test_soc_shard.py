@@ -189,6 +189,14 @@ def _stream(n_events=400, seed=7):
     return events
 
 
+#: The golden below was recorded from a pipeline that refused events
+#: under ASIL A at admission.  The pipeline has no severity floor any
+#: more, so the drive leaves those events unoffered at their stream
+#: positions: pumps land where they did, and every downstream counter
+#: and the sink log stay comparable with the recording.
+RECORDED_FLOOR = Asil.A
+
+
 def _drive(pipeline, events, pump_every=25):
     """Offer the stream, pumping periodically; returns the sink log."""
     audit = ConservationAudit()
@@ -196,7 +204,8 @@ def _drive(pipeline, events, pump_every=25):
     pipeline.add_batch_sink(
         lambda now, batch: seen.extend((now, e.event_id) for e in batch))
     for index, (now, event) in enumerate(events):
-        pipeline.offer(now, event)
+        if event.severity >= RECORDED_FLOOR:
+            pipeline.offer(now, event)
         if (index + 1) % pump_every == 0:
             pipeline.pump(now)
             audit.check(pipeline)      # the oracle: accounting adds up
@@ -207,17 +216,17 @@ def _drive(pipeline, events, pump_every=25):
     return seen
 
 
-PIPE_KW = dict(capacity_eps=40.0, queue_capacity=32, batch_size=8,
-               min_severity=Asil.A)
+PIPE_KW = dict(capacity_eps=40.0, queue_capacity=32, batch_size=8)
 
 
 #: Recorded from the single-queue ``IngestPipeline(**PIPE_KW)`` that
 #: preceded the sharded merge, driven by ``_drive(_stream())``: the
 #: exact ``json.dumps(metrics())`` bytes (key order included) and the
 #: SHA-256 of the sink log, one ``f"{now!r} {event_id}"`` line per
-#: delivered event.
+#: delivered event.  ``offered`` is the recording's 400 less its 59
+#: floor rejections, which the drive no longer offers.
 GOLDEN_ONE_SHARD_METRICS = (
-    '{"offered": 400.0, "rejected_invalid": 35.0, "rejected_severity": 59.0,'
+    '{"offered": 341.0, "rejected_invalid": 35.0,'
     ' "admitted": 306.0, "queued_shed": 1.0, "queue_refused": 0.0,'
     ' "queue_evicted": 1.0, "shed_rate": 0.0032679738562091504,'
     ' "dispatched": 305.0, "batches": 46.0, "queue_depth": 0.0,'
@@ -241,7 +250,6 @@ class TestDifferential:
         # The stream actually exercised every accounting path.
         shard = pipe.shards[0]
         assert shard.rejected_invalid > 0
-        assert shard.rejected_severity > 0
         assert shard.queue.lost > 0
         assert shard.stats["dispatch"].exited > 0
 

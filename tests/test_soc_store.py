@@ -44,6 +44,7 @@ from repro.soc import (
 )
 from repro.soc.center import PUMP_TICK_S
 from repro.soc.events import event_from_obj
+from repro.soc import store as store_module
 from repro.soc.service import encode_batch
 from repro.soc.store import (
     FRAME_HEADER,
@@ -235,8 +236,9 @@ class TestEventLog:
         assert [r.seq for r in log.replay(after_seq=3)] == [4, 5]
         log.close()
 
-    def test_rotation_writes_sidecar_index(self, tmp_path):
-        log = EventLog(tmp_path, segment_max_records=2, index_every=1)
+    def test_rotation_writes_sidecar_index(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "INDEX_EVERY", 1)
+        log = EventLog(tmp_path, segment_max_records=2)
         for i in range(5):
             log.append(float(i), 0, ev("v1", "s", float(i), i))
         log.close()
@@ -272,8 +274,6 @@ class TestEventLog:
             EventLog(tmp_path / "bad", fsync="sometimes")
         with pytest.raises(ValueError):
             EventLog(tmp_path / "bad", segment_max_records=0)
-        with pytest.raises(ValueError):
-            EventLog(tmp_path / "bad", index_every=0)
 
     def test_corrupt_closed_segment_raises(self, tmp_path):
         log = EventLog(tmp_path, segment_max_records=2)
@@ -353,11 +353,14 @@ class TestTornWriteRecovery:
 class TestForensicsScan:
     DISORDER = 2.0
 
+    @pytest.fixture(autouse=True)
+    def _dense_index(self, monkeypatch):
+        monkeypatch.setattr(store_module, "INDEX_EVERY", 4)
+
     @staticmethod
     def _populated(tmp_path, n=400, batch=7, segment_max=16):
         rng = RngStreams(5).get("scan")
-        log = EventLog(tmp_path, segment_max_records=segment_max,
-                       index_every=4)
+        log = EventLog(tmp_path, segment_max_records=segment_max)
         events = []
         for i in range(n):
             t = i * 0.25 + rng.uniform(0.0, TestForensicsScan.DISORDER)
@@ -452,22 +455,23 @@ class TestForensicsScan:
 # Snapshots
 # ----------------------------------------------------------------------
 class TestSnapshotStore:
-    def test_retention_keeps_newest(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=2)
+    def test_retention_keeps_newest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "SNAPSHOT_KEEP", 2)
+        store = SnapshotStore(tmp_path)
         for i in range(5):
             store.save({"state": i})
         assert store.load_latest() == {"state": 4}
         assert len(list(tmp_path.glob("snap-*.json"))) == 2
 
     def test_corrupt_latest_falls_back(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=4)
+        store = SnapshotStore(tmp_path)
         store.save({"state": "good"})
         newest = store.save({"state": "torn"})
         newest.write_text(newest.read_text()[:20])  # torn write
         assert store.load_latest() == {"state": "good"}
 
     def test_crc_mismatch_is_skipped(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=4)
+        store = SnapshotStore(tmp_path)
         store.save({"state": "good"})
         newest = store.save({"state": "tampered"})
         wrapped = json.loads(newest.read_text())
