@@ -212,6 +212,8 @@ VECTORIZE_THRESHOLD = 200_000
 
 #: Simulated seconds between generator ticks.
 TICK_S = 0.5
+#: Benign (ASIL A) telemetry per vehicle per second.
+BENIGN_RATE_EPS = 0.004
 #: Shared ambient (ASIL B) telemetry per vehicle per second.
 AMBIENT_RATE_EPS = 0.0001
 #: Re-emissions per compromised, unpatched vehicle per second.
@@ -250,13 +252,11 @@ class FleetWorkloadGenerator:
         rng: RngStreams,
         fleet: FleetModel,
         pipeline: IngestPipeline,
-        benign_rate_eps: float = 0.004,   # per vehicle per second, ASIL A
         vectorized: Optional[bool] = None,
     ) -> None:
         self.sim = sim
         self.fleet = fleet
         self.pipeline = pipeline
-        self.benign_rate_eps = benign_rate_eps
         # Shared "ambient" signatures: benign-but-actionable patterns that
         # recur fleet-wide (a flaky infotainment build tripping its own
         # IDS, garage RF noise).  The pool grows with the fleet -- more
@@ -317,7 +317,7 @@ class FleetWorkloadGenerator:
         rng = self._np_rng
         n = self.fleet.n_vehicles
         # Per-vehicle one-off noise (ASIL A): volume, never correlates.
-        k = int(rng.poisson(n * self.benign_rate_eps * TICK_S))
+        k = int(rng.poisson(n * BENIGN_RATE_EPS * TICK_S))
         if k and self.pipeline.fully_congested:
             self.suppressed_at_source += k
         elif k:
@@ -351,7 +351,7 @@ class FleetWorkloadGenerator:
         rng = self._benign_rng
         n = self.fleet.n_vehicles
         # Per-vehicle one-off noise (ASIL A): volume, never correlates.
-        lam = n * self.benign_rate_eps * TICK_S
+        lam = n * BENIGN_RATE_EPS * TICK_S
         for _ in range(poisson_draw(rng, lam)):
             vehicle = self.fleet.vid(rng.randrange(n))
             jitter = rng.uniform(-TICK_S, 0.0)

@@ -80,10 +80,9 @@ class TokenBucket:
 
 @dataclass
 class StageStats:
-    """Per-stage counters: admit counts arrivals in ``entered``,
-    dispatch counts departures in ``exited`` with batches and waits."""
+    """Dispatch counters: departures in ``exited``, with batches and
+    waits."""
 
-    entered: int = 0
     exited: int = 0
     batches: int = 0
     latency_sum_s: float = 0.0
@@ -206,10 +205,8 @@ class IngestShard:
         self._congestion_depth = max(
             1, int(queue_capacity * CONGESTION_WATERMARK))
         self._batch_sinks: List[Callable[[float, List[SecurityEvent]], None]] = []
-        self.stats = {
-            "admit": StageStats(),
-            "dispatch": StageStats(),
-        }
+        self.stats = {"dispatch": StageStats()}
+        self.offered = 0
         self.rejected_invalid = 0
 
     def add_batch_sink(
@@ -236,7 +233,7 @@ class IngestShard:
         """Admit one event; returns True if it made it into the queue.
         A time outside ``[0, now]`` -- NaN and infinities included -- is
         invalid."""
-        self.stats["admit"].entered += 1
+        self.offered += 1
         if not event.vehicle_id or not 0.0 <= event.time <= now + 1e-9:
             self.rejected_invalid += 1
             return False
@@ -269,7 +266,7 @@ class IngestShard:
     def metrics(self) -> Dict[str, float]:
         dispatch = self.stats["dispatch"]
         return {
-            "offered": float(self.stats["admit"].entered),
+            "offered": float(self.offered),
             "rejected_invalid": float(self.rejected_invalid),
             "admitted": float(self.queue.offered),
             "queued_shed": float(self.queue.lost),

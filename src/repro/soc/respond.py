@@ -43,6 +43,9 @@ from repro.soc.incident import Incident, IncidentState
 TRIAGE_DELAY_S = 0.5
 CONTAINMENT_DELAY_S = 1.5
 REMEDIATION_DELAY_S = 6.0
+#: Vehicles per campaign that run full Uptane verification (the canary
+#: ring); the rest of the affected set is modelled bookkeeping.
+OTA_SAMPLE = 1
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,9 @@ class ResponseOrchestrator:
         sim: Simulator,
         fleet: FleetModel,
         update_key: bytes = b"soc-policy-key!!",
-        ota_sample: int = 1,
     ) -> None:
         self.sim = sim
         self.fleet = fleet
-        self.ota_sample = ota_sample
 
         base = SecurityPolicy(version=1, rules=[
             PolicyRule(frozenset(["*"]), frozenset(["*"]), frozenset(["*"]),
@@ -191,7 +192,7 @@ class ResponseOrchestrator:
         of firmware that vehicles reject is worse than a late patch).
         Failures land in ``ota_results['failed']``, never silently.
         """
-        if self.ota_sample <= 0 or not affected:
+        if OTA_SAMPLE <= 0 or not affected:
             return 0
         self._ensure_ota()
         assert self._image_repo is not None and self._director is not None
@@ -202,7 +203,7 @@ class ResponseOrchestrator:
         now = self.sim.now
         self._image_repo.add_image(image, now)
         installed = 0
-        for vehicle_id in sorted(affected)[: self.ota_sample]:
+        for vehicle_id in sorted(affected)[:OTA_SAMPLE]:
             client = self._make_vehicle_client(vehicle_id)
             self._director.assign(vehicle_id, image, now)
             result = client.update(self._director, self._image_repo, now)

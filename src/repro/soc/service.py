@@ -68,9 +68,9 @@ the caller.  It is differential-tested byte-identical (analytics
 snapshot *and* log bytes) to driving the in-process pipeline directly.
 
 Behind :class:`IngestServer` one thread calls the service, the event
-loop's: it reads the workers' completion pipes, and its ``stop()``
-stops intake before it drains, so every routed batch is acked and its
-ACK written before the sessions close.
+loop's, and only events wake it: a route, a worker's report or death,
+a quota timer.  ``stop()`` stops intake before it drains, so every
+routed batch is acked and its ACK written before the sessions close.
 """
 
 from __future__ import annotations
@@ -165,7 +165,6 @@ RESUME_BELOW = 2            # ... and below which it RESUMEs
 HANDSHAKE_TIMEOUT_S = 5.0   # accept to WELCOME
 MAX_PREAUTH_BYTES = 4096    # bytes a connection may send before WELCOME
 MAX_HALF_OPEN = 1024        # connections in their handshake at once
-FLUSH_INTERVAL_S = 0.002    # IngestServer's pump period
 DRAIN_POLL_S = 0.01         # drain_and_close's wait per polling round
 DRAIN_TIMEOUT_S = 30.0      # ... and in all
 JOURNAL_KEEP = 256          # handoff-journal entries a rewrite keeps
@@ -610,12 +609,8 @@ class WorkerCore:
         if 0 <= seq <= soc.pump_no:
             self.replayed_handoffs += 1
             acks = self._journal.lookup(seq) if self._journal else ()
-            return WorkerReport(shard=self.index, acks=tuple(acks),
-                                dispatched=0,
-                                congested=soc.pipeline.congested,
-                                pump_no=soc.pump_no,
-                                queue_depth=soc.pipeline.queue_depth,
-                                handoff_seq=seq)
+            return WorkerReport(self.index, tuple(acks),
+                                soc.pipeline.congested, seq)
         pipeline = soc.pipeline
         offer = pipeline.offer
         authenticated = self.config.fleet_key is not None
@@ -649,19 +644,14 @@ class WorkerCore:
         pre_mark = None
         if self._journal is not None and seq >= 0:
             pre_mark = lambda: self._journal.record(seq, acks)  # noqa: E731
-        dispatched = soc.service_pump(t_send, pre_mark=pre_mark)
-        self.events_dispatched += dispatched
+        self.events_dispatched += soc.service_pump(t_send, pre_mark=pre_mark)
         self.handoffs += 1
         if t_mono is not None:
             wait = max(0.0, time.monotonic() - t_mono)
             self.handoff_latency_sum_s += wait
             if wait > self.handoff_latency_max_s:
                 self.handoff_latency_max_s = wait
-        return WorkerReport(shard=self.index, acks=tuple(acks),
-                            dispatched=dispatched, congested=congested,
-                            pump_no=soc.pump_no,
-                            queue_depth=pipeline.queue_depth,
-                            handoff_seq=seq)
+        return WorkerReport(self.index, tuple(acks), congested, seq)
 
     def metrics(self) -> Dict[str, float]:
         """The center's full metrics dict plus service-side counters."""
@@ -696,15 +686,12 @@ class WorkerReport:
     #: accepted == -1 flags an undecodable payload (connection fault),
     #: accepted == -2 a tampered/missing CMAC trailer (auth fault).
     acks: Tuple[Tuple[int, int, int, int], ...]
-    dispatched: int
     congested: bool
-    pump_no: int
-    queue_depth: int
     #: The frontend's per-shard handoff sequence number this report
     #: answers; the frontend's in-flight ledger pops it exactly once
     #: (a duplicate -- e.g. a pre-crash report racing the restarted
     #: worker's journal replay -- is dropped, not double-accounted).
-    handoff_seq: int = -1
+    handoff_seq: int
 
 
 def recover_worker(root, index: int) -> RecoveredAnalytics:
@@ -733,9 +720,16 @@ class _InlineBackend:
         self.config = config
         self.cores = [WorkerCore(i, root, config) for i in range(num_workers)]
         self._reports: List[WorkerReport] = []
+        self._watch: Optional[Tuple] = None
 
-    def watch(self, loop, on_report: Callable[[], object]) -> None:
-        """No pipe to watch: the pump applies reports after its flush."""
+    def watch(self, loop, on_report: Callable[[], object],
+              on_death: Callable[[], object]) -> None:
+        """Each submit schedules ``on_report`` on ``loop``, and each kill
+        ``on_death`` (one still pending at :meth:`unwatch` is a no-op)."""
+        self._watch = (loop, on_report, on_death)
+
+    def unwatch(self) -> None:
+        self._watch = None
 
     def submit(self, shard: int, seq: int, t_send: float,
                t_mono: Optional[float],
@@ -746,6 +740,8 @@ class _InlineBackend:
             # supervisor keys off in this backend.
             return False
         self._reports.append(core.ingest_handoff(t_send, items, seq=seq))
+        if self._watch is not None:
+            self._watch[0].call_soon(self._watch[1])
         return True
 
     def get_report(self, timeout: float = 0.0) -> Optional[WorkerReport]:
@@ -755,6 +751,8 @@ class _InlineBackend:
         """Simulate a worker crash: drop the core on the floor without
         snapshot or close (its durable store is the only survivor)."""
         self.cores[shard] = None
+        if self._watch is not None:
+            self._watch[0].call_soon(self._watch[2])
 
     def dead_workers(self) -> List[int]:
         return [i for i, core in enumerate(self.cores) if core is None]
@@ -845,12 +843,29 @@ class _ProcessBackend:
         except queue_mod.Full:
             return False
 
-    def watch(self, loop, on_report: Callable[[], object]) -> None:
+    def watch(self, loop, on_report: Callable[[], object],
+              on_death: Callable[[], object]) -> None:
         """Run ``on_report`` on ``loop`` whenever a completion pipe is
-        readable (moved at :meth:`restart`, removed at :meth:`close`)."""
-        self._watch = (loop, on_report)
-        for q in self.out_qs:
+        readable, and ``on_death`` when a worker's ``Process.sentinel``
+        is (the readers move at :meth:`restart`, go at :meth:`unwatch`)."""
+        self._watch = (loop, on_report, on_death)
+        for q, proc in zip(self.out_qs, self.procs):
             loop.add_reader(q._reader.fileno(), on_report)
+            loop.add_reader(proc.sentinel, self._died, loop, proc, on_death)
+
+    @staticmethod
+    def _died(loop, proc, on_death: Callable[[], object]) -> None:
+        # A dead worker's sentinel stays readable (for good, when nothing
+        # restarts it): one notice per death.
+        loop.remove_reader(proc.sentinel)
+        on_death()
+
+    def unwatch(self) -> None:
+        if self._watch is not None:
+            for q, proc in zip(self.out_qs, self.procs):
+                self._watch[0].remove_reader(q._reader.fileno())
+                self._watch[0].remove_reader(proc.sentinel)
+            self._watch = None
 
     def get_report(self, timeout: float = 0.0) -> Optional[WorkerReport]:
         deadline = time.monotonic() + timeout
@@ -893,32 +908,28 @@ class _ProcessBackend:
         if dead.is_alive():  # pragma: no cover - caller checks first
             raise RuntimeError(f"worker {shard} is still alive")
         dead.join()
+        watch = self._watch
+        # Off the old pipe and sentinel before they close and their fds
+        # are reused.
+        self.unwatch()
         old_q = self.in_qs[shard]
         old_q.close()
         old_q.cancel_join_thread()
-        old_out = self.out_qs[shard]
+        self.out_qs[shard].close()
         ctx = mp.get_context()
         self.in_qs[shard] = ctx.Queue(
             maxsize=max(QUEUE_MAX_HANDOFFS, min_capacity))
         self.out_qs[shard] = ctx.Queue()
-        if self._watch is not None:
-            # Off the old pipe before it closes and its fd is reused.
-            loop, on_report = self._watch
-            loop.remove_reader(old_out._reader.fileno())
-            loop.add_reader(self.out_qs[shard]._reader.fileno(), on_report)
-        old_out.close()
         self.procs[shard] = ctx.Process(
             target=_worker_main,
             args=(shard, self.root, self.config, self.in_qs[shard],
                   self.out_qs[shard], True),
             daemon=True)
         self.procs[shard].start()
+        if watch is not None:
+            self.watch(*watch)
 
     def close(self) -> List[Dict[str, float]]:
-        if self._watch is not None:
-            for q in self.out_qs:
-                self._watch[0].remove_reader(q._reader.fileno())
-            self._watch = None
         expected = 0
         for shard, proc in enumerate(self.procs):
             if proc.is_alive():
@@ -962,15 +973,19 @@ class _Conn:
     bucket: Optional[TokenBucket] = None
     quota_suppressed: bool = False
     quota_refused: int = 0
+    lift: Optional[asyncio.TimerHandle] = None  # armed while quota_suppressed
 
 
 class IngestService:
     """The ingest tier behind the TCP server: shard buffers, worker
     backend, flow accounting, and the SUPPRESS/RESUME state machine.
 
-    Usable without any network at all (the differential and recovery
-    tests drive :meth:`route` / :meth:`flush` / :meth:`poll_completions`
-    directly); one :class:`ConnProtocol` per connection drives it.
+    One :class:`ConnProtocol` per connection drives it.  Once
+    :class:`IngestServer` hands it the loop (:meth:`attach`), each
+    handoff (:meth:`group_commit`), report (:meth:`poll_completions`),
+    restart (:meth:`check_workers`) and quota lift (:meth:`lift_quota`)
+    runs from one event on that loop.  Without a loop, explicit calls
+    drive it (tests, the drain), and a route never submits by itself.
 
     :data:`SUPPRESS_AFTER` / :data:`RESUME_BELOW` bound the
     *outstanding handoffs* per shard -- the frontend's own watermark on
@@ -1077,6 +1092,13 @@ class IngestService:
         self.protocol_errors = 0
         self.closed = False
         self._final_metrics: Optional[List[Dict[str, float]]] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._flush_due: Optional[asyncio.Handle] = None
+
+    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Run every trigger on ``loop`` (see the class docstring)."""
+        self._loop = loop
+        self.backend.watch(loop, self.poll_completions, self.check_workers)
 
     # -- connection lifecycle ------------------------------------------
     def open_conn(self, client_id: str,
@@ -1097,6 +1119,8 @@ class IngestService:
         conn = self.conns.pop(conn_id, None)
         if conn is not None:
             self._shard_conns[conn.shard].pop(conn_id, None)
+            if conn.lift is not None:
+                conn.lift.cancel()
 
     # -- ingest path ----------------------------------------------------
     def route(self, conn: _Conn, payload: bytes) -> bool:
@@ -1106,7 +1130,7 @@ class IngestService:
         Returns ``False`` when the connection's token bucket refuses the
         batch (over quota): the payload is *not* buffered, the refusal
         is counted, and the connection is put under targeted SUPPRESS
-        until :meth:`_refresh_quotas` sees its bucket half-full again.
+        until :meth:`lift_quota` finds its bucket half-full again.
         A malformed payload raises
         :class:`~repro.soc.store.CorruptRecord` -- the caller drops the
         connection through its one deliberate protocol-fault path."""
@@ -1119,6 +1143,7 @@ class IngestService:
             if not conn.quota_suppressed:
                 conn.quota_suppressed = True
                 self._sync_conn_suppression(conn)
+                self._arm_lift(conn)
             return False
         self._buffers[conn.shard].append(
             (conn.conn_id, conn.client_id, batch_id, payload))
@@ -1163,14 +1188,30 @@ class IngestService:
             else:
                 self.submit_refusals += 1
             self._update_suppression(index)
-        self._refresh_quotas(t_mono)
         return submitted
 
-    def maybe_flush(self, shard: int) -> int:
-        """Flush one shard iff its buffer reached :data:`HANDOFF_BATCH`."""
+    def group_commit(self, shard: int) -> None:
+        """After a route: a buffer of :data:`HANDOFF_BATCH` batches goes
+        to its worker now, any other as :meth:`_flush_if_idle` says."""
         if len(self._buffers[shard]) >= HANDOFF_BATCH:
-            return self.flush(shard)
-        return 0
+            self.flush(shard)
+        else:
+            self._flush_if_idle(shard)
+
+    def _flush_if_idle(self, shard: int) -> None:
+        """With a loop attached, an idle worker's buffer goes in this
+        turn's one coalesced :meth:`flush_idle`; a busy worker's waits
+        for the report that frees it (which calls this, as a restart
+        does)."""
+        if (self._loop is not None and self._flush_due is None
+                and self._buffers[shard] and not self._inflight[shard]):
+            self._flush_due = self._loop.call_soon(self.flush_idle)
+
+    def flush_idle(self) -> int:
+        """The turn's one flush: every buffer whose worker is idle."""
+        self._flush_due = None
+        return sum(self.flush(shard) for shard in range(self.num_workers)
+                   if self._buffers[shard] and not self._inflight[shard])
 
     def apply_report(self, report: WorkerReport
                      ) -> List[Tuple[_Conn, int, int, int]]:
@@ -1211,6 +1252,7 @@ class IngestService:
                 self.close_conn(conn.conn_id)
             else:
                 writer.write(frame_payload(encode_ack(batch_id, accepted, 1)))
+        self._flush_if_idle(report.shard)
         return out
 
     def poll_completions(self, timeout: float = 0.0
@@ -1259,19 +1301,26 @@ class IngestService:
             for conn in self._shard_conns[shard].values():
                 self._sync_conn_suppression(conn)
 
-    def _refresh_quotas(self, now: Optional[float] = None) -> None:
-        """Lift targeted SUPPRESS from quota-throttled connections whose
+    def _arm_lift(self, conn: _Conn) -> None:
+        """With a loop, time ``lift_quota`` for a half-full bucket."""
+        if self._loop is not None:
+            bucket = conn.bucket
+            wait = (bucket.burst / 2.0
+                    - bucket.level(self.mono_clock())) / bucket.rate
+            conn.lift = self._loop.call_later(max(0.0, wait),
+                                              self.lift_quota, conn)
+
+    def lift_quota(self, conn: _Conn) -> None:
+        """Quota timer: lift the connection's targeted SUPPRESS once its
         bucket has refilled to half its burst (hysteresis: resuming at
-        the refusal threshold would flap on every refill tick)."""
-        if self.quota_bytes_per_s is None:
-            return
-        if now is None:
-            now = self.mono_clock()
-        for conn in self.conns.values():
-            if (conn.quota_suppressed and conn.bucket is not None
-                    and conn.bucket.level(now) >= conn.bucket.burst / 2.0):
-                conn.quota_suppressed = False
-                self._sync_conn_suppression(conn)
+        the refusal threshold would flap on every refill), or re-arm the
+        timer if a take since the refusal left it short."""
+        conn.lift = None
+        if conn.bucket.level(self.mono_clock()) < conn.bucket.burst / 2.0:
+            self._arm_lift(conn)
+        else:
+            conn.quota_suppressed = False
+            self._sync_conn_suppression(conn)
 
     def suppressed(self, shard: int) -> bool:
         return self._suppressed[shard]
@@ -1308,6 +1357,7 @@ class IngestService:
                 else:  # pragma: no cover - queue sized for all pending
                     self.submit_refusals += 1
             self._update_suppression(shard)
+            self._flush_if_idle(shard)
         return restarted
 
     # -- shutdown / observability --------------------------------------
@@ -1319,6 +1369,12 @@ class IngestService:
         `date`) must never cut a drain short or hang it."""
         if self.closed:
             return self._final_metrics or []
+        # Back to explicit calls: drop the turn's pending flush and stop
+        # watching the workers (closing a session cancels its quota timer).
+        if self._flush_due is not None:
+            self._flush_due.cancel()
+        self.backend.unwatch()
+        self._loop = self._flush_due = None
         deadline = self.mono_clock() + DRAIN_TIMEOUT_S
         while self.buffered() or any(self._inflight):
             self.check_workers()
@@ -1375,7 +1431,7 @@ class ConnProtocol(asyncio.Protocol):
     the front door makes a protocol decision, and none waits on I/O.
     Bytes come in through :meth:`data_received`, clock readings through
     the service's ``mono_clock``; frames go out to the transport, and
-    ``open_conn``/``route``/``maybe_flush``/``close_conn`` calls to the
+    ``open_conn``/``route``/``group_commit``/``close_conn`` calls to the
     service.  Tests drive it with a fake transport and no loop.
 
     States: ``hello`` -> (``auth``, after a CHALLENGE) -> ``session``
@@ -1496,7 +1552,7 @@ class ConnProtocol(asyncio.Protocol):
         service, conn = self.service, self.conn
         if payload[:4] == _BATCH_PREFIX:
             if service.route(conn, payload):
-                service.maybe_flush(conn.shard)
+                service.group_commit(conn.shard)
                 return
             # Over quota: hard-refuse, and return the credit so the
             # client's ledger stays live.
@@ -1539,11 +1595,11 @@ class IngestServer:
     """The asyncio TCP frontend over an :class:`IngestService`, and the
     one thread that calls it: the event loop.
 
-    One :class:`ConnProtocol` per connection; one pump task that runs
-    the supervisor tick, flushes buffers every :data:`FLUSH_INTERVAL_S` and
-    applies finished handoffs.  In process mode the loop also reads each
-    worker's completion pipe as soon as it is readable, so ACK latency
-    is not quantized to the flush interval.  Applying a report
+    One :class:`ConnProtocol` per connection, each with a handshake
+    timer.  :meth:`start` attaches the loop to the service, which then
+    runs each handoff, report, restart and quota lift from its one
+    event-driven trigger (:class:`IngestService`); an idle server has
+    nothing scheduled but handshake timers.  Applying a report
     (:meth:`IngestService.apply_report`) writes its ACK, SUPPRESS and
     RESUME frames.
     """
@@ -1566,26 +1622,16 @@ class IngestServer:
 
         self._server = await loop.create_server(accept, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        service.backend.watch(loop, service.poll_completions)
-        self._pump_task = asyncio.create_task(self._pump())
-
-    async def _pump(self) -> None:
-        service = self.service
-        while True:
-            await asyncio.sleep(FLUSH_INTERVAL_S)
-            service.check_workers()
-            service.flush()
-            service.poll_completions()
+        service.attach(loop)
 
     async def stop(self) -> List[Dict[str, float]]:
-        """Quiesce, in this order: cancel the pump; close the listener;
-        stop intake (sessions stop being read, and each unfinished
-        handshake is closed without counting a timeout); drain on the
-        loop, which acks every routed batch and writes each ACK, then
-        stops the workers; close the sessions.  Returns final per-worker
-        metrics."""
+        """Quiesce, in this order: close the listener; stop intake
+        (sessions stop being read, and each unfinished handshake is
+        closed without counting a timeout); drain on the loop, which
+        detaches the service from it, acks every routed batch and writes
+        each ACK, then stops the workers; close the sessions (each close
+        cancels its quota timer).  Returns final per-worker metrics."""
         service = self.service
-        self._pump_task.cancel()
         self._server.close()
         sessions = [conn.writer for conn in service.conns.values()
                     if conn.writer is not None]

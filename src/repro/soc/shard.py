@@ -97,7 +97,7 @@ class ConservationAudit:
     # ------------------------------------------------------------------
     def _check_ledger(self, label: str, shard) -> None:
         q = shard.queue
-        offered = shard.stats["admit"].entered
+        offered = shard.offered
         dispatched = shard.stats["dispatch"].exited
         accounted = (
             shard.rejected_invalid + q.shed + q.evicted + dispatched + len(q)

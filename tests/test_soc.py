@@ -41,6 +41,7 @@ from repro.ecu.firmware import FirmwareImage, FirmwareStore
 from repro.ota import DirectorRepository, UptaneClient
 from repro.v2x.misbehavior import MisbehaviorReport
 from repro.experiments import e17_soc
+from repro.soc import respond
 
 
 def ev(vehicle, sig, time, seq=None, severity=Asil.B):
@@ -475,7 +476,7 @@ class TestResponseLoop:
                                   5.0)
         fleet = FleetModel(10, [campaign])
         tracker = IncidentTracker()
-        orchestrator = ResponseOrchestrator(sim, fleet, ota_sample=1)
+        orchestrator = ResponseOrchestrator(sim, fleet)
         detection = CampaignDetection(campaign.signature, 1.0, 0.5,
                                       ("v000000", "v000001", "v000002"), 8.0, 3)
         incident = tracker.open_from_detection(detection, Asil.D)
@@ -522,7 +523,8 @@ class TestResponseLoop:
         orchestrator.vehicle_engine.apply_update(blob, tag)
         assert orchestrator.vehicle_engine.policy.version == 2
 
-    def test_ota_campaign_aborts_on_uptane_verification_failure(self):
+    def test_ota_campaign_aborts_on_uptane_verification_failure(
+            self, monkeypatch):
         # A sample (canary) vehicle pinned to the wrong director root
         # fails full Uptane metadata verification; the campaign must
         # abort -- counting the failure, installing nothing further.
@@ -544,7 +546,8 @@ class TestResponseLoop:
             tuple(FleetModel.vehicle_id(i) for i in range(10)), 5.0)
         fleet = FleetModel(10, [campaign])
         tracker = IncidentTracker()
-        orchestrator = WrongRootOrchestrator(sim, fleet, ota_sample=3)
+        monkeypatch.setattr(respond, "OTA_SAMPLE", 3)
+        orchestrator = WrongRootOrchestrator(sim, fleet)
         detection = CampaignDetection(campaign.signature, 1.0, 0.5,
                                       ("v000000", "v000001", "v000002"),
                                       8.0, 3)

@@ -4,11 +4,12 @@ connection state machine, driven without sockets.
 Two harnesses:
 
 - A Hypothesis ``RuleBasedStateMachine`` (plain and authenticated)
-  runs many connections over an inline :class:`IngestService` with a
-  fake transport and an injected monotonic clock.  Its rules are the
-  client's messages and faults, the clock, the loop's disconnects and
-  the service's pump, quota and worker kills; it checks each against a
-  small reference model.
+  runs many connections over an inline :class:`IngestService` attached
+  to a fake event loop, with a fake transport and an injected monotonic
+  clock.  Its rules are the client's messages and faults, the clock,
+  the loop's turns, timers and disconnects, and the service's explicit
+  calls, quota and worker kills; it checks each against a small
+  reference model.
 - A hostile-frame catalogue: declarative rows of ``(id, stage, wire
   bytes, expected outcome, counter that must move)``.  Every row runs
   against the protocol object, and the whole table runs once against a
@@ -20,7 +21,7 @@ import json
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -83,6 +84,61 @@ class FakeTransport:
         self.closing = True
 
 
+@dataclass(eq=False)
+class FakeHandle:
+    callback: Callable
+    args: tuple
+    when: float = 0.0
+    cancelled: bool = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+    def run(self) -> None:
+        if not self.cancelled:
+            self.callback(*self.args)
+
+
+class FakeLoop:
+    """The loop surface the service schedules on.  ``call_soon``
+    callbacks wait for the model's loop turn, ``call_later`` timers for
+    the rule that fires the due ones."""
+
+    def __init__(self, clock: Callable[[], float]) -> None:
+        self.clock = clock
+        self.ready: List[FakeHandle] = []
+        self.timers: List[FakeHandle] = []
+
+    def call_soon(self, callback, *args) -> FakeHandle:
+        self.ready.append(FakeHandle(callback, args))
+        return self.ready[-1]
+
+    def call_later(self, delay: float, callback, *args) -> FakeHandle:
+        self.timers.append(FakeHandle(callback, args, self.clock() + delay))
+        return self.timers[-1]
+
+    def live(self, callback=None) -> List[FakeHandle]:
+        return [h for h in self.ready if not h.cancelled
+                and (callback is None or h.callback == callback)]
+
+    def run_once(self) -> None:
+        """One loop pass: the callbacks ready when it starts."""
+        ready, self.ready = self.ready, []
+        for handle in ready:
+            handle.run()
+
+    def fire_due_timers(self, slack: float = 0.0) -> List[FakeHandle]:
+        """Run the timers due by ``slack`` past now (asyncio fires a
+        timer up to its clock resolution early)."""
+        now = self.clock() + slack
+        due = [h for h in self.timers if not h.cancelled and h.when <= now]
+        self.timers = [h for h in self.timers
+                       if not h.cancelled and h.when > now]
+        for handle in due:
+            handle.run()
+        return due
+
+
 def ev(vehicle, seq, t=999.0, severity=Asil.C):
     return make_event(vehicle, EventSource.IDS, f"sig.{seq % 3}", t, seq,
                       severity=severity)
@@ -143,13 +199,17 @@ class ConnModel(RuleBasedStateMachine):
             quota_bytes_per_s=300.0, quota_burst_bytes=1500.0,
             quota_disconnect_after=DISCONNECT_AFTER,
             clock=lambda: 1000.0, mono_clock=lambda: self.now[0])
+        self.loop = FakeLoop(lambda: self.now[0])
+        self.svc.attach(self.loop)
         self.peers: List[Peer] = []
         self.answered: Dict[str, List[int]] = {}
 
     # -- the loop and the wire -----------------------------------------
     def loop_turn(self) -> None:
-        """What the event loop does between I/O events: a transport the
+        """What the event loop does between I/O events: it runs the
+        callbacks ready at the start of the turn, and a transport the
         server closed reports ``connection_lost`` to its protocol."""
+        self.loop.run_once()
         for peer in self.peers:
             if peer.transport.closing and not peer.lost:
                 peer.lost = True
@@ -196,10 +256,11 @@ class ConnModel(RuleBasedStateMachine):
             return {"preauth_overflows": 1}
         return None
 
-    def send(self, peer: Peer, payload: bytes, cuts, model) -> None:
+    def send(self, peer: Peer, payload: bytes, cuts, model,
+             turn: bool = True) -> None:
         """Deliver one framed payload; ``model(peer)`` returns the
         expected counter moves and sets ``peer.state`` for a frame that
-        passed the gate."""
+        passed the gate.  With ``turn`` the loop turn follows."""
         wire = frame_payload(payload)
         before = front_counts(self.svc)
         state_was = peer.state
@@ -212,7 +273,8 @@ class ConnModel(RuleBasedStateMachine):
             deltas = model(peer)
         self.expect(before, deltas, peer.client_id)
         assert peer.proto.state == peer.state, (state_was, payload)
-        self.loop_turn()
+        if turn:
+            self.loop_turn()
 
     # -- rules: the client ---------------------------------------------
     @rule()
@@ -309,7 +371,18 @@ class ConnModel(RuleBasedStateMachine):
             if peer is not None:
                 self.send_batch(peer, 4, [])
 
-    def send_batch(self, peer: Peer, n: int, cuts) -> None:
+    @rule(i=PICK, j=PICK)
+    def burst(self, i, j):
+        """Batches from two sessions read in one loop turn: the turn
+        still hands off at most once per idle worker."""
+        for index in (i, j):
+            peer = self.pick(index, ("session",))
+            if peer is not None:
+                self.send_batch(peer, 2, [], turn=False)
+        assert len(self.loop.live(self.svc.flush_idle)) <= 1
+        self.loop_turn()
+
+    def send_batch(self, peer: Peer, n: int, cuts, turn: bool = True) -> None:
         batch_id = peer.next_batch
         payload = encode_batch(batch_id, [
             ev(peer.client_id, 10 * batch_id + i) for i in range(n)])
@@ -317,15 +390,20 @@ class ConnModel(RuleBasedStateMachine):
             payload = seal_payload(
                 derive_session_key(FLEET_KEY, peer.client_id),
                 peer.client_id, payload)
-        routed = self.svc.batches_routed
-        refused = self.svc.quota_refused
+        svc = self.svc
+        routed, refused = svc.batches_routed, svc.quota_refused
+        submitted, refusals = svc.handoffs_submitted, svc.submit_refusals
+        buffered = [svc.buffered(s) for s in range(svc.num_workers)]
+        busy = [svc.inflight_batches(s) > 0 for s in range(svc.num_workers)]
 
         def model(peer):
             if peer.state != "session":
                 return self.fault(peer)
             peer.next_batch += 1
             peer.sent.append(batch_id)
-            if self.svc.batches_routed == routed + 1:
+            if svc.batches_routed == routed + 1:
+                self.check_handoff(peer.proto.conn.shard, buffered, busy,
+                                   submitted, refusals)
                 return {}
             # Over quota: refused, the credit returned at once.
             assert self.svc.quota_refused == refused + 1
@@ -335,7 +413,7 @@ class ConnModel(RuleBasedStateMachine):
                 peer.state = "closed"
                 return {"quota_refused": 1, "quota_disconnects": 1}
             return {"quota_refused": 1}
-        self.send(peer, payload, cuts, model)
+        self.send(peer, payload, cuts, model, turn)
 
     @rule(i=PICK, kind=st.sampled_from(["non-canonical batch", "bye",
                                         "garbage", "preauth flood",
@@ -358,6 +436,27 @@ class ConnModel(RuleBasedStateMachine):
             self.flood_preauth(peer)
         else:
             self.lose(peer, reset=flag)
+
+    def check_handoff(self, shard, buffered, busy, submitted,
+                      refusals) -> None:
+        """The reference rule for when a routed batch is handed off: at
+        once when it fills its buffer to ``HANDOFF_BATCH`` (a dead
+        worker refuses the submit); otherwise it waits, and when its
+        worker has no outstanding handoff the loop turn's one flush is
+        due."""
+        svc = self.svc
+        dead = shard in svc.backend.dead_workers()
+        moved = (svc.handoffs_submitted - submitted,
+                 svc.submit_refusals - refusals)
+        if buffered[shard] + 1 >= MODEL_LIMITS["HANDOFF_BATCH"]:
+            assert moved == ((0, 1) if dead else (1, 0))
+            assert svc.buffered(shard) == (buffered[shard] + 1 if dead
+                                           else 0)
+        else:
+            assert moved == (0, 0)
+            assert svc.buffered(shard) == buffered[shard] + 1
+            if not busy[shard]:
+                assert self.loop.live(svc.flush_idle)
 
     def say_bye(self, peer: Peer, cuts) -> None:
         def model(peer):
@@ -426,6 +525,31 @@ class ConnModel(RuleBasedStateMachine):
                     "clock")
         self.loop_turn()
 
+    @rule(early=st.sampled_from([0.0, 0.0, 0.05, 1.0]))
+    def quota_timers_fire(self, early):
+        """Fire every quota timer due within ``early`` seconds (a timer
+        that finds its bucket short, as after a take since it was armed,
+        must re-arm): it lifts its connection's SUPPRESS once the bucket
+        is half full, and re-arms itself otherwise."""
+        for handle in self.loop.fire_due_timers(early):
+            conn = handle.args[0]
+            half = conn.bucket.level(self.now[0]) >= conn.bucket.burst / 2.0
+            assert conn.quota_suppressed != half
+            assert (conn.lift is not None) == conn.quota_suppressed
+        self.loop_turn()
+
+    @rule()
+    def settle(self):
+        """Let the loop run until nothing is ready: every batch routed to
+        a worker, live or restarted, has then been handed off and
+        answered."""
+        for _ in range(50):
+            if not self.loop.live():
+                break
+            self.loop_turn()
+        assert not self.loop.live()
+        assert self.svc.buffered() == self.svc.inflight_batches() == 0
+
     # -- rules: the service --------------------------------------------
     @rule()
     def flush(self):
@@ -459,6 +583,27 @@ class ConnModel(RuleBasedStateMachine):
             p.state in PRE for p in self.peers)
         assert sorted(c.client_id for c in self.svc.conns.values()) == \
             sorted(p.client_id for p in self.peers if p.state == "session")
+
+    @invariant()
+    def every_waiting_batch_has_a_trigger(self):
+        """A buffered or in-flight batch always has a loop callback that
+        will move it (a flush, a report or a restart), and the turn's
+        flush is coalesced."""
+        for shard in range(self.svc.num_workers):
+            if self.svc.buffered(shard) or self.svc.inflight_batches(shard):
+                assert self.loop.live()
+        assert len(self.loop.live(self.svc.flush_idle)) <= 1
+
+    @invariant()
+    def one_quota_timer_per_suppressed_session(self):
+        for peer in self.peers:
+            if peer.state == "session":
+                conn = peer.proto.conn
+                armed = conn.lift is not None and not conn.lift.cancelled
+                assert armed == conn.quota_suppressed, peer.client_id
+            elif peer.proto.conn is not None:
+                lift = peer.proto.conn.lift
+                assert lift is None or lift.cancelled, peer.client_id
 
     @invariant()
     def each_batch_answered_at_most_once(self):

@@ -733,9 +733,9 @@ class TestQuotas:
         svc.flush()
         svc.poll_completions()
         svc.audit_conservation()  # refused batches never enter the flow
-        # Refill past half the burst: the next flush lifts suppression.
+        # Refill past half the burst: the quota timer lifts suppression.
         clk[0] += 2.0
-        svc.flush()
+        svc.lift_quota(conn)
         assert not conn.quota_suppressed and not conn.suppressed
         svc.drain_and_close()
 
@@ -938,7 +938,7 @@ class TestNonFiniteEventTimeRegression:
         report = core.ingest_handoff(1000.0, items, seq=1)
         assert report.acks == ((1, 7, 0, -1), (1, 8, 3, 3))
         assert core.metrics()["service_decode_errors"] == 1.0
-        assert report.dispatched == 3
+        assert core.events_dispatched == 3
         core.close()
 
         restarted = WorkerCore(0, root=tmp_path, config=ServiceConfig(),
@@ -994,7 +994,7 @@ class TestSchemaViolatingEventRegression:
         report = core.ingest_handoff(1000.0, items, seq=1)
         assert report.acks == ((1, 0, 3, 3), (1, 1, 0, -1), (2, 2, 3, 3))
         assert core.metrics()["service_decode_errors"] == 1.0
-        assert report.dispatched == 6
+        assert core.events_dispatched == 6
         core.close()
 
         restarted = WorkerCore(0, root=tmp_path, config=ServiceConfig(),
@@ -1220,7 +1220,7 @@ class TestAutoRestart:
                                   [(1, "veh-1", 0, batch("veh-1", 0))],
                                   seq=1)
         assert r2.acks == r1.acks     # the owed ack report, replayed
-        assert r2.dispatched == 0     # nothing re-admitted
+        assert core2.events_dispatched == 0   # nothing re-admitted
         assert core2.replayed_handoffs == 1
         assert core2.metrics()["service_replayed_handoffs"] == 1.0
         # A genuinely new handoff still processes normally.
@@ -1234,8 +1234,6 @@ class TestAutoRestart:
                                                              monkeypatch):
         """End-to-end over real sockets: SIGKILL both workers while
         clients are streaming; every admitted batch is still ACKed."""
-        monkeypatch.setattr(service, "FLUSH_INTERVAL_S", 0.005)
-
         async def main():
             config = ServiceConfig(max_lateness_s=7200.0,
                                    fleet_key=FLEET_KEY)

@@ -412,10 +412,6 @@ def program_paths():
 SETTINGS_ALLOWLIST = {
     "service.IngestService.__init__(mono_clock=)":
         "fake-clock seam: deadline and quota tests inject a monotonic clock",
-    "fleet.FleetWorkloadGenerator.__init__(benign_rate_eps=)":
-        "test-only limit: test_soc_shard overloads a tiny backend with it",
-    "respond.ResponseOrchestrator.__init__(ota_sample=)":
-        "test-only limit: test_soc pushes OTA to 1-3 vehicles with it",
     "center.SecurityOperationsCenter.__init__(shard_key=)":
         "shard-key choice: tests partition by vehicle for cross-shard "
         "campaigns",

@@ -301,8 +301,8 @@ class TestWorkerCore:
             100.0, [(11, "veh-a", 0, encode_batch(0, events)),
                     (12, "veh-b", 1, encode_batch(1, events[:2]))])
         assert report.acks == ((11, 0, 6, 6), (12, 1, 2, 2))
-        assert report.dispatched == 8
-        assert report.queue_depth == 0
+        assert core.events_dispatched == 8
+        assert core.soc.pipeline.queue_depth == 0
         assert core.metrics()["service_handoffs"] == 1.0
         core.close()
 
@@ -688,9 +688,11 @@ class TestServicePlumbing:
                             clock=lambda: 100.0)
         conn = svc.open_conn("veh-1")
         svc.route(conn, encode_batch(0, [ev("v1", "s", 1.0, 1)]))
-        assert svc.maybe_flush(conn.shard) == 0  # below threshold
+        svc.group_commit(conn.shard)
+        assert svc.handoffs_submitted == 0  # below threshold, no loop
         svc.route(conn, encode_batch(1, [ev("v1", "s", 1.1, 2)]))
-        assert svc.maybe_flush(conn.shard) == 1
+        svc.group_commit(conn.shard)
+        assert svc.handoffs_submitted == 1
         svc.poll_completions()
         svc.drain_and_close()
 
@@ -704,10 +706,6 @@ class TestServicePlumbing:
 # ----------------------------------------------------------------------
 # Shutdown: one thread owns the front door, and stop strands nothing
 # ----------------------------------------------------------------------
-#: A flush interval no test outlives: the pump never ticks, so an ACK
-#: can come only from a worker report the loop reads, or from stop.
-IDLE_PUMP_S = 3600.0
-
 SPIED = ("route", "flush", "apply_report", "check_workers")
 
 
@@ -717,7 +715,6 @@ def _stop_while_sending(monkeypatch, root, mode, handoff_batch):
     ``(method, thread id)`` for every call to a :data:`SPIED` method."""
     calls = []
     monkeypatch.setattr(service, "HANDOFF_BATCH", handoff_batch)
-    monkeypatch.setattr(service, "FLUSH_INTERVAL_S", IDLE_PUMP_S)
 
     async def main():
         svc = IngestService(1, mode=mode, root=root)
@@ -820,9 +817,22 @@ class TestShutdown:
         """Regression: the server armed a handshake-deadline timer per
         accepted connection and never cancelled it, so every
         ``ConnProtocol`` -- and through it the whole service -- stayed
-        reachable for ``HANDSHAKE_TIMEOUT_S`` after ``stop()``."""
+        reachable for ``HANDSHAKE_TIMEOUT_S`` after ``stop()``.  A quota
+        timer (here ~800 s out) and a flush scheduled for a batch routed
+        just before ``stop()`` must not hold it either."""
         async def main():
-            svc = IngestService(1, mode="inline", root=tmp_path)
+            svc = IngestService(1, mode="inline", root=tmp_path,
+                                quota_bytes_per_s=1.0,
+                                quota_burst_bytes=2000.0)
+            routed = asyncio.Event()
+            real_route = svc.route
+
+            def route(conn, payload):
+                accepted = real_route(conn, payload)
+                if conn.client_id == "veh-1" and conn.batches == 2:
+                    routed.set()
+                return accepted
+            svc.route = route
             server = await serve(svc)
             _, silent = await asyncio.open_connection(
                 "127.0.0.1", server.port)
@@ -830,12 +840,26 @@ class TestShutdown:
             await client.connect()
             await client.send_events([ev("veh-1", "sig.0", 1.0, 1)])
             await asyncio.wait_for(client.drain(), timeout=30.0)
-            await client.close()
+            hog = VehicleClient("veh-hog", port=server.port)
+            await hog.connect()
+            for rnd in range(20):
+                await hog.send_events([ev("veh-hog", f"sig.{j}", 1.0, j)
+                                       for j in range(3)])
+                await asyncio.sleep(0.01)
+                if hog.batches_refused:
+                    break
+            assert hog.suppressed and hog.batches_refused == 1
             assert len(svc.handshakes) == 1    # the silent handshake
-            await server.stop()
+            await client.send_events([ev("veh-1", "sig.0", 2.0, 2)])
+            await asyncio.wait_for(routed.wait(), timeout=30.0)
+            await server.stop()                # before the turn's flush
+            await asyncio.wait_for(client.drain(), timeout=30.0)
+            assert len(client.rtts_s) == 2
+            await client.close()
+            await hog.close()
             silent.close()
             ref = weakref.ref(svc)
-            del svc, server
+            del svc, server, route, real_route
             gc.collect()
             return ref()
 
@@ -847,8 +871,7 @@ class TestShutdown:
         completion pipe can deliver an ACK; after the supervisor
         restarts the worker, the reader follows it to the fresh pipe."""
         monkeypatch.setattr(service, "HANDOFF_BATCH", 1)
-        monkeypatch.setattr(service, "FLUSH_INTERVAL_S", IDLE_PUMP_S)
-
+    
         async def main():
             svc = IngestService(1, mode="process", root=tmp_path)
             server = IngestServer(svc)
@@ -869,3 +892,131 @@ class TestShutdown:
         assert len(client.rtts_s) == 2
         assert svc.batches_acked == svc.batches_routed == 2
         assert svc.worker_restarts == 1
+
+
+# ----------------------------------------------------------------------
+# The event-driven front door: each handoff, report, restart and quota
+# lift has one trigger, and an idle server has nothing to do
+# ----------------------------------------------------------------------
+def _live_callbacks(loop):
+    """What the loop would run without I/O: the callbacks of its timers
+    not cancelled, and of its ready handles."""
+    return [h._callback for h in list(loop._scheduled) + list(loop._ready)
+            if not h.cancelled()]
+
+
+def _idle_cpu_s(seconds=0.5):
+    async def idle():
+        t0 = time.process_time()
+        await asyncio.sleep(seconds)
+        return time.process_time() - t0
+    return idle()
+
+
+class TestFrontDoorEvents:
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_idle_server_schedules_nothing_and_burns_no_cpu(self, tmp_path,
+                                                            mode):
+        """Regression: a 2 ms pump task flushed, polled and supervised
+        whether or not anything happened -- ~7% of a core on an idle
+        process-mode server."""
+        async def main():
+            svc = IngestService(1, mode=mode, root=tmp_path)
+            server = await serve(svc)
+            client = VehicleClient("veh-1", port=server.port)
+            await client.connect()
+            await client.send_events([ev("veh-1", "sig.0", 1.0, 1)])
+            await asyncio.wait_for(client.drain(), timeout=30.0)
+            _, silent = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            while not svc.handshakes:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)          # let the loop settle
+            loop = asyncio.get_running_loop()
+            pending = _live_callbacks(loop)
+            cpu_s = await _idle_cpu_s()
+            await client.close()
+            await server.stop()
+            silent.close()
+            return pending, cpu_s
+
+        pending, cpu_s = asyncio.run(main())
+        # Only the silent connection's handshake timer.
+        assert [callback.__func__ for callback in pending] == [
+            service.ConnProtocol.tick]
+        assert cpu_s < 0.01
+
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_dead_worker_restarts_without_a_supervisor_call(self, tmp_path,
+                                                            mode):
+        async def main():
+            svc = IngestService(1, mode=mode, root=tmp_path)
+            server = await serve(svc)
+            svc.sigkill_worker(0)
+            deadline = time.monotonic() + 30.0
+            while not svc.worker_restarts:
+                assert time.monotonic() < deadline, "worker never restarted"
+                await asyncio.sleep(0.01)
+            client = VehicleClient("veh-1", port=server.port)
+            await client.connect()
+            await client.send_events([ev("veh-1", "sig.0", 1.0, 1)])
+            await asyncio.wait_for(client.drain(), timeout=30.0)
+            await client.close()
+            await server.stop()
+            return svc, client
+
+        svc, client = asyncio.run(main())
+        assert svc.worker_restarts == 1
+        assert len(client.rtts_s) == svc.batches_acked == 1
+
+    def test_dead_worker_without_a_root_does_not_spin(self):
+        """Without a root nothing restarts a worker, and its sentinel
+        stays readable: the loop must hear of the death once, not spin."""
+        calls = []
+
+        async def main():
+            svc = IngestService(1, mode="process")
+            real = svc.check_workers
+            svc.check_workers = lambda: calls.append(1) or real()
+            server = await serve(svc)
+            svc.sigkill_worker(0)
+            cpu_s = await _idle_cpu_s()
+            await server.stop()
+            return svc, cpu_s
+
+        svc, cpu_s = asyncio.run(main())
+        assert svc.worker_restarts == 0
+        assert len(calls) == 1                 # one notice of the death
+        assert cpu_s < 0.05
+
+    def test_quota_lift_resumes_a_silent_client(self, tmp_path):
+        """A client SUPPRESSed by its quota that then sends nothing gets
+        RESUME when its bucket is half full, from the quota timer."""
+        rate, burst = 2000.0, 1000.0
+
+        async def main():
+            svc = IngestService(1, mode="inline", root=tmp_path,
+                                quota_bytes_per_s=rate,
+                                quota_burst_bytes=burst)
+            server = await serve(svc)
+            client = VehicleClient("veh-1", port=server.port)
+            await client.connect()
+            events = [ev("veh-1", f"sig.{j}", 1.0, j) for j in range(2)]
+            size = len(encode_batch(0, events))
+            while not client.batches_refused:
+                await client.send_events(events)
+            assert client.suppressed
+            t0 = time.monotonic()
+            while client.suppressed:
+                assert time.monotonic() - t0 < 10.0, "no RESUME"
+                await asyncio.sleep(0.005)
+            waited = time.monotonic() - t0
+            await client.close()
+            await server.stop()
+            return svc, size, waited
+
+        svc, size, waited = asyncio.run(main())
+        assert svc.quota_refused >= 1
+        # Refused below one batch's bytes; resumed at half the burst (less
+        # the lag before this client read its REFUSED).
+        assert waited >= (burst / 2.0 - size) / rate - 0.05

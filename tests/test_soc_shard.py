@@ -38,6 +38,7 @@ from repro.soc import (
     seeded_campaigns,
     signature_shard_key,
 )
+from repro.soc import fleet as fleet_module
 
 
 def ev(vehicle, sig, time, seq, severity=Asil.B):
@@ -488,7 +489,7 @@ class TestMergedRefusalCounters:
 # Vectorized workload + end-to-end sharded SOC
 # ----------------------------------------------------------------------
 class TestVectorizedWorkload:
-    def _run(self, seed=3, n=3000, **gen_kw):
+    def _run(self, seed=3, n=3000):
         sim = Simulator()
         rng = RngStreams(seed)
         campaigns = seeded_campaigns(rng, n, 0.01)
@@ -496,7 +497,7 @@ class TestVectorizedWorkload:
         soc = SecurityOperationsCenter(sim, fleet, capacity_eps=120.0,
                                        num_shards=4)
         generator = FleetWorkloadGenerator(sim, rng, fleet, soc.pipeline,
-                                           vectorized=True, **gen_kw)
+                                           vectorized=True)
         soc.start()
         generator.start()
         sim.run_until(20.0)
@@ -513,10 +514,12 @@ class TestVectorizedWorkload:
         assert a == b
         assert self._run(seed=4) != a
 
-    def test_vectorized_overload_bulk_suppresses_but_counts(self):
+    def test_vectorized_overload_bulk_suppresses_but_counts(
+            self, monkeypatch):
         # 40x the benign volume vs a tiny backend: every shard congests
         # and whole ticks of ASIL-A noise take the bulk-suppression path.
-        metrics = self._run(seed=3, benign_rate_eps=0.16)
+        monkeypatch.setattr(fleet_module, "BENIGN_RATE_EPS", 0.16)
+        metrics = self._run(seed=3)
         assert metrics["suppressed"] > 0
         assert metrics["audit_checks"] > 0
         assert metrics["queue_depth_max"] <= 2048
