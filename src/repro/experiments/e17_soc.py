@@ -464,15 +464,15 @@ def store_microbench(
     n_events: int = 20_000,
     batch_size: int = 64,
     segment_max_records: int = 512,
-    fsync: str = "never",
     root=None,
 ) -> Dict[str, float]:
     """Time the durable-log hot paths on a synthetic dispatch stream:
     ``append_eps`` (batched archival appends, the per-pump tap cost),
     ``replay_eps`` (full-log recovery replay), and ``scan_eps`` plus the
-    sparse-index skip ratio for a narrow forensics window.  ``fsync``
-    defaults to ``never`` so the numbers price the framing/codec, not
-    the host's disk.
+    sparse-index skip ratio for a narrow forensics window.  At the
+    defaults the timed appends fill less than one segment, so they
+    fsync nothing: the numbers price the framing/codec, not the host's
+    disk.
     """
     events = _correlate_stream(n_events, n_signatures=64, window_s=4.0,
                                per_sig_window=256)
@@ -480,8 +480,7 @@ def store_microbench(
     made_tmp = root is None
     try:
         log = EventLog(base / "log",
-                       segment_max_records=segment_max_records,
-                       fsync=fsync)
+                       segment_max_records=segment_max_records)
         t0 = time.perf_counter()
         for start in range(0, n_events, batch_size):
             batch = events[start:start + batch_size]

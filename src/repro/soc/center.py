@@ -297,11 +297,13 @@ class SecurityOperationsCenter:
         This is the drive mode a :class:`~repro.soc.service.WorkerCore`
         uses -- arrival cadence replaces the simulated capacity budget,
         so each handoff batch is dispatched whole and the pump marker
-        records the handoff boundary replay must reproduce.  The event
-        log is flushed to the OS after the marker, so a SIGKILLed worker
-        process loses nothing that was acknowledged (the log's own
-        torn-tail recovery covers the kill landing mid-append).  Returns
-        the number of events dispatched.
+        records the handoff boundary replay must reproduce.  The marker
+        is the commit point, and appending it flushes the log to the OS,
+        never to the disk: a killed worker process loses nothing that
+        was acknowledged (the log's own torn-tail recovery covers the
+        kill landing mid-append).  Records reach the disk only at
+        segment close, before every snapshot and at close.  Returns the
+        number of events dispatched.
 
         ``pre_mark``, if given, runs after the batch records are
         archived but *before* the pump marker is appended.  The worker
@@ -314,8 +316,6 @@ class SecurityOperationsCenter:
         if pre_mark is not None:
             pre_mark()
         self._finish_pump(now)
-        if self.store is not None:
-            self.store.log.sync()
         return dispatched
 
     def final_drain(self) -> None:

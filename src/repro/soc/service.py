@@ -403,23 +403,20 @@ class ServiceConfig:
     """Per-worker analytic configuration (picklable -- it crosses the
     ``multiprocessing`` boundary at worker spawn).
 
-    Correlation-hygiene parameters mirror
-    :class:`~repro.soc.center.SecurityOperationsCenter`; the ingest queue
-    is sized for a network front door (deep queue, generous batch) rather
-    than a simulated capacity budget, and ``fsync="never"`` keeps the
-    durable log OS-buffered: :meth:`~repro.soc.center.SecurityOperations\
-Center.service_pump` flushes after every handoff, so a worker *process*
-    kill loses nothing acknowledged (machine-crash durability is the
-    operator's fsync-policy knob, priced by the store microbench)."""
+    The correlation window, quorum and dedup window are
+    :class:`~repro.soc.center.SecurityOperationsCenter`'s defaults; the
+    ingest queue is sized for a network front door (deep queue, generous
+    batch) rather than a simulated capacity budget.  The worker's
+    durable log keeps the store's one contract: each handoff's pump
+    marker is the commit point and is flushed to the OS, never to the
+    disk, so a worker *process* kill loses nothing acknowledged; records
+    reach the disk only at segment close, before every snapshot and at
+    close."""
 
-    window_s: float = 8.0
-    k: int = 3
-    dedup_window_s: float = 4.0
     max_lateness_s: float = 2.0
     queue_capacity: int = 1 << 16
     batch_size: int = 256
     snapshot_every_pumps: int = 256
-    fsync: str = "never"
     #: Fleet key material for CMAC-authenticated sessions.  ``None``
     #: (default) keeps the plain protocol; set, the handshake
     #: becomes HELLO -> CHALLENGE -> AUTH -> WELCOME and every BATCH
@@ -479,8 +476,8 @@ class _HandoffJournal:
         self._fh.write(frame_payload(canonical_dumps(
             ["j", seq, [list(a) for a in acks]])))
         # Flushed, not fsynced: the journal only needs to be as durable
-        # as the pump marker it precedes (the log's fsync policy knob
-        # governs machine-crash durability for both).
+        # as the pump marker it precedes, which is flushed to the OS,
+        # never to the disk.
         self._fh.flush()
         if len(self.entries) > 2 * JOURNAL_KEEP:
             self._rewrite()
@@ -519,8 +516,7 @@ class WorkerCore:
         store = None
         recovered = None
         if root is not None:
-            store = DurableStore(worker_root(root, index),
-                                 fsync=config.fsync)
+            store = DurableStore(worker_root(root, index))
             if recover:
                 # Auto-restart path: truncate the log back to the last
                 # pump marker (the commit point), so ordinary recovery
@@ -538,8 +534,6 @@ class WorkerCore:
             Simulator(), FleetModel(0, []),
             queue_capacity=config.queue_capacity,
             batch_size=config.batch_size,
-            window_s=config.window_s, k=config.k,
-            dedup_window_s=config.dedup_window_s,
             max_lateness_s=config.max_lateness_s,
             respond=False, num_shards=1,
             store=store,

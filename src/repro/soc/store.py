@@ -24,6 +24,14 @@ campaign merge re-run at every pump marker.  The recovered
 correlator/merger/tracker state equals an uninterrupted run's state at
 the kill point, at 1 and N shards.
 
+Durability contract: a pump marker is the commit point, and
+:meth:`EventLog.append_mark` flushes the log to the OS, never to the
+disk -- so a killed process loses nothing up to its last marker.
+Records reach the disk (fsync) only when a segment closes
+(:meth:`EventLog.rotate`), in :meth:`EventLog.sync` before every
+snapshot, and at :meth:`EventLog.close`; a machine crash may lose the
+records since the last of those.
+
 On-disk record format (one segment file = ``SOCLOG1\\n`` magic + records)::
 
     ┌──────────┬──────────────┬───────────────────┐
@@ -81,11 +89,6 @@ SEGMENT_MAGIC = b"SOCLOG1\n"
 #: Record header: payload length, CRC32 of the payload (little-endian).
 FRAME_HEADER = struct.Struct("<II")
 
-#: When to fsync the active segment: ``never`` (OS buffering only),
-#: ``rotate`` (at segment close and explicit :meth:`EventLog.sync` --
-#: the default; a snapshot always syncs first), ``always`` (after every
-#: append call -- the paranoid setting the fsync microbench prices).
-FSYNC_POLICIES = ("never", "rotate", "always")
 #: Sparse-index granularity: every ``INDEX_EVERY``-th record of a
 #: segment gets an ``(offset, index, watermark)`` checkpoint.
 INDEX_EVERY = 64
@@ -275,9 +278,13 @@ class EventLog:
     """Segmented append-only log with CRC-framed records.
 
     ``segment_max_records`` bounds segment size (rotation closes the
-    active segment, writes its sidecar index, fsyncs per policy, and
-    opens the next; :data:`INDEX_EVERY` sets the sparse-index
-    granularity); ``fsync`` is one of :data:`FSYNC_POLICIES`.
+    active segment, writes its sidecar index, fsyncs, and opens the
+    next; :data:`INDEX_EVERY` sets the sparse-index granularity).
+
+    A pump marker is the commit point: :meth:`append_mark` flushes the
+    log to the OS, never to the disk.  Records reach the disk only at
+    :meth:`rotate`, :meth:`sync` (before every snapshot) and
+    :meth:`close`.
 
     Opening an existing root re-enters the log: closed segments are
     trusted (their records re-verify by CRC on every read), the tail
@@ -285,16 +292,12 @@ class EventLog:
     (``truncated_bytes`` reports how much of a torn write was dropped).
     """
 
-    def __init__(self, root, *, segment_max_records: int = 4096,
-                 fsync: str = "rotate") -> None:
+    def __init__(self, root, *, segment_max_records: int = 4096) -> None:
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"fsync must be one of {FSYNC_POLICIES}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.segment_max_records = segment_max_records
-        self.fsync = fsync
 
         self._fh = None
         self._first_seq = 1          # first seq of the active segment
@@ -412,11 +415,6 @@ class EventLog:
         self._note_times(event_times)
         return self.last_seq
 
-    def _policy_sync(self) -> None:
-        if self.fsync == "always":
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
     def append(self, dispatch_t: float, shard: int,
                event: SecurityEvent) -> int:
         """Archive one event as a singleton batch; returns its seq."""
@@ -427,26 +425,24 @@ class EventLog:
         """Archive one drained batch as one record (the batch-sink tap
         calls this once per dispatch batch, which is what preserves the
         batch boundaries replay needs); returns its sequence number."""
-        seq = self._append_payload(
+        return self._append_payload(
             canonical_dumps(["b", dispatch_t, shard, events]),
             [e.time for e in events])
-        self._policy_sync()
-        return seq
 
     def append_mark(self, t: float, pump_no: int) -> int:
-        """Append a pump marker: replay re-runs the campaign merge here."""
+        """Append a pump marker, the commit point, and flush the log to
+        the OS (not the disk): replay re-runs the campaign merge here."""
         seq = self._append_payload(canonical_dumps(["m", t, pump_no]), ())
-        self._policy_sync()
+        self._fh.flush()
         return seq
 
     def rotate(self) -> None:
-        """Close the active segment (sidecar index + fsync per policy)
-        and open the next.  No-op on an empty segment."""
+        """Close the active segment (fsync + sidecar index) and open
+        the next.  No-op on an empty segment."""
         if self._count == 0:
             return
         self._fh.flush()
-        if self.fsync != "never":
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
         self._fh.close()
         self._write_sidecar()
         self.segments_rotated += 1
@@ -466,12 +462,11 @@ class EventLog:
         os.replace(tmp, path)
 
     def sync(self) -> None:
-        """Flush and (unless ``fsync='never'``) fsync the active segment.
-        Called before every snapshot so a snapshot never references log
-        records less durable than itself."""
+        """Flush and fsync the active segment.  Called before every
+        snapshot so a snapshot never references log records less
+        durable than itself."""
         self._fh.flush()
-        if self.fsync != "never":
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None and not self._fh.closed:
@@ -744,12 +739,10 @@ class DurableStore:
         <root>/snapshots/snap-00000001.json
     """
 
-    def __init__(self, root, *, segment_max_records: int = 4096,
-                 fsync: str = "rotate") -> None:
+    def __init__(self, root, *, segment_max_records: int = 4096) -> None:
         self.root = Path(root)
         self.log = EventLog(self.root / "log",
-                            segment_max_records=segment_max_records,
-                            fsync=fsync)
+                            segment_max_records=segment_max_records)
         self.snapshots = SnapshotStore(self.root / "snapshots")
 
     def close(self) -> None:

@@ -323,19 +323,40 @@ def _defaulted(fn: ast.FunctionDef, bound: bool):
     return found
 
 
+def _frozen_config(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is a ``@dataclass(frozen=True)`` named
+    ``*Config``: a bundle of settings, each field a constructor
+    parameter."""
+    return node.name.endswith("Config") and any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", "") == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", False)
+                for k in d.keywords)
+        for d in node.decorator_list)
+
+
 def soc_settings(path: Path):
-    """``(label, callee, parameter, index)`` for every defaulted
-    parameter of a public function, or of ``__init__`` or a public
-    method of a public class, in ``path``.  ``callee`` is the name a
-    call site uses: the class for ``__init__``."""
+    """``(label, callee, parameter, index, field)`` for every
+    defaulted parameter of a public function, or of ``__init__`` or a
+    public method of a public class, and every defaulted ``field`` of a
+    public frozen ``*Config`` dataclass, in ``path``.  ``callee`` is the
+    name a call site uses: the class for ``__init__`` and for a
+    field."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not node.name.startswith("_")):
-            found += [(node.name, node.name, name, index)
+            found += [(node.name, node.name, name, index, False)
                       for name, index in _defaulted(node, False)]
         elif isinstance(node, ast.ClassDef) and not _private(node.name):
+            if _frozen_config(node):
+                fields = [stmt for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)]
+                found += [(node.name, node.name, field.target.id, index,
+                           True)
+                          for index, field in enumerate(fields)
+                          if field.value is not None]
             for fn in node.body:
                 if (not isinstance(fn, (ast.FunctionDef,
                                         ast.AsyncFunctionDef))
@@ -344,10 +365,11 @@ def soc_settings(path: Path):
                 bound = not any(getattr(d, "id", "") == "staticmethod"
                                 for d in fn.decorator_list)
                 callee = node.name if fn.name == "__init__" else fn.name
-                found += [(f"{node.name}.{fn.name}", callee, name, index)
+                found += [(f"{node.name}.{fn.name}", callee, name, index,
+                           False)
                           for name, index in _defaulted(fn, bound)]
-    return [(f"{path.stem}.{label}({name}=)", callee, name, index)
-            for label, callee, name, index in found]
+    return [(f"{path.stem}.{label}({name}=)", callee, name, index, field)
+            for label, callee, name, index, field in found]
 
 
 def setting_calls(path: Path, in_package: bool):
@@ -392,12 +414,15 @@ def _sets(call, params, name: str, index, own: bool) -> bool:
 
 
 def unset_settings(soc_paths, program_paths):
-    """Labels of the defaulted public parameters that no call sets."""
+    """Labels of the defaulted public parameters that no call sets.  A
+    config field is set only by a call of its own class: its name is
+    often a parameter of some other callable too."""
     calls = [c for p in program_paths for c in setting_calls(p, False)]
     calls += [c for p in soc_paths for c in setting_calls(p, True)]
     return [label for path in soc_paths
-            for label, callee, name, index in soc_settings(path)
+            for label, callee, name, index, field in soc_settings(path)
             if not any(_sets(call, params, name, index, called == callee)
+                       and (called == callee or not field)
                        for called, call, params in calls)]
 
 
@@ -450,12 +475,26 @@ def test_settings_guard_catches_an_unset_parameter(tmp_path):
         "    return Box(0, d=h)\n"
         "class _Private:\n"
         "    def __init__(self, j=9):\n"
-        "        pass\n")
+        "        pass\n"
+        "@dataclass(frozen=True)\n"
+        "class BoxConfig:\n"
+        "    size: int\n"
+        "    depth: int = 1\n"
+        "    width: int = 2\n"
+        "    label: str = 'x'\n"
+        "@dataclass\n"
+        "class LooseConfig:\n"
+        "    m: int = 0\n"
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    n: int = 0\n")
     user = tmp_path / "user.py"
     user.write_text("Box(0, e=5)\n"
                     "build(1)\n"
                     "other(i=2)\n"
-                    "Box.make(*args)\n")
+                    "Box.make(*args)\n"
+                    "BoxConfig(0, 3, label='y')\n"
+                    "other(width=4)\n")
     assert unset_settings([soc], [user]) == [
         "mod.Box.__init__(b=)", "mod.Box.__init__(c=)",
-        "mod.Box.__init__(d=)"]
+        "mod.Box.__init__(d=)", "mod.BoxConfig(width=)"]

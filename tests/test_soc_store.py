@@ -1,7 +1,9 @@
 """Tests for repro.soc.store and the crash-recovery contract.
 
 Covers the canonical event codec (hypothesis byte-identity), the
-segmented log's append/replay/rotation paths, torn-write recovery
+segmented log's append/replay/rotation paths, the one durability
+contract (a pump marker is flushed to the OS; the log is fsynced only at
+segment close, snapshot and close), torn-write recovery
 (hypothesis: truncate anywhere, recover to the last whole record),
 forensics scans checked against a brute-force oracle (plus the
 sparse-index skip accounting), snapshot retention/corruption fallback,
@@ -12,7 +14,9 @@ byte-identical to an uninterrupted run at 1 and 4 shards.
 
 import hashlib
 import json
+import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,8 +37,10 @@ from repro.soc import (
     IncidentTracker,
     SecurityEvent,
     SecurityOperationsCenter,
+    ServiceConfig,
     Shipment,
     SnapshotStore,
+    WorkerCore,
     encode_shipment,
     make_event,
     recover_soc_state,
@@ -45,7 +51,7 @@ from repro.soc import (
 from repro.soc.center import PUMP_TICK_S
 from repro.soc.events import event_from_obj
 from repro.soc import store as store_module
-from repro.soc.service import encode_batch
+from repro.soc.service import encode_batch, worker_root
 from repro.soc.store import (
     FRAME_HEADER,
     SEGMENT_MAGIC,
@@ -263,15 +269,7 @@ class TestEventLog:
         assert [r.seq for r in reopened.replay()] == [1, 2, 3, 4, 5]
         reopened.close()
 
-    def test_fsync_policies_accepted_and_validated(self, tmp_path):
-        for policy in ("never", "rotate", "always"):
-            log = EventLog(tmp_path / policy, fsync=policy)
-            log.append(0.0, 0, ev("v1", "s", 0.0, 1))
-            log.sync()
-            log.close()
-            assert EventLog(tmp_path / policy).last_seq == 1
-        with pytest.raises(ValueError):
-            EventLog(tmp_path / "bad", fsync="sometimes")
+    def test_segment_max_records_validated(self, tmp_path):
         with pytest.raises(ValueError):
             EventLog(tmp_path / "bad", segment_max_records=0)
 
@@ -288,6 +286,96 @@ class TestEventLog:
         with pytest.raises(CorruptRecord):
             list(reopened.replay())
         reopened.close()
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Record every ``os.fsync`` as the inode of the file it was asked
+    to sync, in call order (the real fsync is skipped)."""
+    inodes = []
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: inodes.append(os.fstat(fd).st_ino))
+    return inodes
+
+
+def _synced(inodes, root):
+    """The recorded fsyncs as paths relative to ``root``."""
+    paths = {path.stat().st_ino: path.relative_to(root).as_posix()
+             for path in Path(root).rglob("*") if path.is_file()}
+    return [paths[inode] for inode in inodes]
+
+
+def _last_committed(log):
+    """The last whole record of the active segment, read through a
+    second, independent open of the file: what the OS holds."""
+    payloads, _ = store_module.scan_valid_prefix(log.segment_paths()[-1])
+    return json.loads(payloads[-1])
+
+
+SEG_1 = "log/seg-0000000001.log"
+
+
+class TestDurabilityContract:
+    """A pump marker is the commit point: appending it flushes the log
+    to the OS, never to the disk.  The log is fsynced only when a
+    segment closes, before every snapshot and at close -- in a centre
+    driven by ``service_pump`` and in a service worker alike."""
+
+    @staticmethod
+    def _pump(soc, pump):
+        t = 10.0 + pump
+        assert soc.pipeline.offer(t, ev(f"v{pump}", "ids.sig:x", t, pump))
+        soc.service_pump(t)
+        return t
+
+    def test_service_pumps_flush_each_marker_and_never_fsync(
+            self, tmp_path, fsyncs):
+        soc = _service_centre(store=DurableStore(tmp_path))
+        assert _synced(fsyncs, tmp_path) == [
+            SEG_1, "snapshots/snap-00000001.json"]
+        del fsyncs[:]
+        for pump in range(1, 7):
+            t = self._pump(soc, pump)
+            assert _last_committed(soc.store.log) == ["m", t, pump]
+        assert fsyncs == []
+
+    def test_rotate_snapshot_and_close_each_fsync_the_log_once(
+            self, tmp_path, fsyncs):
+        soc = _service_centre(store=DurableStore(tmp_path))
+        self._pump(soc, 1)
+        del fsyncs[:]
+        soc.store.log.rotate()
+        assert _synced(fsyncs, tmp_path) == [SEG_1]
+        del fsyncs[:]
+        self._pump(soc, 2)
+        seg_2 = soc.store.log.segment_paths()[-1].relative_to(
+            tmp_path).as_posix()
+        soc.save_snapshot()
+        assert _synced(fsyncs, tmp_path) == [
+            seg_2, "snapshots/snap-00000002.json"]
+        del fsyncs[:]
+        soc.store.close()
+        assert _synced(fsyncs, tmp_path) == [seg_2]
+
+    def test_worker_core_follows_the_same_counts(self, tmp_path, fsyncs):
+        core = WorkerCore(0, tmp_path, ServiceConfig(snapshot_every_pumps=4))
+        root = worker_root(tmp_path, 0)
+        assert _synced(fsyncs, root) == [
+            SEG_1, "snapshots/snap-00000001.json"]
+        del fsyncs[:]
+        for seq in range(1, 6):
+            t = 1000.0 + seq
+            payload = encode_batch(seq, [ev("veh-1", "ids.sig:x", t, seq)])
+            core.ingest_handoff(t, [(1, "veh-1", seq, payload)], seq=seq)
+            assert _last_committed(core.soc.store.log) == ["m", t, seq]
+            # The fourth pump takes the periodic snapshot; no other
+            # handoff reaches the disk.
+            assert _synced(fsyncs, root) == (
+                [SEG_1, "snapshots/snap-00000002.json"] if seq >= 4 else [])
+        del fsyncs[:]
+        core.close()  # final snapshot, then the store's close
+        assert _synced(fsyncs, root) == [
+            SEG_1, "snapshots/snap-00000003.json", SEG_1]
 
 
 class TestTornWriteRecovery:
