@@ -37,6 +37,7 @@ pre-optimization implementation kept as executable spec).
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import tempfile
 import time
@@ -528,10 +529,12 @@ def write_bench_json(
     store: Optional[Dict[str, float]] = None,
     recovery: Optional[Dict[str, float]] = None,
 ) -> Dict[str, object]:
-    """Write the machine-readable E17 perf record (``BENCH_E17.json``)."""
+    """Write the machine-readable E17 perf record (``BENCH_E17.json``);
+    ``cpu_count`` is recorded so a throughput reads with its host."""
     payload = {
         "schema": "bench-e17/v2",
         "duration_s": DURATION_S,
+        "cpu_count": os.cpu_count() or 1,
         "cells": cells,
         "correlate": correlate,
     }

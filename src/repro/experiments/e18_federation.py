@@ -30,6 +30,7 @@ by ``benchmarks/e18_smoke.py`` against ``BENCH_E18.json``.
 from __future__ import annotations
 
 import json
+import os
 import random
 import shutil
 import tempfile
@@ -610,10 +611,12 @@ def write_bench_json(
     hub_apply: Dict[str, float],
     availability: Optional[Dict[str, float]] = None,
 ) -> Dict[str, object]:
-    """Write the machine-readable E18 perf record (``BENCH_E18.json``)."""
+    """Write the machine-readable E18 perf record (``BENCH_E18.json``);
+    ``cpu_count`` is recorded so a throughput reads with its host."""
     payload = {
         "schema": "bench-e18/v2",
         "duration_s": DURATION_S,
+        "cpu_count": os.cpu_count() or 1,
         "lag_cells": lag_cells,
         "partition": partition,
         "hub_apply": hub_apply,

@@ -31,15 +31,16 @@ Fleet-scale fast path (the 10^7-vehicle E17 cell):
   :class:`ReferenceCorrelationEngine` (the original implementation,
   kept as the executable spec) pays per event;
 - :meth:`CorrelationEngine.observe_batch` consumes a whole dispatched
-  batch (one batch-sink call) as a loop over
-  :meth:`~CorrelationEngine.observe`;
+  batch (one batch-sink call) in the engine's one observe loop, with
+  its state hoisted into locals; :meth:`~CorrelationEngine.observe` is
+  a batch of one through the same loop;
 - dedup/duplicate bookkeeping is **bounded**: ids and per-vehicle
   timestamps older than the watermark minus the retention horizon are
   evicted, so memory is O(events in horizon), not O(events ever);
 - :class:`GlobalCampaignMerger` stitches shard-local engines into
   fleet-wide campaigns, which makes region-keyed sharding (one
   signature spread over many shards) detect exactly what a single
-  global engine would.
+  global engine would, at a cost set by the signatures that changed.
 """
 
 from __future__ import annotations
@@ -219,100 +220,105 @@ class CorrelationEngine:
     def observe(self, event: SecurityEvent) -> Optional[CampaignDetection]:
         """Feed one event; returns a detection the first time a signature
         crosses the k-vehicles-in-window threshold."""
-        self.observed += 1
-
-        t = event.time
-        seen = self._seen_ids
-        if event.event_id in seen:
-            self.duplicate_ids += 1
-            return None
-        seen[event.event_id] = t
-
-        if t < self.watermark - self.max_lateness_s:
-            self.late_dropped += 1
-            return None
-        if t > self.watermark:
-            self.watermark = t
-            if t - self._last_sweep_wm >= self._retention_s:
-                self._sweep()
-
-        # Only actionable telemetry (>= min_severity) can seed a campaign
-        # window -- QM/A observability noise is counted and discarded, so
-        # chatter can never manufacture a fleet incident.
-        if event.severity < self.min_severity:
-            self.low_severity_ignored += 1
-            return None
-
-        key = (event.vehicle_id, event.signature)
-        last = self._last_by_key.get(key)
-        if last is not None and abs(t - last) <= self.dedup_window_s:
-            self.deduped += 1
-            if t > last:
-                self._last_by_key[key] = t
-            return None
-        self._last_by_key[key] = t
-
-        sig = event.signature
-        if sig in self._flagged:
-            # Campaign already open: track spread, don't re-fire.
-            self._campaign_vehicles[sig].add(event.vehicle_id)
-            self._dirty.add(sig)
-            return None
-        return self._window_insert(sig, t, event.vehicle_id)
+        return self._observe_events((event,))[0]
 
     def observe_batch(
         self, events: Sequence[SecurityEvent]
     ) -> List[Optional[CampaignDetection]]:
-        """Feed a dispatched batch; returns per-event verdicts.
+        """Feed a dispatched batch (one batch-sink call); returns
+        per-event verdicts, exactly as :meth:`observe` would one by one."""
+        return self._observe_events(events)
 
-        Exactly ``[self.observe(e) for e in events]``: the batch sinks
-        hand over one dispatched batch per call.
-        """
-        return [self.observe(event) for event in events]
+    def _observe_events(
+        self, events: Sequence[SecurityEvent]
+    ) -> List[Optional[CampaignDetection]]:
+        """The one observe loop behind :meth:`observe` (a batch of one)
+        and :meth:`observe_batch`, with the engine's state hoisted into
+        locals once per call."""
+        verdicts: List[Optional[CampaignDetection]] = [None] * len(events)
+        seen = self._seen_ids
+        last_by_key = self._last_by_key
+        windows = self._by_signature
+        flagged = self._flagged
+        campaigns = self._campaign_vehicles
+        mark_dirty = self._dirty.add
+        min_severity = self.min_severity
+        max_lateness = self.max_lateness_s
+        dedup_window = self.dedup_window_s
+        window_s = self.window_s
+        k = self.k
+        watermark = self.watermark
+        floor = watermark - max_lateness
+        duplicates = late = low = deduped = 0
+        for i, (eid, t, vehicle, _, sig, severity, _) in enumerate(events):
+            if eid in seen:
+                duplicates += 1
+                continue
+            seen[eid] = t
+            if t < floor:
+                late += 1
+                continue
+            if t > watermark:
+                watermark = t
+                floor = t - max_lateness
+                if t - self._last_sweep_wm >= self._retention_s:
+                    self.watermark = t
+                    self._sweep()
+            # Only actionable telemetry (>= min_severity) can seed a
+            # campaign window -- QM/A observability noise is counted and
+            # discarded, so chatter can never manufacture a fleet incident.
+            if severity < min_severity:
+                low += 1
+                continue
+            key = (vehicle, sig)
+            last = last_by_key.get(key)
+            if last is not None and abs(t - last) <= dedup_window:
+                deduped += 1
+                if t > last:
+                    last_by_key[key] = t
+                continue
+            last_by_key[key] = t
+            mark_dirty(sig)
+            if sig in flagged:
+                # Campaign already open: track spread, don't re-fire.
+                campaigns[sig].add(vehicle)
+                continue
 
-    # ------------------------------------------------------------------
-    def _window_insert(
-        self, sig: str, t: float, vehicle: str
-    ) -> Optional[CampaignDetection]:
-        """Add one admissible observation to a signature window; prune
-        incrementally; fire when k distinct vehicles co-occur."""
-        w = self._by_signature.get(sig)
-        if w is None:
-            w = self._by_signature[sig] = _SignatureWindow()
-        heap = w.heap
-        counts = w.counts
-        heappush(heap, (t, vehicle))
-        counts[vehicle] = counts.get(vehicle, 0) + 1
-        if t > w.newest:
-            w.newest = t
-        # Closed window: entries exactly window_s old still co-occur;
-        # strictly older ones expire.  The heap's top is always the
-        # oldest live entry, so expiry never rescans the window.
-        cutoff = w.newest - self.window_s
-        while heap[0][0] < cutoff:
-            _, gone = heappop(heap)
-            c = counts[gone] - 1
-            if c:
-                counts[gone] = c
-            else:
-                del counts[gone]
-        self._dirty.add(sig)
-        if len(counts) < self.k:
-            return None
+            w = windows.get(sig)
+            if w is None:
+                w = windows[sig] = _SignatureWindow()
+            heap = w.heap
+            counts = w.counts
+            heappush(heap, (t, vehicle))
+            counts[vehicle] = counts.get(vehicle, 0) + 1
+            if t > w.newest:
+                w.newest = t
+            # Closed window: entries exactly window_s old still co-occur;
+            # strictly older ones expire.  The heap's top is always the
+            # oldest live entry, so expiry never rescans the window.
+            cutoff = w.newest - window_s
+            while heap[0][0] < cutoff:
+                _, gone = heappop(heap)
+                c = counts[gone] - 1
+                if c:
+                    counts[gone] = c
+                else:
+                    del counts[gone]
+            if len(counts) >= k:
+                detection = verdicts[i] = CampaignDetection(
+                    sig, t, heap[0][0], tuple(sorted(counts)), window_s, k)
+                flagged[sig] = detection
+                campaigns[sig] = set(counts)
+                del windows[sig]
+                self.detections.append(detection)
 
-        detection = CampaignDetection(
-            signature=sig,
-            detect_time=t,
-            first_time=heap[0][0],
-            vehicles=tuple(sorted(counts)),
-            window_s=self.window_s,
-            k=self.k,
-        )
-        self._flagged[sig] = detection
-        self._campaign_vehicles[sig] = set(counts)
-        del self._by_signature[sig]
-        self.detections.append(detection)
-        return detection
+        self.watermark = watermark
+        self.observed += len(events)
+        self.duplicate_ids += duplicates
+        self.late_dropped += late
+        self.low_severity_ignored += low
+        self.deduped += deduped
+        return verdicts
 
     def _sweep(self) -> None:
         """Evict dedup/duplicate ledger entries past the retention
@@ -441,9 +447,21 @@ class CorrelationEngine:
     # ------------------------------------------------------------------
     # Shard-local merge support
     # ------------------------------------------------------------------
-    def has_window(self, signature: str) -> bool:
-        """Whether an un-flagged window for ``signature`` is live here."""
-        return signature in self._by_signature
+    def windowed(self, signatures: Set[str]) -> Set[str]:
+        """Those of ``signatures`` with an un-flagged window live here."""
+        return self._by_signature.keys() & signatures
+
+    def vehicles_beyond(self, signature: str, known: Set[str]) -> Set[str]:
+        """Vehicles this engine attributes to ``signature`` -- campaign
+        and pending window alike -- that ``known`` lacks.  A set
+        difference in C: the campaign set is never copied, and a pending
+        window holds fewer than ``k`` vehicles."""
+        campaign = self._campaign_vehicles.get(signature)
+        delta = campaign - known if campaign is not None else set()
+        w = self._by_signature.get(signature)
+        if w is not None:
+            delta |= w.counts.keys() - known
+        return delta
 
     def pop_dirty(self) -> Set[str]:
         """Signatures whose window/campaign state changed since the last
@@ -482,13 +500,6 @@ class CorrelationEngine:
     def campaign_vehicles(self, signature: str) -> Set[str]:
         """All vehicles attributed to a flagged campaign so far."""
         return set(self._campaign_vehicles.get(signature, set()))
-
-    def pending_vehicles(self, signature: str) -> Set[str]:
-        """Distinct vehicles currently in the (un-flagged) window."""
-        w = self._by_signature.get(signature)
-        if w is None:
-            return set()
-        return set(w.counts)
 
     def metrics(self) -> Dict[str, float]:
         return {
@@ -648,7 +659,12 @@ class GlobalCampaignMerger:
     The merge is incremental: engines mark signatures dirty as their
     state changes (:meth:`CorrelationEngine.pop_dirty`) and expose new
     local detections through a per-engine cursor, so one merge pass
-    costs O(changed signatures), not O(all signatures ever seen).
+    costs O(changed signatures), not O(all signatures ever seen).  Set
+    algebra in C picks the changed signatures that can change an output:
+    stitch candidates by one intersection per engine
+    (:meth:`CorrelationEngine.windowed`), a campaign's new spread by one
+    difference per engine against what the merger already attributed
+    (:meth:`CorrelationEngine.vehicles_beyond`), never re-unioned.
 
     :meth:`merge` returns ``(new_detections, new_vehicles)`` where
     ``new_vehicles`` maps flagged signatures to vehicles attributed
@@ -700,7 +716,8 @@ class GlobalCampaignMerger:
             if sig in self._flagged:
                 self._attribute(sig, set(local.vehicles), new_vehicles)
                 continue
-            entries = self._pending(engines, sig)
+            entries = [e for engine in engines
+                       for e in engine.pending_entries(sig)]
             cutoff = local.detect_time - self.window_s
             in_window = [(t, v) for t, v in entries if t >= cutoff]
             vehicles = set(local.vehicles) | {v for _, v in in_window}
@@ -720,21 +737,25 @@ class GlobalCampaignMerger:
         #    cross-shard sub-threshold stitch region sharding needs.  An
         #    engine fires on its own at k, so one engine's window is
         #    always below k: only a signature windowed on two or more
-        #    engines can cross k here, and a lone engine has none.
-        if len(engines) == 1:
-            dirty = dirty.intersection(self._flagged)
-        for sig in sorted(dirty):
-            if sig in self._flagged:
-                combined: Set[str] = set()
+        #    engines can cross k here.  Skipping every other unflagged
+        #    dirty signature (a no-op) keeps the order and the outputs.
+        held: Set[str] = set()
+        stitch: Set[str] = set()
+        for engine in engines:
+            windowed = engine.windowed(dirty)
+            stitch |= held & windowed
+            held |= windowed
+        flagged = self._flagged
+        for sig in sorted(stitch | (flagged.keys() & dirty)):
+            if sig in flagged:
+                known = self._campaign_vehicles[sig]
+                delta: Set[str] = set()
                 for engine in engines:
-                    combined |= engine.campaign_vehicles(sig)
-                    combined |= engine.pending_vehicles(sig)
-                self._attribute(sig, combined, new_vehicles)
+                    delta |= engine.vehicles_beyond(sig, known)
+                self._attribute(sig, delta, new_vehicles)
                 continue
-            holders = [e for e in engines if e.has_window(sig)]
-            if len(holders) < 2:
-                continue
-            entries = self._pending(holders, sig)
+            entries = [e for engine in engines
+                       for e in engine.pending_entries(sig)]
             newest = max(t for t, _ in entries)
             cutoff = newest - self.window_s
             in_window = [(t, v) for t, v in entries if t >= cutoff]
@@ -755,15 +776,6 @@ class GlobalCampaignMerger:
         return new_detections, new_vehicles
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _pending(
-        engines: Sequence[CorrelationEngine], signature: str
-    ) -> List[Tuple[float, str]]:
-        entries: List[Tuple[float, str]] = []
-        for engine in engines:
-            entries.extend(engine.pending_entries(signature))
-        return entries
-
     def _fire(self, detection: CampaignDetection) -> None:
         self._flagged[detection.signature] = detection
         self._campaign_vehicles[detection.signature] = set(detection.vehicles)

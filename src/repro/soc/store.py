@@ -29,8 +29,9 @@ Durability contract: a pump marker is the commit point, and
 disk -- so a killed process loses nothing up to its last marker.
 Records reach the disk (fsync) only when a segment closes
 (:meth:`EventLog.rotate`), in :meth:`EventLog.sync` before every
-snapshot, and at :meth:`EventLog.close`; a machine crash may lose the
-records since the last of those.
+snapshot, and at :meth:`EventLog.close` (a sync with nothing written
+since the last fsync skips it); a machine crash may lose the records
+since the last of those.
 
 On-disk record format (one segment file = ``SOCLOG1\\n`` magic + records)::
 
@@ -307,6 +308,7 @@ class EventLog:
         self._min_t: Optional[float] = None
         self._max_t: Optional[float] = None
         self._watermark: Optional[float] = None  # running max event time
+        self._unsynced = True        # bytes written since the last fsync
 
         self.last_seq = 0
         self.appended = 0            # records appended by *this* process
@@ -364,6 +366,7 @@ class EventLog:
             self._note_record(payload)
         self.last_seq = self._first_seq + len(payloads) - 1
         self._fh = open(tail, "ab")
+        self._unsynced = True
 
     def _open_segment(self, first_seq: int) -> None:
         self._first_seq = first_seq
@@ -373,6 +376,7 @@ class EventLog:
         self._min_t = self._max_t = self._watermark = None
         self._fh = open(self._segment_path(first_seq), "wb")
         self._fh.write(SEGMENT_MAGIC)
+        self._unsynced = True
 
     # ------------------------------------------------------------------
     # Append path
@@ -412,6 +416,7 @@ class EventLog:
         self._count += 1
         self.last_seq += 1
         self.appended += 1
+        self._unsynced = True
         self._note_times(event_times)
         return self.last_seq
 
@@ -462,11 +467,14 @@ class EventLog:
         os.replace(tmp, path)
 
     def sync(self) -> None:
-        """Flush and fsync the active segment.  Called before every
+        """Flush and fsync the active segment, unless nothing was
+        written to it since its last fsync.  Called before every
         snapshot so a snapshot never references log records less
         durable than itself."""
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        if self._unsynced:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._unsynced = False
 
     def close(self) -> None:
         if self._fh is not None and not self._fh.closed:

@@ -20,8 +20,9 @@ per-event semantics:
   both one and four shards.
 
 Plus regression tests for the bounded dedup/duplicate ledgers (the
-unbounded-growth fix) and unit tests for
-:class:`GlobalCampaignMerger`'s cross-shard spread accounting.
+unbounded-growth fix), unit tests for :class:`GlobalCampaignMerger`'s
+cross-shard spread accounting, and a Hypothesis differential of its
+set-algebra merge against a brute-force reference merge.
 """
 
 import json
@@ -32,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.safety import Asil
 from repro.sim import RngStreams, Simulator
 from repro.soc import (
+    CampaignDetection,
     CorrelationEngine,
     EventSource,
     FleetModel,
@@ -156,6 +158,32 @@ class TestObserveBatchEquivalence:
         fast_state.pop("evicted")
         assert fast_state == snapshot(reference)
 
+    def test_observe_is_a_batch_of_one(self):
+        # Every branch of the observe loop: fresh windows, a detection,
+        # spread of a flagged campaign, a redelivered id, a late event,
+        # low-severity noise, a chatty repeat and a ledger sweep.
+        stream = [ev("v1", "ids.sig:0", 1.0, 1), ev("v2", "ids.sig:0", 2.0, 2),
+                  ev("v2", "ids.sig:1", 2.5, 3), ev("v3", "ids.sig:0", 3.0, 4),
+                  ev("v4", "ids.sig:0", 3.5, 5), ev("v4", "ids.sig:0", 3.5, 5),
+                  ev("v5", "ids.sig:1", 0.5, 6),
+                  ev("v6", "ids.sig:1", 4.0, 7, severity=Asil.A),
+                  ev("v2", "ids.sig:1", 4.5, 8), ev("v7", "ids.sig:2", 40.0, 9),
+                  ev("v1", "ids.sig:0", 41.0, 10)]
+        single = CorrelationEngine(**ENGINE_KW)
+        batched = CorrelationEngine(**ENGINE_KW)
+        verdicts = []
+        for e in stream:
+            verdict = single.observe(e)
+            assert verdict == batched.observe_batch([e])[0]
+            assert canon(single) == canon(batched)
+            verdicts.append(verdict)
+        assert [v is not None for v in verdicts] == [
+            False, False, False, True] + [False] * 7
+        assert (single.duplicate_ids, single.late_dropped,
+                single.low_severity_ignored, single.deduped) == (1, 1, 1, 1)
+        assert single.ids_evicted > 0
+        assert single.campaign_vehicles("ids.sig:0") == {"v1", "v2", "v3", "v4"}
+
     def test_single_whole_stream_batch(self):
         events = [ev(f"v{i}", "ids.sig:0", float(i), i) for i in range(6)]
         per_event = CorrelationEngine(**ENGINE_KW)
@@ -227,10 +255,10 @@ class TestBoundedLedgers:
     def test_stale_signature_windows_are_evicted(self):
         engine = CorrelationEngine(**ENGINE_KW)
         engine.observe(ev("v1", "ids.sig:cold", 0.0, 1))
-        assert engine.pending_vehicles("ids.sig:cold") == {"v1"}
+        assert engine.pending_entries("ids.sig:cold") == [(0.0, "v1")]
         engine.observe(ev("v2", "ids.sig:hot", 500.0, 2))
         assert engine.windows_evicted == 1
-        assert engine.pending_vehicles("ids.sig:cold") == set()
+        assert engine.pending_entries("ids.sig:cold") == []
         # ...and that is invisible to detection: no future admissible
         # event could have co-occurred with the cold window anyway.
         assert engine.metrics()["campaigns_flagged"] == 0
@@ -400,6 +428,148 @@ class TestGlobalCampaignMerger:
         restored = GlobalCampaignMerger.from_snapshot(old)
         assert restored.snapshot() == state
         assert restored.flagged_signatures == ("ids.sig:x",)
+
+
+class _BruteForceMerger(GlobalCampaignMerger):
+    """The merge before set algebra, kept as the reference: every dirty
+    signature asks every engine for a window, and a flagged signature's
+    spread re-unions each engine's whole campaign and pending sets
+    before subtracting what is already known."""
+
+    def merge(self, engines):
+        self.merges += 1
+        while len(self._cursors) < len(engines):
+            self._cursors.append(0)
+        new_detections, new_vehicles = [], {}
+
+        def pending(holders, sig):
+            return [e for engine in holders for e in engine.pending_entries(sig)]
+
+        def fire(detection, attributed):
+            self._flagged[detection.signature] = detection
+            self._campaign_vehicles[detection.signature] = set(detection.vehicles)
+            self.detections.append(detection)
+            attribute(detection.signature, attributed)
+            new_detections.append(detection)
+
+        def attribute(sig, vehicles):
+            delta = vehicles - self._campaign_vehicles[sig]
+            if delta:
+                self._campaign_vehicles[sig] |= delta
+                new_vehicles.setdefault(sig, set()).update(delta)
+
+        dirty, local_detections = set(), []
+        for index, engine in enumerate(engines):
+            local_detections.extend(engine.detections[self._cursors[index]:])
+            self._cursors[index] = len(engine.detections)
+            dirty |= engine.pop_dirty()
+        for local in local_detections:
+            sig = local.signature
+            if sig in self._flagged:
+                attribute(sig, set(local.vehicles))
+                continue
+            entries = pending(engines, sig)
+            in_window = [(t, v) for t, v in entries
+                         if t >= local.detect_time - self.window_s]
+            fire(CampaignDetection(
+                sig, local.detect_time,
+                min([local.first_time] + [t for t, _ in in_window]),
+                tuple(sorted(set(local.vehicles) | {v for _, v in in_window})),
+                self.window_s, self.k), {v for _, v in entries})
+        for sig in sorted(dirty):
+            if sig in self._flagged:
+                combined = set()
+                for engine in engines:
+                    combined |= engine.campaign_vehicles(sig)
+                    combined |= {v for _, v in engine.pending_entries(sig)}
+                attribute(sig, combined)
+                continue
+            holders = [e for e in engines if e.pending_entries(sig)]
+            if len(holders) < 2:
+                continue
+            entries = pending(holders, sig)
+            newest = max(t for t, _ in entries)
+            in_window = [(t, v) for t, v in entries if t >= newest - self.window_s]
+            vehicles = {v for _, v in in_window}
+            if len(vehicles) >= self.k:
+                fire(CampaignDetection(
+                    sig, newest, min(t for t, _ in in_window),
+                    tuple(sorted(vehicles)), self.window_s, self.k),
+                    {v for _, v in entries})
+        return new_detections, new_vehicles
+
+
+_merge_step = st.tuples(
+    st.sampled_from(["event"] * 6 + ["merge"] * 2 + ["restore"]),
+    st.integers(0, 7),                          # vehicle
+    st.integers(0, 2),                          # signature
+    st.floats(0.0, 0.5),                        # clock advance
+    st.floats(-1.5, 0.0),                       # disorder
+    st.sampled_from([Asil.A, Asil.B, Asil.C, Asil.C]),
+    st.one_of(st.none(), st.none(), st.integers(0, 60)),  # redelivery of
+)
+
+
+class TestMergeAgainstBruteForce:
+    """The set-algebra merge equals the brute-force reference at every
+    merge, with and without verdict adoption, across a mid-pump
+    snapshot/restore of the merging side."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(engines=st.sampled_from([1, 4, 12]),
+           keyed=st.sampled_from(["vehicle", "signature"]),
+           adopt=st.booleans(),
+           engine_kw=st.sampled_from([MERGE_KW, ENGINE_KW]),
+           steps=st.lists(_merge_step, min_size=20, max_size=120))
+    def test_merge_equals_brute_force(self, engines, keyed, adopt,
+                                      engine_kw, steps):
+        fast = [CorrelationEngine(**engine_kw) for _ in range(engines)]
+        slow = [CorrelationEngine(**engine_kw) for _ in range(engines)]
+        merger = GlobalCampaignMerger(window_s=engine_kw["window_s"], k=3)
+        reference = _BruteForceMerger(window_s=engine_kw["window_s"], k=3)
+
+        def merge():
+            got = merger.merge(fast)
+            want = reference.merge(slow)
+            assert got == want
+            if adopt:
+                for detection in got[0]:
+                    for engine in fast + slow:
+                        engine.adopt_campaign(detection)
+
+        clock, sent = 0.0, []
+        for kind, veh, sig, dt, jitter, sev, dup in steps:
+            if kind == "merge":
+                merge()
+            elif kind == "restore":
+                # Mid-pump: dirty sets and un-merged detections included.
+                fast = [CorrelationEngine.from_snapshot(
+                    json.loads(json.dumps(e.snapshot()))) for e in fast]
+                merger = GlobalCampaignMerger.from_snapshot(
+                    json.loads(json.dumps(merger.snapshot())))
+            else:
+                clock += dt
+                if dup is not None and dup < len(sent):
+                    e = sent[dup]
+                else:
+                    e = ev(f"v{veh:02d}", f"ids.sig:{sig}", clock + jitter,
+                           len(sent), severity=sev)
+                sent.append(e)
+                shard = (veh if keyed == "vehicle" else sig) % engines
+                fast[shard].observe(e)
+                slow[shard].observe(e)
+        merge()
+        assert [canon(e) for e in fast] == [canon(e) for e in slow]
+        assert merger.snapshot() == reference.snapshot()
+
+    @pytest.mark.parametrize("merger_class",
+                             [GlobalCampaignMerger, _BruteForceMerger])
+    def test_cross_engine_stitch_fires(self, merger_class):
+        engines = [CorrelationEngine(**MERGE_KW) for _ in range(12)]
+        for i in range(3):
+            engines[i * 5].observe(ev(f"v{i}", "ids.sig:0", float(i), i))
+        detections, _ = merger_class(window_s=8.0, k=3).merge(engines)
+        assert [d.vehicles for d in detections] == [("v0", "v1", "v2")]
 
 
 # ----------------------------------------------------------------------

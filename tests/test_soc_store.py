@@ -354,8 +354,20 @@ class TestDurabilityContract:
         assert _synced(fsyncs, tmp_path) == [
             seg_2, "snapshots/snap-00000002.json"]
         del fsyncs[:]
+        self._pump(soc, 3)
         soc.store.close()
         assert _synced(fsyncs, tmp_path) == [seg_2]
+
+    def test_sync_with_nothing_written_since_the_last_is_skipped(
+            self, tmp_path, fsyncs):
+        log = EventLog(tmp_path / "log")
+        log.sync()
+        log.sync()
+        assert _synced(fsyncs, tmp_path) == [SEG_1]
+        log.append_mark(1.0, 1)
+        log.sync()
+        log.close()
+        assert _synced(fsyncs, tmp_path) == [SEG_1, SEG_1]
 
     def test_worker_core_follows_the_same_counts(self, tmp_path, fsyncs):
         core = WorkerCore(0, tmp_path, ServiceConfig(snapshot_every_pumps=4))
@@ -373,9 +385,9 @@ class TestDurabilityContract:
             assert _synced(fsyncs, root) == (
                 [SEG_1, "snapshots/snap-00000002.json"] if seq >= 4 else [])
         del fsyncs[:]
-        core.close()  # final snapshot, then the store's close
+        core.close()  # final snapshot; the store's close has nothing to sync
         assert _synced(fsyncs, root) == [
-            SEG_1, "snapshots/snap-00000003.json", SEG_1]
+            SEG_1, "snapshots/snap-00000003.json"]
 
 
 class TestTornWriteRecovery:
