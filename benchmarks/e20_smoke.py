@@ -41,76 +41,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 
+from hostscale import fastest_scaled
 from repro.experiments import e20_hardening
 
 SMOKE_CLIENTS = 40
 SMOKE_ROUNDS = 5
 MTTR_GRACE_S = 0.100
 
-#: Seconds :func:`calibration_s` takes on one vCPU of the reference host
-#: (a 2-vCPU KVM guest, CPython 3.11) at full speed.
-REFERENCE_CALIBRATION_S = 1.66e-3
-#: Calls of the calibration loop per vCPU and reading.  A slow stretch
-#: slows some calls and not others, so their mean counts.
-CALIBRATION_CALLS = 8
 #: Runs of the authenticated cell; the gate reads the fastest one.
 AUTH_REPEATS = 7
-
-
-def calibration_s() -> float:
-    """Seconds for a fixed pure-Python loop of about 2 ms."""
-    t0 = time.perf_counter()
-    table = {}
-    for i in range(6000):
-        key = "k%d" % (i % 499)
-        table[key] = table.get(key, 0) + i
-    return time.perf_counter() - t0
-
-
-def host_speed() -> float:
-    """Mean speed of the vCPUs this process may run on, each read with
-    the calibration loop pinned to it; 1.0 is the reference host's full
-    speed."""
-    allowed = os.sched_getaffinity(0)
-    speeds = []
-    try:
-        for cpu in sorted(allowed):
-            os.sched_setaffinity(0, {cpu})
-            cal = sum(calibration_s() for _ in range(CALIBRATION_CALLS))
-            speeds.append(REFERENCE_CALIBRATION_S * CALIBRATION_CALLS / cal)
-    finally:
-        os.sched_setaffinity(0, allowed)
-    return sum(speeds) / len(speeds)
-
-
-def scaled_auth_cell(**kw):
-    """The authenticated throughput cell, run :data:`AUTH_REPEATS` times
-    with a host-speed reading before, between and after the runs.
-
-    Returns the fastest run with ``host_speed`` (the mean of all the
-    readings) and ``scaled_eps`` (its eps divided by that mean: the eps
-    it would have reached at full speed) added.  Interference from other
-    tenants only ever slows a run, so the fastest run is the least
-    disturbed one; a single ~50 ms reading is itself noisy, so the scale
-    is the mean over the whole series, which follows the slow stretches
-    that last seconds to minutes."""
-    speeds = [host_speed()]
-    best = None
-    for _ in range(AUTH_REPEATS):
-        cell = e20_hardening.auth_cell(True, **kw)
-        speeds.append(host_speed())
-        print(f"  authenticated run: {cell['eps']:,.0f} eps (host speed "
-              f"{speeds[-2]:.2f} before, {speeds[-1]:.2f} after)")
-        if best is None or cell["eps"] > best["eps"]:
-            best = cell
-    best["host_speed"] = sum(speeds) / len(speeds)
-    best["scaled_eps"] = best["eps"] / best["host_speed"]
-    best["repeats"] = float(AUTH_REPEATS)
-    return best
 
 
 def main(argv=None) -> int:
@@ -137,8 +78,10 @@ def main(argv=None) -> int:
 
     plain = e20_hardening.auth_cell(False, seed=0, n_clients=args.clients,
                                     rounds=SMOKE_ROUNDS)
-    authed = scaled_auth_cell(seed=0, n_clients=args.clients,
-                              rounds=SMOKE_ROUNDS)
+    authed = fastest_scaled(
+        lambda: e20_hardening.auth_cell(True, seed=0, n_clients=args.clients,
+                                        rounds=SMOKE_ROUNDS),
+        AUTH_REPEATS, "eps", "authenticated")
     cells = {
         "overhead": {"plain": plain, "authenticated": authed,
                      "overhead_frac": 1.0 - authed["eps"] / plain["eps"]},

@@ -16,10 +16,9 @@ out.  This package is that backend:
   backpressure signal: one pipeline of N shard queues drained
   round-robin from a worker pool with a shared capacity budget (N=1 by
   default).
-- :mod:`repro.soc.shard` -- the pluggable per-signature/per-region
-  shard keys, plus the :class:`~repro.soc.shard.ConservationAudit` that
-  re-proves the shed/backpressure accounting per shard and globally
-  after every pump.
+- :mod:`repro.soc.shard` -- the per-signature shard key, plus the
+  :class:`~repro.soc.shard.ConservationAudit` that re-proves the
+  shed/backpressure accounting per shard and globally after every pump.
 - :mod:`repro.soc.correlate` -- sliding-window cross-vehicle
   correlation: per-vehicle dedup, duplicate/late-event hygiene, and
   k-vehicles-in-window campaign detection.  Every drained batch reaches
@@ -82,7 +81,6 @@ from repro.soc.events import (
     CorruptRecord,
     EventSource,
     SecurityEvent,
-    from_gateway_record,
     from_ids_alert,
     from_misbehavior_report,
     from_uds_security_failure,
@@ -97,7 +95,6 @@ from repro.soc.ingest import (
 from repro.soc.shard import (
     ConservationAudit,
     ConservationError,
-    region_shard_key,
     signature_shard_key,
 )
 from repro.soc.batch_arrays import StringInterner, build_batch
@@ -164,7 +161,6 @@ __all__ = [
     "DEFAULT_SOURCE_SEVERITY",
     "EventSource",
     "SecurityEvent",
-    "from_gateway_record",
     "from_ids_alert",
     "from_misbehavior_report",
     "from_uds_security_failure",
@@ -175,7 +171,6 @@ __all__ = [
     "TokenBucket",
     "ConservationAudit",
     "ConservationError",
-    "region_shard_key",
     "signature_shard_key",
     "StringInterner",
     "build_batch",

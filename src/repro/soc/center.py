@@ -9,10 +9,11 @@ There is one ingest pipeline (:class:`~repro.soc.ingest.IngestPipeline`,
 ``num_shards`` queues) and one correlation topology at every shard
 count: one **shard-local** :class:`~repro.soc.correlate.CorrelationEngine`
 per ingest shard plus a :class:`~repro.soc.correlate.GlobalCampaignMerger`
-that stitches the local verdicts (and, under region sharding,
-sub-threshold cross-shard windows) into fleet-wide campaigns after every
-pump.  Merged campaigns are adopted back into every engine so spread
-attribution stays exact and one event is never correlated twice.
+that stitches the local verdicts (and, at a federation hub whose
+engines are regions, sub-threshold cross-engine windows) into fleet-wide
+campaigns after every pump.  Merged campaigns are adopted back into
+every engine so spread attribution stays exact and one event is never
+correlated twice.
 
 :class:`AnalyticState` owns the engines, the merger and the incident
 tracker, and is the one place that knows how a batch record or
@@ -39,10 +40,10 @@ from repro.soc.events import (
     source_for_signature,
 )
 from repro.soc.fleet import FleetModel
-from repro.soc.incident import AMENDMENT_KINDS, Amendment, IncidentTracker
+from repro.soc.incident import IncidentTracker
 from repro.soc.ingest import IngestPipeline
 from repro.soc.respond import ResponseOrchestrator
-from repro.soc.shard import ConservationAudit, ShardKeyFn
+from repro.soc.shard import ConservationAudit
 from repro.soc.store import DurableStore, LogRecord
 
 
@@ -197,7 +198,6 @@ class SecurityOperationsCenter:
         max_lateness_s: float = 2.0,
         respond: bool = True,
         num_shards: int = 1,
-        shard_key: Optional[ShardKeyFn] = None,
         store: Optional[DurableStore] = None,
         snapshot_every_pumps: int = 0,
     ) -> None:
@@ -219,7 +219,6 @@ class SecurityOperationsCenter:
             queue_capacity=queue_capacity,
             batch_size=batch_size,
             num_shards=num_shards,
-            shard_key=shard_key,
         )
         self.audit = ConservationAudit()
 
@@ -429,25 +428,6 @@ class SecurityOperationsCenter:
             "dedup_window_s": self.dedup_window_s,
             "max_lateness_s": self.max_lateness_s,
         }
-
-    def adopt_amendments(self, amendments) -> Dict[str, int]:
-        """Consume a hub's reconciliation feed
-        (:meth:`~repro.soc.federation.FederationHub.export_amendments`)
-        -- dicts or :class:`~repro.soc.incident.Amendment` objects --
-        applying each outcome to this region's incident tracker.
-        Returns counts per kind plus ``unmatched`` (amendments whose
-        signature opened no incident here; a region only ever saw its
-        own slice of the fleet, so unmatched is the common case, not an
-        error)."""
-        counts: Dict[str, int] = {kind: 0 for kind in AMENDMENT_KINDS}
-        counts["unmatched"] = 0
-        for obj in amendments:
-            amendment = (obj if isinstance(obj, Amendment)
-                         else Amendment(**obj))
-            counts[amendment.kind] += 1
-            if not self.tracker.record_amendment(amendment):
-                counts["unmatched"] += 1
-        return counts
 
     # ------------------------------------------------------------------
     def flagged_signatures(self) -> Set[str]:

@@ -38,8 +38,8 @@ Fleet-scale fast path (the 10^7-vehicle E17 cell):
   timestamps older than the watermark minus the retention horizon are
   evicted, so memory is O(events in horizon), not O(events ever);
 - :class:`GlobalCampaignMerger` stitches shard-local engines into
-  fleet-wide campaigns, which makes region-keyed sharding (one
-  signature spread over many shards) detect exactly what a single
+  fleet-wide campaigns, which makes a federation hub (one signature
+  spread over many regions' engines) detect exactly what a single
   global engine would, at a cost set by the signatures that changed.
 """
 
@@ -629,9 +629,6 @@ class ReferenceCorrelationEngine:
     def campaign_vehicles(self, signature: str) -> Set[str]:
         return set(self._campaign_vehicles.get(signature, set()))
 
-    def pending_vehicles(self, signature: str) -> Set[str]:
-        return {v for _, v in self._by_signature.get(signature, ())}
-
     def metrics(self) -> Dict[str, float]:
         return {
             "observed": float(self.observed),
@@ -647,14 +644,15 @@ class GlobalCampaignMerger:
     """Stitches shard-local :class:`CorrelationEngine` state into
     fleet-wide campaigns.
 
-    With signature-keyed sharding a campaign lives wholly on one shard,
-    so a local detection *is* the fleet verdict and the merger merely
-    forwards it.  With region-keyed sharding one signature's vehicles
-    spread across shards and no single engine may ever reach ``k``; the
-    merger therefore also combines the engines' *pending* window entries
-    -- re-pruned against the global newest, same closed-window semantics
-    -- and fires when the cross-shard distinct-vehicle union reaches
-    ``k``.
+    Within one centre ingest is signature-keyed, so a campaign lives
+    wholly on one shard, a local detection *is* the fleet verdict and
+    the merger merely forwards it.  At a
+    :class:`~repro.soc.federation.FederationHub` the engines are
+    regions: one signature's vehicles spread across them and no single
+    engine may ever reach ``k``; the merger therefore also combines the
+    engines' *pending* window entries -- re-pruned against the global
+    newest, same closed-window semantics -- and fires when the
+    cross-engine distinct-vehicle union reaches ``k``.
 
     The merge is incremental: engines mark signatures dirty as their
     state changes (:meth:`CorrelationEngine.pop_dirty`) and expose new
@@ -706,9 +704,9 @@ class GlobalCampaignMerger:
             dirty |= engine.pop_dirty()
 
         # 1. Local detections: already-proven campaigns.  Extend the
-        #    verdict with other shards' in-window pending vehicles (only
-        #    relevant under region sharding; empty under signature
-        #    sharding, where the merged detection equals the local one).
+        #    verdict with other engines' in-window pending vehicles (only
+        #    relevant across a hub's regions; empty within one centre,
+        #    where the merged detection equals the local one).
         #    Vehicles the engine attributed after its detection stay
         #    dirty, so step 2 attributes them in this same merge.
         for local in local_detections:
@@ -734,7 +732,7 @@ class GlobalCampaignMerger:
             new_detections.append(merged)
 
         # 2. Dirty signatures: new spread of flagged campaigns, and the
-        #    cross-shard sub-threshold stitch region sharding needs.  An
+        #    cross-engine sub-threshold stitch a hub's regions need.  An
         #    engine fires on its own at k, so one engine's window is
         #    always below k: only a signature windowed on two or more
         #    engines can cross k here.  Skipping every other unflagged

@@ -2,11 +2,11 @@
 
 Every in-vehicle security mechanism in this repository produces its own
 alert shape -- :class:`repro.ids.base.Alert`, V2X
-:class:`~repro.v2x.misbehavior.MisbehaviorReport`, gateway trace records,
-UDS SecurityAccess negative responses.  A fleet backend cannot correlate
-across vehicles (let alone across sources) until those are normalized
-into one schema; this module is that schema plus the per-source
-constructors.
+:class:`~repro.v2x.misbehavior.MisbehaviorReport`, UDS SecurityAccess
+negative responses.  A fleet backend cannot correlate across vehicles
+(let alone across sources) until those are normalized into one schema;
+this module is that schema plus the per-source constructors (gateway
+quarantine events come straight from :func:`make_event`).
 
 ``SecurityEvent`` is a named tuple in the canonical log order with a
 ``str``-enum source and an ``int``-enum severity, so ``json.dumps``
@@ -107,9 +107,6 @@ class SecurityEvent(NamedTuple):
     signature: str
     severity: Asil = Asil.A
     detail: Tuple[Tuple[str, Any], ...] = ()
-
-    def detail_dict(self) -> dict:
-        return dict(self.detail)
 
 
 _SOURCES: Dict[str, EventSource] = {s.value: s for s in EventSource}
@@ -221,19 +218,6 @@ def from_misbehavior_report(report: Any, seq: int,
         report.reporter, EventSource.V2X, signature, report.time, seq,
         severity=severity,
         detail={"accused": report.accused_subject, "reason": report.reason},
-    )
-
-
-def from_gateway_record(vehicle_id: str, record: Any, seq: int,
-                        severity: Optional[Asil] = None) -> SecurityEvent:
-    """Normalize a gateway trace record (``gateway.quarantine`` /
-    ``gateway.drop``) emitted by :class:`repro.gateway.SecureGateway`."""
-    domain = record.data.get("domain", "?")
-    signature = f"{record.kind}:{domain}"
-    return make_event(
-        vehicle_id, EventSource.GATEWAY, signature, record.time, seq,
-        severity=severity,
-        detail=dict(record.data),
     )
 
 

@@ -362,8 +362,8 @@ class FederationHub:
       ``staleness_budget_s``, the hub freezes the reconciliation base
       and keeps applying the healthy regions' records provisionally (an
       **episode**).  Verdicts fired inside an episode open
-      ``provisional=True`` incidents and are journaled in
-      :attr:`provisional_log`.  Once every live region's
+      ``provisional=True`` incidents and count in
+      ``provisional_verdicts``.  Once every live region's
       watermark provably passes the episode's records (or at
       :meth:`finalize`), :meth:`_reconcile` replays the episode suffix
       in canonical order into a shadow built from the frozen base,
@@ -423,11 +423,8 @@ class FederationHub:
         self._suffix: List[Tuple[str, LogRecord]] = []
         self._provisional: List[Tuple[float, CampaignDetection]] = []
         self._hi_by_region: Dict[str, Tuple[float, int]] = {}
-        #: Permanent journal of every provisional verdict ever emitted
-        #: (reconciliation rewrites detection_log, never this).
-        self.provisional_log: List[Tuple[float, CampaignDetection]] = []
-        #: Cumulative reconciliation outcomes, export feed for
-        #: :meth:`export_amendments`.
+        #: Every reconciliation outcome, in order: the one amendment
+        #: journal (the swapped-in trackers keep none).
         self.amendments: List[Amendment] = []
         self.episodes = 0
         self.reconciliations = 0
@@ -615,7 +612,6 @@ federation_profile` (regions in a federation share a configuration).
             if self._episode_active:
                 self.provisional_verdicts += 1
                 self._provisional.append((now, detection))
-                self.provisional_log.append((now, detection))
 
     # ------------------------------------------------------------------
     # Optimistic episodes
@@ -720,10 +716,6 @@ federation_profile` (regions in a federation share a configuration).
         self.late_verdicts += len(late)
         head = self.detection_log[:self._base["detection_log_len"]]
         self.detection_log = head + kept + late
-        # The shadow tracker restarts from the base snapshot (the
-        # amendment journal is journey, not state) -- re-seat the full
-        # journal so tracker-level history survives the swap.
-        shadow.tracker.amendments = list(old_tracker.amendments)
         for amendment in fresh:
             shadow.tracker.record_amendment(amendment)
         self.amendments.extend(fresh)
@@ -760,11 +752,6 @@ federation_profile` (regions in a federation share a configuration).
     @property
     def episode_active(self) -> bool:
         return self._episode_active
-
-    def export_amendments(self, after: int = 0) -> List[Dict[str, object]]:
-        """JSON-safe amendment feed (regions poll with their cursor --
-        same idiom as the verdict feed)."""
-        return [a.as_dict() for a in self.amendments[after:]]
 
     def finalize(self, now: float) -> int:
         """End-of-stream flush: every region's log is known complete, so

@@ -61,8 +61,8 @@ class Amendment:
     with different spread/timing -- the deltas are recorded here), or
     ``retract`` (it never fired; the provisional incident was a false
     page).  Amendments describe the *journey* from optimistic to strict
-    state, so they are journaled beside the tracker, never inside its
-    canonical snapshot.
+    state, so the hub journals them (``FederationHub.amendments``), never
+    the tracker's canonical snapshot.
     """
 
     kind: str                      # one of AMENDMENT_KINDS
@@ -75,17 +75,6 @@ class Amendment:
     def __post_init__(self) -> None:
         if self.kind not in AMENDMENT_KINDS:
             raise ValueError(f"unknown amendment kind {self.kind!r}")
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-safe export form (the hub's amendment feed)."""
-        return {
-            "kind": self.kind,
-            "signature": self.signature,
-            "t": self.t,
-            "incident_id": self.incident_id,
-            "vehicles_added": self.vehicles_added,
-            "vehicles_removed": self.vehicles_removed,
-        }
 
 
 @dataclass
@@ -179,9 +168,6 @@ class IncidentTracker:
         self.incidents: Dict[str, Incident] = {}          # by incident id
         self._by_signature: Dict[str, Incident] = {}
         self._counter = 0
-        #: Reconciliation journal (journey, not state): excluded from
-        #: :meth:`snapshot` so amended trackers stay byte-comparable.
-        self.amendments: List[Amendment] = []
 
     # ------------------------------------------------------------------
     def score(self, base: Asil, spread: int) -> Asil:
@@ -227,45 +213,31 @@ class IncidentTracker:
     # ------------------------------------------------------------------
     # Reconciliation amendments
     # ------------------------------------------------------------------
-    def record_amendment(self, amendment: Amendment) -> bool:
-        """Journal one reconciliation outcome and apply its lifecycle
-        effect to the matching local incident, if any.
+    def record_amendment(self, amendment: Amendment) -> None:
+        """Apply one reconciliation outcome's lifecycle effect to the
+        matching incident, if any.
 
         ``confirm``/``amend`` clear the incident's ``provisional`` flag
         (the verdict survived the deterministic replay); ``retract``
         walks a still-open incident to ``FALSE_POSITIVE`` -- the page was
-        an optimistic artifact.  A retract landing after containment is
-        journaled but leaves the lifecycle alone (the response already
-        ran; only a human can unwind it).  Returns ``True`` when a local
-        incident was touched.
+        an optimistic artifact.  A retract landing after containment
+        leaves the lifecycle alone (the response already ran; only a
+        human can unwind it).
         """
-        self.amendments.append(amendment)
         incident = self._by_signature.get(amendment.signature)
         if incident is None:
-            return False
+            return
         if amendment.kind in ("confirm", "amend"):
             incident.provisional = False
-            return True
-        # retract
-        if incident.state in (IncidentState.OPEN, IncidentState.TRIAGED):
+        elif incident.state in (IncidentState.OPEN, IncidentState.TRIAGED):
             incident.advance(amendment.t, IncidentState.FALSE_POSITIVE)
-            return True
-        return False
-
-    def amendment_counts(self) -> Dict[str, int]:
-        counts = {kind: 0 for kind in AMENDMENT_KINDS}
-        for amendment in self.amendments:
-            counts[amendment.kind] += 1
-        return counts
 
     # ------------------------------------------------------------------
     # Snapshot / restore
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Canonical JSON-safe dump of every incident plus the id
-        counter (incident ids must keep incrementing across a restart).
-        The :attr:`amendments` journal is deliberately excluded: it
-        describes how the state was reached, not the state itself."""
+        counter (incident ids must keep incrementing across a restart)."""
         return {
             "escalation_spread": self.escalation_spread,
             "counter": self._counter,

@@ -14,8 +14,8 @@ objects (one by default).  Each shard is one path through three stages:
 ``dispatch``  batch drain to the shard's registered sinks
               (the correlation engine, archival taps, ...).
 
-A shard key (:mod:`repro.soc.shard`) routes each event to its shard;
-with one shard no key is computed.  The pipeline owns the one backend
+:func:`~repro.soc.shard.signature_shard_key` routes each event to its
+shard; with one shard no key is computed.  The pipeline owns the one backend
 capacity budget, in *simulation time*: each ``pump(now)`` may dispatch
 at most ``capacity_eps * dt`` events, handed out round-robin one batch
 per shard per turn, so a fleet offering more than the backend sustains
@@ -27,12 +27,11 @@ sources use to throttle low-severity telemetry at origin.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.safety import Asil
 from repro.soc.events import SecurityEvent
-from repro.soc.shard import ShardKeyFn, signature_shard_key
+from repro.soc.shard import signature_shard_key
 
 
 class TokenBucket:
@@ -76,21 +75,6 @@ class TokenBucket:
         """Current token level after refilling to ``now``."""
         self._refill(now)
         return self.tokens
-
-
-@dataclass
-class StageStats:
-    """Dispatch counters: departures in ``exited``, with batches and
-    waits."""
-
-    exited: int = 0
-    batches: int = 0
-    latency_sum_s: float = 0.0
-    latency_max_s: float = 0.0
-
-    @property
-    def mean_latency_s(self) -> float:
-        return self.latency_sum_s / self.exited if self.exited else 0.0
 
 
 class BoundedQueue:
@@ -205,9 +189,12 @@ class IngestShard:
         self._congestion_depth = max(
             1, int(queue_capacity * CONGESTION_WATERMARK))
         self._batch_sinks: List[Callable[[float, List[SecurityEvent]], None]] = []
-        self.stats = {"dispatch": StageStats()}
         self.offered = 0
         self.rejected_invalid = 0
+        self.dispatched = 0
+        self.batches = 0
+        self.latency_sum_s = 0.0   # queue waits of the dispatched events
+        self.latency_max_s = 0.0
 
     def add_batch_sink(
         self, sink: Callable[[float, List[SecurityEvent]], None]
@@ -249,22 +236,21 @@ class IngestShard:
         entries = self.queue.drain(limit)
         if not entries:
             return 0
-        dispatch = self.stats["dispatch"]
-        dispatch.batches += 1
+        self.batches += 1
         batch: List[SecurityEvent] = []
         for t_in, event in entries:
             wait = max(0.0, now - t_in)
-            dispatch.latency_sum_s += wait
-            if wait > dispatch.latency_max_s:
-                dispatch.latency_max_s = wait
+            self.latency_sum_s += wait
+            if wait > self.latency_max_s:
+                self.latency_max_s = wait
             batch.append(event)
-        dispatch.exited += len(batch)
+        self.dispatched += len(batch)
         for batch_sink in self._batch_sinks:
             batch_sink(now, batch)
         return len(batch)
 
     def metrics(self) -> Dict[str, float]:
-        dispatch = self.stats["dispatch"]
+        dispatched = self.dispatched
         return {
             "offered": float(self.offered),
             "rejected_invalid": float(self.rejected_invalid),
@@ -273,12 +259,13 @@ class IngestShard:
             "queue_refused": float(self.queue.shed),
             "queue_evicted": float(self.queue.evicted),
             "shed_rate": self.shed_rate,
-            "dispatched": float(dispatch.exited),
-            "batches": float(dispatch.batches),
+            "dispatched": float(dispatched),
+            "batches": float(self.batches),
             "queue_depth": float(len(self.queue)),
             "queue_depth_max": float(self.queue.depth_max),
-            "mean_dispatch_latency_s": dispatch.mean_latency_s,
-            "max_dispatch_latency_s": dispatch.latency_max_s,
+            "mean_dispatch_latency_s": (
+                self.latency_sum_s / dispatched if dispatched else 0.0),
+            "max_dispatch_latency_s": self.latency_max_s,
         }
 
 
@@ -286,8 +273,8 @@ class IngestPipeline:
     """``num_shards`` :class:`IngestShard` queues behind one front door
     and one backend capacity budget.
 
-    Admission routes each event to ``shard_key(event, num_shards)``
-    (default :func:`~repro.soc.shard.signature_shard_key`).  Draining
+    Admission routes each event to its
+    :func:`~repro.soc.shard.signature_shard_key` shard.  Draining
     simulates a worker pool sharing ``capacity_eps`` events per simulated
     second: each :meth:`pump` turns elapsed time into an allowance and
     :meth:`dispatch` hands it out round-robin, at most one batch per
@@ -310,14 +297,12 @@ class IngestPipeline:
         queue_capacity: int = 2048,
         batch_size: int = 64,
         num_shards: int = 1,
-        shard_key: Optional[ShardKeyFn] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.num_shards = num_shards
-        self.shard_key: ShardKeyFn = shard_key or signature_shard_key
         self.capacity_eps = capacity_eps
         self.batch_size = batch_size
         self.shards: List[IngestShard] = [
@@ -334,17 +319,8 @@ class IngestPipeline:
     # ------------------------------------------------------------------
     # Front door
     # ------------------------------------------------------------------
-    def add_batch_sink(
-        self, sink: Callable[[float, List[SecurityEvent]], None]
-    ) -> None:
-        """Register a batch consumer on every shard.  Shard-*local*
-        consumers (per-shard correlators, archival taps that record the
-        shard index) register on ``shards[i]`` directly instead."""
-        for shard in self.shards:
-            shard.add_batch_sink(sink)
-
     def shard_of(self, event: SecurityEvent) -> int:
-        return self.shard_key(event, self.num_shards)
+        return signature_shard_key(event, self.num_shards)
 
     def offer(self, now: float, event: SecurityEvent) -> bool:
         """Admit one event to its shard; True if it was queued."""
@@ -436,7 +412,7 @@ class IngestPipeline:
         for shard in self.shards:
             for key, value in shard.metrics().items():
                 merged[key] = merged.get(key, 0.0) + value
-            latency_sum += shard.stats["dispatch"].latency_sum_s
+            latency_sum += shard.latency_sum_s
         dispatched = merged["dispatched"]
         merged["shed_rate"] = self.shed_rate
         merged["queue_depth_max"] = max(
@@ -444,5 +420,5 @@ class IngestPipeline:
         merged["mean_dispatch_latency_s"] = (
             latency_sum / dispatched if dispatched else 0.0)
         merged["max_dispatch_latency_s"] = max(
-            s.stats["dispatch"].latency_max_s for s in self.shards)
+            s.latency_max_s for s in self.shards)
         return merged

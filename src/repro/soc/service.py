@@ -38,18 +38,17 @@ Design rules, each load-bearing for the >=3x multiprocess scaling:
   ``(t_send, [(conn, batch_id, payload), ...])`` -- per buffer drain,
   not one per event, so queue pickling amortizes exactly like the
   pipeline's batch sinks do.
-- **Sharding is by client id** (CRC-32, like
-  :func:`~repro.soc.shard.region_shard_key`): one vehicle, one worker,
-  so per-vehicle dedup and per-signature windows stay worker-local for
-  region-resident campaigns, and a connection has exactly one
-  backpressure authority.
+- **Sharding is by client id** (CRC-32,
+  :func:`~repro.soc.shard.stable_hash`): one vehicle, one worker, so
+  per-vehicle dedup stays worker-local and a connection has exactly
+  one backpressure authority.
 - **Backpressure is explicit.**  The existing source-suppression signal
   (:attr:`~repro.soc.ingest.IngestPipeline.congested`) is sampled by the
   worker after admission and propagated -- together with the frontend's
   own outstanding-handoff watermark -- back to every connection on that
-  shard as SUPPRESS/RESUME frames; :class:`VehicleClient` then sheds
-  ASIL-A telemetry at the source (counted, never silent), exactly like
-  the in-simulation :class:`~repro.soc.fleet.FleetWorkloadGenerator`.
+  shard as SUPPRESS/RESUME frames, the signal the in-simulation
+  :class:`~repro.soc.fleet.FleetWorkloadGenerator` throttles ASIL-A
+  telemetry on.
 - **Credit-based flow control.**  WELCOME grants each connection
   ``credits`` in-flight batches; every ACK (sent only after the owning
   worker has *dispatched* the batch) returns one.  A client can never
@@ -86,7 +85,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.safety import Asil
 from repro.crypto.cmac import aes_cmac, cmac_verify
 from repro.crypto.kdf import hkdf
 from repro.sim import Simulator
@@ -942,7 +940,7 @@ class _ProcessBackend:
 
 def shard_for_client(client_id: str, num_workers: int) -> int:
     """Connection-level shard key: CRC-32 of the client id (process-
-    stable, like every shard key in :mod:`repro.soc.shard`)."""
+    stable, like :func:`~repro.soc.shard.signature_shard_key`)."""
     return stable_hash(client_id) % num_workers
 
 
@@ -1657,13 +1655,10 @@ async def serve(service: IngestService, host: str = "127.0.0.1",
 class VehicleClient:
     """Async vehicle uplink with credit-based flow control.
 
-    ``send_events`` consumes one credit per batch; credits return with
-    ACKs (each ACK's round trip is recorded -- the p99 E19 publishes).
-    While the server holds this connection SUPPRESSED, ASIL-A telemetry
-    is shed at the source and counted (``suppressed_at_source``),
-    mirroring :class:`~repro.soc.fleet.FleetWorkloadGenerator`; higher
-    severities still go through -- backpressure never mutes actionable
-    security telemetry.
+    :meth:`send_payload` consumes one credit per batch; credits return
+    with ACKs (each ACK's round trip is recorded -- the p99 E19
+    publishes).  ``suppressed`` follows the server's SUPPRESS/RESUME
+    frames for this connection.
     """
 
     def __init__(self, client_id: str, host: str = "127.0.0.1",
@@ -1681,7 +1676,6 @@ class VehicleClient:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._decoder = FrameStreamDecoder()
-        self._next_batch = 0
         self._pending: Dict[int, Tuple[float, int]] = {}
         self._welcomed = asyncio.Event()
         self._credit_evt = asyncio.Event()
@@ -1689,18 +1683,10 @@ class VehicleClient:
         self.batches_sent = 0
         self.events_sent = 0
         self.events_accepted = 0
-        self.suppressed_at_source = 0
         self.batches_refused = 0
         self.events_refused_quota = 0
         self.rtts_s: List[float] = []
         self.closed = False
-
-    def seal(self, payload: bytes) -> bytes:
-        """Append this session's :func:`batch_tag` trailer to an encoded
-        BATCH payload (no-op without a session key)."""
-        if self.session_key is None:
-            return payload
-        return seal_payload(self.session_key, self.client_id, payload)
 
     async def connect(self) -> None:
         reader, self._writer = await asyncio.open_connection(
@@ -1770,27 +1756,11 @@ class VehicleClient:
         self._ack_evt.set()
         return self._pending.pop(batch_id, None)
 
-    async def send_events(self, events: Sequence[SecurityEvent]
-                          ) -> Optional[int]:
-        """Send one batch (one credit).  Under suppression, ASIL-A
-        events are shed and counted; returns the batch id, or ``None``
-        if suppression shed the whole batch."""
-        if self.suppressed:
-            kept = [e for e in events if e.severity > Asil.A]
-            self.suppressed_at_source += len(events) - len(kept)
-            if not kept:
-                return None
-            events = kept
-        batch_id = self._next_batch
-        self._next_batch += 1
-        return await self.send_payload(
-            self.seal(encode_batch(batch_id, events)), len(events))
-
     async def send_payload(self, payload: bytes, n_events: int = 0) -> int:
         """Send a pre-encoded BATCH payload (the zero-copy path the
         benchmark uses: serialize once, send many).  The payload's batch
         id must be fresh for this connection, and in authenticated mode
-        the caller pre-seals it (:meth:`seal` / :func:`seal_payload`);
+        the caller pre-seals it (:func:`seal_payload`);
         ``n_events`` feeds the client's sent-events counter (the payload
         is deliberately not re-parsed here)."""
         while self.credits <= 0 and not self.closed:

@@ -1,17 +1,13 @@
-"""Shard keys and machine-checked conservation accounting for ingest.
+"""The shard key and machine-checked conservation accounting for ingest.
 
 An :class:`~repro.soc.ingest.IngestPipeline` partitions events across
-``num_shards`` queues via a pluggable :data:`ShardKeyFn`.  Shard-key
-choice is a correlation-locality decision, not just load balancing:
-
-- :func:`signature_shard_key` (default) keeps every event of one attack
-  signature on one shard, so a shard-local correlator still sees whole
-  campaigns;
-- :func:`region_shard_key` partitions by vehicle, the geo/tenant layout
-  an operator with regional backends would run.
-
-Both hash with CRC-32, never :func:`hash` -- Python string hashing is
-salted per process and would break run-to-run determinism.
+``num_shards`` queues by :func:`signature_shard_key`, which keeps every
+event of one attack signature on one shard, so a shard-local correlator
+still sees whole campaigns.  Vehicles of one campaign meet across
+engines only at a :class:`~repro.soc.federation.FederationHub`, whose
+merger stitches the regions' windows.  The key hashes with CRC-32,
+never :func:`hash` -- Python string hashing is salted per process and
+would break run-to-run determinism.
 
 **Scale-out must not launder events.**  HackCar-style low-cost test
 benches (PAPERS.md) exist precisely because silent drops hide real
@@ -33,12 +29,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.soc.events import SecurityEvent
-
-#: Maps (event, num_shards) -> shard index in ``range(num_shards)``.
-ShardKeyFn = Callable[[SecurityEvent, int], int]
 
 
 def stable_hash(text: str) -> int:
@@ -49,11 +42,6 @@ def stable_hash(text: str) -> int:
 def signature_shard_key(event: SecurityEvent, num_shards: int) -> int:
     """Partition by attack signature: one campaign, one shard."""
     return stable_hash(event.signature) % num_shards
-
-
-def region_shard_key(event: SecurityEvent, num_shards: int) -> int:
-    """Partition by vehicle (a proxy for region/tenant residency)."""
-    return stable_hash(event.vehicle_id) % num_shards
 
 
 class ConservationError(AssertionError):
@@ -98,7 +86,7 @@ class ConservationAudit:
     def _check_ledger(self, label: str, shard) -> None:
         q = shard.queue
         offered = shard.offered
-        dispatched = shard.stats["dispatch"].exited
+        dispatched = shard.dispatched
         accounted = (
             shard.rejected_invalid + q.shed + q.evicted + dispatched + len(q)
         )

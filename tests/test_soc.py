@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.safety import Asil
 from repro.ids.base import Alert
-from repro.sim import RngStreams, Simulator, TraceRecord
+from repro.sim import RngStreams, Simulator
 from repro.soc import (
     AttackCampaign,
     BoundedQueue,
@@ -28,7 +28,6 @@ from repro.soc import (
     InvalidTransition,
     ResponseOrchestrator,
     SecurityOperationsCenter,
-    from_gateway_record,
     from_ids_alert,
     from_misbehavior_report,
     from_uds_security_failure,
@@ -63,7 +62,7 @@ class TestEventAdapters:
         assert event.source is EventSource.IDS
         assert event.signature == "ids.spec:0x0c9"
         assert event.severity is Asil.D
-        assert event.detail_dict()["reason"] == "unknown id"
+        assert dict(event.detail)["reason"] == "unknown id"
 
     def test_event_ids_deterministic_and_unique(self):
         alert = Alert(1.5, "spec", 0x0C9, "unknown id")
@@ -79,12 +78,13 @@ class TestEventAdapters:
         event = from_misbehavior_report(report, seq=1)
         assert event.vehicle_id == "honest-2"   # the reporter, not the accused
         assert event.signature == "v2x.misbehavior:teleport"
-        assert event.detail_dict()["accused"] == "pseud-9"
+        assert dict(event.detail)["accused"] == "pseud-9"
 
     def test_gateway_and_diag_adapters(self):
-        record = TraceRecord(2.0, "gw0", "gateway.quarantine",
-                             {"domain": "infotainment"})
-        event = from_gateway_record("v3", record, seq=1)
+        # Gateway quarantines have no adapter: the fleet emits them
+        # through make_event, at the source's default severity.
+        event = make_event("v3", EventSource.GATEWAY,
+                           "gateway.quarantine:infotainment", 2.0, 1)
         assert event.signature == "gateway.quarantine:infotainment"
         assert event.severity is Asil.C
 
@@ -171,7 +171,7 @@ class TestIngestPipeline:
         pipe.pump(0.0)                       # first pump: one batch allowance
         assert pipe.pump(1.0) == 10          # then capacity_eps * dt
         metrics = pipe.metrics()
-        assert metrics["dispatched"] == pipe.shards[0].stats["dispatch"].exited
+        assert metrics["dispatched"] == pipe.shards[0].dispatched
 
     def test_sheds_when_full_and_reports_rate(self):
         pipe = IngestPipeline(capacity_eps=1.0, queue_capacity=8)
@@ -198,12 +198,12 @@ class TestIngestPipeline:
     def test_sink_sees_events_with_latency_accounted(self):
         pipe = IngestPipeline(capacity_eps=100.0)
         seen = []
-        pipe.add_batch_sink(
+        pipe.shards[0].add_batch_sink(
             lambda now, batch: seen.extend((now, e.vehicle_id) for e in batch))
         pipe.offer(0.0, ev("v1", "s", 0.0))
         pipe.pump(2.0)
         assert seen == [(2.0, "v1")]
-        assert pipe.shards[0].stats["dispatch"].latency_max_s == pytest.approx(2.0)
+        assert pipe.shards[0].latency_max_s == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +238,7 @@ class TestIngestAccountingRegressions:
         assert pipe.offer(0.0, event)
         assert pipe.offer(1.0, event)          # redelivery, still queued
         assert pipe.dispatch(2.0, 2) == 2
-        dispatch = pipe.shards[0].stats["dispatch"]
+        dispatch = pipe.shards[0]
         assert dispatch.latency_sum_s == pytest.approx(3.0)   # 2.0 + 1.0
         assert dispatch.latency_max_s == pytest.approx(2.0)
         assert pipe.metrics()["mean_dispatch_latency_s"] == pytest.approx(1.5)
@@ -260,7 +260,7 @@ class TestIngestAccountingRegressions:
         assert pipe.offer(2.0, ev("v2", "s", 1.5, severity=Asil.D))
         assert pipe.dispatch(3.0, 2) == 2
         # Survivors: the t=1.0 copy (waited 2.0) and v2 (waited 1.0).
-        assert pipe.shards[0].stats["dispatch"].latency_sum_s == pytest.approx(3.0)
+        assert pipe.shards[0].latency_sum_s == pytest.approx(3.0)
 
     def test_refused_arrival_does_not_steal_queued_timestamp(self):
         pipe = IngestPipeline(queue_capacity=1, capacity_eps=100.0)
@@ -269,7 +269,7 @@ class TestIngestAccountingRegressions:
         # An equal-severity redelivery is refused at the door.
         assert not pipe.offer(1.0, event)
         assert pipe.dispatch(2.0, 1) == 1
-        assert pipe.shards[0].stats["dispatch"].latency_sum_s == pytest.approx(2.0)
+        assert pipe.shards[0].latency_sum_s == pytest.approx(2.0)
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_final_drain_empties_deep_backlog(self, num_shards):

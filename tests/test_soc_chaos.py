@@ -17,6 +17,7 @@ torn shipment; ingest service under worker SIGKILLs) asserting zero
 conservation violations and zero admitted-batch ACK loss.
 """
 
+import dataclasses
 import json
 import random
 
@@ -24,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.safety import Asil
-from repro.sim import Simulator
 from repro.soc import (
     AMENDMENT_KINDS,
     Amendment,
@@ -32,11 +32,9 @@ from repro.soc import (
     EventLog,
     EventSource,
     FederationHub,
-    FleetModel,
     IncidentState,
     IncidentTracker,
     LogRecord,
-    SecurityOperationsCenter,
     Shipment,
     ShippingChannel,
     encode_shipment,
@@ -195,28 +193,28 @@ class TestAmendments:
     def test_kind_validation_and_as_dict(self):
         with pytest.raises(ValueError, match="unknown amendment kind"):
             Amendment(kind="revise", signature="s", t=1.0)
+        for kind in AMENDMENT_KINDS:
+            Amendment(kind=kind, signature="s", t=1.0)
         a = Amendment(kind="amend", signature="s", t=1.0,
                       incident_id="INC-00001", vehicles_added=1)
-        assert a.as_dict()["vehicles_added"] == 1
-        assert json.dumps(a.as_dict())
+        assert dataclasses.asdict(a)["vehicles_added"] == 1
+        assert json.dumps(dataclasses.asdict(a))   # JSON-safe fields
 
     def test_confirm_clears_provisional(self):
         tracker = IncidentTracker()
         incident = tracker.open_from_detection(_detection(), Asil.C,
                                                provisional=True)
         assert incident.provisional
-        assert tracker.record_amendment(Amendment(
+        tracker.record_amendment(Amendment(
             kind="confirm", signature="xr.sig", t=11.0,
             incident_id=incident.incident_id))
         assert not incident.provisional
-        assert tracker.amendment_counts() == {
-            "confirm": 1, "amend": 0, "retract": 0}
 
     def test_retract_walks_open_incident_to_false_positive(self):
         tracker = IncidentTracker()
         incident = tracker.open_from_detection(_detection(), Asil.C,
                                                provisional=True)
-        assert tracker.record_amendment(Amendment(
+        tracker.record_amendment(Amendment(
             kind="retract", signature="xr.sig", t=11.0))
         assert incident.state is IncidentState.FALSE_POSITIVE
 
@@ -227,17 +225,22 @@ class TestAmendments:
         incident.advance(10.5, IncidentState.TRIAGED)
         incident.advance(11.0, IncidentState.CONTAINED)
         # The response already acted; a late retract must not unwind it,
-        # only land in the journal for the analyst.
-        assert not tracker.record_amendment(Amendment(
+        # only land in the hub's journal for the analyst.
+        tracker.record_amendment(Amendment(
             kind="retract", signature="xr.sig", t=12.0))
         assert incident.state is IncidentState.CONTAINED
-        assert tracker.amendment_counts()["retract"] == 1
+        assert incident.provisional
 
-    def test_unmatched_signature_journals_and_reports_false(self):
+    def test_unmatched_signature_is_a_noop(self):
         tracker = IncidentTracker()
-        assert not tracker.record_amendment(Amendment(
-            kind="confirm", signature="never.seen", t=1.0))
-        assert len(tracker.amendments) == 1
+        incident = tracker.open_from_detection(_detection(), Asil.C,
+                                               provisional=True)
+        before = _canon(tracker.snapshot())
+        for kind in AMENDMENT_KINDS:
+            tracker.record_amendment(Amendment(
+                kind=kind, signature="never.seen", t=1.0))
+        assert _canon(tracker.snapshot()) == before
+        assert incident.provisional
 
     def test_snapshot_excludes_the_journal(self):
         tracker = IncidentTracker()
@@ -247,29 +250,10 @@ class TestAmendments:
             kind="confirm", signature="xr.sig", t=11.0))
         restored = IncidentTracker.from_snapshot(tracker.snapshot())
         # provisional=False *is* state and round-trips; the journal is
-        # journey and does not.
+        # journey (the hub keeps it) and the tracker has none.
         assert _canon(tracker.snapshot()) != before
         assert _canon(restored.snapshot()) == _canon(tracker.snapshot())
-        assert restored.amendments == []
-
-    def test_center_adopt_amendments_counts_and_unmatched(self):
-        sim = Simulator()
-        soc = SecurityOperationsCenter(sim, FleetModel(50, []),
-                                       respond=False)
-        incident = soc.tracker.open_from_detection(_detection(), Asil.C,
-                                                   provisional=True)
-        counts = soc.adopt_amendments([
-            Amendment(kind="confirm", signature="xr.sig", t=11.0,
-                      incident_id=incident.incident_id),
-            {"kind": "retract", "signature": "ghost.sig", "t": 12.0,
-             "incident_id": None, "vehicles_added": 0,
-             "vehicles_removed": 0},
-        ])
-        assert counts["confirm"] == 1
-        assert counts["retract"] == 1
-        assert counts["unmatched"] == 1
-        assert not incident.provisional
-        assert set(AMENDMENT_KINDS) < set(counts)
+        assert "amendments" not in tracker.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +389,6 @@ class TestOptimisticHub:
         # optimistically-opened incident does not survive the swap.
         ghost = _detection(signature="ghost.sig")
         hub._provisional.append((1.0, ghost))
-        hub.provisional_log.append((1.0, ghost))
         hub.provisional_verdicts += 1
         hub.tracker.open_from_detection(ghost, Asil.C, provisional=True)
         hub.finalize(2.0)
@@ -415,17 +398,6 @@ class TestOptimisticHub:
         assert retract.signature == "ghost.sig"
         assert (hub.amendments_confirmed + hub.amendments_amended
                 + hub.amendments_retracted) == hub.provisional_verdicts
-
-    def test_export_amendments_is_a_cursor_feed(self):
-        hub = self._stalled_hub()
-        hub.advance(0.0)
-        hub.advance(1.0)
-        hub.finalize(2.0)
-        feed = hub.export_amendments()
-        assert len(feed) == len(hub.amendments) == 1
-        assert feed[0]["kind"] == "confirm"
-        assert json.dumps(feed)
-        assert hub.export_amendments(after=len(feed)) == []
 
 
 # ----------------------------------------------------------------------
@@ -505,7 +477,6 @@ class TestOptimisticDifferential:
                       + hub.amendments_retracted)
         assert classified == hub.provisional_verdicts
         assert len(hub.amendments) == classified
-        assert len(hub.provisional_log) == hub.provisional_verdicts
 
     def test_partition_forces_episodes(self, chaos_corpus):
         """Deterministic anchor for the property above: a long outage on

@@ -47,9 +47,7 @@ from repro.soc import (
     StringInterner,
     build_batch,
     make_event,
-    region_shard_key,
     seeded_campaigns,
-    signature_shard_key,
 )
 from repro.soc.events import DEFAULT_SOURCE_SEVERITY, source_for_signature
 
@@ -289,14 +287,14 @@ class TestBatchSinkDelivery:
     @pytest.mark.parametrize("make", [
         lambda: IngestPipeline(**PIPE_KW),
         lambda: IngestPipeline(num_shards=4, **PIPE_KW),
-        lambda: IngestPipeline(num_shards=4,
-                               shard_key=region_shard_key, **PIPE_KW),
+        lambda: IngestPipeline(num_shards=2, **PIPE_KW),
     ])
     def test_each_event_delivered_once(self, make):
         pipeline = make()
         first, second = [], []
-        pipeline.add_batch_sink(lambda now, b: first.append(list(b)))
-        pipeline.add_batch_sink(lambda now, b: second.append(list(b)))
+        for shard in pipeline.shards:
+            shard.add_batch_sink(lambda now, b: first.append(list(b)))
+            shard.add_batch_sink(lambda now, b: second.append(list(b)))
         _drive(pipeline)
 
         flattened = [e for batch in first for e in batch]
@@ -616,8 +614,7 @@ class _PerEventTwin:
                          max_lateness_s=2.0)
         self.tracker = IncidentTracker()
         self.responder = ResponseOrchestrator(sim, fleet)
-        self.pipeline = IngestPipeline(
-            num_shards=num_shards, shard_key=signature_shard_key, **kw)
+        self.pipeline = IngestPipeline(num_shards=num_shards, **kw)
         self.engines = [CorrelationEngine(**engine_kw)
                         for _ in range(num_shards)]
         self.merger = GlobalCampaignMerger(window_s=8.0, k=SCENE_KW["k"])

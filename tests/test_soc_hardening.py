@@ -53,6 +53,7 @@ from repro.soc.service import (
     worker_root,
 )
 from repro.soc.shard import ConservationError
+from tests.test_soc_service import send_events
 from repro.soc.store import (
     EventLog,
     canonical_dumps,
@@ -419,8 +420,8 @@ class TestAuthHandshake:
             assert client.shard == 0
             t0 = time.time() - 60.0
             for rnd in range(3):
-                await client.send_events(
-                    [ev("veh-1", "sig.a", t0 + rnd, rnd)])
+                await send_events(
+                    client, [ev("veh-1", "sig.a", t0 + rnd, rnd)])
             await client.drain()
             assert client.events_accepted == 3
             await client.close()
@@ -765,8 +766,8 @@ class TestQuotas:
             t0 = time.time() - 60.0
             # Every batch exceeds the 1-byte burst: all hard-refused.
             for rnd in range(3):
-                await client.send_events(
-                    [ev("veh-1", "sig.a", t0 + rnd, rnd)])
+                await send_events(
+                    client, [ev("veh-1", "sig.a", t0 + rnd, rnd)])
             while client.batches_refused < 3:
                 await asyncio.sleep(0.005)
             await client.close()
@@ -794,8 +795,8 @@ class TestQuotas:
             t0 = time.time() - 60.0
             with pytest.raises(ConnectionError):
                 for rnd in range(200):
-                    await client.send_events(
-                        [ev("veh-flood", "sig.a", t0 + rnd, rnd)])
+                    await send_events(
+                        client, [ev("veh-flood", "sig.a", t0 + rnd, rnd)])
                     await asyncio.sleep(0)
                 await client.drain()
                 raise ConnectionError("flood was never cut off")
@@ -1251,10 +1252,10 @@ class TestAutoRestart:
             t0 = time.time() - 120.0
             for rnd in range(20):
                 for c in clients:
-                    await c.send_events(
-                        [ev(c.client_id, f"sig.{rnd % 3}",
-                            t0 + rnd + 0.01 * j, rnd * 10 + j)
-                         for j in range(3)])
+                    await send_events(c, [
+                        ev(c.client_id, f"sig.{rnd % 3}",
+                           t0 + rnd + 0.01 * j, rnd * 10 + j)
+                        for j in range(3)])
                 if rnd == 8:
                     svc.sigkill_worker(0)
                     svc.sigkill_worker(1)

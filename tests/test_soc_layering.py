@@ -27,6 +27,11 @@ The export list stays honest: every name in ``repro.soc.__all__`` is
 imported by some file outside ``src/repro/soc`` (tests count), and no
 module under ``src/repro`` imports from ``tests`` -- test harnesses such
 as ``tests/soc_chaos.py`` live there and stay out of the library.
+
+And the library holds only what programs run.  A defaulted parameter of
+a public callable needs a setter in a program, and a public function,
+class, method or property needs a program that names it; otherwise each
+needs a row, with its reason, on a short allowlist.
 """
 
 import ast
@@ -437,13 +442,6 @@ def program_paths():
 SETTINGS_ALLOWLIST = {
     "service.IngestService.__init__(mono_clock=)":
         "fake-clock seam: deadline and quota tests inject a monotonic clock",
-    "center.SecurityOperationsCenter.__init__(shard_key=)":
-        "shard-key choice: tests partition by vehicle for cross-shard "
-        "campaigns",
-    "ingest.IngestPipeline.__init__(shard_key=)":
-        "shard-key choice: the centre forwards its own",
-    "federation.FederationHub.export_amendments(after=)":
-        "feed cursor: a poller passes how much of the feed it has read",
     "store.EventLog.scan(vehicle_id=)":
         "forensics query filter, like signature= and the time window",
     "service.IngestServer.__init__(host=)":
@@ -498,3 +496,126 @@ def test_settings_guard_catches_an_unset_parameter(tmp_path):
     assert unset_settings([soc], [user]) == [
         "mod.Box.__init__(b=)", "mod.Box.__init__(c=)",
         "mod.Box.__init__(d=)", "mod.BoxConfig(width=)"]
+
+
+def public_callables(path: Path):
+    """``(label, name)`` for every public module-level function or class
+    in ``path`` and every public method or property of a public class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in tree.body:
+        if not isinstance(node, defs) or node.name.startswith("_"):
+            continue
+        found.append((f"{path.stem}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{path.stem}.{node.name}.{fn.name}", fn.name)
+                      for fn in node.body
+                      if isinstance(fn, defs[:2])
+                      and not fn.name.startswith("_")]
+    return found
+
+
+def _export_list(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        getattr(target, "id", "") == "__all__" for target in node.targets)
+
+
+def referenced_names(path: Path):
+    """Every name ``path`` refers to: a ``Name``, an ``Attribute``, an
+    import alias or an identifier-shaped string constant (a method
+    wrapped by name).  A def's own name is none of these, and an
+    ``__all__`` list only exports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for stmt in tree.body:
+        if _export_list(stmt):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                names.add(node.value)
+    return names
+
+
+def unreferenced_callables(soc_paths, program_paths):
+    """Labels of the public callables of ``soc_paths`` whose name no
+    file of ``program_paths`` references.  The package's
+    ``__init__.py`` only re-exports, so it never counts."""
+    exports = {path.parent / "__init__.py" for path in soc_paths}
+    used = set().union(*(referenced_names(path) for path in program_paths
+                         if path not in exports))
+    return [label for path in soc_paths
+            for label, name in public_callables(path) if name not in used]
+
+
+#: Public callables no program names, each kept for a reason.
+CALLABLE_ALLOWLIST = {
+    "service.ConnProtocol.connection_made":
+        "asyncio.Protocol callback: the event loop calls it",
+    "service.ConnProtocol.data_received":
+        "asyncio.Protocol callback: the event loop calls it",
+    "service.ConnProtocol.connection_lost":
+        "asyncio.Protocol callback: the event loop calls it",
+    "federation.ShippingChannel.corrupt_next":
+        "WAN fault seam: the chaos harness tears a blob in flight",
+    "federation.ShippingChannel.drop_in_flight":
+        "WAN fault seam: the chaos harness loses what is in flight",
+    "federation.ShippingChannel.in_flight":
+        "WAN fault seam: the chaos harness counts what it can drop",
+    "service.FrameStreamDecoder.pending_bytes":
+        "pre-auth bound probe: the buffered bytes the byte cap bounds",
+    "federation.FederationHub.declare_dead":
+        "fault recovery for a permanently lost region",
+}
+
+
+def test_every_public_callable_has_a_program_user_or_a_reason():
+    soc = sorted(SOC.glob("*.py"))
+    found = unreferenced_callables(soc, soc + program_paths())
+    assert len(CALLABLE_ALLOWLIST) <= 8
+    assert sorted(set(found) - set(CALLABLE_ALLOWLIST)) == []
+    # A stale entry would hide the next unused callable of that name.
+    assert sorted(set(CALLABLE_ALLOWLIST) - set(found)) == []
+
+
+def test_callable_guard_catches_an_unreferenced_method(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    mod = package / "mod.py"
+    mod.write_text(
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        pass\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "    def wrapped(self):\n"
+        "        pass\n"
+        "    def exported(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "def build():\n"
+        "    return Box()\n"
+        "def orphan():\n"
+        "    pass\n"
+        "__all__ = ['orphan']\n")
+    init = package / "__init__.py"
+    init.write_text("from pkg.mod import Box, build, exported\n"
+                    "__all__ = ['Box', 'build', 'exported']\n")
+    user = tmp_path / "user.py"
+    user.write_text("from pkg import build\n"
+                    "box = build()\n"
+                    "box.used()\n"
+                    "tracer.wrap(box, 'wrapped', 'span.name')\n")
+    assert unreferenced_callables([mod], [mod, init, user]) == [
+        "mod.Box.unused", "mod.Box.exported", "mod.orphan"]

@@ -54,6 +54,7 @@ from repro.soc.service import (
     encode_resume,
     encode_suppress,
     encode_welcome,
+    seal_payload,
     worker_root,
 )
 from repro.soc.store import FRAME_HEADER, canonical_dumps, frame_payload
@@ -62,6 +63,16 @@ from repro.soc.store import FRAME_HEADER, canonical_dumps, frame_payload
 def ev(vehicle, sig, time, seq, severity=Asil.B):
     return make_event(vehicle, EventSource.IDS, sig, time, seq,
                       severity=severity)
+
+
+async def send_events(client, events):
+    """Send ``events`` as one BATCH (sealed when the client has a
+    session key), its id the count of batches the client has sent, as
+    programs send pre-encoded payloads."""
+    payload = encode_batch(client.batches_sent, events)
+    if client.session_key is not None:
+        payload = seal_payload(client.session_key, client.client_id, payload)
+    return await client.send_payload(payload, len(events))
 
 
 _json_scalars = st.one_of(
@@ -475,49 +486,6 @@ class TestBackpressure:
         assert late.suppressed
         svc.drain_and_close()
 
-    def test_client_sheds_low_severity_under_suppression(self):
-        client = VehicleClient("veh-1")
-        client.suppressed = True
-        client.credits = 5
-
-        async def run():
-            low = [ev("veh-1", "s", 1.0, i, severity=Asil.A)
-                   for i in range(3)]
-            assert await client.send_events(low) is None
-            assert client.suppressed_at_source == 3
-            assert client.batches_sent == 0
-
-        asyncio.run(run())
-
-    def test_suppression_never_mutes_high_severity(self):
-        client = VehicleClient("veh-1")
-        client.suppressed = True
-        client.credits = 5
-        sent_frames = []
-
-        class _W:
-            def is_closing(self):
-                return False
-
-            def write(self, data):
-                sent_frames.append(data)
-
-        client._writer = _W()
-
-        async def run():
-            mixed = [ev("veh-1", "s", 1.0, 0, severity=Asil.A),
-                     ev("veh-1", "s", 1.1, 1, severity=Asil.D)]
-            batch_id = await client.send_events(mixed)
-            assert batch_id == 0
-            assert client.suppressed_at_source == 1
-            assert client.events_sent == 1
-
-        asyncio.run(run())
-        decoder = FrameStreamDecoder()
-        (payload,) = decoder.feed(sent_frames[0])
-        _, _, events = decode_message(payload)
-        assert [e.severity for e in events] == [Asil.D]
-
 
 # ----------------------------------------------------------------------
 # End-to-end over real sockets
@@ -538,7 +506,7 @@ def _run_e2e(tmp_path, mode, num_workers, n_clients=8, rounds=6,
                 events = [ev(c.client_id, f"sig.{rnd % 3}",
                              rnd * 1.0 + j * 0.01, rnd * 1000 + j)
                           for j in range(per_batch)]
-                await c.send_events(events)
+                await send_events(c, events)
         for c in clients:
             await c.drain()
         stats = {
@@ -734,8 +702,8 @@ def _stop_while_sending(monkeypatch, root, mode, handoff_batch):
         async def send():
             try:
                 for rnd in range(40):
-                    await client.send_events(
-                        [ev("veh-1", f"sig.{rnd % 3}", 0.1 * rnd, rnd)])
+                    await send_events(client, [
+                        ev("veh-1", f"sig.{rnd % 3}", 0.1 * rnd, rnd)])
             except ConnectionError:
                 pass  # stop closed the session
 
@@ -838,19 +806,19 @@ class TestShutdown:
                 "127.0.0.1", server.port)
             client = VehicleClient("veh-1", port=server.port)
             await client.connect()
-            await client.send_events([ev("veh-1", "sig.0", 1.0, 1)])
+            await send_events(client, [ev("veh-1", "sig.0", 1.0, 1)])
             await asyncio.wait_for(client.drain(), timeout=30.0)
             hog = VehicleClient("veh-hog", port=server.port)
             await hog.connect()
             for rnd in range(20):
-                await hog.send_events([ev("veh-hog", f"sig.{j}", 1.0, j)
-                                       for j in range(3)])
+                await send_events(hog, [ev("veh-hog", f"sig.{j}", 1.0, j)
+                                        for j in range(3)])
                 await asyncio.sleep(0.01)
                 if hog.batches_refused:
                     break
             assert hog.suppressed and hog.batches_refused == 1
             assert len(svc.handshakes) == 1    # the silent handshake
-            await client.send_events([ev("veh-1", "sig.0", 2.0, 2)])
+            await send_events(client, [ev("veh-1", "sig.0", 2.0, 2)])
             await asyncio.wait_for(routed.wait(), timeout=30.0)
             await server.stop()                # before the turn's flush
             await asyncio.wait_for(client.drain(), timeout=30.0)
@@ -878,11 +846,11 @@ class TestShutdown:
             await server.start()
             client = VehicleClient("veh-1", port=server.port)
             await client.connect()
-            await client.send_events([ev("veh-1", "sig.0", 1.0, 1)])
+            await send_events(client, [ev("veh-1", "sig.0", 1.0, 1)])
             await asyncio.wait_for(client.drain(), timeout=30.0)
             svc.sigkill_worker(0)
             assert svc.check_workers() == 1
-            await client.send_events([ev("veh-1", "sig.0", 2.0, 2)])
+            await send_events(client, [ev("veh-1", "sig.0", 2.0, 2)])
             await asyncio.wait_for(client.drain(), timeout=30.0)
             await client.close()
             await server.stop()
@@ -925,7 +893,7 @@ class TestFrontDoorEvents:
             server = await serve(svc)
             client = VehicleClient("veh-1", port=server.port)
             await client.connect()
-            await client.send_events([ev("veh-1", "sig.0", 1.0, 1)])
+            await send_events(client, [ev("veh-1", "sig.0", 1.0, 1)])
             await asyncio.wait_for(client.drain(), timeout=30.0)
             _, silent = await asyncio.open_connection(
                 "127.0.0.1", server.port)
@@ -959,7 +927,7 @@ class TestFrontDoorEvents:
                 await asyncio.sleep(0.01)
             client = VehicleClient("veh-1", port=server.port)
             await client.connect()
-            await client.send_events([ev("veh-1", "sig.0", 1.0, 1)])
+            await send_events(client, [ev("veh-1", "sig.0", 1.0, 1)])
             await asyncio.wait_for(client.drain(), timeout=30.0)
             await client.close()
             await server.stop()
@@ -1004,7 +972,7 @@ class TestFrontDoorEvents:
             events = [ev("veh-1", f"sig.{j}", 1.0, j) for j in range(2)]
             size = len(encode_batch(0, events))
             while not client.batches_refused:
-                await client.send_events(events)
+                await send_events(client, events)
             assert client.suppressed
             t0 = time.monotonic()
             while client.suppressed:

@@ -34,7 +34,6 @@ from repro.soc import (
     IngestPipeline,
     SecurityOperationsCenter,
     make_event,
-    region_shard_key,
     seeded_campaigns,
     signature_shard_key,
 )
@@ -46,17 +45,29 @@ def ev(vehicle, sig, time, seq, severity=Asil.B):
                       severity=severity)
 
 
+def signatures_by_shard(num_shards):
+    """One signature per shard, ``sigs[i]`` routed to shard ``i``: the
+    tests steer events the way programs do, by signature."""
+    found = {}
+    j = 0
+    while len(found) < num_shards:
+        sig = f"sig-{j}"
+        found.setdefault(signature_shard_key(ev("v0", sig, 0.0, 0),
+                                             num_shards), sig)
+        j += 1
+    return [found[i] for i in range(num_shards)]
+
+
 # ----------------------------------------------------------------------
 # Shard keys
 # ----------------------------------------------------------------------
 class TestShardKeys:
     def test_keys_deterministic_and_in_range(self):
-        for key in (signature_shard_key, region_shard_key):
-            for seq in range(64):
-                event = ev(f"v{seq:06d}", f"sig-{seq % 7}", 1.0, seq)
-                index = key(event, 8)
-                assert 0 <= index < 8
-                assert index == key(event, 8)  # stable across calls
+        for seq in range(64):
+            event = ev(f"v{seq:06d}", f"sig-{seq % 7}", 1.0, seq)
+            index = signature_shard_key(event, 8)
+            assert 0 <= index < 8
+            assert index == signature_shard_key(event, 8)  # stable
 
     def test_signature_key_groups_campaigns(self):
         # Same signature from different vehicles -> same shard: a
@@ -67,17 +78,9 @@ class TestShardKeys:
         }
         assert len(indices) == 1
 
-    def test_region_key_groups_vehicles(self):
-        indices = {
-            region_shard_key(ev("v000007", f"sig-{i}", 1.0, i), 8)
-            for i in range(50)
-        }
-        assert len(indices) == 1
-
     def test_keys_actually_distribute(self):
         events = [ev(f"v{i:06d}", f"sig-{i}", 1.0, i) for i in range(200)]
-        for key in (signature_shard_key, region_shard_key):
-            assert len({key(e, 8) for e in events}) > 4
+        assert len({signature_shard_key(e, 8) for e in events}) > 4
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +205,9 @@ def _drive(pipeline, events, pump_every=25):
     """Offer the stream, pumping periodically; returns the sink log."""
     audit = ConservationAudit()
     seen = []
-    pipeline.add_batch_sink(
-        lambda now, batch: seen.extend((now, e.event_id) for e in batch))
+    for shard in pipeline.shards:
+        shard.add_batch_sink(
+            lambda now, batch: seen.extend((now, e.event_id) for e in batch))
     for index, (now, event) in enumerate(events):
         if event.severity >= RECORDED_FLOOR:
             pipeline.offer(now, event)
@@ -252,7 +256,7 @@ class TestDifferential:
         shard = pipe.shards[0]
         assert shard.rejected_invalid > 0
         assert shard.queue.lost > 0
-        assert shard.stats["dispatch"].exited > 0
+        assert shard.dispatched > 0
 
     def test_one_shard_congestion_signal_matches_plain(self):
         # The single-queue pipeline read congested on all three
@@ -313,10 +317,10 @@ class TestDifferential:
 class TestShardedDrain:
     def test_first_pump_grants_one_cold_batch_per_worker(self):
         sharded = IngestPipeline(num_shards=4, capacity_eps=1000.0,
-                                 queue_capacity=256, batch_size=8,
-                                 shard_key=lambda e, n: int(e.vehicle_id[1:]) % n)
+                                 queue_capacity=256, batch_size=8)
+        sigs = signatures_by_shard(4)
         for seq in range(200):
-            sharded.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
+            sharded.offer(0.0, ev(f"v{seq}", sigs[seq % 4], 0.0, seq))
         # Regardless of elapsed time, a cold pool drains exactly
         # batch_size * num_shards -- the plain pipeline's first-pump
         # quirk scaled to the worker count.
@@ -328,55 +332,53 @@ class TestShardedDrain:
         # All events land on one hot shard; it may consume the whole
         # pool budget, not just 1/N of it.
         sharded = IngestPipeline(num_shards=4, capacity_eps=100.0,
-                                 queue_capacity=512, batch_size=8,
-                                 shard_key=lambda e, n: 0)
+                                 queue_capacity=512, batch_size=8)
+        hot = signatures_by_shard(4)[0]
         for seq in range(300):
-            sharded.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
+            sharded.offer(0.0, ev(f"v{seq}", hot, 0.0, seq))
         sharded.pump(0.0)                        # cold batches
         assert sharded.pump(1.0) == 100          # full shared budget, one shard
-        assert sharded.shards[0].stats["dispatch"].exited == 132
-        assert all(s.stats["dispatch"].exited == 0 for s in sharded.shards[1:])
+        assert sharded.shards[0].dispatched == 132
+        assert all(s.dispatched == 0 for s in sharded.shards[1:])
 
     def test_round_robin_spreads_budget_across_hot_shards(self):
         sharded = IngestPipeline(num_shards=2, capacity_eps=40.0,
-                                 queue_capacity=512, batch_size=8,
-                                 shard_key=lambda e, n: int(e.vehicle_id[1:]) % n)
+                                 queue_capacity=512, batch_size=8)
+        sigs = signatures_by_shard(2)
         for seq in range(200):
-            sharded.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
+            sharded.offer(0.0, ev(f"v{seq}", sigs[seq % 2], 0.0, seq))
         sharded.pump(0.0)
         sharded.pump(1.0)                        # 40-event budget
-        drained = [s.stats["dispatch"].exited for s in sharded.shards]
+        drained = [s.dispatched for s in sharded.shards]
         assert sum(drained) == 16 + 40
         assert abs(drained[0] - drained[1]) <= 8  # within one batch of fair
 
     def test_per_shard_congestion_only_throttles_hot_partition(self):
-        key = lambda e, n: int(e.vehicle_id[1:]) % n
         sharded = IngestPipeline(num_shards=2, capacity_eps=10.0,
-                                 queue_capacity=16, batch_size=4,
-                                 shard_key=key)
-        for seq in range(0, 40, 2):              # even vehicles -> shard 0
-            sharded.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
-        hot = ev("v2", "s", 0.0, 1000)
-        cold = ev("v3", "s", 0.0, 1001)
+                                 queue_capacity=16, batch_size=4)
+        on_hot, on_cold = signatures_by_shard(2)
+        for seq in range(0, 40, 2):              # 20 events -> shard 0
+            sharded.offer(0.0, ev(f"v{seq}", on_hot, 0.0, seq))
+        hot = ev("v2", on_hot, 0.0, 1000)
+        cold = ev("v3", on_cold, 0.0, 1001)
         assert sharded.congested_for(hot)
         assert not sharded.congested_for(cold)
         assert sharded.congested
         assert not sharded.fully_congested
 
     def test_generator_suppression_is_per_shard(self):
-        key = lambda e, n: int(e.vehicle_id[1:]) % n
         sharded = IngestPipeline(num_shards=2, capacity_eps=10.0,
-                                 queue_capacity=16, batch_size=4,
-                                 shard_key=key)
+                                 queue_capacity=16, batch_size=4)
         sim = Simulator()
         fleet = FleetModel(10, [])
         generator = FleetWorkloadGenerator(sim, RngStreams(0), fleet, sharded,
                                            vectorized=False)
+        on_hot, on_cold = signatures_by_shard(2)
         for seq in range(0, 40, 2):              # congest shard 0 only
-            sharded.offer(0.0, ev(f"v{seq}", "s", 0.0, seq))
-        generator._offer(ev("v2", "noise", 0.0, 2000, severity=Asil.A))
-        generator._offer(ev("v3", "noise", 0.0, 2001, severity=Asil.A))
-        generator._offer(ev("v4", "alert", 0.0, 2002, severity=Asil.D))
+            sharded.offer(0.0, ev(f"v{seq}", on_hot, 0.0, seq))
+        generator._offer(ev("v2", on_hot, 0.0, 2000, severity=Asil.A))
+        generator._offer(ev("v3", on_cold, 0.0, 2001, severity=Asil.A))
+        generator._offer(ev("v4", on_hot, 0.0, 2002, severity=Asil.D))
         assert generator.suppressed_at_source == 1   # only the hot-shard A
         assert generator.emitted == 2                # cold A + hot D flow
 
@@ -405,9 +407,8 @@ class TestConservationAudit:
         sharded.pump(1.0)
         audit = ConservationAudit()
         audit.check(sharded)
-        victim = next(s for s in sharded.shards
-                      if s.stats["dispatch"].exited > 0)
-        victim.stats["dispatch"].exited -= 1      # lose one dispatched event
+        victim = next(s for s in sharded.shards if s.dispatched > 0)
+        victim.dispatched -= 1                    # lose one dispatched event
         with pytest.raises(ConservationError):
             audit.check(sharded)
 
@@ -427,15 +428,16 @@ class TestMergedRefusalCounters:
 
     @staticmethod
     def _overloaded(mixed_severity):
-        # 4 shards x capacity 8: route vehicles round-robin, overfill two
-        # shards, then drain everything.  Equal severities give only
-        # refusals; mixed ones give both loss kinds.
+        # 4 shards x capacity 8: alternate two shards' signatures,
+        # overfill those shards, then drain everything.  Equal
+        # severities give only refusals; mixed ones give both loss kinds.
         sharded = IngestPipeline(
-            num_shards=4, capacity_eps=40.0, queue_capacity=8, batch_size=4,
-            shard_key=lambda e, n: int(e.vehicle_id[1:]) % n)
+            num_shards=4, capacity_eps=40.0, queue_capacity=8, batch_size=4)
+        sigs = signatures_by_shard(4)
         for seq in range(24):                    # shards 0/1 get 12 each
             sev = Asil.D if mixed_severity and seq % 3 == 0 else Asil.A
-            sharded.offer(0.0, ev(f"v{seq % 2}", "s", 0.0, seq, severity=sev))
+            sharded.offer(0.0, ev(f"v{seq % 2}", sigs[seq % 2], 0.0, seq,
+                                  severity=sev))
         sharded.drain_all(1.0)
         return sharded
 
