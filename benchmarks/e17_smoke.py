@@ -4,7 +4,7 @@
 Runs the cheap E17 10^4-vehicle cell plus the correlate-path
 microbenchmark, replays the crash-recovery cell (kill-at-pump + durable
 restore, byte-identity asserted inside the cell), times the durable-log
-append/replay/scan paths, writes a fresh ``BENCH_E17.json``, and (with
+append/replay paths, writes a fresh ``BENCH_E17.json``, and (with
 ``--baseline``) fails if batched correlate throughput has regressed
 more than ``--tolerance`` (default 30 %) against the value committed in
 the baseline JSON.  The batched speedup *ratio* over the same-run
@@ -80,8 +80,7 @@ def main(argv=None) -> int:
           f"events / {recovery['replayed_pumps']:,.0f} pumps in "
           f"{recovery['recovery_wall_s'] * 1e3:.1f} ms, byte-identical")
     print(f"  durable log: append {store['append_eps']:,.0f} events/s, "
-          f"replay {store['replay_eps']:,.0f} events/s, scan read "
-          f"{store['scan_read_fraction']:.1%} of records for a 10% window")
+          f"replay {store['replay_eps']:,.0f} events/s")
 
     failures = []
     if correlate["speedup_batched_vs_reference"] < MIN_SPEEDUP:

@@ -458,7 +458,7 @@ def crash_recovery_cell(
 
 
 # ----------------------------------------------------------------------
-# Durable-log microbench: append / replay / forensics-scan throughput
+# Durable-log microbench: append / replay throughput
 # ----------------------------------------------------------------------
 
 def store_microbench(
@@ -468,12 +468,10 @@ def store_microbench(
     root=None,
 ) -> Dict[str, float]:
     """Time the durable-log hot paths on a synthetic dispatch stream:
-    ``append_eps`` (batched archival appends, the per-pump tap cost),
-    ``replay_eps`` (full-log recovery replay), and ``scan_eps`` plus the
-    sparse-index skip ratio for a narrow forensics window.  At the
-    defaults the timed appends fill less than one segment, so they
-    fsync nothing: the numbers price the framing/codec, not the host's
-    disk.
+    ``append_eps`` (batched archival appends, the per-pump tap cost)
+    and ``replay_eps`` (full-log recovery replay).  At the defaults the
+    timed appends fill less than one segment, so they fsync nothing:
+    the numbers price the framing/codec, not the host's disk.
     """
     events = _correlate_stream(n_events, n_signatures=64, window_s=4.0,
                                per_sig_window=256)
@@ -493,16 +491,6 @@ def store_microbench(
         replayed = sum(len(r.events) for r in log.replay())
         replay_s = time.perf_counter() - t0
         assert replayed == n_events
-
-        # Forensics: a 10%-of-stream time window; the sparse index should
-        # let the scan touch only a fraction of the records.
-        t_lo = events[int(n_events * 0.45)].time
-        t_hi = events[int(n_events * 0.55)].time
-        t0 = time.perf_counter()
-        hits = sum(1 for _ in log.scan(t0=t_lo, t1=t_hi, max_disorder_s=0.0))
-        scan_s = time.perf_counter() - t0
-        stats = log.last_scan_stats
-        total_records = log.last_seq
         log.close()
 
         return {
@@ -510,11 +498,6 @@ def store_microbench(
             "batch_size": float(batch_size),
             "append_eps": n_events / append_s,
             "replay_eps": n_events / replay_s,
-            "scan_eps": hits / scan_s if scan_s > 0 else 0.0,
-            "scan_hits": float(hits),
-            "scan_records_read": float(stats["records_read"]),
-            "scan_read_fraction": (stats["records_read"] / total_records
-                                   if total_records else 0.0),
             "segments": float(len(log.segment_paths())),
         }
     finally:

@@ -34,7 +34,7 @@ out.  This package is that backend:
   noise, seeded attack campaigns, re-emissions) for 10^2..10^5 vehicles
   scalar, 10^6+ via the numpy-vectorized path.
 - :mod:`repro.soc.store` -- durable substrate: a segmented append-only
-  CRC-framed event log with a sparse time index for forensics scans,
+  CRC-framed event log with a sparse seq index for resumable replay,
   plus atomic, CRC-guarded snapshots of the analytic state; recovery is
   snapshot + log-suffix replay (:func:`~repro.soc.center.recover_soc_state`),
   differential-tested byte-identical to an uninterrupted run.

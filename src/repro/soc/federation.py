@@ -716,8 +716,6 @@ federation_profile` (regions in a federation share a configuration).
         self.late_verdicts += len(late)
         head = self.detection_log[:self._base["detection_log_len"]]
         self.detection_log = head + kept + late
-        for amendment in fresh:
-            shadow.tracker.record_amendment(amendment)
         self.amendments.extend(fresh)
         self.state = shadow
         self._episode_active = False

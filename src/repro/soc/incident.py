@@ -62,7 +62,8 @@ class Amendment:
     ``retract`` (it never fired; the provisional incident was a false
     page).  Amendments describe the *journey* from optimistic to strict
     state, so the hub journals them (``FederationHub.amendments``), never
-    the tracker's canonical snapshot.
+    the tracker's canonical snapshot.  They change no incident: the
+    swapped-in tracker already holds the strict outcome.
     """
 
     kind: str                      # one of AMENDMENT_KINDS
@@ -89,8 +90,9 @@ class Incident:
     vehicles: Set[str] = field(default_factory=set)
     history: List[Tuple[float, IncidentState]] = field(default_factory=list)
     base_severity: Optional[Asil] = None  # pre-escalation level
-    #: Opened from an optimistic (pre-reconciliation) verdict; cleared by
-    #: a ``confirm``/``amend`` amendment or the reconciliation swap.
+    #: Opened from an optimistic (pre-reconciliation) verdict.  The
+    #: reconciliation swap replaces the whole tracker with the canonical
+    #: replay's, whose incidents are never provisional.
     provisional: bool = False
 
     def __post_init__(self) -> None:
@@ -209,28 +211,6 @@ class IncidentTracker:
                                 len(incident.vehicles))
             if bumped > incident.severity:
                 incident.severity = bumped
-
-    # ------------------------------------------------------------------
-    # Reconciliation amendments
-    # ------------------------------------------------------------------
-    def record_amendment(self, amendment: Amendment) -> None:
-        """Apply one reconciliation outcome's lifecycle effect to the
-        matching incident, if any.
-
-        ``confirm``/``amend`` clear the incident's ``provisional`` flag
-        (the verdict survived the deterministic replay); ``retract``
-        walks a still-open incident to ``FALSE_POSITIVE`` -- the page was
-        an optimistic artifact.  A retract landing after containment
-        leaves the lifecycle alone (the response already ran; only a
-        human can unwind it).
-        """
-        incident = self._by_signature.get(amendment.signature)
-        if incident is None:
-            return
-        if amendment.kind in ("confirm", "amend"):
-            incident.provisional = False
-        elif incident.state in (IncidentState.OPEN, IncidentState.TRIAGED):
-            incident.advance(amendment.t, IncidentState.FALSE_POSITIVE)
 
     # ------------------------------------------------------------------
     # Snapshot / restore

@@ -57,20 +57,13 @@ is parsed by one function, :func:`iter_frames`; files stream through
 it in fixed-size chunks, and :func:`scan_valid_prefix` is that file
 read's torn-tail-tolerant form.
 
-Reads: closed segments carry a sidecar **sparse time index**: the
-first seq and record count, the event-time min/max, plus every
-:data:`INDEX_EVERY`-th record's ``(offset, index, watermark)`` checkpoint,
-where ``watermark`` is the running max event time.  One segment walk
-serves both readers.  :meth:`EventLog.replay` ``(after_seq)`` skips
-segments wholly at or before ``after_seq`` and seeks to the last
-checkpoint at or before the resume point, so recovery from a snapshot
-and the federation shipper's per-pump read cost the suffix, not the
-log.  Forensics, :meth:`EventLog.scan` ``(signature=, vehicle_id=,
-t0=, t1=)``, skips segments whose time range misses the window and
-seeks to the last checkpoint with ``watermark < t0`` (records before a
-checkpoint all have ``time <= watermark``); with a declared disorder
-bound (the correlator's ``max_lateness_s``), it also stops early once
-the watermark passes ``t1 + max_disorder_s``.
+Reads: closed segments carry a sidecar **sparse seq index**: the
+first seq and record count plus every :data:`INDEX_EVERY`-th record's
+``(offset, index)`` checkpoint.  :meth:`EventLog.replay` ``(after_seq)``,
+the one reader, skips segments wholly at or before ``after_seq`` and
+seeks to the last checkpoint at or before the resume point, so recovery
+from a snapshot and the federation shipper's per-pump read cost the
+suffix, not the log.
 """
 
 from __future__ import annotations
@@ -81,7 +74,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.soc.events import CorruptRecord, SecurityEvent, event_from_obj
 
@@ -91,7 +84,7 @@ SEGMENT_MAGIC = b"SOCLOG1\n"
 FRAME_HEADER = struct.Struct("<II")
 
 #: Sparse-index granularity: every ``INDEX_EVERY``-th record of a
-#: segment gets an ``(offset, index, watermark)`` checkpoint.
+#: segment gets an ``(offset, index)`` checkpoint.
 INDEX_EVERY = 64
 #: Snapshots a :class:`SnapshotStore` keeps on disk (the log, not the
 #: snapshot chain, is the durable history).
@@ -107,7 +100,7 @@ def canonical_dumps(obj) -> bytes:
     event encodes as-is).  Compact separators + repr-based floats: Python
     floats round-trip exactly through json, so re-encoding a decoded
     event reproduces the original bytes.  NaN and infinities are
-    rejected (they would break the sparse index's watermark order)."""
+    rejected (JSON has no spelling for them)."""
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False,
                       allow_nan=False).encode("utf-8")
 
@@ -122,16 +115,6 @@ class LogRecord:
     shard: int = 0           # ingest shard the batch drained from
     events: Tuple[SecurityEvent, ...] = ()
     pump_no: int = -1        # markers: the pump's ordinal
-
-
-@dataclass(frozen=True)
-class ScanHit:
-    """One event matched by a forensics :meth:`EventLog.scan`."""
-
-    seq: int                 # sequence number of the containing batch
-    dispatch_t: float
-    shard: int
-    event: SecurityEvent
 
 
 def record_from_payload(seq: int, payload: bytes) -> LogRecord:
@@ -203,16 +186,13 @@ def iter_frames(buf, max_frame_bytes: Optional[int],
 
 @dataclass
 class _SegmentInfo:
-    """Scan metadata for one segment (sidecar for closed, live for active)."""
+    """Seq index of one segment (sidecar for closed, live for active)."""
 
     path: Path
     first_seq: int
     count: int
-    min_t: Optional[float]          # event-time range (events only)
-    max_t: Optional[float]
-    # [offset, record_index, watermark]: every record before ``offset``
-    # (the first ``record_index`` records) has event time <= watermark.
-    checkpoints: List[List[float]]
+    # [offset, record_index]: record ``record_index`` starts at ``offset``.
+    checkpoints: List[List[int]]
 
 
 def _segment_first_seq(path: Path) -> int:
@@ -223,14 +203,12 @@ def _segment_first_seq(path: Path) -> int:
 _READ_CHUNK = 1 << 16
 
 
-def _read_frames(path: Path, start_offset: int,
-                 stop_offset: Optional[int], *,
+def _read_frames(path: Path, start_offset: int, *,
                  tolerant: bool) -> Iterator[Tuple[int, bytes]]:
     """Stream ``(end, payload)`` for the records of a segment-format file
-    from ``start_offset`` up to ``stop_offset`` (record boundaries;
-    ``None`` reads to the end), reading fixed-size chunks through
-    :func:`iter_frames`, so memory stays bounded by one chunk plus one
-    record.  A torn or CRC-failing record
+    from ``start_offset`` (a record boundary) to the end, reading
+    fixed-size chunks through :func:`iter_frames`, so memory stays
+    bounded by one chunk plus one record.  A torn or CRC-failing record
     raises :class:`CorruptRecord` -- or, with ``tolerant``, ends the
     stream there (the torn-tail read :func:`scan_valid_prefix` does)."""
     buf = b""
@@ -238,10 +216,7 @@ def _read_frames(path: Path, start_offset: int,
     with open(path, "rb") as fh:
         fh.seek(start_offset)
         while True:
-            want = _READ_CHUNK
-            if stop_offset is not None:
-                want = min(want, stop_offset - base - len(buf))
-            chunk = fh.read(want) if want > 0 else b""
+            chunk = fh.read(_READ_CHUNK)
             if not chunk:
                 break
             buf += chunk
@@ -269,7 +244,7 @@ def scan_valid_prefix(path: Path) -> Tuple[List[bytes], int]:
             return [], len(SEGMENT_MAGIC)
     payloads: List[bytes] = []
     good_end = len(SEGMENT_MAGIC)
-    for good_end, payload in _read_frames(path, len(SEGMENT_MAGIC), None,
+    for good_end, payload in _read_frames(path, len(SEGMENT_MAGIC),
                                           tolerant=True):
         payloads.append(payload)
     return payloads, good_end
@@ -304,17 +279,13 @@ class EventLog:
         self._first_seq = 1          # first seq of the active segment
         self._count = 0              # records in the active segment
         self._offset = len(SEGMENT_MAGIC)  # append position in it
-        self._checkpoints: List[List[float]] = []
-        self._min_t: Optional[float] = None
-        self._max_t: Optional[float] = None
-        self._watermark: Optional[float] = None  # running max event time
+        self._checkpoints: List[List[int]] = []
         self._unsynced = True        # bytes written since the last fsync
 
         self.last_seq = 0
         self.appended = 0            # records appended by *this* process
         self.truncated_bytes = 0     # torn tail dropped at open
         self.segments_rotated = 0
-        self.last_scan_stats: Dict[str, int] = {}
         self.last_replay_stats: Dict[str, int] = {}
 
         self._recover_or_create()
@@ -361,9 +332,8 @@ class EventLog:
         self._count = 0
         self._offset = len(SEGMENT_MAGIC)
         self._checkpoints = []
-        self._min_t = self._max_t = self._watermark = None
         for payload in payloads:
-            self._note_record(payload)
+            self._note_record(len(payload))
         self.last_seq = self._first_seq + len(payloads) - 1
         self._fh = open(tail, "ab")
         self._unsynced = True
@@ -373,7 +343,6 @@ class EventLog:
         self._count = 0
         self._offset = len(SEGMENT_MAGIC)
         self._checkpoints = []
-        self._min_t = self._max_t = self._watermark = None
         self._fh = open(self._segment_path(first_seq), "wb")
         self._fh.write(SEGMENT_MAGIC)
         self._unsynced = True
@@ -381,49 +350,24 @@ class EventLog:
     # ------------------------------------------------------------------
     # Append path
     # ------------------------------------------------------------------
-    def _note_times(self, times: Sequence[float]) -> None:
-        for t in times:
-            if self._min_t is None or t < self._min_t:
-                self._min_t = t
-            if self._max_t is None or t > self._max_t:
-                self._max_t = t
-            if self._watermark is None or t > self._watermark:
-                self._watermark = t
-
-    def _note_record(self, payload: bytes) -> None:
-        """Advance the active segment's index state for one record."""
+    def _note_record(self, size: int) -> None:
+        """Advance the active segment's index state past one record of
+        ``size`` payload bytes."""
         if self._count % INDEX_EVERY == 0:
-            self._checkpoints.append(
-                [self._offset, self._count,
-                 self._watermark if self._watermark is not None else None])
-        obj = json.loads(payload.decode("utf-8"))
-        if obj[0] == "b":
-            self._note_times([float(e[1]) for e in obj[3]])
-        self._offset += FRAME_HEADER.size + len(payload)
+            self._checkpoints.append([self._offset, self._count])
+        self._offset += FRAME_HEADER.size + size
         self._count += 1
 
-    def _append_payload(self, payload: bytes,
-                        event_times: Sequence[float]) -> int:
+    def _append_payload(self, payload: bytes) -> int:
         if self._count >= self.segment_max_records:
             self.rotate()
-        if self._count % INDEX_EVERY == 0:
-            self._checkpoints.append(
-                [self._offset, self._count,
-                 self._watermark if self._watermark is not None else None])
+        self._note_record(len(payload))
         self._fh.write(FRAME_HEADER.pack(len(payload), zlib.crc32(payload)))
         self._fh.write(payload)
-        self._offset += FRAME_HEADER.size + len(payload)
-        self._count += 1
         self.last_seq += 1
         self.appended += 1
         self._unsynced = True
-        self._note_times(event_times)
         return self.last_seq
-
-    def append(self, dispatch_t: float, shard: int,
-               event: SecurityEvent) -> int:
-        """Archive one event as a singleton batch; returns its seq."""
-        return self.append_batch(dispatch_t, shard, [event])
 
     def append_batch(self, dispatch_t: float, shard: int,
                      events: Sequence[SecurityEvent]) -> int:
@@ -431,13 +375,12 @@ class EventLog:
         calls this once per dispatch batch, which is what preserves the
         batch boundaries replay needs); returns its sequence number."""
         return self._append_payload(
-            canonical_dumps(["b", dispatch_t, shard, events]),
-            [e.time for e in events])
+            canonical_dumps(["b", dispatch_t, shard, events]))
 
     def append_mark(self, t: float, pump_no: int) -> int:
         """Append a pump marker, the commit point, and flush the log to
         the OS (not the disk): replay re-runs the campaign merge here."""
-        seq = self._append_payload(canonical_dumps(["m", t, pump_no]), ())
+        seq = self._append_payload(canonical_dumps(["m", t, pump_no]))
         self._fh.flush()
         return seq
 
@@ -457,8 +400,6 @@ class EventLog:
         index = {
             "first_seq": self._first_seq,
             "count": self._count,
-            "min_t": self._min_t,
-            "max_t": self._max_t,
             "checkpoints": self._checkpoints,
         }
         path = self._index_path(self._segment_path(self._first_seq))
@@ -545,64 +486,19 @@ class EventLog:
         for path in self.segment_paths():
             first_seq = _segment_first_seq(path)
             if first_seq == self._first_seq:
-                infos.append(_SegmentInfo(
-                    path, first_seq, self._count, self._min_t, self._max_t,
-                    list(self._checkpoints)))
+                infos.append(_SegmentInfo(path, first_seq, self._count,
+                                          list(self._checkpoints)))
                 continue
             idx_path = self._index_path(path)
             if idx_path.exists():
                 idx = json.loads(idx_path.read_text())
-                infos.append(_SegmentInfo(
-                    path, idx["first_seq"], idx["count"],
-                    idx["min_t"], idx["max_t"], idx["checkpoints"]))
+                infos.append(_SegmentInfo(path, idx["first_seq"],
+                                          idx["count"], idx["checkpoints"]))
             else:  # sidecar lost: fall back to an unindexed full scan
                 count = sum(1 for _ in _read_frames(
-                    path, len(SEGMENT_MAGIC), None, tolerant=False))
-                infos.append(_SegmentInfo(path, first_seq, count,
-                                          None, None, []))
+                    path, len(SEGMENT_MAGIC), tolerant=False))
+                infos.append(_SegmentInfo(path, first_seq, count, []))
         return infos
-
-    def _walk(self, stats: Dict[str, int],
-              skip: Callable[[_SegmentInfo], bool],
-              seek_past: Callable[[int, Optional[float]], bool],
-              stop_after: Optional[float],
-              ) -> Iterator[Tuple[int, bytes]]:
-        """The one segment walk behind :meth:`replay` and :meth:`scan`;
-        yields ``(seq, payload)`` in append order.
-
-        A segment with ``skip(info)`` is passed over whole on its sidecar
-        metadata.  Within the others the sparse index seeks to the last
-        checkpoint whose first record ``(seq, watermark)`` satisfies
-        ``seek_past`` (both grow with the record index, so the test holds
-        for a prefix of checkpoints), and reading stops at the first
-        checkpoint whose watermark exceeds ``stop_after``.  Records are
-        seq-contiguous, so a checkpoint's ``record_index`` maps directly
-        to seq.
-        """
-        self._fh.flush()  # the active segment must be readable
-        for info in self._segment_infos():
-            stats["segments"] += 1
-            if skip(info):
-                stats["segments_skipped"] += 1
-                continue
-            start_offset, start_index = len(SEGMENT_MAGIC), 0
-            for offset, index, watermark in info.checkpoints:
-                if not seek_past(info.first_seq + int(index), watermark):
-                    break
-                start_offset, start_index = int(offset), int(index)
-            stop_offset: Optional[int] = None
-            if stop_after is not None:
-                stop_offset = next(
-                    (int(offset) for offset, _, watermark in info.checkpoints
-                     if watermark is not None and watermark > stop_after),
-                    None)
-            stats["bytes_seeked"] += start_offset - len(SEGMENT_MAGIC)
-            seq = info.first_seq + start_index
-            for _, payload in _read_frames(info.path, start_offset,
-                                           stop_offset, tolerant=False):
-                stats["records_read"] += 1
-                yield seq, payload
-                seq += 1
 
     def replay(self, after_seq: int = 0) -> Iterator[LogRecord]:
         """Yield every record with ``seq > after_seq`` in append order
@@ -625,65 +521,28 @@ class EventLog:
         stats = {"segments": 0, "segments_skipped": 0, "records_read": 0,
                  "records_yielded": 0, "bytes_seeked": 0}
         self.last_replay_stats = stats
-        for seq, payload in self._walk(
-                stats,
-                lambda info: info.first_seq + info.count - 1 <= after_seq,
-                lambda seq, _watermark: seq <= after_seq + 1, None):
-            if seq > after_seq:
-                stats["records_yielded"] += 1
-                yield record_from_payload(seq, payload)
-
-    def scan(self, signature: Optional[str] = None,
-             vehicle_id: Optional[str] = None,
-             t0: Optional[float] = None, t1: Optional[float] = None,
-             max_disorder_s: Optional[float] = None,
-             ) -> Iterator[ScanHit]:
-        """Forensics query over archived events.
-
-        Filters compose conjunctively; ``t0``/``t1`` bound the *event*
-        time (closed interval).  Closed segments are skipped whole when
-        their ``[min_t, max_t]`` misses ``[t0, t1]``, and the sparse
-        index seeks past the prefix whose watermark proves every earlier
-        record is older than ``t0``.  ``max_disorder_s`` -- the stream's
-        out-of-order bound (the correlator's ``max_lateness_s``) -- also
-        lets the scan stop early once the watermark passes ``t1 +
-        max_disorder_s``; leave ``None`` to assume nothing.
-        ``last_scan_stats`` counts the work like ``last_replay_stats``.
-        """
-        stats = {"segments": 0, "segments_skipped": 0, "records_read": 0,
-                 "bytes_seeked": 0}
-        self.last_scan_stats = stats
-
-        def skip(info: _SegmentInfo) -> bool:
-            return info.min_t is not None and (
-                (t1 is not None and info.min_t > t1)
-                or (t0 is not None and info.max_t is not None
-                    and info.max_t < t0))
-
-        def seek_past(_seq: int, watermark: Optional[float]) -> bool:
-            # None = no events before this checkpoint, which vacuously
-            # proves the prefix is older than t0 too.
-            return t0 is not None and (watermark is None or watermark < t0)
-
-        stop_after = None
-        if t1 is not None and max_disorder_s is not None:
-            stop_after = t1 + max_disorder_s
-        for seq, payload in self._walk(stats, skip, seek_past, stop_after):
-            record = record_from_payload(seq, payload)
-            if record.kind != "batch":
+        self._fh.flush()  # the active segment must be readable
+        for info in self._segment_infos():
+            stats["segments"] += 1
+            if info.first_seq + info.count - 1 <= after_seq:
+                stats["segments_skipped"] += 1
                 continue
-            for event in record.events:
-                if signature is not None and event.signature != signature:
-                    continue
-                if vehicle_id is not None and event.vehicle_id != vehicle_id:
-                    continue
-                if t0 is not None and event.time < t0:
-                    continue
-                if t1 is not None and event.time > t1:
-                    continue
-                yield ScanHit(seq=record.seq,
-                              dispatch_t=record.dispatch_t,
-                              shard=record.shard, event=event)
+            # Records are seq-contiguous, so a checkpoint's record index
+            # maps directly to seq.
+            start_offset, start_index = len(SEGMENT_MAGIC), 0
+            for offset, index in info.checkpoints:
+                if info.first_seq + index > after_seq + 1:
+                    break
+                start_offset, start_index = offset, index
+            stats["bytes_seeked"] += start_offset - len(SEGMENT_MAGIC)
+            seq = info.first_seq + start_index
+            for _, payload in _read_frames(info.path, start_offset,
+                                           tolerant=False):
+                stats["records_read"] += 1
+                if seq > after_seq:
+                    stats["records_yielded"] += 1
+                    yield record_from_payload(seq, payload)
+                seq += 1
 
 
 # ----------------------------------------------------------------------

@@ -3,18 +3,17 @@ optimistic federation mode.
 
 Covers the :class:`FaultPlan` schema (validation, seeded generation
 determinism, federation/service split), the torn-shipment corruption
-knob on the channel, the :class:`Amendment` journal and its incident
-lifecycle effects (confirm clears ``provisional``, retract walks an
-open incident to false-positive, retract after containment only
-journals), the optimistic hub's episode lifecycle (open on stale
-blockers, reconcile on catch-up, ``declare_dead`` unblocking, the
-retract classification path, the amendment export feed), the tentpole
-differentials -- a Hypothesis-driven space of outage schedules,
-duplication, and reorder, at one shard and at four, always converging
-byte-identical to the strict gate with the amendment counters tying
-out -- and full chaos runs (federation scene under outage + degrade +
-torn shipment; ingest service under worker SIGKILLs) asserting zero
-conservation violations and zero admitted-batch ACK loss.
+knob on the channel, the :class:`Amendment` record (kind validation,
+kept out of the tracker's snapshot), the optimistic hub's episode
+lifecycle (open on stale blockers, reconcile on catch-up,
+``declare_dead`` unblocking, the retract classification path and the
+hub's one amendment journal), the tentpole differentials -- a
+Hypothesis-driven space of outage schedules, duplication, and reorder,
+at one shard and at four, always converging byte-identical to the
+strict gate with the amendment counters tying out -- and full chaos
+runs (federation scene under outage + degrade + torn shipment; ingest
+service under worker SIGKILLs) asserting zero conservation violations
+and zero admitted-batch ACK loss.
 """
 
 import dataclasses
@@ -32,7 +31,6 @@ from repro.soc import (
     EventLog,
     EventSource,
     FederationHub,
-    IncidentState,
     IncidentTracker,
     LogRecord,
     Shipment,
@@ -187,7 +185,7 @@ class TestCorruptNext:
 
 
 # ----------------------------------------------------------------------
-# Amendment journal + incident lifecycle
+# Amendment record
 # ----------------------------------------------------------------------
 class TestAmendments:
     def test_kind_validation_and_as_dict(self):
@@ -200,58 +198,13 @@ class TestAmendments:
         assert dataclasses.asdict(a)["vehicles_added"] == 1
         assert json.dumps(dataclasses.asdict(a))   # JSON-safe fields
 
-    def test_confirm_clears_provisional(self):
-        tracker = IncidentTracker()
-        incident = tracker.open_from_detection(_detection(), Asil.C,
-                                               provisional=True)
-        assert incident.provisional
-        tracker.record_amendment(Amendment(
-            kind="confirm", signature="xr.sig", t=11.0,
-            incident_id=incident.incident_id))
-        assert not incident.provisional
-
-    def test_retract_walks_open_incident_to_false_positive(self):
-        tracker = IncidentTracker()
-        incident = tracker.open_from_detection(_detection(), Asil.C,
-                                               provisional=True)
-        tracker.record_amendment(Amendment(
-            kind="retract", signature="xr.sig", t=11.0))
-        assert incident.state is IncidentState.FALSE_POSITIVE
-
-    def test_retract_after_containment_only_journals(self):
-        tracker = IncidentTracker()
-        incident = tracker.open_from_detection(_detection(), Asil.C,
-                                               provisional=True)
-        incident.advance(10.5, IncidentState.TRIAGED)
-        incident.advance(11.0, IncidentState.CONTAINED)
-        # The response already acted; a late retract must not unwind it,
-        # only land in the hub's journal for the analyst.
-        tracker.record_amendment(Amendment(
-            kind="retract", signature="xr.sig", t=12.0))
-        assert incident.state is IncidentState.CONTAINED
-        assert incident.provisional
-
-    def test_unmatched_signature_is_a_noop(self):
-        tracker = IncidentTracker()
-        incident = tracker.open_from_detection(_detection(), Asil.C,
-                                               provisional=True)
-        before = _canon(tracker.snapshot())
-        for kind in AMENDMENT_KINDS:
-            tracker.record_amendment(Amendment(
-                kind=kind, signature="never.seen", t=1.0))
-        assert _canon(tracker.snapshot()) == before
-        assert incident.provisional
-
     def test_snapshot_excludes_the_journal(self):
         tracker = IncidentTracker()
         tracker.open_from_detection(_detection(), Asil.C, provisional=True)
-        before = _canon(tracker.snapshot())
-        tracker.record_amendment(Amendment(
-            kind="confirm", signature="xr.sig", t=11.0))
         restored = IncidentTracker.from_snapshot(tracker.snapshot())
-        # provisional=False *is* state and round-trips; the journal is
-        # journey (the hub keeps it) and the tracker has none.
-        assert _canon(tracker.snapshot()) != before
+        # provisional *is* state and round-trips; the journal is journey
+        # (the hub keeps it) and the tracker has none.
+        assert restored.incident_for("xr.sig").provisional
         assert _canon(restored.snapshot()) == _canon(tracker.snapshot())
         assert "amendments" not in tracker.snapshot()
 

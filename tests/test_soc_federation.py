@@ -112,6 +112,33 @@ class TestEventLogTail:
         assert log.last_replay_stats["bytes_seeked"] == 0
         log.close()
 
+    def test_replay_seeks_by_checkpoint_inside_one_segment(self, tmp_path):
+        """Inside one large segment a late cursor enters at the last
+        checkpoint at or before it, and a reopened log -- whose tail
+        checkpoints are rebuilt from the frames alone -- replays every
+        cursor with the same work."""
+        log = EventLog(tmp_path, segment_max_records=4096)
+        total = _fill_log(log, 300)
+        assert total > 4 * store.INDEX_EVERY
+        assert len(log.segment_paths()) == 1
+        late = total - 10
+        tailed = list(log.replay(after_seq=late))
+        assert [r.seq for r in tailed] == list(range(late + 1, total + 1))
+        stats = log.last_replay_stats
+        assert stats["bytes_seeked"] > 0
+        assert stats["records_read"] <= \
+            store.INDEX_EVERY + stats["records_yielded"]
+        cursors = (0, store.INDEX_EVERY - 1, store.INDEX_EVERY,
+                   store.INDEX_EVERY + 1, late, total)
+        before = {cursor: (list(log.replay(after_seq=cursor)),
+                           log.last_replay_stats) for cursor in cursors}
+        log.close()
+        reopened = EventLog(tmp_path, segment_max_records=4096)
+        for cursor in cursors:
+            records = list(reopened.replay(after_seq=cursor))
+            assert (records, reopened.last_replay_stats) == before[cursor]
+        reopened.close()
+
     def test_tail_across_a_segment_roll(self, tmp_path, monkeypatch):
         """Regression pin: a cursor parked exactly at a closed segment's
         last record resumes at the next segment's first record."""

@@ -442,8 +442,6 @@ def program_paths():
 SETTINGS_ALLOWLIST = {
     "service.IngestService.__init__(mono_clock=)":
         "fake-clock seam: deadline and quota tests inject a monotonic clock",
-    "store.EventLog.scan(vehicle_id=)":
-        "forensics query filter, like signature= and the time window",
     "service.IngestServer.__init__(host=)":
         "listen address, not a limit: every caller uses loopback",
     "service.serve(host=)": "listen address, as IngestServer's",

@@ -1,12 +1,11 @@
 """Tests for repro.soc.store and the crash-recovery contract.
 
 Covers the canonical event codec (hypothesis byte-identity), the
-segmented log's append/replay/rotation paths, the one durability
-contract (a pump marker is flushed to the OS; the log is fsynced only at
-segment close, snapshot and close), torn-write recovery
-(hypothesis: truncate anywhere, recover to the last whole record),
-forensics scans checked against a brute-force oracle (plus the
-sparse-index skip accounting), snapshot retention/corruption fallback,
+segmented log's append/replay/rotation paths and its sidecar seq
+index, the one durability contract (a pump marker is flushed to the OS;
+the log is fsynced only at segment close, snapshot and close),
+torn-write recovery (hypothesis: truncate anywhere, recover to the last
+whole record), snapshot retention/corruption fallback,
 the engine/merger/tracker snapshot round trips, and the tentpole
 differential: kill-at-arbitrary-pump + restore + replay is
 byte-identical to an uninterrupted run at 1 and 4 shards.
@@ -244,7 +243,7 @@ class TestEventLog:
         monkeypatch.setattr(store_module, "INDEX_EVERY", 1)
         log = EventLog(tmp_path, segment_max_records=2)
         for i in range(5):
-            log.append(float(i), 0, ev("v1", "s", float(i), i))
+            log.append_batch(float(i), 0, [ev("v1", "s", float(i), i)])
         log.close()
         segments = log.segment_paths()
         assert len(segments) == 3
@@ -253,17 +252,23 @@ class TestEventLog:
             assert sidecar.exists()
             idx = json.loads(sidecar.read_text())
             assert idx["count"] == 2
-            assert idx["min_t"] is not None
+            # One [offset, index] checkpoint per record at INDEX_EVERY=1,
+            # each at a real record boundary of the segment.
+            blob = closed.read_bytes()
+            second = len(SEGMENT_MAGIC) + FRAME_HEADER.size + \
+                FRAME_HEADER.unpack_from(blob, len(SEGMENT_MAGIC))[0]
+            assert idx["checkpoints"] == [[len(SEGMENT_MAGIC), 0],
+                                          [second, 1]]
 
     def test_reopen_resumes_sequence(self, tmp_path):
         log = EventLog(tmp_path, segment_max_records=3)
         for i in range(4):
-            log.append(float(i), 0, ev("v1", "s", float(i), i))
+            log.append_batch(float(i), 0, [ev("v1", "s", float(i), i)])
         log.close()
         reopened = EventLog(tmp_path, segment_max_records=3)
         assert reopened.last_seq == 4
         assert reopened.truncated_bytes == 0
-        reopened.append(9.0, 0, ev("v9", "s", 9.0, 99))
+        reopened.append_batch(9.0, 0, [ev("v9", "s", 9.0, 99)])
         assert [r.seq for r in reopened.replay()] == [1, 2, 3, 4, 5]
         reopened.close()
 
@@ -274,7 +279,7 @@ class TestEventLog:
     def test_corrupt_closed_segment_raises(self, tmp_path):
         log = EventLog(tmp_path, segment_max_records=2)
         for i in range(4):
-            log.append(float(i), 0, ev("v1", "s", float(i), i))
+            log.append_batch(float(i), 0, [ev("v1", "s", float(i), i)])
         log.close()
         closed = log.segment_paths()[0]
         blob = bytearray(closed.read_bytes())
@@ -408,7 +413,7 @@ class TestTornWriteRecovery:
         n = data.draw(st.integers(min_value=1, max_value=8), label="n")
         log = EventLog(tmp_path)
         for i in range(n):
-            log.append(float(i), 0, ev("v%d" % i, "sig", float(i), i))
+            log.append_batch(float(i), 0, [ev("v%d" % i, "sig", float(i), i)])
         log.close()
         (segment,) = log.segment_paths()
         blob = segment.read_bytes()
@@ -424,13 +429,13 @@ class TestTornWriteRecovery:
             ends[whole - 1] if whole else len(SEGMENT_MAGIC))
         assert len(list(recovered.replay())) == whole
         # The log is immediately appendable again.
-        recovered.append(99.0, 0, ev("vx", "sig", 99.0, 999))
+        recovered.append_batch(99.0, 0, [ev("vx", "sig", 99.0, 999)])
         assert [r.seq for r in recovered.replay()][-1] == whole + 1
         recovered.close()
 
     def test_torn_segment_creation_is_rewritten(self, tmp_path):
         log = EventLog(tmp_path)
-        log.append(0.0, 0, ev("v1", "s", 0.0, 1))
+        log.append_batch(0.0, 0, [ev("v1", "s", 0.0, 1)])
         log.close()
         # A crash between creating the next segment file and writing its
         # magic leaves garbage; recovery must rewrite it, not truncate
@@ -440,113 +445,9 @@ class TestTornWriteRecovery:
         recovered = EventLog(tmp_path)
         assert recovered.truncated_bytes == 3
         assert recovered.last_seq == 1
-        recovered.append(1.0, 0, ev("v2", "s", 1.0, 2))
+        recovered.append_batch(1.0, 0, [ev("v2", "s", 1.0, 2)])
         assert [r.seq for r in recovered.replay()] == [1, 2]
         recovered.close()
-
-
-# ----------------------------------------------------------------------
-# Forensics scan vs brute force
-# ----------------------------------------------------------------------
-class TestForensicsScan:
-    DISORDER = 2.0
-
-    @pytest.fixture(autouse=True)
-    def _dense_index(self, monkeypatch):
-        monkeypatch.setattr(store_module, "INDEX_EVERY", 4)
-
-    @staticmethod
-    def _populated(tmp_path, n=400, batch=7, segment_max=16):
-        rng = RngStreams(5).get("scan")
-        log = EventLog(tmp_path, segment_max_records=segment_max)
-        events = []
-        for i in range(n):
-            t = i * 0.25 + rng.uniform(0.0, TestForensicsScan.DISORDER)
-            events.append(ev(f"v{rng.randrange(12)}",
-                             f"sig.{rng.randrange(5)}", t, i))
-        for start in range(0, n, batch):
-            chunk = events[start:start + batch]
-            log.append_batch(chunk[-1].time, 0, chunk)
-            if start % (batch * 4) == 0:
-                log.append_mark(chunk[-1].time, start)
-        return log, events
-
-    def _brute(self, log, signature=None, vehicle_id=None, t0=None, t1=None):
-        out = []
-        for record in log.replay():
-            if record.kind != "batch":
-                continue
-            for event in record.events:
-                if signature is not None and event.signature != signature:
-                    continue
-                if vehicle_id is not None and event.vehicle_id != vehicle_id:
-                    continue
-                if t0 is not None and event.time < t0:
-                    continue
-                if t1 is not None and event.time > t1:
-                    continue
-                out.append((record.seq, event))
-        return out
-
-    def test_scan_matches_brute_force(self, tmp_path):
-        log, _ = self._populated(tmp_path)
-        queries = [
-            {},
-            {"signature": "sig.2"},
-            {"vehicle_id": "v3"},
-            {"t0": 20.0, "t1": 30.0},
-            {"signature": "sig.0", "t0": 10.0, "t1": 80.0},
-            {"signature": "sig.4", "vehicle_id": "v7", "t0": 0.0,
-             "t1": 200.0},
-            {"t0": 99.0},
-            {"t1": 1.0},
-        ]
-        for query in queries:
-            got = [(h.seq, h.event)
-                   for h in log.scan(max_disorder_s=self.DISORDER, **query)]
-            assert got == self._brute(log, **query), query
-        log.close()
-
-    def test_sparse_index_skips_out_of_range_work(self, tmp_path):
-        log, events = self._populated(tmp_path)
-        total_records = log.last_seq
-        # A window entirely before the stream: every segment skipped.
-        list(log.scan(t0=-100.0, t1=-1.0, max_disorder_s=self.DISORDER))
-        stats = log.last_scan_stats
-        assert stats["segments_skipped"] == stats["segments"]
-        assert stats["records_read"] == 0
-        # A narrow mid-stream window: the index must prove most records
-        # irrelevant (seek past the old prefix, stop after the horizon).
-        hits = list(log.scan(t0=48.0, t1=52.0,
-                             max_disorder_s=self.DISORDER))
-        stats = log.last_scan_stats
-        assert hits
-        assert stats["records_read"] < total_records / 2
-        assert stats["segments_skipped"] > 0
-        log.close()
-
-    def test_checkpoint_seek_skips_old_prefix(self, tmp_path):
-        # One big segment: reaching a late window must seek past the old
-        # prefix via the sparse checkpoints instead of reading it.
-        log, _ = self._populated(tmp_path, segment_max=4096)
-        want = self._brute(log, t0=90.0, t1=200.0)
-        got = [(h.seq, h.event)
-               for h in log.scan(t0=90.0, t1=200.0,
-                                 max_disorder_s=self.DISORDER)]
-        assert got == want
-        stats = log.last_scan_stats
-        assert stats["bytes_seeked"] > 0
-        assert stats["records_read"] < log.last_seq / 2
-        log.close()
-
-    def test_scan_survives_missing_sidecar(self, tmp_path):
-        log, _ = self._populated(tmp_path)
-        want = self._brute(log, signature="sig.1")
-        sidecar = log.segment_paths()[0].with_suffix(".idx.json")
-        sidecar.unlink()
-        got = [(h.seq, h.event) for h in log.scan(signature="sig.1")]
-        assert got == want
-        log.close()
 
 
 # ----------------------------------------------------------------------
@@ -821,23 +722,6 @@ class TestCrashRecoveryDifferential:
         store = DurableStore(tmp_path)
         with pytest.raises(RuntimeError):
             recover_soc_state(store)
-
-    def test_soc_store_scan_forensics(self, tmp_path):
-        sim, soc, store = _durable_scene(tmp_path, num_shards=4)
-        sim.run_until(self.DURATION)
-        soc.final_drain()
-        flagged = sorted(soc.flagged_signatures())
-        assert flagged
-        # Every vehicle the tracker attributes to the campaign must be
-        # findable in the archived log by signature.
-        signature = flagged[0]
-        hits = list(store.log.scan(signature=signature))
-        assert hits
-        assert all(h.event.signature == signature for h in hits)
-        # Time-bounded scan agrees with the unbounded one, restricted.
-        t_hits = list(store.log.scan(signature=signature, t0=2.0, t1=8.0,
-                                     max_disorder_s=2.0))
-        assert t_hits == [h for h in hits if 2.0 <= h.event.time <= 8.0]
 
     def test_e17_crash_recovery_cell_smoke(self, tmp_path):
         from repro.experiments import e17_soc
