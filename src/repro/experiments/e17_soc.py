@@ -485,7 +485,7 @@ def store_microbench(
             batch = events[start:start + batch_size]
             log.append_batch(batch[0].time, 0, batch)
         append_s = time.perf_counter() - t0
-        log.rotate()  # close the tail so every segment is indexed
+        log.rotate()  # fsync and close the tail, as a restart finds it
 
         t0 = time.perf_counter()
         replayed = sum(len(r.events) for r in log.replay())

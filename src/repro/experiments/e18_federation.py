@@ -199,7 +199,6 @@ def build_federated_scene(
     duplicate_p: float = 0.0,
     outages: Optional[Dict[str, Sequence[Tuple[float, float]]]] = None,
     root=None,
-    max_batch_records: int = 256,
     staleness_budget_s: Optional[float] = None,
 ) -> FederatedScene:
     """Wire M regional SOCs, their shipping legs, and the hub.
@@ -241,8 +240,7 @@ def build_federated_scene(
             lag_s=lag_s, jitter_s=jitter_s, duplicate_p=duplicate_p,
             outages=(outages or {}).get(name, ()),
         )
-        shipper = SegmentShipper(name, store.log, channel,
-                                 max_batch_records=max_batch_records)
+        shipper = SegmentShipper(name, store.log, channel)
         regions[name] = RegionRuntime(
             name=name, fleet=fleet, center=center, generator=generator,
             store=store, channel=channel, shipper=shipper)

@@ -10,8 +10,9 @@ CRC records PR 4 made the recovery substrate -- instead of in-process
 calls:
 
 - :class:`SegmentShipper` tails a region's log through the checkpoint-
-  seeking :meth:`~repro.soc.store.EventLog.replay` ``(after_seq=cursor)``
-  and frames new records into :class:`Shipment` wire blobs.  The
+  seeking :meth:`~repro.soc.store.EventLog.payloads`
+  ``(after_seq=cursor)`` and frames the new records' archived bytes,
+  undecoded, into shipment wire blobs.  The
   durable log *is* the retransmit buffer: a send refused by an outage
   window simply leaves the cursor in place and retries next pump, and a
   shipper restarted from seq 0 after a region kill re-ships history the
@@ -67,6 +68,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.soc.center import AnalyticState
@@ -84,10 +86,12 @@ from repro.soc.store import (
     frame_payload,
     iter_frames,
     record_from_payload,
-    record_payload,
 )
 
 _NEG_INF = float("-inf")
+
+#: Records per shipment blob: a longer suffix ships as several blobs.
+SHIPMENT_MAX_RECORDS = 256
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +100,8 @@ _NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class Shipment:
-    """One wire blob: a contiguous run of one region's log records.
+    """One decoded wire blob: a contiguous run of one region's log
+    records (the hub's form; the shipper never builds one).
 
     ``watermark`` is the ``dispatch_t`` of the last record -- proven by
     the log content itself, never by the shipper's clock, so a replayed
@@ -110,18 +115,21 @@ class Shipment:
     records: Tuple[LogRecord, ...]
 
 
-def encode_shipment(shipment: Shipment) -> bytes:
-    """Serialize: one framed header + one framed payload per record,
-    each in the log's own ``u32 len | u32 CRC32 | payload`` envelope, so
-    the wire format self-verifies exactly like a segment on disk."""
-    if not shipment.records:
+def encode_shipment(region: str, first_seq: int,
+                    payloads: Sequence[bytes]) -> bytes:
+    """Serialize a run of one region's raw log payloads, seqs from
+    ``first_seq`` on: one framed header + one framed payload per
+    record, each in the log's own ``u32 len | u32 CRC32 | payload``
+    envelope, so the wire format self-verifies exactly like a segment on
+    disk.  The payloads ship as archived, undecoded; the header's
+    watermark is the last one's ``dispatch_t``, read the way
+    :func:`~repro.soc.store.record_from_payload` reads it."""
+    if not payloads:
         raise ValueError("a shipment carries at least one record")
-    head = canonical_dumps(["h", shipment.region, shipment.first_seq,
-                            shipment.last_seq, shipment.watermark])
-    parts = [frame_payload(head)]
-    for record in shipment.records:
-        parts.append(frame_payload(record_payload(record)))
-    return b"".join(parts)
+    head = canonical_dumps(["h", region, first_seq,
+                            first_seq + len(payloads) - 1,
+                            float(json.loads(payloads[-1])[1])])
+    return b"".join([frame_payload(head), *map(frame_payload, payloads)])
 
 
 def decode_shipment(data: bytes) -> Shipment:
@@ -265,46 +273,35 @@ class SegmentShipper:
     """
 
     def __init__(self, region: str, log: EventLog,
-                 channel: ShippingChannel, *,
-                 max_batch_records: int = 256) -> None:
-        if max_batch_records < 1:
-            raise ValueError("max_batch_records must be >= 1")
+                 channel: ShippingChannel) -> None:
         self.region = region
         self.log = log
         self.channel = channel
-        self.max_batch_records = max_batch_records
         self.shipped_seq = 0
         self.shipments_sent = 0
         self.records_shipped = 0
         self.send_refused = 0
 
     def pump(self, now: float) -> int:
-        """Ship every record past the cursor; returns records shipped.
+        """Ship every record past the cursor, at most
+        :data:`SHIPMENT_MAX_RECORDS` per blob; returns records shipped.
         On a refused send the cursor stays put -- the log retransmits."""
         if self.channel.in_outage(now):
             # Don't even tail: the link is down and the cursor is safe.
             self.send_refused += 1
             return 0
-        records = list(self.log.replay(after_seq=self.shipped_seq))
+        tail = self.log.payloads(after_seq=self.shipped_seq)
         shipped = 0
-        index = 0
-        while index < len(records):
-            chunk = records[index:index + self.max_batch_records]
-            shipment = Shipment(
-                region=self.region,
-                first_seq=chunk[0].seq,
-                last_seq=chunk[-1].seq,
-                watermark=chunk[-1].dispatch_t,
-                records=tuple(chunk),
-            )
-            if not self.channel.send(now, encode_shipment(shipment)):
+        while chunk := list(islice(tail, SHIPMENT_MAX_RECORDS)):
+            blob = encode_shipment(self.region, chunk[0][0],
+                                   [payload for _, payload in chunk])
+            if not self.channel.send(now, blob):
                 self.send_refused += 1
                 break
-            self.shipped_seq = chunk[-1].seq
+            self.shipped_seq = chunk[-1][0]
             self.shipments_sent += 1
             self.records_shipped += len(chunk)
             shipped += len(chunk)
-            index += len(chunk)
         return shipped
 
 

@@ -57,13 +57,17 @@ is parsed by one function, :func:`iter_frames`; files stream through
 it in fixed-size chunks, and :func:`scan_valid_prefix` is that file
 read's torn-tail-tolerant form.
 
-Reads: closed segments carry a sidecar **sparse seq index**: the
-first seq and record count plus every :data:`INDEX_EVERY`-th record's
-``(offset, index)`` checkpoint.  :meth:`EventLog.replay` ``(after_seq)``,
-the one reader, skips segments wholly at or before ``after_seq`` and
-seeks to the last checkpoint at or before the resume point, so recovery
-from a snapshot and the federation shipper's per-pump read cost the
-suffix, not the log.
+Reads: the log keeps its segment table in memory.  The segment file
+names are the index -- ``seg-<first_seq>.log`` -- so at open a closed
+segment's record count is the next segment's first seq minus its own,
+and only the tail is scanned.  Segments this process wrote also carry
+every :data:`INDEX_EVERY`-th record's ``(offset, index)`` checkpoint.
+:meth:`EventLog.payloads` ``(after_seq)``, the one reader, bisects to
+the segment holding the resume point, seeks to its last checkpoint at
+or before it (a closed segment from an earlier process has none and is
+scanned from its start), and yields raw ``(seq, payload)`` pairs, so
+recovery from a snapshot and the federation shipper's per-pump read
+cost the suffix, not the log.
 """
 
 from __future__ import annotations
@@ -72,7 +76,10 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -118,8 +125,8 @@ class LogRecord:
 
 
 def record_from_payload(seq: int, payload: bytes) -> LogRecord:
-    """Inverse of :func:`record_payload`; raises :class:`CorruptRecord`
-    on an unknown tag or a schema-violating event."""
+    """Decode one log payload; raises :class:`CorruptRecord` on an
+    unknown tag or a schema-violating event."""
     obj = json.loads(payload.decode("utf-8"))
     if obj[0] == "b":
         return LogRecord(seq=seq, kind="batch", dispatch_t=float(obj[1]),
@@ -129,19 +136,6 @@ def record_from_payload(seq: int, payload: bytes) -> LogRecord:
         return LogRecord(seq=seq, kind="mark", dispatch_t=float(obj[1]),
                          pump_no=int(obj[2]))
     raise CorruptRecord(f"unknown record tag {obj[0]!r} at seq {seq}")
-
-
-def record_payload(record: LogRecord) -> bytes:
-    """Canonical wire payload of one :class:`LogRecord` (the inverse of
-    :func:`record_from_payload`): re-encoding a decoded record
-    reproduces the on-disk payload bytes exactly, so a shipped record is
-    byte-identical to the one the region archived."""
-    if record.kind == "batch":
-        return canonical_dumps(["b", record.dispatch_t, record.shard,
-                                record.events])
-    if record.kind == "mark":
-        return canonical_dumps(["m", record.dispatch_t, record.pump_no])
-    raise ValueError(f"unknown record kind {record.kind!r}")
 
 
 def frame_payload(payload: bytes) -> bytes:
@@ -185,14 +179,15 @@ def iter_frames(buf, max_frame_bytes: Optional[int],
 # ----------------------------------------------------------------------
 
 @dataclass
-class _SegmentInfo:
-    """Seq index of one segment (sidecar for closed, live for active)."""
+class _Segment:
+    """One segment's entry in the log's in-memory table; the last entry
+    is the active segment, every earlier one is closed and immutable."""
 
-    path: Path
     first_seq: int
-    count: int
-    # [offset, record_index]: record ``record_index`` starts at ``offset``.
-    checkpoints: List[List[int]]
+    count: int = 0
+    # [offset, record_index]: record ``record_index`` starts at
+    # ``offset``.  Empty for a closed segment an earlier process wrote.
+    checkpoints: List[List[int]] = field(default_factory=list)
 
 
 def _segment_first_seq(path: Path) -> int:
@@ -253,19 +248,22 @@ def scan_valid_prefix(path: Path) -> Tuple[List[bytes], int]:
 class EventLog:
     """Segmented append-only log with CRC-framed records.
 
-    ``segment_max_records`` bounds segment size (rotation closes the
-    active segment, writes its sidecar index, fsyncs, and opens the
-    next; :data:`INDEX_EVERY` sets the sparse-index granularity).
+    ``segment_max_records`` bounds segment size (rotation fsyncs and
+    closes the active segment, whose entry and checkpoints stay in the
+    in-memory segment table, and opens the next; :data:`INDEX_EVERY`
+    sets the checkpoint granularity).
 
     A pump marker is the commit point: :meth:`append_mark` flushes the
     log to the OS, never to the disk.  Records reach the disk only at
     :meth:`rotate`, :meth:`sync` (before every snapshot) and
     :meth:`close`.
 
-    Opening an existing root re-enters the log: closed segments are
-    trusted (their records re-verify by CRC on every read), the tail
-    segment is scanned and truncated back to its last whole record
-    (``truncated_bytes`` reports how much of a torn write was dropped).
+    Opening an existing root re-enters the log: the segment table comes
+    from the file names, closed segments are trusted (every read
+    re-verifies their records by CRC and their count against the
+    names), and the tail segment is scanned and truncated back to its
+    last whole record (``truncated_bytes`` reports how much of a torn
+    write was dropped).
     """
 
     def __init__(self, root, *, segment_max_records: int = 4096) -> None:
@@ -276,17 +274,14 @@ class EventLog:
         self.segment_max_records = segment_max_records
 
         self._fh = None
-        self._first_seq = 1          # first seq of the active segment
-        self._count = 0              # records in the active segment
+        self._segments: List[_Segment] = []  # last entry: the active one
         self._offset = len(SEGMENT_MAGIC)  # append position in it
-        self._checkpoints: List[List[int]] = []
         self._unsynced = True        # bytes written since the last fsync
 
         self.last_seq = 0
         self.appended = 0            # records appended by *this* process
         self.truncated_bytes = 0     # torn tail dropped at open
         self.segments_rotated = 0
-        self.last_replay_stats: Dict[str, int] = {}
 
         self._recover_or_create()
 
@@ -296,10 +291,6 @@ class EventLog:
     def _segment_path(self, first_seq: int) -> Path:
         return self.root / f"seg-{first_seq:010d}.log"
 
-    @staticmethod
-    def _index_path(segment: Path) -> Path:
-        return segment.with_suffix(".idx.json")
-
     def segment_paths(self) -> List[Path]:
         return sorted(self.root.glob("seg-*.log"))
 
@@ -307,11 +298,16 @@ class EventLog:
     # Open / recover
     # ------------------------------------------------------------------
     def _recover_or_create(self) -> None:
-        segments = self.segment_paths()
-        if not segments:
+        paths = self.segment_paths()
+        self._segments = []
+        if not paths:
             self._open_segment(first_seq=1)
             return
-        tail = segments[-1]
+        firsts = [_segment_first_seq(path) for path in paths]
+        # A closed segment holds every seq before its successor's first.
+        self._segments = [_Segment(first, after - first)
+                          for first, after in zip(firsts, firsts[1:])]
+        tail = paths[-1]
         size = tail.stat().st_size
         with open(tail, "rb") as fh:
             magic_ok = fh.read(len(SEGMENT_MAGIC)) == SEGMENT_MAGIC
@@ -327,22 +323,18 @@ class EventLog:
                 with open(tail, "r+b") as fh:
                     fh.truncate(good_end)
                 self.truncated_bytes = size - good_end
-        # Rebuild the active segment's in-memory index state.
-        self._first_seq = _segment_first_seq(tail)
-        self._count = 0
+        # Rebuild the active segment's entry from its frames.
+        self._segments.append(_Segment(firsts[-1]))
         self._offset = len(SEGMENT_MAGIC)
-        self._checkpoints = []
         for payload in payloads:
             self._note_record(len(payload))
-        self.last_seq = self._first_seq + len(payloads) - 1
+        self.last_seq = firsts[-1] + len(payloads) - 1
         self._fh = open(tail, "ab")
         self._unsynced = True
 
     def _open_segment(self, first_seq: int) -> None:
-        self._first_seq = first_seq
-        self._count = 0
+        self._segments.append(_Segment(first_seq))
         self._offset = len(SEGMENT_MAGIC)
-        self._checkpoints = []
         self._fh = open(self._segment_path(first_seq), "wb")
         self._fh.write(SEGMENT_MAGIC)
         self._unsynced = True
@@ -351,15 +343,16 @@ class EventLog:
     # Append path
     # ------------------------------------------------------------------
     def _note_record(self, size: int) -> None:
-        """Advance the active segment's index state past one record of
+        """Advance the active segment's entry past one record of
         ``size`` payload bytes."""
-        if self._count % INDEX_EVERY == 0:
-            self._checkpoints.append([self._offset, self._count])
+        active = self._segments[-1]
+        if active.count % INDEX_EVERY == 0:
+            active.checkpoints.append([self._offset, active.count])
         self._offset += FRAME_HEADER.size + size
-        self._count += 1
+        active.count += 1
 
     def _append_payload(self, payload: bytes) -> int:
-        if self._count >= self.segment_max_records:
+        if self._segments[-1].count >= self.segment_max_records:
             self.rotate()
         self._note_record(len(payload))
         self._fh.write(FRAME_HEADER.pack(len(payload), zlib.crc32(payload)))
@@ -385,27 +378,15 @@ class EventLog:
         return seq
 
     def rotate(self) -> None:
-        """Close the active segment (fsync + sidecar index) and open
-        the next.  No-op on an empty segment."""
-        if self._count == 0:
+        """Close the active segment (fsync) and open the next.  No-op on
+        an empty segment."""
+        if self._segments[-1].count == 0:
             return
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
-        self._write_sidecar()
         self.segments_rotated += 1
         self._open_segment(self.last_seq + 1)
-
-    def _write_sidecar(self) -> None:
-        index = {
-            "first_seq": self._first_seq,
-            "count": self._count,
-            "checkpoints": self._checkpoints,
-        }
-        path = self._index_path(self._segment_path(self._first_seq))
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(index, sort_keys=True))
-        os.replace(tmp, path)
 
     def sync(self) -> None:
         """Flush and fsync the active segment, unless nothing was
@@ -435,12 +416,10 @@ class EventLog:
         what keeps the auto-restart differential byte-identical.
 
         Trailing segments that contain no marker at all are deleted
-        outright (with their sidecar indexes); the sidecar of a
-        truncated closed segment is dropped too -- it is rebuilt when
-        the segment next rotates.  If the log holds no marker anywhere,
-        everything is dropped and the log restarts empty at seq 0.
-        Returns ``{"records_dropped", "bytes_dropped",
-        "segments_deleted"}``.
+        outright; the segment holding the last marker becomes the
+        active tail.  If the log holds no marker anywhere, everything
+        is dropped and the log restarts empty at seq 0.  Returns
+        ``{"records_dropped", "bytes_dropped", "segments_deleted"}``.
         """
         self.close()
         stats = {"records_dropped": 0, "bytes_dropped": 0,
@@ -461,7 +440,6 @@ class EventLog:
                 stats["records_dropped"] += len(payloads)
                 stats["bytes_dropped"] += max(0, size - len(SEGMENT_MAGIC))
                 stats["segments_deleted"] += 1
-                self._index_path(path).unlink(missing_ok=True)
                 path.unlink()
                 continue
             if keep_end < size:
@@ -469,10 +447,6 @@ class EventLog:
                 stats["bytes_dropped"] += size - keep_end
                 with open(path, "r+b") as fh:
                     fh.truncate(keep_end)
-                # The sidecar (if this was a closed segment) now lies
-                # about the record count; the segment becomes the active
-                # tail and re-earns one at its next rotation.
-                self._index_path(path).unlink(missing_ok=True)
             break
         self.last_seq = 0  # recomputed from the surviving tail (if any)
         self._recover_or_create()
@@ -481,68 +455,58 @@ class EventLog:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _segment_infos(self) -> List[_SegmentInfo]:
-        infos: List[_SegmentInfo] = []
-        for path in self.segment_paths():
-            first_seq = _segment_first_seq(path)
-            if first_seq == self._first_seq:
-                infos.append(_SegmentInfo(path, first_seq, self._count,
-                                          list(self._checkpoints)))
-                continue
-            idx_path = self._index_path(path)
-            if idx_path.exists():
-                idx = json.loads(idx_path.read_text())
-                infos.append(_SegmentInfo(path, idx["first_seq"],
-                                          idx["count"], idx["checkpoints"]))
-            else:  # sidecar lost: fall back to an unindexed full scan
-                count = sum(1 for _ in _read_frames(
-                    path, len(SEGMENT_MAGIC), tolerant=False))
-                infos.append(_SegmentInfo(path, first_seq, count, []))
-        return infos
+    def payloads(self, after_seq: int = 0) -> Iterator[Tuple[int, bytes]]:
+        """Yield ``(seq, payload)`` for every record with ``seq >
+        after_seq``, in append order: the CRC-verified bytes as
+        archived, batches and pump markers alike.
+
+        The read costs the suffix: it bisects the segment table on
+        first seq, opens only the segments it reads, and enters the
+        first of them at its last checkpoint at or before the resume
+        point (a closed segment an earlier process wrote has no
+        checkpoints and is read from its start).  Recovery
+        (``after_seq`` = the snapshot's ``log_seq``) and the federation
+        shipper (once per pump, with an advancing cursor) therefore read
+        O(new records + :data:`INDEX_EVERY`), and open nothing when
+        nothing is new.  A segment whose records do not number what the
+        segment names imply -- a truncated or lost segment would skip
+        seqs silently -- raises :class:`CorruptRecord`.
+        """
+        if after_seq >= self.last_seq:
+            return
+        self._fh.flush()  # the active segment must be readable
+        segments = self._segments
+        start = bisect_right(segments, after_seq + 1,
+                             key=attrgetter("first_seq")) - 1
+        if start < 0:
+            raise CorruptRecord(f"log starts at seq {segments[0].first_seq}"
+                                f", seq {after_seq + 1} is lost")
+        for segment in segments[start:]:
+            offset, seq = len(SEGMENT_MAGIC), segment.first_seq
+            for checkpoint, index in segment.checkpoints:
+                if segment.first_seq + index > after_seq + 1:
+                    break
+                offset, seq = checkpoint, segment.first_seq + index
+            stop = segment.first_seq + segment.count
+            path = self._segment_path(segment.first_seq)
+            for _, payload in _read_frames(path, offset, tolerant=False):
+                if seq == stop:
+                    raise CorruptRecord(f"{path.name} runs past seq "
+                                        f"{stop - 1}")
+                if seq > after_seq:
+                    yield seq, payload
+                seq += 1
+            if seq != stop:
+                raise CorruptRecord(f"{path.name} ends at seq {seq - 1}, "
+                                    f"not {stop - 1}")
 
     def replay(self, after_seq: int = 0) -> Iterator[LogRecord]:
-        """Yield every record with ``seq > after_seq`` in append order
-        (batches *and* pump markers -- recovery replays both).
-
-        The read seeks instead of rescanning: segments wholly at or
-        before ``after_seq`` are skipped by their sidecar metadata, and
-        within the first overlapping segment the sparse index jumps to
-        the last checkpoint at or before the resume point.  Recovery
-        (``after_seq`` = the snapshot's ``log_seq``) and the federation
-        shipper (called once per pump with an advancing cursor) therefore
-        read O(new records + :data:`INDEX_EVERY`), not O(log size).
-
-        ``last_replay_stats`` records ``segments``,
-        ``segments_skipped``, ``records_read`` (records decoded,
-        including up to ``INDEX_EVERY - 1`` pre-cursor records after the
-        checkpoint seek), ``records_yielded`` and ``bytes_seeked`` (bytes
-        the checkpoint seek avoided reading).
-        """
-        stats = {"segments": 0, "segments_skipped": 0, "records_read": 0,
-                 "records_yielded": 0, "bytes_seeked": 0}
-        self.last_replay_stats = stats
-        self._fh.flush()  # the active segment must be readable
-        for info in self._segment_infos():
-            stats["segments"] += 1
-            if info.first_seq + info.count - 1 <= after_seq:
-                stats["segments_skipped"] += 1
-                continue
-            # Records are seq-contiguous, so a checkpoint's record index
-            # maps directly to seq.
-            start_offset, start_index = len(SEGMENT_MAGIC), 0
-            for offset, index in info.checkpoints:
-                if info.first_seq + index > after_seq + 1:
-                    break
-                start_offset, start_index = offset, index
-            stats["bytes_seeked"] += start_offset - len(SEGMENT_MAGIC)
-            seq = info.first_seq + start_index
-            for _, payload in _read_frames(info.path, start_offset,
-                                           tolerant=False):
-                stats["records_read"] += 1
-                if seq > after_seq:
-                    stats["records_yielded"] += 1
-                    yield record_from_payload(seq, payload)
-                seq += 1
+        """:meth:`payloads` decoded: every record with ``seq >
+        after_seq`` as a :class:`LogRecord`, in append order (batches
+        *and* pump markers -- recovery replays both).  Raises
+        :class:`CorruptRecord` where :meth:`payloads` does, and on a
+        record that fails :func:`record_from_payload`'s schema check."""
+        return starmap(record_from_payload, self.payloads(after_seq))
 
 
 # ----------------------------------------------------------------------
@@ -602,7 +566,7 @@ class SnapshotStore:
 class DurableStore:
     """One root holding the event log and the snapshot chain::
 
-        <root>/log/seg-0000000001.log     (+ .idx.json sidecars)
+        <root>/log/seg-0000000001.log
         <root>/snapshots/snap-00000001.json
     """
 

@@ -32,13 +32,12 @@ from repro.soc import (
     EventSource,
     FederationHub,
     IncidentTracker,
-    LogRecord,
-    Shipment,
     ShippingChannel,
     encode_shipment,
     make_event,
 )
 from repro.experiments.e18_federation import build_federated_scene
+from repro.soc.store import canonical_dumps
 from tests.soc_chaos import (
     FAULT_KINDS,
     ChaosInvariantViolation,
@@ -156,12 +155,9 @@ class TestCorruptNext:
         for b in range(4):
             log.append_batch(0.25 * (b + 1), 0,
                              [ev(f"v{b}", "sig.0", 0.2 * b, b)])
-        records = tuple(log.replay())
+        payloads = [payload for _, payload in log.payloads()]
         log.close()
-        blob = encode_shipment(Shipment(
-            region="region-a", first_seq=records[0].seq,
-            last_seq=records[-1].seq, watermark=records[-1].dispatch_t,
-            records=records))
+        blob = encode_shipment("region-a", 1, payloads)
         chan = ShippingChannel(random.Random(0))
         chan.corrupt_next(1)
         assert chan.send(0.0, blob)
@@ -177,7 +173,7 @@ class TestCorruptNext:
         # refusal is counted once, in the published metric.
         assert hub.metrics()["corrupt_rejected"] == 1.0
         hub.finalize(0.0)
-        assert hub.records_applied == len(records)
+        assert hub.records_applied == len(payloads)
 
     def test_corrupt_next_validates(self):
         with pytest.raises(ValueError):
@@ -215,16 +211,11 @@ class TestAmendments:
 def _campaign_blob(region, vehicles, sig="chaos.sig", t0=0.25,
                    region_tag=""):
     """One shipment whose batch + mark fire a k=3 campaign on replay."""
-    records = []
     events = [ev(f"{region_tag}{v}", sig, t0, i)
               for i, v in enumerate(vehicles)]
-    records.append(LogRecord(seq=1, kind="batch", dispatch_t=t0, shard=0,
-                             events=tuple(events)))
-    records.append(LogRecord(seq=2, kind="mark", dispatch_t=t0 + 0.25,
-                             shard=0, events=()))
-    return encode_shipment(Shipment(
-        region=region, first_seq=1, last_seq=2, watermark=t0 + 0.25,
-        records=tuple(records)))
+    return encode_shipment(region, 1, [
+        canonical_dumps(["b", t0, 0, events]),
+        canonical_dumps(["m", t0 + 0.25, -1])])
 
 
 class TestOptimisticHub:
@@ -372,15 +363,14 @@ def chaos_corpus(request):
             scene.regions.values())).center.federation_profile()
         shipments = []
         for name in names:
-            records = list(scene.regions[name].store.log.replay())
+            log = scene.regions[name].store.log
+            records = list(log.replay())
+            payloads = [payload for _, payload in log.payloads()]
             for i in range(0, len(records), 5):
                 chunk = records[i:i + 5]
                 shipments.append((name, chunk[-1].dispatch_t,
-                                  encode_shipment(Shipment(
-                                      region=name, first_seq=chunk[0].seq,
-                                      last_seq=chunk[-1].seq,
-                                      watermark=chunk[-1].dispatch_t,
-                                      records=tuple(chunk)))))
+                                  encode_shipment(name, chunk[0].seq,
+                                                  payloads[i:i + 5])))
         expected = _canon(scene.hub.analytics_snapshot())
     finally:
         scene.close()

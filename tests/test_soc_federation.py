@@ -1,10 +1,13 @@
 """Tests for repro.soc.federation and the E18 federated topology.
 
-Covers the shipper's checkpoint-seeking ``EventLog.replay(after_seq)``
-read (pinned across a segment roll and a lost sidecar), the shipment
-wire codec (round-trip + every-byte corruption rejection), the hub's
-one decode per blob and its published ``corrupt_rejected`` count, the
-seeded WAN channel model, shipper restart / receiver dedup
+Covers the shipper's raw tail read, ``EventLog.payloads(after_seq)``
+(it bisects the in-memory segment table and seeks by checkpoint; pinned
+across a segment roll and a reopen, and an empty tail opens no file at
+10 and 400 segments), the shipment wire codec (raw payloads framed as
+archived, round-trip + every-byte corruption rejection), a shipper that
+decodes nothing and a hub that refuses a schema-invalid record, the
+hub's one decode per blob and its published ``corrupt_rejected`` count,
+the seeded WAN channel model, shipper restart / receiver dedup
 (at-least-once made exactly-once), and the tentpole differentials:
 a federated hub at zero lag is byte-identical to a union replay and
 semantically identical to one global correlation engine fed the union
@@ -17,6 +20,8 @@ in-order delivery.
 
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +35,6 @@ from repro.soc import (
     EventLog,
     EventSource,
     FederationHub,
-    LogRecord,
     SegmentReceiver,
     SegmentShipper,
     Shipment,
@@ -40,6 +44,7 @@ from repro.soc import (
     make_event,
 )
 from repro.experiments.e18_federation import build_federated_scene
+from repro.soc.store import canonical_dumps
 
 
 def ev(vehicle, sig, time, seq, severity=Asil.B):
@@ -66,14 +71,59 @@ def _fill_log(log, n_batches, per_batch=2, mark_every=3):
     return seq
 
 
+def _payloads(log, after_seq=0):
+    return [payload for _, payload in log.payloads(after_seq)]
+
+
+@pytest.fixture
+def frame_reads(monkeypatch):
+    """Count the segment files the log reads (``segments``) and the
+    frames it reads from them (``frames``) through ``store._read_frames``,
+    the one segment file reader."""
+    counts = Counter()
+    real = store._read_frames
+
+    def spy(path, start_offset, *, tolerant):
+        counts["segments"] += 1
+        for item in real(path, start_offset, tolerant=tolerant):
+            counts["frames"] += 1
+            yield item
+
+    monkeypatch.setattr(store, "_read_frames", spy)
+    return counts
+
+
+#: Paths opened while a test records them (``None``: not recording).
+_opened = None
+
+
+def _note_open(event, args):
+    if event == "open" and _opened is not None:
+        _opened.append(str(args[0]))
+
+
+@pytest.fixture
+def opened_files():
+    """Every file the process opens while the test runs, by audit hook
+    (a hook cannot be removed, so it is added once and then idles)."""
+    global _opened
+    if not getattr(_note_open, "installed", False):
+        sys.addaudithook(_note_open)
+        _note_open.installed = True
+    _opened = []
+    yield _opened
+    _opened = None
+
+
 # ----------------------------------------------------------------------
-# The shipper's tail read: EventLog.replay(after_seq) seeks
+# The shipper's tail read: EventLog.payloads(after_seq) seeks
 # ----------------------------------------------------------------------
 class TestEventLogTail:
     def test_tail_matches_replay_at_every_cursor(self, tmp_path,
                                                  monkeypatch):
         """``replay(after_seq=c)`` is the full replay's suffix for every
-        cursor ``c``, across rotated segments."""
+        cursor ``c``, across rotated segments -- and again once the log
+        is reopened, when its closed segments have no checkpoints."""
         monkeypatch.setattr(store, "INDEX_EVERY", 2)
         log = EventLog(tmp_path, segment_max_records=3)
         total = _fill_log(log, 10)
@@ -83,36 +133,31 @@ class TestEventLogTail:
         for cursor in range(total + 1):
             assert list(log.replay(after_seq=cursor)) == full[cursor:]
         log.close()
-
-    def test_replay_suffix_survives_a_deleted_sidecar(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setattr(store, "INDEX_EVERY", 1)
-        log = EventLog(tmp_path, segment_max_records=4)
-        total = _fill_log(log, 12)
-        full = list(log.replay())
-        log.segment_paths()[1].with_suffix(".idx.json").unlink()
+        reopened = EventLog(tmp_path, segment_max_records=3)
         for cursor in range(total + 1):
-            assert list(log.replay(after_seq=cursor)) == full[cursor:]
-        log.close()
+            assert list(reopened.replay(after_seq=cursor)) == full[cursor:]
+        reopened.close()
 
-    def test_tail_seeks_past_closed_segments(self, tmp_path, monkeypatch):
+    def test_tail_seeks_past_closed_segments(self, tmp_path, monkeypatch,
+                                             frame_reads):
         monkeypatch.setattr(store, "INDEX_EVERY", 1)
         log = EventLog(tmp_path, segment_max_records=3)
         total = _fill_log(log, 12)
+        assert len(log.segment_paths()) == 6
+        frame_reads.clear()
         tailed = list(log.replay(after_seq=total - 2))
         assert [r.seq for r in tailed] == [total - 1, total]
-        stats = log.last_replay_stats
-        assert stats["segments_skipped"] >= 2
-        assert stats["records_read"] < total
-        assert stats["records_yielded"] == 2
-        # The in-segment checkpoint seek skipped real bytes too.
+        # The last closed segment, entered at its last checkpoint, and
+        # the active one: one frame read from each.
+        assert frame_reads == {"segments": 2, "frames": 2}
+        frame_reads.clear()
         full = list(log.replay(after_seq=0))
         assert len(full) == total
-        assert log.last_replay_stats["segments_skipped"] == 0
-        assert log.last_replay_stats["bytes_seeked"] == 0
+        assert frame_reads == {"segments": 6, "frames": total}
         log.close()
 
-    def test_replay_seeks_by_checkpoint_inside_one_segment(self, tmp_path):
+    def test_replay_seeks_by_checkpoint_inside_one_segment(
+            self, tmp_path, frame_reads):
         """Inside one large segment a late cursor enters at the last
         checkpoint at or before it, and a reopened log -- whose tail
         checkpoints are rebuilt from the frames alone -- replays every
@@ -122,24 +167,27 @@ class TestEventLogTail:
         assert total > 4 * store.INDEX_EVERY
         assert len(log.segment_paths()) == 1
         late = total - 10
+        frame_reads.clear()
         tailed = list(log.replay(after_seq=late))
         assert [r.seq for r in tailed] == list(range(late + 1, total + 1))
-        stats = log.last_replay_stats
-        assert stats["bytes_seeked"] > 0
-        assert stats["records_read"] <= \
-            store.INDEX_EVERY + stats["records_yielded"]
+        assert frame_reads["segments"] == 1
+        assert frame_reads["frames"] <= store.INDEX_EVERY + 10
         cursors = (0, store.INDEX_EVERY - 1, store.INDEX_EVERY,
                    store.INDEX_EVERY + 1, late, total)
-        before = {cursor: (list(log.replay(after_seq=cursor)),
-                           log.last_replay_stats) for cursor in cursors}
+
+        def read(log, cursor):
+            frame_reads.clear()
+            return list(log.replay(after_seq=cursor)), dict(frame_reads)
+
+        before = {cursor: read(log, cursor) for cursor in cursors}
         log.close()
         reopened = EventLog(tmp_path, segment_max_records=4096)
         for cursor in cursors:
-            records = list(reopened.replay(after_seq=cursor))
-            assert (records, reopened.last_replay_stats) == before[cursor]
+            assert read(reopened, cursor) == before[cursor]
         reopened.close()
 
-    def test_tail_across_a_segment_roll(self, tmp_path, monkeypatch):
+    def test_tail_across_a_segment_roll(self, tmp_path, monkeypatch,
+                                        frame_reads):
         """Regression pin: a cursor parked exactly at a closed segment's
         last record resumes at the next segment's first record."""
         monkeypatch.setattr(store, "INDEX_EVERY", 1)
@@ -156,8 +204,29 @@ class TestEventLogTail:
             list(range(cursor + 1, cursor + appended + 1))
         # A cursor at a closed segment's boundary skips that segment.
         first = log.segment_paths()[1].stem.split("-")[1]
+        frame_reads.clear()
         list(log.replay(after_seq=int(first) - 1))
-        assert log.last_replay_stats["segments_skipped"] == 1
+        assert frame_reads["segments"] == len(log.segment_paths()) - 1
+        log.close()
+
+    @pytest.mark.parametrize("n_segments", [10, 400])
+    def test_an_empty_tail_pump_opens_nothing(self, tmp_path, n_segments,
+                                              frame_reads, opened_files):
+        """Regression: every read listed the segments and loaded each
+        closed segment's sidecar, so the shipper's per-pump read of an
+        empty tail cost O(segments).  It now opens no file at all."""
+        log = EventLog(tmp_path, segment_max_records=2)
+        for b in range(2 * n_segments):
+            log.append_batch(0.25 * b, 0, [ev("v", "sig.0", 0.25 * b, b)])
+        assert len(log.segment_paths()) == n_segments
+        shipper = SegmentShipper("region-a", log,
+                                 ShippingChannel(random.Random(0)))
+        assert shipper.pump(0.0) == 2 * n_segments
+        frame_reads.clear()
+        opened_files.clear()
+        assert shipper.pump(1.0) == 0
+        assert frame_reads == {}
+        assert opened_files == []
         log.close()
 
 
@@ -165,22 +234,28 @@ class TestEventLogTail:
 # Shipment wire codec
 # ----------------------------------------------------------------------
 def _shipment_from_log(tmp_path, region="region-a", n_batches=4):
+    """One whole log as ``encode_shipment`` arguments."""
     log = EventLog(tmp_path, segment_max_records=64)
     _fill_log(log, n_batches)
-    records = tuple(log.replay())
+    payloads = _payloads(log)
     log.close()
-    return Shipment(region=region, first_seq=records[0].seq,
-                    last_seq=records[-1].seq,
-                    watermark=records[-1].dispatch_t, records=records)
+    return region, 1, payloads
 
 
 class TestShipmentCodec:
     def test_round_trip(self, tmp_path):
-        shipment = _shipment_from_log(tmp_path)
-        assert decode_shipment(encode_shipment(shipment)) == shipment
+        log = EventLog(tmp_path, segment_max_records=64)
+        _fill_log(log, 4)
+        records = tuple(log.replay())
+        payloads = _payloads(log)
+        log.close()
+        assert decode_shipment(encode_shipment("region-a", 1, payloads)) \
+            == Shipment(region="region-a", first_seq=1,
+                        last_seq=records[-1].seq,
+                        watermark=records[-1].dispatch_t, records=records)
 
     def test_every_corrupt_byte_is_rejected_whole(self, tmp_path):
-        blob = encode_shipment(_shipment_from_log(tmp_path, n_batches=2))
+        blob = encode_shipment(*_shipment_from_log(tmp_path, n_batches=2))
         for offset in range(len(blob)):
             damaged = bytearray(blob)
             damaged[offset] ^= 0xFF
@@ -193,8 +268,7 @@ class TestShipmentCodec:
 
     def test_empty_shipment_refuses_to_encode(self):
         with pytest.raises(ValueError):
-            encode_shipment(Shipment(region="r", first_seq=1, last_seq=0,
-                                     watermark=0.0, records=()))
+            encode_shipment("r", 1, [])
 
 
 # ----------------------------------------------------------------------
@@ -243,15 +317,15 @@ class TestShippingChannel:
 
 
 class TestShipperAndReceiver:
-    def _pipe(self, tmp_path, **channel_kw):
+    def _pipe(self, tmp_path, monkeypatch, **channel_kw):
+        monkeypatch.setattr(federation, "SHIPMENT_MAX_RECORDS", 3)
         log = EventLog(tmp_path, segment_max_records=4)
         chan = ShippingChannel(random.Random(0), **channel_kw)
-        shipper = SegmentShipper("region-a", log, chan,
-                                 max_batch_records=3)
+        shipper = SegmentShipper("region-a", log, chan)
         return log, chan, shipper, SegmentReceiver("region-a")
 
-    def test_ship_receive_preserves_records(self, tmp_path):
-        log, chan, shipper, receiver = self._pipe(tmp_path)
+    def test_ship_receive_preserves_records(self, tmp_path, monkeypatch):
+        log, chan, shipper, receiver = self._pipe(tmp_path, monkeypatch)
         total = _fill_log(log, 7)
         assert shipper.pump(0.0) == total
         assert shipper.shipped_seq == total
@@ -265,9 +339,10 @@ class TestShipperAndReceiver:
         assert shipper.pump(1.0) == 0
         log.close()
 
-    def test_outage_leaves_cursor_then_retransmits(self, tmp_path):
+    def test_outage_leaves_cursor_then_retransmits(self, tmp_path,
+                                                   monkeypatch):
         log, chan, shipper, receiver = self._pipe(
-            tmp_path, outages=((5.0, 10.0),))
+            tmp_path, monkeypatch, outages=((5.0, 10.0),))
         total = _fill_log(log, 5)
         assert shipper.pump(7.0) == 0
         assert shipper.send_refused == 1
@@ -278,16 +353,16 @@ class TestShipperAndReceiver:
         assert len(receiver.buffer) == total
         log.close()
 
-    def test_restarted_shipper_reships_and_receiver_dedups(self, tmp_path):
-        log, chan, shipper, receiver = self._pipe(tmp_path)
+    def test_restarted_shipper_reships_and_receiver_dedups(self, tmp_path,
+                                                           monkeypatch):
+        log, chan, shipper, receiver = self._pipe(tmp_path, monkeypatch)
         total = _fill_log(log, 6)
         shipper.pump(0.0)
         for blob in chan.deliver(float("inf")):
             receiver.receive(decode_shipment(blob))
         # Region kill: only the durable log survives; the replacement
         # shipper restarts from seq 0 and re-ships all of history.
-        replacement = SegmentShipper("region-a", log, chan,
-                                     max_batch_records=3)
+        replacement = SegmentShipper("region-a", log, chan)
         assert replacement.pump(1.0) == total
         for blob in chan.deliver(float("inf")):
             receiver.receive(decode_shipment(blob))
@@ -296,8 +371,8 @@ class TestShipperAndReceiver:
         log.close()
 
     def test_receiver_rejects_corrupt_and_misrouted(self, tmp_path):
-        shipment = _shipment_from_log(tmp_path, region="region-a")
-        blob = encode_shipment(shipment)
+        blob = encode_shipment(
+            *_shipment_from_log(tmp_path, region="region-a"))
         hub = FederationHub(["region-b"], 1)
         assert not hub.receive(blob)  # wrong region
         damaged = bytearray(blob)
@@ -310,24 +385,70 @@ class TestShipperAndReceiver:
     def test_out_of_order_buffering(self, tmp_path):
         log = EventLog(tmp_path, segment_max_records=64)
         _fill_log(log, 4)
-        records = list(log.replay())
+        payloads = _payloads(log)
         log.close()
-        one = encode_shipment(Shipment("r", records[0].seq, records[0].seq,
-                                       records[0].dispatch_t,
-                                       (records[0],)))
-        rest = encode_shipment(Shipment("r", records[1].seq,
-                                        records[-1].seq,
-                                        records[-1].dispatch_t,
-                                        tuple(records[1:])))
+        one = encode_shipment("r", 1, payloads[:1])
+        rest = encode_shipment("r", 2, payloads[1:])
         receiver = SegmentReceiver("r")
         receiver.receive(decode_shipment(rest))
         assert receiver.next_ready() is None  # gap at seq 1
         receiver.receive(decode_shipment(one))
         assert receiver.next_ready().seq == 1
 
-    def test_shipper_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            SegmentShipper("r", None, None, max_batch_records=0)
+    def test_the_shipper_decodes_nothing(self, tmp_path, monkeypatch):
+        """The shipper frames the archived bytes as they are: with the
+        log's decoder refusing every record, a multi-segment log still
+        ships, and the hub it feeds ends where a hub fed the decoded
+        records directly does."""
+        log = EventLog(tmp_path, segment_max_records=4)
+        total = _fill_log(log, 12)
+        assert len(log.segment_paths()) > 3
+        expected = FederationHub(["region-a"], 2)  # _fill_log: 2 shards
+        expected.receivers["region-a"].buffer.update(
+            (record.seq, record) for record in log.replay())
+        expected.finalize(0.0)
+        assert expected.flagged_signatures()
+
+        def refuse(seq, payload):
+            raise AssertionError(f"the shipper decoded seq {seq}")
+
+        monkeypatch.setattr(store, "record_from_payload", refuse)
+        monkeypatch.setattr(federation, "SHIPMENT_MAX_RECORDS", 5)
+        chan = ShippingChannel(random.Random(0))
+        assert SegmentShipper("region-a", log, chan).pump(0.0) == total
+        log.close()
+        hub = FederationHub(["region-a"], 2)
+        for blob in chan.deliver(float("inf")):
+            assert hub.receive(blob)
+        hub.finalize(0.0)
+        assert hub.flagged_signatures() == expected.flagged_signatures()
+        assert _canon(hub.analytics_snapshot()) == \
+            _canon(expected.analytics_snapshot())
+
+    def test_a_schema_invalid_record_is_refused_at_the_hub(
+            self, tmp_path, monkeypatch):
+        """The hub is the one schema check on the shipping path: a
+        CRC-valid record whose event breaks the schema ships, its blob
+        is refused whole, and no later record of its region applies."""
+        monkeypatch.setattr(federation, "SHIPMENT_MAX_RECORDS", 1)
+        log = EventLog(tmp_path)
+        log.append_batch(0.25, 0, [ev("v1", "sig.0", 0.2, 1)])
+        log.append_mark(0.25, 1)
+        bad = list(ev("v2", "sig.0", 0.4, 2))
+        bad[5] = 99  # a severity outside the ASIL levels
+        log.append_batch(0.5, 0, [bad])
+        log.append_batch(0.75, 0, [ev("v3", "sig.0", 0.7, 3)])
+        log.append_mark(0.75, 2)
+        chan = ShippingChannel(random.Random(0))
+        assert SegmentShipper("region-a", log, chan).pump(0.0) == 5
+        log.close()
+        hub = FederationHub(["region-a"], 1)
+        assert [hub.receive(blob) for blob in chan.deliver(float("inf"))] \
+            == [True, True, False, True, True]
+        assert hub.metrics()["corrupt_rejected"] == 1.0
+        hub.finalize(1.0)
+        assert hub.records_applied == 2
+        assert hub.unapplied() == 2
 
 
 # ----------------------------------------------------------------------
@@ -338,13 +459,11 @@ def shipped_pair(tmp_path_factory):
     """Two consecutive region-a shipment blobs from one log."""
     log = EventLog(tmp_path_factory.mktemp("pair"))
     _fill_log(log, 6)
-    records = list(log.replay())
+    payloads = _payloads(log)
     log.close()
-    half = len(records) // 2
-    return tuple(
-        encode_shipment(Shipment("region-a", chunk[0].seq, chunk[-1].seq,
-                                 chunk[-1].dispatch_t, tuple(chunk)))
-        for chunk in (records[:half], records[half:]))
+    half = len(payloads) // 2
+    return (encode_shipment("region-a", 1, payloads[:half]),
+            encode_shipment("region-a", half + 1, payloads[half:]))
 
 
 class TestFederationHubUnits:
@@ -356,12 +475,12 @@ class TestFederationHubUnits:
 
     def test_receive_routes_and_counts_unrouted(self, tmp_path):
         hub = FederationHub(["region-a"], 2)  # _fill_log uses 2 shards
-        blob = encode_shipment(_shipment_from_log(tmp_path, "region-a"))
+        blob = encode_shipment(*_shipment_from_log(tmp_path, "region-a"))
         assert hub.receive(blob)
         assert hub.receivers["region-a"].shipments_received == 1
         assert not hub.receive(b"garbage")
         foreign = encode_shipment(
-            _shipment_from_log(tmp_path / "other", "region-z"))
+            *_shipment_from_log(tmp_path / "other", "region-z"))
         assert not hub.receive(foreign)
         assert hub.corrupt_rejected == 2
         assert hub.metrics()["corrupt_rejected"] == 2.0
@@ -373,12 +492,11 @@ class TestFederationHubUnits:
         already counted applied, or (shard -1) the events landing on
         another engine.  Such a blob is unroutable: refused whole."""
         events = tuple(ev(f"v{i}", "sig.x", 0.1 * i, i) for i in range(3))
-        records = (LogRecord(1, "batch", 0.25, shard, events),
-                   LogRecord(2, "mark", 0.25, pump_no=1))
+        payloads = [canonical_dumps(["b", 0.25, shard, events]),
+                    canonical_dumps(["m", 0.25, 1])]
         hub = FederationHub(["region-a", "region-b"], 2)
         before = _canon(hub.analytics_snapshot())
-        assert not hub.receive(
-            encode_shipment(Shipment("region-a", 1, 2, 0.25, records)))
+        assert not hub.receive(encode_shipment("region-a", 1, payloads))
         assert hub.metrics()["corrupt_rejected"] == 1.0
         assert hub.finalize(1.0) == 0
         assert hub.records_applied == 0 and hub.unapplied() == 0
@@ -408,9 +526,9 @@ class TestFederationHubUnits:
 
         monkeypatch.setattr(federation, "decode_shipment", spy)
         hub = FederationHub(["region-a"], 2)  # _fill_log uses 2 shards
-        blob = encode_shipment(_shipment_from_log(tmp_path, "region-a"))
+        blob = encode_shipment(*_shipment_from_log(tmp_path, "region-a"))
         foreign = encode_shipment(
-            _shipment_from_log(tmp_path / "other", "region-z"))
+            *_shipment_from_log(tmp_path / "other", "region-z"))
         for data in (blob, blob[:-1], foreign, blob):
             hub.receive(data)
         assert calls == [blob, blob[:-1], foreign, blob]
@@ -441,7 +559,7 @@ class TestFederationHubUnits:
     def test_watermark_gate_stalls_on_silent_region(self, tmp_path):
         hub = FederationHub(["region-a", "region-b"], 2)
         blob = encode_shipment(
-            _shipment_from_log(tmp_path, "region-a", n_batches=3))
+            *_shipment_from_log(tmp_path, "region-a", n_batches=3))
         hub.receive(blob)
         # region-b has announced nothing: its frontier is -inf, so no
         # region-a record is provably ordered yet.
@@ -598,14 +716,10 @@ def shipment_corpus():
             scene.regions.values())).center.federation_profile()
         blobs = []
         for name in names:
-            records = list(scene.regions[name].store.log.replay())
-            for i in range(0, len(records), 5):
-                chunk = records[i:i + 5]
-                blobs.append(encode_shipment(Shipment(
-                    region=name, first_seq=chunk[0].seq,
-                    last_seq=chunk[-1].seq,
-                    watermark=chunk[-1].dispatch_t,
-                    records=tuple(chunk))))
+            payloads = _payloads(scene.regions[name].store.log)
+            for i in range(0, len(payloads), 5):
+                blobs.append(encode_shipment(name, i + 1,
+                                             payloads[i:i + 5]))
         live_canon = _canon(scene.hub.analytics_snapshot())
         planted = set(scene.campaign_signatures)
     finally:
@@ -716,7 +830,7 @@ class TestPartitionGauges:
     def _hub_with_region_a_data(self, tmp_path, **kw):
         hub = FederationHub(["region-a", "region-b"], 2, **kw)
         blob = encode_shipment(
-            _shipment_from_log(tmp_path, "region-a", n_batches=3))
+            *_shipment_from_log(tmp_path, "region-a", n_batches=3))
         hub.receive(blob)
         return hub
 
@@ -743,7 +857,7 @@ class TestPartitionGauges:
         assert m["watermark_lag_s[region-a]"] == 0.0
         assert m["watermark_lag_s[region-b]"] == 0.0
         blob = encode_shipment(
-            _shipment_from_log(tmp_path / "b", "region-b", n_batches=1))
+            *_shipment_from_log(tmp_path / "b", "region-b", n_batches=1))
         hub.receive(blob)
         hub.advance(11.0)
         m = hub.metrics()
@@ -757,7 +871,7 @@ class TestPartitionGauges:
         hub.advance(15.0)
         assert hub.metrics()["stall_age_s[region-b]"] == 5.0
         blob = encode_shipment(
-            _shipment_from_log(tmp_path / "b", "region-b", n_batches=6))
+            *_shipment_from_log(tmp_path / "b", "region-b", n_batches=6))
         hub.receive(blob)
         hub.advance(16.0)
         assert hub.metrics()["stall_age_s[region-b]"] == 0.0

@@ -1,8 +1,9 @@
 """Tests for repro.soc.store and the crash-recovery contract.
 
 Covers the canonical event codec (hypothesis byte-identity), the
-segmented log's append/replay/rotation paths and its sidecar seq
-index, the one durability contract (a pump marker is flushed to the OS;
+segmented log's append/replay/rotation paths and its in-memory segment
+table (a seq gap between segments raises; a leftover sidecar file is
+ignored), the one durability contract (a pump marker is flushed to the OS;
 the log is fsynced only at segment close, snapshot and close),
 torn-write recovery (hypothesis: truncate anywhere, recover to the last
 whole record), snapshot retention/corruption fallback,
@@ -37,7 +38,6 @@ from repro.soc import (
     SecurityEvent,
     SecurityOperationsCenter,
     ServiceConfig,
-    Shipment,
     SnapshotStore,
     WorkerCore,
     encode_shipment,
@@ -53,13 +53,18 @@ from repro.soc.store import (
     FRAME_HEADER,
     SEGMENT_MAGIC,
     canonical_dumps,
-    record_payload,
 )
 
 
 def ev(vehicle, sig, time, seq, severity=Asil.B):
     return make_event(vehicle, EventSource.IDS, sig, time, seq,
                       severity=severity)
+
+
+def _payloads(log, after_seq=0):
+    """The raw payloads of ``log`` after ``after_seq``, as a shipper
+    frames them."""
+    return [payload for _, payload in log.payloads(after_seq)]
 
 
 _json_scalars = st.one_of(
@@ -182,14 +187,15 @@ class TestGoldenBytes:
         log.append_mark(0.25, 1)
         log.append_batch(0.5, 1, events[3:])
         records = list(log.replay())
+        payloads = _payloads(log)
         log.close()
         assert [e for r in records for e in r.events] == events
         assert _sha(log.segment_paths()[0].read_bytes()) == (
             "5068ae4ee3c26b4be8942b95fdd33b9ea1e3fcdd6509403393311d6428de346c")
-        assert _sha(b"".join(record_payload(r) for r in records)) == (
+        # Recorded over re-encoded records; the raw payloads hash the same.
+        assert _sha(b"".join(payloads)) == (
             "df78c3a7509b0632d902b1bbf25edf7ef0ed33ea27052d41e0b0f1c8b8421ead")
-        shipment = Shipment("r1", 1, 3, records[-1].dispatch_t, tuple(records))
-        assert _sha(encode_shipment(shipment)) == (
+        assert _sha(encode_shipment("r1", 1, payloads)) == (
             "868f2b7c0a1a16a098ac44fbf2e0e3958ae1175583fc30ca8bf9344a720e6aa6")
 
     def test_analytics_snapshot_and_log_match_recorded_digests(
@@ -239,27 +245,6 @@ class TestEventLog:
         assert [r.seq for r in log.replay(after_seq=3)] == [4, 5]
         log.close()
 
-    def test_rotation_writes_sidecar_index(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(store_module, "INDEX_EVERY", 1)
-        log = EventLog(tmp_path, segment_max_records=2)
-        for i in range(5):
-            log.append_batch(float(i), 0, [ev("v1", "s", float(i), i)])
-        log.close()
-        segments = log.segment_paths()
-        assert len(segments) == 3
-        for closed in segments[:-1]:
-            sidecar = closed.with_suffix(".idx.json")
-            assert sidecar.exists()
-            idx = json.loads(sidecar.read_text())
-            assert idx["count"] == 2
-            # One [offset, index] checkpoint per record at INDEX_EVERY=1,
-            # each at a real record boundary of the segment.
-            blob = closed.read_bytes()
-            second = len(SEGMENT_MAGIC) + FRAME_HEADER.size + \
-                FRAME_HEADER.unpack_from(blob, len(SEGMENT_MAGIC))[0]
-            assert idx["checkpoints"] == [[len(SEGMENT_MAGIC), 0],
-                                          [second, 1]]
-
     def test_reopen_resumes_sequence(self, tmp_path):
         log = EventLog(tmp_path, segment_max_records=3)
         for i in range(4):
@@ -270,6 +255,49 @@ class TestEventLog:
         assert reopened.truncated_bytes == 0
         reopened.append_batch(9.0, 0, [ev("v9", "s", 9.0, 99)])
         assert [r.seq for r in reopened.replay()] == [1, 2, 3, 4, 5]
+        reopened.close()
+
+    @pytest.mark.parametrize("damage", ["short", "overlong", "lost middle",
+                                        "lost first"])
+    def test_a_seq_gap_raises_instead_of_skipping(self, tmp_path, damage):
+        """Regression: segments whose records do not number what their
+        names imply -- one cut at a record boundary, one whose successor
+        starts a seq early, a lost segment -- used to replay with seqs
+        skipped or repeated ([1, 2, 3, 5, ...]) and no error."""
+        log = EventLog(tmp_path, segment_max_records=4)
+        for i in range(12):
+            log.append_batch(float(i), 0, [ev("v1", "s", float(i), i)])
+        log.close()
+        first, middle, _ = log.segment_paths()
+        if damage == "short":
+            payloads, end = store_module.scan_valid_prefix(first)
+            with open(first, "r+b") as fh:
+                fh.truncate(end - FRAME_HEADER.size - len(payloads[-1]))
+        elif damage == "overlong":
+            middle.rename(tmp_path / "seg-0000000004.log")
+        elif damage == "lost middle":
+            middle.unlink()
+        else:
+            first.unlink()
+        reopened = EventLog(tmp_path, segment_max_records=4)
+        with pytest.raises(CorruptRecord):
+            list(reopened.replay())
+        with pytest.raises(CorruptRecord):
+            list(reopened.payloads(after_seq=2))
+        reopened.close()
+
+    def test_a_zero_byte_legacy_sidecar_is_ignored(self, tmp_path):
+        """Regression: a closed segment's ``.idx.json`` sidecar cut to
+        zero bytes -- what a power cut can leave after renaming a file
+        that was never fsynced -- made every read raise.  The segment
+        names are the index now, and a leftover sidecar is ignored."""
+        log = EventLog(tmp_path, segment_max_records=4)
+        for i in range(10):
+            log.append_batch(float(i), 0, [ev("v1", "s", float(i), i)])
+        log.close()
+        (tmp_path / "seg-0000000001.idx.json").write_bytes(b"")
+        reopened = EventLog(tmp_path, segment_max_records=4)
+        assert [r.seq for r in reopened.replay()] == list(range(1, 11))
         reopened.close()
 
     def test_segment_max_records_validated(self, tmp_path):
@@ -598,10 +626,8 @@ def _canon(snapshot):
 def _hub_replay(soc, store):
     """A fresh one-region hub, built from ``soc``'s profile, that has
     applied ``store``'s whole log."""
-    records = tuple(store.log.replay())
     hub = FederationHub.from_profile(["r"], soc.federation_profile())
-    assert hub.receive(encode_shipment(Shipment(
-        "r", 1, records[-1].seq, records[-1].dispatch_t, records)))
+    assert hub.receive(encode_shipment("r", 1, _payloads(store.log)))
     hub.finalize(0.0)
     assert hub.unapplied() == 0
     return hub
@@ -856,9 +882,9 @@ class TestAttributionModel:
                     _assert_spread_attributed(soc.state)
                     records = tuple(stores[index].log.replay(shipped[index]))
                     shipped[index] = records[-1].seq
-                    assert hub.receive(encode_shipment(Shipment(
-                        regions[index], records[0].seq, records[-1].seq,
-                        records[-1].dispatch_t, records)))
+                    assert hub.receive(encode_shipment(
+                        regions[index], records[0].seq,
+                        _payloads(stores[index].log, records[0].seq - 1)))
                 hub.advance(now)
             hub.finalize(now)
             assert hub.unapplied() == 0
@@ -867,10 +893,8 @@ class TestAttributionModel:
             whole = FederationHub.from_profile(
                 regions, socs[0].federation_profile())
             for region, store in zip(regions, stores):
-                records = tuple(store.log.replay())
-                assert whole.receive(encode_shipment(Shipment(
-                    region, 1, records[-1].seq, records[-1].dispatch_t,
-                    records)))
+                assert whole.receive(encode_shipment(
+                    region, 1, _payloads(store.log)))
             whole.finalize(0.0)
             _assert_spread_attributed(whole.state)
             assert (_analytic_dumps(whole.analytics_snapshot())
