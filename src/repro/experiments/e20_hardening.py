@@ -25,7 +25,8 @@ service now carries:
 - **Worker MTTR** -- the supervised auto-restart path: every worker is
   SIGKILLed once under live load and the cell measures kill ->
   last resubmitted handoff reported (snapshot load + log-suffix replay
-  + journal-deduped resubmission).  Driven deterministically (injected
+  + resubmission, whose already-sealed handoffs are acked, not
+  re-admitted).  Driven deterministically (injected
   wall clock, one flush per round) so the run is also differentially
   compared against an uninterrupted twin: raw worker log segments AND
   analytics snapshots must be byte-identical, and zero admitted-batch

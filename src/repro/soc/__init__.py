@@ -62,8 +62,9 @@ out.  This package is that backend:
   :func:`~repro.soc.service.derive_session_key`), per-client byte
   quotas (:class:`~repro.soc.ingest.TokenBucket` with hard REFUSED
   frames and flood disconnect), and a supervisor that auto-restarts
-  SIGKILLed workers (snapshot + log-suffix replay + journal-deduped
-  handoff resubmission) without losing a single admitted-batch ACK.
+  SIGKILLed workers (snapshot + log-suffix replay + handoff
+  resubmission, sealed handoffs acked without re-admission) without
+  losing a single admitted-batch ACK.
 
 Experiment E17 (:mod:`repro.experiments.e17_soc`) sweeps fleet size and
 attack prevalence over this stack; E18

@@ -287,8 +287,7 @@ class SecurityOperationsCenter:
             if self.store is not None:
                 self.save_snapshot()
 
-    def service_pump(self, now: float,
-                     pre_mark: Optional[Callable[[], None]] = None) -> int:
+    def service_pump(self, now: float) -> int:
         """One network-service pump: drain *everything* queued at wall
         time ``now``, then run the standard post-dispatch bookkeeping
         (audit, campaign merge, durable pump marker, periodic snapshot).
@@ -303,17 +302,8 @@ class SecurityOperationsCenter:
         kill landing mid-append).  Records reach the disk only at
         segment close, before every snapshot and at close.  Returns the
         number of events dispatched.
-
-        ``pre_mark``, if given, runs after the batch records are
-        archived but *before* the pump marker is appended.  The worker
-        auto-restart protocol hangs its handoff journal write here: the
-        marker is the commit point restart recovery truncates back to,
-        so anything that must be durable-before-commit (the recorded
-        acks for this handoff) goes through this hook.
         """
         dispatched = self.pipeline.drain_all(now)
-        if pre_mark is not None:
-            pre_mark()
         self._finish_pump(now)
         return dispatched
 

@@ -178,9 +178,8 @@ class ShippingChannel:
     convention is part of the wire contract -- retry loops schedule
     their next pump *at* the advertised outage end, so an inclusive
     right edge would silently eat exactly that retry (pinned by
-    ``test_outage_window_boundaries``).  ``outage_refused`` counts the
-    refusals (today every refusal is an outage refusal; the split name
-    keeps the stat meaningful if other refusal reasons appear).
+    ``test_outage_window_boundaries``).  ``refused`` counts the
+    refusals.
     """
 
     def __init__(self, rng, lag_s: float = 0.0, jitter_s: float = 0.0,
@@ -198,8 +197,6 @@ class ShippingChannel:
         self._corrupt_pending = 0
         self.sent = 0
         self.refused = 0
-        self.outage_refused = 0
-        self.duplicated = 0
         self.corrupted = 0
 
     def in_outage(self, now: float) -> bool:
@@ -209,12 +206,10 @@ class ShippingChannel:
     def send(self, now: float, data: bytes) -> bool:
         if self.in_outage(now):
             self.refused += 1
-            self.outage_refused += 1
             return False
         self.sent += 1
         self._enqueue(now, data)
         if self.duplicate_p and self._rng.random() < self.duplicate_p:
-            self.duplicated += 1
             self._enqueue(now, data)
         return True
 
@@ -319,13 +314,11 @@ class SegmentReceiver:
         self.region = region
         self.applied_seq = 0
         self.buffer: Dict[int, LogRecord] = {}
-        self.shipments_received = 0
         self.records_received = 0
         self.duplicates = 0
 
     def receive(self, shipment: Shipment) -> None:
         """Buffer one decoded shipment's new records."""
-        self.shipments_received += 1
         for record in shipment.records:
             self.records_received += 1
             if record.seq <= self.applied_seq or record.seq in self.buffer:

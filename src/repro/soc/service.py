@@ -95,16 +95,14 @@ from repro.soc.center import (
 )
 from repro.soc.events import SecurityEvent, event_from_obj
 from repro.soc.fleet import FleetModel
-from repro.soc.ingest import TokenBucket
+from repro.soc.ingest import IngestShard, TokenBucket
 from repro.soc.shard import ConservationAudit, stable_hash
 from repro.soc.store import (
-    SEGMENT_MAGIC,
     CorruptRecord,
     DurableStore,
     canonical_dumps,
     frame_payload,
     iter_frames,
-    scan_valid_prefix,
 )
 
 __all__ = [
@@ -165,7 +163,6 @@ MAX_PREAUTH_BYTES = 4096    # bytes a connection may send before WELCOME
 MAX_HALF_OPEN = 1024        # connections in their handshake at once
 DRAIN_POLL_S = 0.01         # drain_and_close's wait per polling round
 DRAIN_TIMEOUT_S = 30.0      # ... and in all
-JOURNAL_KEEP = 256          # handoff-journal entries a rewrite keeps
 
 
 # ----------------------------------------------------------------------
@@ -364,12 +361,10 @@ class FrameStreamDecoder:
     def __init__(self) -> None:
         self._buf = bytearray()
         #: Bytes this decoder *accepted* (delivered or buffered toward a
-        #: frame).  Data that provoked a CorruptRecord is counted in
-        #: ``bytes_rejected`` instead -- an attacker's oversized-header
-        #: probe must not inflate the accepted-byte accounting the
-        #: pre-auth byte cap reads.
+        #: frame).  Data that provoked a CorruptRecord is not counted --
+        #: an attacker's oversized-header probe must not inflate the
+        #: accepted-byte accounting the pre-auth byte cap reads.
         self.bytes_fed = 0
-        self.bytes_rejected = 0
 
     @property
     def pending_bytes(self) -> int:
@@ -380,12 +375,8 @@ class FrameStreamDecoder:
         self._buf += data
         out: List[bytes] = []
         used = 0
-        try:
-            for used, payload in iter_frames(self._buf, MAX_FRAME_BYTES):
-                out.append(payload)
-        except CorruptRecord:
-            self.bytes_rejected += len(data)
-            raise
+        for used, payload in iter_frames(self._buf, MAX_FRAME_BYTES):
+            out.append(payload)
         self.bytes_fed += len(data)
         if used:
             del self._buf[:used]
@@ -428,74 +419,6 @@ def worker_root(root, index: int) -> Path:
     """Durable-store root for shard worker ``index`` under the service
     root (one independent store per worker -- recovery is per worker)."""
     return Path(root) / f"worker-{index:02d}"
-
-
-class _HandoffJournal:
-    """Append-only CRC-framed record of ``handoff seq -> ack tuples``.
-
-    The exactly-once half of the auto-restart protocol.  The event log's
-    pump marker is the commit point (restart truncates the log back to
-    the last marker and replays to it), so the worker's invariant is
-    ``handoff seq == pump number``: a resubmitted handoff with
-    ``seq <= recovered pump_no`` was already fully processed and sealed
-    -- re-running it would double-admit -- and the only thing the
-    restarted worker still owes the frontend is the *ack report* the old
-    process died holding.  This sidecar preserves exactly that: each
-    entry is written (and flushed) between the handoff's batch records
-    and its marker, so any sealed handoff provably has its acks on disk.
-
-    A separate file from the event log on purpose: the log bytes must
-    stay byte-identical to an uninterrupted twin run, and twin runs
-    never crash.  Torn tails are tolerated the same way the log's are
-    (valid-prefix scan); the file is bounded by periodic rewrite --
-    only recent seqs can ever be resubmitted (the frontend's in-flight
-    ledger is shallow), so old entries are dead weight.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.entries: Dict[int, Tuple[Tuple[int, int, int, int], ...]] = {}
-        if self.path.exists():
-            payloads, _ = scan_valid_prefix(self.path)
-            for payload in payloads:
-                obj = json.loads(payload.decode("utf-8"))
-                self.entries[int(obj[1])] = tuple(
-                    tuple(int(x) for x in ack) for ack in obj[2])
-        else:
-            self.path.write_bytes(SEGMENT_MAGIC)
-        self._fh = open(self.path, "ab")
-
-    def lookup(self, seq: int) -> Tuple[Tuple[int, int, int, int], ...]:
-        return self.entries.get(seq, ())
-
-    def record(self, seq: int,
-               acks: Sequence[Tuple[int, int, int, int]]) -> None:
-        self.entries[seq] = tuple(tuple(a) for a in acks)
-        self._fh.write(frame_payload(canonical_dumps(
-            ["j", seq, [list(a) for a in acks]])))
-        # Flushed, not fsynced: the journal only needs to be as durable
-        # as the pump marker it precedes, which is flushed to the OS,
-        # never to the disk.
-        self._fh.flush()
-        if len(self.entries) > 2 * JOURNAL_KEEP:
-            self._rewrite()
-
-    def _rewrite(self) -> None:
-        recent = sorted(self.entries)[-JOURNAL_KEEP:]
-        self.entries = {seq: self.entries[seq] for seq in recent}
-        self._fh.close()
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(SEGMENT_MAGIC)
-            for seq in recent:
-                fh.write(frame_payload(canonical_dumps(
-                    ["j", seq, [list(a) for a in self.entries[seq]]])))
-        os.replace(tmp, self.path)
-        self._fh = open(self.path, "ab")
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
 
 
 class WorkerCore:
@@ -543,9 +466,6 @@ class WorkerCore:
             # snapshot with a fresh empty one.
             self.soc.adopt_analytics(recovered)
         self.soc.start_service()
-        self._journal = (_HandoffJournal(worker_root(root, index)
-                                         / "handoff-journal.log")
-                         if root is not None else None)
         self._session_keys: Dict[str, bytes] = {}
         self.handoffs = 0
         self.events_in = 0
@@ -571,6 +491,33 @@ class WorkerCore:
         message = _batch_message(client_id, batch_id, body)
         return body if cmac_verify(key, message, tag) else None
 
+    def _admit(self, t_send: float,
+               items: Sequence[Tuple[int, str, int, bytes]],
+               offer: Callable[[float, SecurityEvent], bool]
+               ) -> List[Tuple[int, int, int, int]]:
+        """The admit loop: verify each batch's CMAC trailer
+        (authenticated mode), decode it and ``offer`` its events at
+        ``t_send``; returns one ``(conn, batch id, offered, accepted)``
+        ack per batch."""
+        authenticated = self.config.fleet_key is not None
+        acks: List[Tuple[int, int, int, int]] = []
+        for conn, client_id, batch_id, payload in items:
+            if authenticated:
+                payload = self._open_sealed(client_id, batch_id, payload)
+                if payload is None:
+                    acks.append((conn, batch_id, 0, -2))
+                    continue
+            try:
+                _, _, events = decode_message(payload)
+            except CorruptRecord:
+                acks.append((conn, batch_id, 0, -1))
+                continue
+            accepted = 0
+            for event in events:
+                accepted += offer(t_send, event)
+            acks.append((conn, batch_id, len(events), accepted))
+        return acks
+
     def ingest_handoff(self, t_send: float,
                        items: Sequence[Tuple[int, str, int, bytes]],
                        seq: int = -1,
@@ -586,8 +533,13 @@ class WorkerCore:
         ``seq`` is the frontend's per-shard handoff sequence number; the
         worker maintains ``seq == pump number``.  A resubmitted handoff
         whose ``seq`` is already sealed (``<= pump_no``) is *not*
-        re-processed -- its recorded acks come back from the handoff
-        journal, which is what makes crash + resubmit exactly-once.
+        re-processed: re-running it would double-admit.  Its acks are
+        recomputed instead, by the same admit loop on a throwaway queue
+        of the configured capacity.  That reproduces the sealed run's
+        acks exactly, because ``service_pump`` drains everything, so
+        every handoff was admitted into an empty queue, and the
+        frontend resubmits the handoff's ``t_send`` and items unchanged.
+        This is what makes crash + resubmit exactly-once.
 
         A payload that fails to decode is refused whole (``accepted=-1``
         in the report -- the frontend closes that connection), never
@@ -598,45 +550,26 @@ class WorkerCore:
         latency metrics -- never admission or marker times.
         """
         soc = self.soc
+        pipeline = soc.pipeline
         if 0 <= seq <= soc.pump_no:
             self.replayed_handoffs += 1
-            acks = self._journal.lookup(seq) if self._journal else ()
-            return WorkerReport(self.index, tuple(acks),
-                                soc.pipeline.congested, seq)
-        pipeline = soc.pipeline
-        offer = pipeline.offer
-        authenticated = self.config.fleet_key is not None
-        acks: List[Tuple[int, int, int, int]] = []
-        for conn, client_id, batch_id, payload in items:
-            if authenticated:
-                payload = self._open_sealed(client_id, batch_id, payload)
-                if payload is None:
-                    self.cmac_rejected += 1
-                    acks.append((conn, batch_id, 0, -2))
-                    continue
-            try:
-                _, _, events = decode_message(payload)
-            except CorruptRecord:
+            acks = self._admit(t_send, items,
+                               IngestShard(self.config.queue_capacity).offer)
+            return WorkerReport(self.index, tuple(acks), pipeline.congested,
+                                seq)
+        acks = self._admit(t_send, items, pipeline.offer)
+        for _, _, offered, accepted in acks:
+            if accepted == -1:
                 self.decode_errors += 1
-                acks.append((conn, batch_id, 0, -1))
-                continue
-            accepted = 0
-            for event in events:
-                accepted += offer(t_send, event)
-            self.events_in += len(events)
-            acks.append((conn, batch_id, len(events), accepted))
+            elif accepted == -2:
+                self.cmac_rejected += 1
+            else:
+                self.events_in += offered
         # Sample the existing source-suppression signal *after* admission
         # (the queue is at its handoff peak) -- this is the bit the
         # frontend propagates to clients as SUPPRESS/RESUME.
         congested = pipeline.congested
-        # Journal between the archived batches and the marker: a sealed
-        # handoff (marker durable) provably has its acks recorded, and a
-        # journaled-but-unsealed one is re-run whole after log truncation
-        # (the stale entry is simply overwritten).
-        pre_mark = None
-        if self._journal is not None and seq >= 0:
-            pre_mark = lambda: self._journal.record(seq, acks)  # noqa: E731
-        self.events_dispatched += soc.service_pump(t_send, pre_mark=pre_mark)
+        self.events_dispatched += soc.service_pump(t_send)
         self.handoffs += 1
         if t_mono is not None:
             wait = max(0.0, time.monotonic() - t_mono)
@@ -662,8 +595,6 @@ class WorkerCore:
     def close(self) -> None:
         """Final snapshot + orderly store close (clean shutdown path;
         the crash path needs neither -- that is the point)."""
-        if self._journal is not None:
-            self._journal.close()
         if self.soc.store is not None:
             self.soc.save_snapshot()
             self.soc.store.close()
@@ -682,7 +613,7 @@ class WorkerReport:
     #: The frontend's per-shard handoff sequence number this report
     #: answers; the frontend's in-flight ledger pops it exactly once
     #: (a duplicate -- e.g. a pre-crash report racing the restarted
-    #: worker's journal replay -- is dropped, not double-accounted).
+    #: worker's recomputed one -- is dropped, not double-accounted).
     handoff_seq: int
 
 
@@ -799,8 +730,8 @@ class _ProcessBackend:
     fresh completion queue.  The old queues' contents are deliberately
     discarded: the frontend's in-flight ledger is the source of truth,
     it resubmits every unacked handoff in sequence order with the
-    original timestamps, and the recovered worker replays the acks its
-    journal owes.  Completion queues are per worker because a SIGKILL
+    original timestamps, and the recovered worker recomputes the acks
+    of each handoff it had already sealed.  Completion queues are per worker because a SIGKILL
     can land while the worker's feeder thread holds the queue's write
     lock; on a shared queue that lock is never released, and every
     other worker's reports stall behind it for good."""
@@ -1000,9 +931,10 @@ class IngestService:
     * **Worker auto-restart** -- with a durable ``root``,
       :meth:`check_workers` respawns dead workers (snapshot +
       log-suffix replay) and resubmits every unacked handoff from the
-      in-flight ledger in sequence order; the per-handoff journal makes
-      the replay exactly-once, so clients never lose an ACK for an
-      admitted batch.
+      in-flight ledger in sequence order.  The worker re-runs only
+      the handoffs its log had not sealed and recomputes the acks of
+      the rest, so the replay is exactly-once and clients never lose
+      an ACK for an admitted batch.
     """
 
     def __init__(self, num_workers: int = 1, *, mode: str = "process",
@@ -1684,7 +1616,6 @@ class VehicleClient:
         self.events_sent = 0
         self.events_accepted = 0
         self.batches_refused = 0
-        self.events_refused_quota = 0
         self.rtts_s: List[float] = []
         self.closed = False
 
@@ -1730,7 +1661,6 @@ class VehicleClient:
             sent = self._settle(msg[1], msg[2])
             if sent is not None:
                 self.batches_refused += 1
-                self.events_refused_quota += sent[1]
         elif msg[0] == _T_SUPPRESS:
             self.suppressed = True
         elif msg[0] == _T_RESUME:

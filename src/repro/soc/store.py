@@ -81,11 +81,11 @@ from dataclasses import dataclass, field
 from itertools import starmap
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.soc.events import CorruptRecord, SecurityEvent, event_from_obj
 
-#: First bytes of every segment file (and of the service's journal).
+#: First bytes of every segment file.
 SEGMENT_MAGIC = b"SOCLOG1\n"
 #: Record header: payload length, CRC32 of the payload (little-endian).
 FRAME_HEADER = struct.Struct("<II")
@@ -262,8 +262,7 @@ class EventLog:
     from the file names, closed segments are trusted (every read
     re-verifies their records by CRC and their count against the
     names), and the tail segment is scanned and truncated back to its
-    last whole record (``truncated_bytes`` reports how much of a torn
-    write was dropped).
+    last whole record, dropping a torn write.
     """
 
     def __init__(self, root, *, segment_max_records: int = 4096) -> None:
@@ -279,9 +278,6 @@ class EventLog:
         self._unsynced = True        # bytes written since the last fsync
 
         self.last_seq = 0
-        self.appended = 0            # records appended by *this* process
-        self.truncated_bytes = 0     # torn tail dropped at open
-        self.segments_rotated = 0
 
         self._recover_or_create()
 
@@ -315,14 +311,12 @@ class EventLog:
             # Torn during segment creation: nothing recoverable in it.
             with open(tail, "wb") as fh:
                 fh.write(SEGMENT_MAGIC)
-            self.truncated_bytes = size
             payloads = []
         else:
             payloads, good_end = scan_valid_prefix(tail)
             if good_end < size:
                 with open(tail, "r+b") as fh:
                     fh.truncate(good_end)
-                self.truncated_bytes = size - good_end
         # Rebuild the active segment's entry from its frames.
         self._segments.append(_Segment(firsts[-1]))
         self._offset = len(SEGMENT_MAGIC)
@@ -358,7 +352,6 @@ class EventLog:
         self._fh.write(FRAME_HEADER.pack(len(payload), zlib.crc32(payload)))
         self._fh.write(payload)
         self.last_seq += 1
-        self.appended += 1
         self._unsynced = True
         return self.last_seq
 
@@ -385,7 +378,6 @@ class EventLog:
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
-        self.segments_rotated += 1
         self._open_segment(self.last_seq + 1)
 
     def sync(self) -> None:
@@ -403,7 +395,7 @@ class EventLog:
             self.sync()
             self._fh.close()
 
-    def truncate_after_last_mark(self) -> Dict[str, int]:
+    def truncate_after_last_mark(self) -> None:
         """Physically drop every record after the last pump marker.
 
         The service-restart entry point: a worker killed mid-handoff may
@@ -418,39 +410,27 @@ class EventLog:
         Trailing segments that contain no marker at all are deleted
         outright; the segment holding the last marker becomes the
         active tail.  If the log holds no marker anywhere, everything
-        is dropped and the log restarts empty at seq 0.  Returns
-        ``{"records_dropped", "bytes_dropped", "segments_deleted"}``.
+        is dropped and the log restarts empty at seq 0.
         """
         self.close()
-        stats = {"records_dropped": 0, "bytes_dropped": 0,
-                 "segments_deleted": 0}
         for path in reversed(self.segment_paths()):
-            size = path.stat().st_size
             payloads, _ = scan_valid_prefix(path)
-            keep_end = len(SEGMENT_MAGIC)
-            keep_records = 0
+            keep_end = None
             offset = len(SEGMENT_MAGIC)
-            for i, payload in enumerate(payloads):
+            for payload in payloads:
                 offset += FRAME_HEADER.size + len(payload)
                 if payload.startswith(b'["m"'):
                     keep_end = offset
-                    keep_records = i + 1
-            if keep_records == 0:
+            if keep_end is None:
                 # No marker anywhere in this segment: nothing survives.
-                stats["records_dropped"] += len(payloads)
-                stats["bytes_dropped"] += max(0, size - len(SEGMENT_MAGIC))
-                stats["segments_deleted"] += 1
                 path.unlink()
                 continue
-            if keep_end < size:
-                stats["records_dropped"] += len(payloads) - keep_records
-                stats["bytes_dropped"] += size - keep_end
+            if keep_end < path.stat().st_size:
                 with open(path, "r+b") as fh:
                     fh.truncate(keep_end)
             break
         self.last_seq = 0  # recomputed from the surviving tail (if any)
         self._recover_or_create()
-        return stats
 
     # ------------------------------------------------------------------
     # Read path

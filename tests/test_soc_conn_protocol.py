@@ -666,8 +666,8 @@ def test_connection_accepted_after_the_drain_is_refused(tmp_path,
     """A connection the listener accepted just before ``stop()`` reaches
     ``connection_made`` only after the drain: it is closed at once,
     holding no slot and moving no counter, so nothing it sends can be
-    routed into the closed service (inline, a route there would write
-    to the closed handoff journal from ``data_received``)."""
+    routed into the closed service (inline, a route there would append
+    to the closed worker's event log from ``data_received``)."""
     monkeypatch.setattr(service, "HANDOFF_BATCH", 1)
     svc = IngestService(1, mode="inline", root=tmp_path)
     svc.drain_and_close()

@@ -4,8 +4,7 @@ Covers the three hardening layers -- CMAC-authenticated sessions
 (HELLO/CHALLENGE/AUTH handshake, per-batch tag trailers verified by the
 owning worker), per-client token-bucket quotas feeding targeted
 SUPPRESS/REFUSED, and supervised worker auto-restart (exactly-once
-replay from the handoff journal, byte-identical to an uninterrupted
-twin) -- plus the pinned regressions for the frontend robustness
+resubmission, byte-identical to an uninterrupted twin) -- plus the pinned regressions for the frontend robustness
 bugfixes: malformed-BATCH ``CorruptRecord`` translation, stale SUPPRESS
 after a worker kill, monotonic deadlines/latency, and the
 closing-transport write guard.
@@ -15,11 +14,14 @@ import asyncio
 import gc
 import inspect
 import json
+import shutil
 import socket
 import struct
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.safety import Asil
 from repro.soc import (
@@ -37,7 +39,6 @@ from repro.soc import (
 from repro.soc import service
 from repro.soc.ingest import TokenBucket
 from repro.soc.service import (
-    _HandoffJournal,
     _ProcessBackend,
     auth_tag,
     batch_id_of,
@@ -173,14 +174,12 @@ class TestDecoderRejectedBytes:
         with pytest.raises(CorruptRecord):
             decoder.feed(probe)
         assert decoder.bytes_fed == 0
-        assert decoder.bytes_rejected == len(probe)
 
     def test_accepted_bytes_still_counted(self):
         decoder = FrameStreamDecoder()
         frame = frame_payload(b'["q"]')
         assert decoder.feed(frame) == [b'["q"]']
         assert decoder.bytes_fed == len(frame)
-        assert decoder.bytes_rejected == 0
 
 
 # ----------------------------------------------------------------------
@@ -776,7 +775,6 @@ class TestQuotas:
 
         svc, client = asyncio.run(main())
         assert client.batches_refused == 3
-        assert client.events_refused_quota == 3
         assert client.events_accepted == 0
         assert client.credits >= 4  # every refusal returned its credit
         assert svc.quota_refused == 3
@@ -811,52 +809,8 @@ class TestQuotas:
 
 
 # ----------------------------------------------------------------------
-# Handoff journal + log truncation (the exactly-once machinery)
+# Log truncation (the exactly-once machinery's log half)
 # ----------------------------------------------------------------------
-class TestHandoffJournal:
-    def test_record_lookup_and_reload(self, tmp_path):
-        path = tmp_path / "handoff-journal.log"
-        j = _HandoffJournal(path)
-        j.record(1, [(1, 0, 3, 3), (2, 1, 3, 0)])
-        j.record(2, [(1, 2, 3, 3)])
-        assert j.lookup(1) == ((1, 0, 3, 3), (2, 1, 3, 0))
-        assert j.lookup(99) == ()
-        j.close()
-        j2 = _HandoffJournal(path)
-        assert j2.lookup(1) == ((1, 0, 3, 3), (2, 1, 3, 0))
-        assert j2.lookup(2) == ((1, 2, 3, 3),)
-        j2.close()
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "handoff-journal.log"
-        j = _HandoffJournal(path)
-        j.record(1, [(1, 0, 3, 3)])
-        j.record(2, [(1, 1, 3, 3)])
-        j.close()
-        # Tear the last record mid-frame (a crash mid-write).
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-5])
-        j2 = _HandoffJournal(path)
-        assert j2.lookup(1) == ((1, 0, 3, 3),)
-        assert j2.lookup(2) == ()  # torn entry dropped whole
-        j2.close()
-
-    def test_bounded_rewrite_keeps_recent_entries(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setattr(service, "JOURNAL_KEEP", 4)
-        path = tmp_path / "handoff-journal.log"
-        j = _HandoffJournal(path)
-        for seq in range(1, 20):
-            j.record(seq, [(1, seq, 1, 1)])
-        assert len(j.entries) <= 2 * 4 + 1
-        assert j.lookup(19) == ((1, 19, 1, 1),)
-        assert j.lookup(1) == ()  # aged out
-        j.close()
-        j2 = _HandoffJournal(path)
-        assert j2.lookup(19) == ((1, 19, 1, 1),)
-        j2.close()
-
-
 class TestTruncateAfterLastMark:
     def _log(self, tmp_path, **kw):
         return EventLog(tmp_path / "log", **kw)
@@ -871,10 +825,12 @@ class TestTruncateAfterLastMark:
         log.append_mark(1.0, 1)
         log.append_batch(2.0, 0, [ev("v", "s", 1.5, 2)])  # no marker: doomed
         log.append_batch(2.0, 0, [ev("v", "s", 1.6, 3)])
-        stats = log.truncate_after_last_mark()
-        assert stats["records_dropped"] == 2
-        assert stats["bytes_dropped"] > 0
+        log.sync()
+        size = log.segment_paths()[-1].stat().st_size
+        assert log.truncate_after_last_mark() is None
         assert self._kinds(log) == ["batch", "mark"]
+        assert log.last_seq == 2
+        assert log.segment_paths()[-1].stat().st_size < size
         # The log stays appendable at the boundary.
         assert log.append_batch(3.0, 0, [ev("v", "s", 2.5, 4)]) == 3
         assert self._kinds(log) == ["batch", "mark", "batch"]
@@ -884,10 +840,12 @@ class TestTruncateAfterLastMark:
         log = self._log(tmp_path)
         log.append_batch(1.0, 0, [ev("v", "s", 0.5, 1)])
         log.append_mark(1.0, 1)
-        stats = log.truncate_after_last_mark()
-        assert stats == {"records_dropped": 0, "bytes_dropped": 0,
-                         "segments_deleted": 0}
+        log.sync()
+        size = log.segment_paths()[-1].stat().st_size
+        log.truncate_after_last_mark()
         assert self._kinds(log) == ["batch", "mark"]
+        assert log.last_seq == 2
+        assert log.segment_paths()[-1].stat().st_size == size
         log.close()
 
     def test_deletes_whole_markerless_segments(self, tmp_path):
@@ -897,19 +855,20 @@ class TestTruncateAfterLastMark:
         log.append_batch(2.0, 0, [ev("v", "s", 1.5, 2)])   # seg 2: no marker
         log.append_batch(2.0, 0, [ev("v", "s", 1.6, 3)])
         log.append_batch(2.0, 0, [ev("v", "s", 1.7, 4)])   # seg 3: no marker
-        stats = log.truncate_after_last_mark()
-        assert stats["segments_deleted"] >= 1
-        assert stats["records_dropped"] == 3
+        assert len(log.segment_paths()) == 3
+        log.truncate_after_last_mark()
+        assert len(log.segment_paths()) == 1
         assert self._kinds(log) == ["batch", "mark"]
+        assert log.last_seq == 2
         log.close()
 
     def test_empty_and_markerless_logs_reset_clean(self, tmp_path):
         log = self._log(tmp_path)
-        assert log.truncate_after_last_mark()["records_dropped"] == 0
+        log.truncate_after_last_mark()
+        assert (self._kinds(log), log.last_seq) == ([], 0)
         log.append_batch(1.0, 0, [ev("v", "s", 0.5, 1)])
-        stats = log.truncate_after_last_mark()
-        assert stats["records_dropped"] == 1
-        assert self._kinds(log) == []
+        log.truncate_after_last_mark()
+        assert (self._kinds(log), log.last_seq) == ([], 0)
         assert log.append_batch(2.0, 0, [ev("v", "s", 1.5, 2)]) == 1
         assert self._kinds(log) == ["batch"]
         log.close()
@@ -927,7 +886,7 @@ class TestNonFiniteEventTimeRegression:
         on every (re)submission of the handoff.  A non-finite time is a
         schema violation, so the validating decoder refuses its batch
         whole (admission's range check still refuses NaN from in-process
-        callers); the handoff's other batch flows and is journaled."""
+        callers); the handoff's other batch flows and is sealed."""
         events = [ev("veh-a", f"sig.{i % 2}", 900.0 + i, i) for i in range(5)]
         obj = json.loads(encode_batch(7, events))
         obj[2][2][1] = float("nan")       # an event array: index 1 is time
@@ -946,7 +905,7 @@ class TestNonFiniteEventTimeRegression:
                                recover=True)
         assert restarted.soc.pump_no == 1
         again = restarted.ingest_handoff(1000.0, items, seq=1)
-        assert again.acks == report.acks   # from the journal
+        assert again.acks == report.acks   # recomputed, not re-admitted
         assert restarted.replayed_handoffs == 1
         restarted.close()
 
@@ -1001,11 +960,101 @@ class TestSchemaViolatingEventRegression:
         restarted = WorkerCore(0, root=tmp_path, config=ServiceConfig(),
                                recover=True)
         again = restarted.ingest_handoff(1000.0, items, seq=1)
-        assert again.acks == report.acks   # from the journal
+        assert again.acks == report.acks   # recomputed, not re-admitted
         more = restarted.ingest_handoff(
             1001.0, [(1, "veh-a", 3, batch("veh-a", 3))], seq=2)
         assert more.acks == ((1, 3, 3, 3),)
         restarted.close()
+
+
+# ----------------------------------------------------------------------
+# Replay differential: a sealed handoff's acks, recomputed
+# ----------------------------------------------------------------------
+#: What one generated batch carries; the last two only in auth mode.
+BATCH_KINDS = ["valid", "future-time", "negative-time", "nan-time",
+               "schema-invalid", "undecodable", "duplicate-ids"]
+TAG_KINDS = ["tampered-tag", "missing-tag"]
+CLIENTS = ["veh-a", "veh-b", "veh-c"]
+
+
+@st.composite
+def sealed_handoffs(draw):
+    """``(config, [(t_send, items), ...])``: up to three handoffs of
+    batches that mix every admission verdict, for a worker whose queue
+    may be small enough to shed and evict."""
+    authenticated = draw(st.booleans())
+    config = ServiceConfig(
+        queue_capacity=draw(st.sampled_from([1, 2, 3, 5, 1 << 16])),
+        fleet_key=FLEET_KEY if authenticated else None)
+    kinds = BATCH_KINDS + (TAG_KINDS if authenticated else [])
+    handoffs, sent, batch_id = [], [], 0
+    for h in range(draw(st.integers(1, 3))):
+        t_send = 1000.0 + h
+        items = []
+        for _ in range(draw(st.integers(1, 4))):
+            batch_id += 1
+            conn = draw(st.integers(0, len(CLIENTS) - 1))
+            client = CLIENTS[conn]
+            kind = draw(st.sampled_from(kinds))
+            events = [ev(client, f"sig.{draw(st.integers(0, 2))}",
+                         t_send - 0.5 + 0.01 * i, batch_id * 10 + i,
+                         severity=draw(st.sampled_from(list(Asil))))
+                      for i in range(draw(st.integers(1, 4)))]
+            if kind == "duplicate-ids" and sent:
+                events = draw(st.sampled_from(sent))
+            elif kind in ("future-time", "negative-time"):
+                bad = t_send + 5.0 if kind == "future-time" else -1.0
+                events[0] = events[0]._replace(time=bad)
+            sent.append(events)
+            payload = encode_batch(batch_id, events)
+            if kind in ("nan-time", "schema-invalid"):
+                obj = json.loads(payload)
+                obj[2][0][1 if kind == "nan-time" else 5] = (
+                    float("nan") if kind == "nan-time" else 9)
+                payload = json.dumps(obj, separators=(",", ":")).encode()
+            elif kind == "undecodable":
+                payload = b'["e",%d,[["x"' % batch_id
+            if authenticated and kind != "missing-tag":
+                payload = seal_payload(derive_session_key(FLEET_KEY, client),
+                                       client, payload)
+                if kind == "tampered-tag":
+                    payload = payload[:-1] + bytes([payload[-1] ^ 1])
+            items.append((conn, client, batch_id, payload))
+        handoffs.append((t_send, items))
+    return config, handoffs
+
+
+class TestReplayDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(sealed_handoffs())
+    def test_recomputed_acks_equal_the_live_acks(self, case):
+        """A restarted worker answers a resubmitted sealed handoff with
+        the acks the live worker reported, touching nothing live.  The
+        recomputation rests on every handoff starting on an empty
+        queue, so the live queue is checked empty after each one."""
+        config, handoffs = case
+        with tempfile.TemporaryDirectory() as root:
+            live = WorkerCore(0, root, config)
+            reports = []
+            for seq, (t_send, items) in enumerate(handoffs, 1):
+                reports.append(live.ingest_handoff(t_send, items, seq=seq))
+                assert live.soc.pipeline.queue_depth == 0
+            live.soc.store.close()  # killed: no final snapshot
+            restarted = WorkerCore(0, root, config, recover=True)
+            soc = restarted.soc
+            before = (soc.pipeline.metrics(), soc.store.log.last_seq,
+                      soc.pump_no)
+            for seq, (t_send, items) in enumerate(handoffs, 1):
+                again = restarted.ingest_handoff(t_send, items, seq=seq)
+                live_report = reports[seq - 1]
+                assert again.acks == live_report.acks
+                assert (again.shard, again.handoff_seq) == (0, seq)
+                assert again.congested == soc.pipeline.congested
+            assert (soc.pipeline.metrics(), soc.store.log.last_seq,
+                    soc.pump_no) == before
+            assert restarted.replayed_handoffs == len(handoffs)
+            assert restarted.events_in == restarted.events_dispatched == 0
+            restarted.close()
 
 
 # ----------------------------------------------------------------------
@@ -1092,7 +1141,7 @@ class TestAutoRestart:
 
     def test_replay_is_exactly_once(self, tmp_path):
         """A handoff whose report died with the worker is resubmitted
-        and replayed from the journal -- never re-admitted (the inline
+        and its acks are recomputed -- never re-admitted (the inline
         backend processes synchronously, so every kill happens *after*
         the handoff was fully processed but before the frontend consumed
         its report: the pure duplicate-report window)."""
@@ -1161,7 +1210,7 @@ class TestAutoRestart:
         third handoff was sealed as pump 1, re-run after the second
         restart and archived twice.  With one kill path the ledger keeps
         every handoff, so each client batch is archived once and the
-        restarted worker replays the last one from its journal."""
+        restarted worker recomputes the last one's acks."""
         log_dir = worker_root(tmp_path, 0) / "log"
 
         def records():
@@ -1203,6 +1252,35 @@ class TestAutoRestart:
         archived = [e[0] for r in records() if r[0] == "b" for e in r[3]]
         sent = [json.loads(batch("veh-1", rnd))[2] for rnd in (1, 2, 3)]
         assert archived == [e[0] for events in sent for e in events]
+
+    def test_sealed_handoff_acks_need_only_the_log_and_snapshots(
+            self, tmp_path):
+        """A worker root holds its log and its snapshots, and they are
+        all a restart needs.  A handoff of three batches is sealed, its
+        report is lost and the worker is killed; with everything else
+        in the worker root deleted, the restarted worker still acks each
+        batch once, from the handoff the ledger resubmits."""
+        svc = IngestService(1, mode="inline", root=tmp_path,
+                            clock=lambda: 1000.0)
+        conn = svc.open_conn("veh-1")
+        for rnd in range(3):
+            assert svc.route(conn, batch("veh-1", rnd))
+        assert svc.flush() == 1
+        assert svc.backend.get_report() is not None  # the lost report
+        svc.sigkill_worker(0)
+        root = worker_root(tmp_path, 0)
+        for path in root.iterdir():
+            if path.is_dir() and path.name not in ("log", "snapshots"):
+                shutil.rmtree(path)
+            elif not path.is_dir():
+                path.unlink()
+        assert svc.check_workers() == 1
+        svc.poll_completions()
+        assert svc.batches_acked == svc.batches_routed == 3
+        assert svc.events_acked == 9
+        svc.audit_conservation()
+        svc.drain_and_close()
+        assert sorted(p.name for p in root.iterdir()) == ["log", "snapshots"]
 
     def test_worker_core_recover_requires_root(self):
         with pytest.raises(ValueError):

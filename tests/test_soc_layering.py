@@ -29,9 +29,10 @@ module under ``src/repro`` imports from ``tests`` -- test harnesses such
 as ``tests/soc_chaos.py`` live there and stay out of the library.
 
 And the library holds only what programs run.  A defaulted parameter of
-a public callable needs a setter in a program, and a public function,
-class, method or property needs a program that names it; otherwise each
-needs a row, with its reason, on a short allowlist.
+a public callable needs a setter in a program, a public function,
+class, method or property needs a program that names it, and a public
+attribute a public class assigns on ``self`` needs a program that reads
+it; otherwise each needs a row, with its reason, on a short allowlist.
 """
 
 import ast
@@ -520,10 +521,11 @@ def _export_list(node) -> bool:
 
 
 def referenced_names(path: Path):
-    """Every name ``path`` refers to: a ``Name``, an ``Attribute``, an
-    import alias or an identifier-shaped string constant (a method
-    wrapped by name).  A def's own name is none of these, and an
-    ``__all__`` list only exports."""
+    """Every name ``path`` refers to: a ``Name``, an ``Attribute`` read
+    (an assignment to ``obj.attr`` is no use of it), an import alias or
+    an identifier-shaped string constant (a method wrapped by name).  A
+    def's own name is none of these, and an ``__all__`` list only
+    exports."""
     tree = ast.parse(path.read_text(), filename=str(path))
     names = set()
     for stmt in tree.body:
@@ -532,7 +534,8 @@ def referenced_names(path: Path):
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rsplit(".", 1)[-1])
@@ -543,15 +546,15 @@ def referenced_names(path: Path):
     return names
 
 
-def unreferenced_callables(soc_paths, program_paths):
-    """Labels of the public callables of ``soc_paths`` whose name no
+def unreferenced(members, soc_paths, program_paths):
+    """Labels of the ``members(path)`` of ``soc_paths`` whose name no
     file of ``program_paths`` references.  The package's
     ``__init__.py`` only re-exports, so it never counts."""
     exports = {path.parent / "__init__.py" for path in soc_paths}
     used = set().union(*(referenced_names(path) for path in program_paths
                          if path not in exports))
     return [label for path in soc_paths
-            for label, name in public_callables(path) if name not in used]
+            for label, name in members(path) if name not in used]
 
 
 #: Public callables no program names, each kept for a reason.
@@ -577,7 +580,7 @@ CALLABLE_ALLOWLIST = {
 
 def test_every_public_callable_has_a_program_user_or_a_reason():
     soc = sorted(SOC.glob("*.py"))
-    found = unreferenced_callables(soc, soc + program_paths())
+    found = unreferenced(public_callables, soc, soc + program_paths())
     assert len(CALLABLE_ALLOWLIST) <= 8
     assert sorted(set(found) - set(CALLABLE_ALLOWLIST)) == []
     # A stale entry would hide the next unused callable of that name.
@@ -615,5 +618,74 @@ def test_callable_guard_catches_an_unreferenced_method(tmp_path):
                     "box = build()\n"
                     "box.used()\n"
                     "tracer.wrap(box, 'wrapped', 'span.name')\n")
-    assert unreferenced_callables([mod], [mod, init, user]) == [
+    assert unreferenced(public_callables, [mod], [mod, init, user]) == [
         "mod.Box.unused", "mod.Box.exported", "mod.orphan"]
+
+
+def public_attributes(path: Path):
+    """``(label, name)`` for every public attribute a public class of
+    ``path`` assigns on ``self``: plain, augmented, annotated and
+    tuple-unpacking assignments alike."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for attr in ast.walk(target):
+                    if (isinstance(attr, ast.Attribute)
+                            and getattr(attr.value, "id", "") == "self"
+                            and not attr.attr.startswith("_")):
+                        found.setdefault(
+                            f"{path.stem}.{cls.name}.{attr.attr}", attr.attr)
+    return list(found.items())
+
+
+#: Public attributes no program reads, each kept for a reason.
+ATTRIBUTE_ALLOWLIST = {
+    "federation.SegmentReceiver.records_received":
+        "receipt conservation: the chaos harness checks it equals "
+        "duplicates + applied + buffered",
+}
+
+
+def test_every_public_attribute_has_a_program_reader_or_a_reason():
+    soc = sorted(SOC.glob("*.py"))
+    found = unreferenced(public_attributes, soc, soc + program_paths())
+    assert sorted(set(found) - set(ATTRIBUTE_ALLOWLIST)) == []
+    # A stale entry would hide the next unread attribute of that name.
+    assert sorted(set(ATTRIBUTE_ALLOWLIST) - set(found)) == []
+
+
+def test_attribute_guard_catches_an_unread_attribute(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.read = 0\n"
+        "        self.written = 0\n"
+        "        self.bumped = 0\n"
+        "        self.left, self.right = 1, 2\n"
+        "        self.typed: int = 0\n"
+        "        self.named = 0\n"
+        "        self._private = 0\n"
+        "    def step(self):\n"
+        "        self.written = 1\n"
+        "        self.bumped += 1\n"
+        "        return self.read\n"
+        "class _Hidden:\n"
+        "    def __init__(self):\n"
+        "        self.unread = 0\n")
+    user = tmp_path / "user.py"
+    user.write_text("box.left\n"
+                    "getattr(box, 'named')\n")
+    assert unreferenced(public_attributes, [mod], [mod, user]) == [
+        "mod.Box.written", "mod.Box.bumped", "mod.Box.right",
+        "mod.Box.typed"]

@@ -239,7 +239,6 @@ class TestEventLog:
         assert replayed == events
         assert [r.pump_no for r in records if r.kind == "mark"] == [1, 2]
         # 5 records over segment_max_records=4 -> one rotation happened.
-        assert log.segments_rotated == 1
         assert len(log.segment_paths()) == 2
         # Replay of a suffix.
         assert [r.seq for r in log.replay(after_seq=3)] == [4, 5]
@@ -250,9 +249,11 @@ class TestEventLog:
         for i in range(4):
             log.append_batch(float(i), 0, [ev("v1", "s", float(i), i)])
         log.close()
+        sizes = [p.stat().st_size for p in log.segment_paths()]
         reopened = EventLog(tmp_path, segment_max_records=3)
         assert reopened.last_seq == 4
-        assert reopened.truncated_bytes == 0
+        # Nothing torn, nothing truncated.
+        assert [p.stat().st_size for p in reopened.segment_paths()] == sizes
         reopened.append_batch(9.0, 0, [ev("v9", "s", 9.0, 99)])
         assert [r.seq for r in reopened.replay()] == [1, 2, 3, 4, 5]
         reopened.close()
@@ -453,7 +454,8 @@ class TestTornWriteRecovery:
         recovered = EventLog(tmp_path)
         whole = sum(1 for end in ends if end <= cut)
         assert recovered.last_seq == whole
-        assert recovered.truncated_bytes == cut - (
+        # The torn write is cut back to the last whole record.
+        assert segment.stat().st_size == (
             ends[whole - 1] if whole else len(SEGMENT_MAGIC))
         assert len(list(recovered.replay())) == whole
         # The log is immediately appendable again.
@@ -471,7 +473,7 @@ class TestTornWriteRecovery:
         bad = tmp_path / "seg-0000000002.log"
         bad.write_bytes(b"SOC")
         recovered = EventLog(tmp_path)
-        assert recovered.truncated_bytes == 3
+        assert bad.read_bytes() == SEGMENT_MAGIC
         assert recovered.last_seq == 1
         recovered.append_batch(1.0, 0, [ev("v2", "s", 1.0, 2)])
         assert [r.seq for r in recovered.replay()] == [1, 2]
